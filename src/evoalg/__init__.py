@@ -1,20 +1,19 @@
 """Exact linear-algebraic analysis of finite-dimensional evolution algebras."""
 
 from .adjoint import (AdjointInvariants, GeneratorClassification, Hierarchy,
-                      HierarchyLevel, ZerothDecomposition, adjoint,
-                      adjoint_annihilator, adjoint_invariants,
-                      classify_generators, descendants, hierarchy,
-                      is_irreducible, zeroth_decomposition)
+                      HierarchyLevel, ZerothDecomposition, adjoint_annihilator,
+                      adjoint_invariants, classify_generators, descendants,
+                      hierarchy, is_irreducible, zeroth_decomposition)
 from .algebra import Element, EvolutionAlgebra, check_algebra_homomorphism
 from .algfile import (emit_algebra_json, emit_algebra_text, load_algebra,
                       parse_algebra_json, parse_algebra_text, parse_basis_text)
-from .errors import EvoAlgError, ParseError
+from .errors import EvoAlgError, ParseError, SelfCheckFailed
 from .fields import GF, QQ, Mod, is_prime, parse_field, render_field
 from .generate import random_algebra
 from .ideals import (IdealLattice, descendant_closed_sets, ideal_lattice_perfect,
                      is_basic_ideal, is_basic_simple, is_basic_simple_relative,
-                     is_ideal, is_simple, strongly_connected_components,
-                     structure_digraph)
+                     is_ideal, is_simple, reachable,
+                     strongly_connected_components, structure_digraph)
 from .linalg import Matrix, Subspace
 from .natural import (Decomposition, ExtensionResult, decompose,
                       decomposition_for_basis, extend_family,
@@ -26,4 +25,4 @@ from .nilpotency import (CubeNilpotentScan, MinorWitness, NilpotencyReport,
                          is_cube_zero, nilpotency_report, power_spaces,
                          product_space)
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -12,34 +12,27 @@ and iterating on E produces the hierarchy.
 from dataclasses import dataclass
 
 from .algebra import EvolutionAlgebra
-from .errors import IndexOutOfRange
-from .ideals import (coordinate_span, descendant_closed_sets, is_basic_simple,
-                     is_basic_simple_relative, is_simple, structure_digraph)
+from .errors import IndexOutOfRange, SelfCheckFailed
+from .ideals import (is_basic_simple, is_basic_simple_relative, is_simple,
+                     reachable, structure_digraph)
 from .linalg import Subspace
 from .nilpotency import nilpotency_report, product_space
 
 
-def adjoint(algebra):
-    return algebra.adjoint()
+def _reversed(adjacency):
+    out = [set() for _ in adjacency]
+    for i, targets in enumerate(adjacency):
+        for j in targets:
+            out[j].add(i)
+    return out
 
 
 def is_irreducible(algebra):
     """No splitting into two coordinate-closed parts: the underlying
     undirected graph of the structure digraph is connected."""
     adjacency = structure_digraph(algebra)
-    undirected = [set(a) for a in adjacency]
-    for i, targets in enumerate(adjacency):
-        for j in targets:
-            undirected[j].add(i)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for w in undirected[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == algebra.n
+    undirected = [a | b for a, b in zip(adjacency, _reversed(adjacency))]
+    return len(reachable(undirected, [0])) == algebra.n
 
 
 def descendants(algebra, i, k=None):
@@ -52,31 +45,19 @@ def descendants(algebra, i, k=None):
         for _ in range(k - 1):
             current = frozenset().union(*(adjacency[j] for j in current)) if current else frozenset()
         return current
-    seen = set(adjacency[i])
-    frontier = list(seen)
-    while frontier:
-        v = frontier.pop()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return frozenset(seen)
+    return reachable(adjacency, adjacency[i])
 
 
 def adjoint_annihilator(algebra):
     """Span of the basis vectors that are nobody's descendant (zero rows of
     M); verified against the annihilator of the adjoint and against
     A^2 . ann(adjoint) = 0."""
-    field = algebra.field
-    vectors = []
-    for i in range(algebra.n):
-        if not any(algebra.M.row(i)):
-            v = [field.zero] * algebra.n
-            v[i] = field.one
-            vectors.append(v)
-    span = Subspace.from_vectors(field, algebra.n, vectors)
-    assert span == algebra.adjoint().annihilator()
-    assert product_space(algebra, algebra.square_space(), span).dim == 0
+    span = Subspace.coordinate(algebra.field, algebra.n,
+                               [i for i in range(algebra.n) if not any(algebra.M.row(i))])
+    if span != algebra.adjoint().annihilator():
+        raise SelfCheckFailed("zero rows of M do not span the adjoint's annihilator")
+    if product_space(algebra, algebra.square_space(), span).dim:
+        raise SelfCheckFailed("A^2 does not annihilate the adjoint's annihilator")
     return span
 
 
@@ -99,15 +80,10 @@ def adjoint_invariants(algebra):
         (nilpotency_report(algebra).is_nilpotent, nilpotency_report(adj).is_nilpotent),
     )
     agree = all(a == b for a, b in flags)
-    # Coordinate-spanned evolution subalgebras of A complement to ones of the adjoint.
-    adj_adjacency = structure_digraph(adj)
-    full = set(range(algebra.n))
-    complements_ok = True
-    for closed in descendant_closed_sets(algebra):
-        complement = full - closed
-        if not all(adj_adjacency[j] <= complement for j in complement):
-            complements_ok = False
-            break
+    # Complements of descendant-closed sets of A are closed in the adjoint:
+    # an adjoint edge from outside a closed set C into C would be an edge of
+    # A leaving C, so it suffices that the adjoint's digraph reverses A's.
+    complements_ok = structure_digraph(adj) == _reversed(structure_digraph(algebra))
     return AdjointInvariants(*flags, agree, complements_ok)
 
 
@@ -180,7 +156,7 @@ def zeroth_decomposition(algebra):
                 diagnostics.append(
                     f"components generated by {groups[a][0][0]} and {groups[b][0][0]} "
                     "overlap without coinciding")
-    span = coordinate_span(algebra, transient)
+    span = Subspace.coordinate(algebra.field, algebra.n, transient)
     total = Subspace.zero(algebra.field, algebra.n)
     for g in groups:
         total = total + g[2]

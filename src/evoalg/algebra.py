@@ -54,11 +54,8 @@ class EvolutionAlgebra:
 
     def annihilator(self):
         """Span of the basis vectors with zero square (zero columns of M)."""
-        vectors = []
-        for i in range(self.n):
-            if not any(self.M.column(i)):
-                vectors.append(self.unit(i).coords)
-        return Subspace.from_vectors(self.field, self.n, vectors)
+        return Subspace.coordinate(self.field, self.n,
+                                   [i for i in range(self.n) if not any(self.M.column(i))])
 
     def annihilator_definitional(self):
         """The kernel {x : x e_j = 0 for all j}, independent of the zero-column rule."""

@@ -12,7 +12,6 @@ machine-readable error code.
 
 import argparse
 import json
-import os
 import sys
 
 from .adjoint import (adjoint_annihilator, adjoint_invariants, hierarchy,
@@ -468,10 +467,6 @@ def build_parser():
 
 
 def main(argv=None):
-    threads = os.environ.get("EVOALG_THREADS")
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
-        print("error: EVOALG_THREADS must be a positive integer", file=sys.stderr)
-        return 2
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -65,6 +65,11 @@ class IndexOutOfRange(EvoAlgError):
     code = "index-out-of-range"
 
 
+class SelfCheckFailed(EvoAlgError):
+    """An internal consistency check on a computed result did not hold."""
+    code = "self-check-failed"
+
+
 class ParseError(EvoAlgError):
     code = "parse-error"
 

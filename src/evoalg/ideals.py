@@ -21,6 +21,18 @@ def structure_digraph(algebra):
             for i in range(algebra.n)]
 
 
+def reachable(adjacency, sources):
+    """The sources together with every vertex reachable from them."""
+    seen = set(sources)
+    frontier = list(seen)
+    while frontier:
+        for w in adjacency[frontier.pop()]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return frozenset(seen)
+
+
 def strongly_connected_components(adjacency):
     """Tarjan's algorithm, iterative; components in reverse topological order."""
     n = len(adjacency)
@@ -89,43 +101,17 @@ def is_basic_ideal(algebra, subspace):
     return len(support) == subspace.dim
 
 
-def coordinate_span(algebra, indices):
-    field = algebra.field
-    vecs = []
-    for i in sorted(indices):
-        v = [field.zero] * algebra.n
-        v[i] = field.one
-        vecs.append(v)
-    return Subspace.from_vectors(field, algebra.n, vecs)
-
-
 def descendant_closed_sets(algebra):
     """All index sets closed under taking descendants, sorted; these are
     exactly the sets whose coordinate spans are ideals."""
     if algebra.n > 20:
         raise DimensionTooLarge("closed-set enumeration is limited to dimension 20")
     adjacency = structure_digraph(algebra)
-    closures = []
-    for i in range(algebra.n):
-        seen = {i}
-        frontier = [i]
-        while frontier:
-            v = frontier.pop()
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        closures.append(frozenset(seen))
+    closures = [reachable(adjacency, [i]) for i in range(algebra.n)]
     # Closed sets are exactly the unions of single-index closures.
     family = {frozenset()}
-    frontier = [frozenset()]
-    while frontier:
-        base = frontier.pop()
-        for c in closures:
-            union = base | c
-            if union not in family:
-                family.add(union)
-                frontier.append(union)
+    for c in closures:
+        family |= {s | c for s in family}
     return sorted(family, key=lambda s: (len(s), sorted(s)))
 
 
@@ -142,7 +128,7 @@ def ideal_lattice_perfect(algebra):
     if not algebra.is_perfect():
         raise NotPerfect("the complete ideal lattice is only available for perfect algebras")
     closed = descendant_closed_sets(algebra)
-    ideals = tuple(coordinate_span(algebra, s) for s in closed)
+    ideals = tuple(Subspace.coordinate(algebra.field, algebra.n, s) for s in closed)
     generators = tuple(tuple(sorted(s)) for s in closed)
     return IdealLattice(ideals, tuple(True for _ in ideals), generators)
 

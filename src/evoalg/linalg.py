@@ -10,7 +10,7 @@ as canonical RREF bases, so equality of subspaces is structural.
 from fractions import Fraction
 from math import lcm
 
-from .errors import NonSquareMatrix, ShapeMismatch
+from .errors import IndexOutOfRange, NonSquareMatrix, ShapeMismatch
 from .fields import QQ
 
 
@@ -232,13 +232,23 @@ class Subspace:
         return cls(field, ambient, red.data[:rank], pivots)
 
     @classmethod
+    def coordinate(cls, field, ambient, indices):
+        """Span of the unit vectors e_i, i in indices.  Sorted distinct unit
+        rows are already their own canonical RREF basis."""
+        pivots = tuple(sorted(set(indices)))
+        if pivots and not (0 <= pivots[0] and pivots[-1] < ambient):
+            raise IndexOutOfRange(f"coordinate index out of range for ambient dimension {ambient}")
+        zero, one = field.zero, field.one
+        basis = tuple(tuple(one if j == i else zero for j in range(ambient)) for i in pivots)
+        return cls(field, ambient, basis, pivots)
+
+    @classmethod
     def zero(cls, field, ambient):
         return cls(field, ambient, (), ())
 
     @classmethod
     def full(cls, field, ambient):
-        eye = Matrix.identity(field, ambient)
-        return cls(field, ambient, eye.data, tuple(range(ambient)))
+        return cls.coordinate(field, ambient, range(ambient))
 
     @property
     def dim(self):

@@ -131,16 +131,11 @@ def decompose(algebra):
             order.append(key)
         classes[key].append(i)
 
-    def unit(i):
-        v = [field.zero] * algebra.n
-        v[i] = field.one
-        return tuple(v)
-
-    ann = Subspace.from_vectors(field, algebra.n, [unit(i) for i in ann_indices])
+    ann = Subspace.coordinate(field, algebra.n, ann_indices)
     components, indices, squares = [], [], []
     for key in sorted(order, key=lambda k: classes[k][0]):
         idx = tuple(classes[key])
-        components.append(Subspace.from_vectors(field, algebra.n, [unit(i) for i in idx]))
+        components.append(Subspace.coordinate(field, algebra.n, idx))
         indices.append(idx)
         squares.append(key)
     return Decomposition(ann, tuple(components), tuple(indices), tuple(squares),
@@ -236,7 +231,7 @@ def extend_family(algebra, family):
         lambdas = _component_lambdas(algebra, idx, dec.component_squares[ci])
         members = [[u.coords[i] for i in idx] for u in by_component[ci]]
         if not members:
-            local_added = [_local_unit(field, len(idx), k) for k in range(len(idx))]
+            local_added = Subspace.full(field, len(idx)).basis
         elif field.characteristic == 2:
             local_added = _complete_char2(field, lambdas, members)
         else:
@@ -256,12 +251,6 @@ def extend_family(algebra, family):
 def _component_lambdas(algebra, indices, line_key):
     pivot = next(k for k, x in enumerate(line_key) if x)
     return [algebra.column_square(i)[pivot] for i in indices]
-
-
-def _local_unit(field, size, k):
-    v = [field.zero] * size
-    v[k] = field.one
-    return v
 
 
 def _bilinear(field, lambdas, x, y):

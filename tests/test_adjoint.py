@@ -4,14 +4,16 @@ import random
 
 import pytest
 
-from evoalg.adjoint import (PERSISTENT, TRANSIENT, UNKNOWN, adjoint,
-                            adjoint_annihilator, adjoint_invariants,
-                            classify_generators, descendants, hierarchy,
-                            is_irreducible, zeroth_decomposition)
+from evoalg.adjoint import (PERSISTENT, TRANSIENT, UNKNOWN, adjoint_annihilator,
+                            adjoint_invariants, classify_generators,
+                            descendants, hierarchy, is_irreducible,
+                            zeroth_decomposition)
 from evoalg.algebra import EvolutionAlgebra
-from evoalg.errors import IndexOutOfRange
+from evoalg.errors import IndexOutOfRange, SelfCheckFailed
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
+from evoalg.ideals import descendant_closed_sets, structure_digraph
+from evoalg.linalg import Subspace
 
 
 def fixture_59():
@@ -24,7 +26,7 @@ def fixture_59_rebased():
 
 def test_adjoint_matrix():
     a = fixture_59()
-    assert adjoint(a).M == a.M.transpose()
+    assert a.adjoint().M == a.M.transpose()
 
 
 def test_is_irreducible():
@@ -51,6 +53,20 @@ def test_adjoint_annihilator_dims():
     assert adjoint_annihilator(fixture_59_rebased()).dim == 1
 
 
+def test_adjoint_annihilator_self_checks(monkeypatch):
+    a = fixture_59_rebased()
+    with monkeypatch.context() as m:
+        m.setattr(EvolutionAlgebra, "annihilator",
+                  lambda self: Subspace.full(self.field, self.n))
+        with pytest.raises(SelfCheckFailed):
+            adjoint_annihilator(a)
+    with monkeypatch.context() as m:
+        m.setattr("evoalg.adjoint.product_space",
+                  lambda algebra, s, t: Subspace.full(algebra.field, algebra.n))
+        with pytest.raises(SelfCheckFailed):
+            adjoint_annihilator(a)
+
+
 def test_adjoint_invariants_random():
     rng = random.Random(51)
     for field in (QQ, GF(5)):
@@ -59,6 +75,13 @@ def test_adjoint_invariants_random():
             inv = adjoint_invariants(a)
             assert inv.all_agree
             assert inv.subalgebra_complements_ok
+            # Reference: every complement of a closed set of A is closed in
+            # the adjoint's digraph.
+            adj = structure_digraph(a.adjoint())
+            full = set(range(a.n))
+            for closed in descendant_closed_sets(a):
+                complement = full - closed
+                assert all(adj[j] <= complement for j in complement)
 
 
 def test_classification_standard_basis():

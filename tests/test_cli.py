@@ -1,9 +1,13 @@
 """Command line behavior: reports, exit codes, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import evoalg
+from evoalg.algebra import Element
 from evoalg.cli import main
 
 EX59 = "field gf 5\ndim 3\n1 1 1\n1 1 1\n1 1 0\n"
@@ -153,10 +157,26 @@ def test_oracle_cli(capsys):
     assert code == 0 and "mismatches 0" in out
 
 
-def test_bad_threads_env(capsys, monkeypatch, ex59):
-    monkeypatch.setenv("EVOALG_THREADS", "zero")
-    code, _, err = run(capsys, "analyze", ex59)
-    assert code == 2 and "EVOALG_THREADS" in err
-    monkeypatch.setenv("EVOALG_THREADS", "4")
-    code, _, _ = run(capsys, "analyze", ex59)
+
+def test_adjoint_beyond_closed_set_cap(capsys, tmp_path):
+    # Dimension 24 is past the closed-set enumeration limit of `ideals`;
+    # the adjoint report needs no enumeration.
+    n = 24
+    rows = [" ".join(str((i + 2 * j) % 7) for i in range(n)) for j in range(n)]
+    path = write(tmp_path, "a24.alg", f"field gf 101\ndim {n}\n" + "\n".join(rows) + "\n")
+    code, out, _ = run(capsys, "adjoint", path)
     assert code == 0
+    assert "closed-set complements transfer to the adjoint: true" in out
+
+
+def test_minors_self_check_failure_exits_3(capsys, monkeypatch, tmp_path):
+    # "verified" is printed only after u (v w) = 0 is checked, also under -O.
+    path = write(tmp_path, "p.alg", PERFECT2)
+    monkeypatch.setattr(Element, "is_zero", lambda self: False)
+    code, out, err = run(capsys, "minors", path)
+    assert code == 3 and "self-check-failed" in err and "verified" not in out
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"', text, re.M).group(1) == evoalg.__version__

@@ -8,11 +8,11 @@ from evoalg.algebra import EvolutionAlgebra
 from evoalg.errors import DimensionTooLarge, NotPerfect
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
-from evoalg.ideals import (coordinate_span, descendant_closed_sets,
-                           ideal_lattice_perfect, is_basic_ideal,
-                           is_basic_simple, is_basic_simple_relative,
-                           is_ideal, is_simple,
-                           strongly_connected_components, structure_digraph)
+from evoalg.ideals import (descendant_closed_sets, ideal_lattice_perfect,
+                           is_basic_ideal, is_basic_simple,
+                           is_basic_simple_relative, is_ideal, is_simple,
+                           reachable, strongly_connected_components,
+                           structure_digraph)
 from evoalg.linalg import Subspace
 
 
@@ -21,6 +21,15 @@ def test_structure_digraph():
     a = EvolutionAlgebra(QQ, [[0, 1, 0], [1, 1, 0], [0, 0, 0]])
     adjacency = structure_digraph(a)
     assert adjacency == [frozenset({1}), frozenset({0, 1}), frozenset()]
+
+
+def test_reachable():
+    adjacency = [frozenset({1}), frozenset({0}), frozenset({0, 3}),
+                 frozenset({2}), frozenset()]
+    assert reachable(adjacency, [0]) == frozenset({0, 1})
+    assert reachable(adjacency, [3]) == frozenset({0, 1, 2, 3})
+    assert reachable(adjacency, adjacency[4]) == frozenset()
+    assert reachable(adjacency, [4, 1]) == frozenset({0, 1, 4})
 
 
 def test_strongly_connected_components():
@@ -48,7 +57,7 @@ def test_descendant_closed_sets():
     assert closed == [frozenset(), frozenset({1}), frozenset({2}),
                       frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1, 2})]
     for s in closed:
-        assert is_ideal(a, coordinate_span(a, s))
+        assert is_ideal(a, Subspace.coordinate(a.field, a.n, s))
 
 
 def test_descendant_closed_sets_cap():
@@ -70,7 +79,7 @@ def test_ideal_lattice_perfect():
     assert all(lattice.basic_flags)
     for sub, gen in zip(lattice.ideals, lattice.generators):
         assert is_ideal(a, sub)
-        assert sub == coordinate_span(a, gen)
+        assert sub == Subspace.coordinate(a.field, a.n, gen)
 
 
 def test_simple_and_relative():

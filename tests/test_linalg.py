@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from evoalg.errors import NonSquareMatrix, ShapeMismatch
+from evoalg.errors import IndexOutOfRange, NonSquareMatrix, ShapeMismatch
 from evoalg.fields import GF, QQ
 from evoalg.linalg import Matrix, Subspace
 
@@ -148,3 +148,25 @@ def test_subspace_reduce():
     a = Subspace.from_vectors(QQ, 3, [[1, 0, 0], [0, 1, 0]])
     assert list(a.reduce([3, 4, 5])) == [0, 0, 5]
     assert list(a.reduce([3, 4, 0])) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+@pytest.mark.parametrize("indices", [[], [0, 1, 2, 3], [3, 0, 2], [1, 1, 3, 1]])
+def test_subspace_coordinate_matches_rref(field, indices):
+    # The rref route is the reference for the direct unit-row construction.
+    n = 4
+    units = [[field.one if j == i else field.zero for j in range(n)] for i in indices]
+    reference = Subspace.from_vectors(field, n, units)
+    direct = Subspace.coordinate(field, n, indices)
+    assert direct == reference
+    assert direct.basis == reference.basis
+    assert direct.pivots == reference.pivots
+    assert hash(direct) == hash(reference)
+    if len(set(indices)) == n:
+        assert direct == Subspace.full(field, n)
+
+
+def test_subspace_coordinate_rejects_out_of_range():
+    for bad in ([3], [-1], [0, 4]):
+        with pytest.raises(IndexOutOfRange):
+            Subspace.coordinate(QQ, 3, bad)

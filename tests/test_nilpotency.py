@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from evoalg.algebra import EvolutionAlgebra
-from evoalg.errors import NotPerfect
+from evoalg.algebra import Element, EvolutionAlgebra
+from evoalg.errors import NotPerfect, SelfCheckFailed
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
 from evoalg.linalg import Subspace
-from evoalg.nilpotency import (find_cube_nilpotent, find_orthogonality_witness,
-                               is_cube_zero, nilpotency_report, power_spaces,
-                               product_space)
+from evoalg.nilpotency import (_witness_for_pair, find_cube_nilpotent,
+                               find_orthogonality_witness, is_cube_zero,
+                               nilpotency_report, power_spaces, product_space)
 from evoalg.oracles import all_elements_nil
 
 
@@ -177,3 +177,13 @@ def test_product_space_bilinearity():
         full = Subspace.full(GF(5), a.n)
         sq = product_space(a, full, full)
         assert sq == a.square_space()
+
+
+def test_witness_self_check(monkeypatch):
+    # M[0][0] = 0, so ({1}, {1}) is a vanishing pair; a product that is
+    # reported nonzero must raise rather than pass silently.
+    a = EvolutionAlgebra(QQ, [[0, 1], [1, 0]])
+    assert _witness_for_pair(a, (0,), (0,)) is not None
+    monkeypatch.setattr(Element, "is_zero", lambda self: False)
+    with pytest.raises(SelfCheckFailed):
+        _witness_for_pair(a, (0,), (0,))
