@@ -83,27 +83,47 @@ class EvolutionAlgebra:
         return self._closure(elements, ideal=True)
 
     def _closure(self, elements, ideal):
-        # Fixpoint over RREF basis rows: each round adjoins products of the
-        # current basis (subalgebra) or products with e_1..e_n (ideal), so
-        # the dimension strictly grows and at most n rounds are needed.
-        span = Subspace.from_vectors(self.field, self.n,
-                                     [self._coords_of(x) for x in elements])
-        while True:
-            rows = span.vectors()
-            products = []
-            if ideal:
-                for r in rows:
-                    u = Element(self, r)
-                    for i in range(self.n):
-                        products.append((self.unit(i) * u).coords)
-            else:
-                for a in range(len(rows)):
-                    for b in range(a, len(rows)):
-                        products.append((Element(self, rows[a]) * Element(self, rows[b])).coords)
-            bigger = Subspace.from_vectors(self.field, self.n, rows + products)
-            if bigger.dim == span.dim:
-                return span
-            span = bigger
+        # Rounds over a semi-echelon basis: every row is 1 at its pivot and 0
+        # at the pivots of the rows before it.  A round multiplies only the
+        # rows the previous round added: each by every row up to and
+        # including itself (subalgebra; commutativity makes that every pair
+        # once) or by the e_i in its support (ideal; e_i u = u_i e_i^2).  A
+        # product is kept only if a remainder survives reduction against the
+        # basis, and the loop stops when a round adds nothing or the span is
+        # the whole space.
+        field, n = self.field, self.n
+        rows, pivots = [], []
+
+        def adjoin(v):
+            for row, pc in zip(rows, pivots):
+                if v[pc]:
+                    f = v[pc]
+                    v = [a - f * b for a, b in zip(v, row.coords)]
+            pc = next((j for j, x in enumerate(v) if x), None)
+            if pc is not None:
+                inv = field.one / v[pc]
+                rows.append(Element(self, [x * inv for x in v]))
+                pivots.append(pc)
+
+        for x in elements:
+            v = self._coords_of(x)
+            if len(v) != n:
+                raise ShapeMismatch(f"vectors of length {len(v)} in ambient dimension {n}")
+            adjoin(v)
+        units = self.basis() if ideal else None
+        done = 0
+        while done < len(rows) < n:
+            start, done = done, len(rows)
+            for k in range(start, done):
+                u = rows[k]
+                partners = ([units[i] for i, c in enumerate(u.coords) if c] if ideal
+                            else rows[:k + 1])
+                for w in partners:
+                    if len(rows) < n:
+                        adjoin((u * w).coords)
+        if len(rows) == n:
+            return Subspace.full(field, n)
+        return Subspace.from_vectors(field, n, [r.coords for r in rows])
 
     def _coords_of(self, x):
         if isinstance(x, Element):

@@ -17,7 +17,7 @@ round trips are exact.
 import json
 
 from .algebra import EvolutionAlgebra
-from .errors import NonPrimeModulus, ParseError
+from .errors import NonPrimeModulus, ParseError, UnreadableFile
 from .fields import GF, QQ, parse_field, render_field
 
 
@@ -143,10 +143,21 @@ def emit_algebra_json(algebra):
     return out
 
 
+def read_text(path):
+    """Contents of a UTF-8 text file; a file that cannot be opened or
+    decoded raises UnreadableFile."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UnreadableFile(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    except OSError as exc:
+        raise UnreadableFile(f"{path}: {exc.strerror or exc}") from None
+
+
 def load_algebra(path):
     """Read an algebra file; ``.json`` selects the JSON format."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     if str(path).endswith(".json"):
         return parse_algebra_json(text)
     return parse_algebra_text(text)

@@ -5,9 +5,9 @@ One subcommand per analysis; every subcommand reads an algebra file
 ``--json``, a JSON document.  Indices in all output are 1-based.
 
 Exit codes: 0 success, 1 a ``--check``-ed predicate is false or an
-oracle found mismatches, 2 usage or parse errors, 3 computation errors
-(unsupported cases, dimension limits); code 3 output carries the
-machine-readable error code.
+oracle found mismatches, 2 usage, parse or unreadable-file errors, 3
+computation errors (unsupported cases, dimension and answer-size limits);
+code 2 and 3 output carries the machine-readable error code.
 """
 
 import argparse
@@ -17,8 +17,8 @@ import sys
 from .adjoint import (adjoint_annihilator, adjoint_invariants, hierarchy,
                       is_irreducible, zeroth_decomposition)
 from .algfile import (emit_algebra_json, emit_algebra_text, load_algebra,
-                      parse_basis_text)
-from .errors import EvoAlgError, ParseError
+                      parse_basis_text, read_text)
+from .errors import EvoAlgError, ParseError, UnreadableFile
 from .fields import parse_field, render_field
 from .generate import random_algebra
 from .ideals import (descendant_closed_sets, ideal_lattice_perfect,
@@ -105,10 +105,8 @@ def cmd_natural(args):
 
 def cmd_extend(args):
     a = _load(args)
-    with open(args.family, encoding="utf-8") as fh:
-        text = fh.read()
     vectors = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for raw in read_text(args.family).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -128,8 +126,7 @@ def cmd_extend(args):
 def cmd_decompose(args):
     a = _load(args)
     if args.basis:
-        with open(args.basis, encoding="utf-8") as fh:
-            vecs = parse_basis_text(fh.read(), a.field, a.n)
+        vecs = parse_basis_text(read_text(args.basis), a.field, a.n)
         ann, comps, lines_ = decomposition_for_basis(a, vecs)
         data = {
             "annihilator": _subspace(a.field, ann),
@@ -312,8 +309,7 @@ def cmd_adjoint(args):
 def cmd_classify(args):
     a = _load(args)
     if args.basis:
-        with open(args.basis, encoding="utf-8") as fh:
-            vecs = parse_basis_text(fh.read(), a.field, a.n)
+        vecs = parse_basis_text(read_text(args.basis), a.field, a.n)
         a = a.change_basis(vecs)
     dec = zeroth_decomposition(a)
     data = {
@@ -471,11 +467,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
+    except (ParseError, UnreadableFile) as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except EvoAlgError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)

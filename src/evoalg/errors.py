@@ -61,6 +61,20 @@ class DimensionTooLarge(EvoAlgError):
     code = "dimension-too-large"
 
 
+class AnswerTooLarge(EvoAlgError):
+    """The answer would exceed a fixed cap on its size."""
+    code = "answer-too-large"
+
+
+class SamplingExhausted(EvoAlgError):
+    code = "sampling-exhausted"
+
+
+class UnreadableFile(EvoAlgError):
+    """An input file cannot be opened or is not UTF-8 text."""
+    code = "unreadable-file"
+
+
 class IndexOutOfRange(EvoAlgError):
     code = "index-out-of-range"
 

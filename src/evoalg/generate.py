@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 from .algebra import EvolutionAlgebra
+from .errors import SamplingExhausted
 from .fields import QQ
 
 
@@ -27,4 +28,4 @@ def random_algebra(field, dim, rng=None, seed=None, perfect=False,
         if nondegenerate and not algebra.is_nondegenerate():
             continue
         return algebra
-    raise RuntimeError("rejection sampling exhausted its budget")
+    raise SamplingExhausted(f"rejection sampling found no algebra in {max_tries} tries")

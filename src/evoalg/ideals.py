@@ -11,8 +11,10 @@ a nonsingular structure matrix) and relative basic simplicity.
 from dataclasses import dataclass
 
 from .algebra import Element
-from .errors import DimensionTooLarge, NotPerfect
+from .errors import AnswerTooLarge, DimensionTooLarge, NotPerfect
 from .linalg import Subspace
+
+MAX_CLOSED_SETS = 1 << 16
 
 
 def structure_digraph(algebra):
@@ -103,7 +105,8 @@ def is_basic_ideal(algebra, subspace):
 
 def descendant_closed_sets(algebra):
     """All index sets closed under taking descendants, sorted; these are
-    exactly the sets whose coordinate spans are ideals."""
+    exactly the sets whose coordinate spans are ideals.  Families of more
+    than MAX_CLOSED_SETS sets are refused with AnswerTooLarge."""
     if algebra.n > 20:
         raise DimensionTooLarge("closed-set enumeration is limited to dimension 20")
     adjacency = structure_digraph(algebra)
@@ -112,6 +115,9 @@ def descendant_closed_sets(algebra):
     family = {frozenset()}
     for c in closures:
         family |= {s | c for s in family}
+        if len(family) > MAX_CLOSED_SETS:
+            raise AnswerTooLarge(f"more than {MAX_CLOSED_SETS} (2^16) descendant-closed "
+                                 "index sets; the enumeration is capped there")
     return sorted(family, key=lambda s: (len(s), sorted(s)))
 
 

@@ -14,6 +14,7 @@ from itertools import combinations, product
 
 from . import ideals, natural, nilpotency
 from .algebra import EvolutionAlgebra
+from .errors import DimensionTooLarge
 from .fields import GF
 from .linalg import Subspace
 
@@ -149,7 +150,7 @@ def enumerate_natural_bases_algebra(algebra):
 def all_subspaces(p, n):
     """Every subspace of GF(p)^n as a canonical RREF row tuple; n <= 3."""
     if n > 3:
-        raise ValueError("full subspace enumeration is limited to dimension 3")
+        raise DimensionTooLarge("full subspace enumeration is limited to dimension 3")
     out = [()]
     for v in normalized_vectors(p, n):
         out.append((v,))

@@ -8,7 +8,7 @@ import pytest
 from evoalg.algebra import (Element, EvolutionAlgebra,
                             check_algebra_homomorphism)
 from evoalg.errors import (AlgebraMismatch, IndexOutOfRange, NotANaturalBasis,
-                           ShapeMismatch)
+                           SamplingExhausted, ShapeMismatch)
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
 from evoalg.linalg import Matrix, Subspace
@@ -86,6 +86,11 @@ def test_annihilator_two_routes():
             assert a.annihilator() == a.annihilator_definitional()
 
 
+def test_random_algebra_budget():
+    with pytest.raises(SamplingExhausted):
+        random_algebra(GF(2), 3, seed=1, perfect=True, max_tries=0)
+
+
 def test_annihilator_membership_brute():
     a = algebra_q([[0, 1], [0, -1]])
     ann = a.annihilator()
@@ -159,3 +164,85 @@ def test_labels_roundtrip():
     a = EvolutionAlgebra(QQ, [[1]], labels=["x"])
     assert a.labels == ("x",)
     assert a.adjoint().labels == ("x",)
+
+
+def fixpoint_closure(algebra, elements, ideal):
+    """Reference: all products of the current RREF basis (or of the basis
+    with e_1..e_n), re-reduced each round, until a round adds nothing."""
+    n = algebra.n
+    span = Subspace.from_vectors(algebra.field, n,
+                                 [algebra._coords_of(x) for x in elements])
+    while True:
+        rows = span.vectors()
+        if ideal:
+            products = [(algebra.unit(i) * Element(algebra, r)).coords
+                        for r in rows for i in range(n)]
+        else:
+            products = [(Element(algebra, rows[a]) * Element(algebra, rows[b])).coords
+                        for a in range(len(rows)) for b in range(a, len(rows))]
+        bigger = Subspace.from_vectors(algebra.field, n, rows + products)
+        if bigger.dim == span.dim:
+            return span
+        span = bigger
+
+
+def closure_generators(rng, a):
+    """Empty, zero, unit, random and linearly dependent generator lists."""
+    F, n = a.field, a.n
+    rand = [F(rng.randint(-2, 2)) if F == QQ else F(rng.randrange(F.p))
+            for _ in range(n)]
+    u = a.element(rand)
+    v = a.unit(rng.randrange(n))
+    return [[], [a.zero()], [v], [u], [u, a.zero(), u.scale(2)],
+            [u, v, u + v], [list(u.coords), v]]
+
+
+def test_closure_matches_fixpoint():
+    rng = random.Random(11)
+    for field in (QQ, GF(2), GF(3), GF(101)):
+        for n in range(1, 8):
+            for _ in range(3):
+                a = random_algebra(field, n, rng=rng)
+                if rng.random() < 0.5:
+                    # Sparse structure matrices give proper closures.
+                    rows = [[x if rng.random() < 0.3 else 0 for x in row]
+                            for row in a.M.data]
+                    a = EvolutionAlgebra(field, rows)
+                for gens in closure_generators(rng, a):
+                    for ideal in (False, True):
+                        assert a._closure(gens, ideal) == fixpoint_closure(a, gens, ideal)
+    a = algebra_q([[1, 0], [0, 1]])
+    other = algebra_q([[1, 1], [0, 1]])
+    for closure in (a.subalgebra_closure, a.ideal_closure):
+        with pytest.raises(AlgebraMismatch):
+            closure([other.unit(0)])
+        with pytest.raises(ShapeMismatch):
+            closure([[1, 0, 0]])
+
+
+def test_closure_product_count(monkeypatch):
+    # A subalgebra closure of dimension d forms each unordered pair of basis
+    # rows once, at most d(d+1)/2 products; an ideal closure multiplies each
+    # basis row by at most n basis vectors.
+    count = [0]
+    mul = Element.__mul__
+
+    def counted(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Element, "__mul__", counted)
+    rng = random.Random(5)
+    for field, n in ((GF(101), 11), (GF(2), 9), (QQ, 7)):
+        a = random_algebra(field, n, rng=rng)
+        sparse = EvolutionAlgebra(field, [[x if (i + j) % 3 == 0 else 0
+                                           for j, x in enumerate(row)]
+                                          for i, row in enumerate(a.M.data)])
+        for alg in (a, sparse):
+            for i in range(n):
+                count[0] = 0
+                d = alg.subalgebra_closure([alg.unit(i)]).dim
+                assert count[0] <= d * (d + 1) // 2
+                count[0] = 0
+                d = alg.ideal_closure([alg.unit(i)]).dim
+                assert count[0] <= d * n

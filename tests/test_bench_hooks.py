@@ -1,0 +1,45 @@
+"""The benchmark's traced pass finds every function it hooks by name.
+
+``bench/layers.py`` reads cProfile entries of named functions
+(``EvolutionAlgebra._closure``, ``nilpotency._witness_for_pair``,
+``natural._char2_completable`` and others), so renaming one breaks
+``bench/run.py --trace 1``.  This runs the hooks in a subprocess, which keeps
+their monkeypatching out of the test process.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import cProfile
+import sys
+
+from evoalg import cli
+import layers
+
+counts = layers.install()
+argv = ["classify", sys.argv[1]]
+profiler = cProfile.Profile()
+profiler.enable()
+rc = cli.main(argv)
+profiler.disable()
+out = layers.metrics(profiler, counts, [{"argv": argv}], [{"stdout": None}])
+assert rc == 0, rc
+assert out["algebra.closure.calls"] >= 1, out["algebra.closure.calls"]
+print("hooks ok")
+"""
+
+
+def test_layers_metrics_on_classify(tmp_path):
+    path = tmp_path / "ex59.alg"
+    path.write_text("field gf 5\ndim 3\n1 1 1\n1 1 1\n1 1 0\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("hooks ok")

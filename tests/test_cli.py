@@ -95,7 +95,7 @@ def test_parse_error_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", path)
     assert code == 2 and "parse-error" in err and "line 3" in err
     code, _, err = run(capsys, "analyze", str(tmp_path / "missing.alg"))
-    assert code == 2
+    assert code == 2 and "unreadable-file" in err
 
 
 def test_simple_and_ideals(capsys, tmp_path):
@@ -180,3 +180,40 @@ def test_minors_self_check_failure_exits_3(capsys, monkeypatch, tmp_path):
 def test_version_matches_pyproject():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert re.search(r'^version = "([^"]+)"', text, re.M).group(1) == evoalg.__version__
+
+
+def assert_clean_error(code, err, expected_code, error_code):
+    assert code == expected_code
+    assert f"error [{error_code}]" in err and "Traceback" not in err
+
+
+def test_ideals_answer_too_large(capsys, tmp_path):
+    # A diagonal algebra has 2^17 closed index sets at n = 17, past the
+    # 2^16 cap, though n itself is under the dimension limit of 20.
+    n = 17
+    rows = [" ".join("1" if i == j else "0" for i in range(n)) for j in range(n)]
+    path = write(tmp_path, "d17.alg", f"field gf 101\ndim {n}\n" + "\n".join(rows) + "\n")
+    code, out, err = run(capsys, "ideals", path)
+    assert_clean_error(code, err, 3, "answer-too-large")
+    assert out == "" and "65536" in err
+
+
+def test_directory_input_exits_2(capsys, tmp_path):
+    code, _, err = run(capsys, "analyze", str(tmp_path))
+    assert_clean_error(code, err, 2, "unreadable-file")
+
+
+def test_non_utf8_input_exits_2(capsys, tmp_path):
+    path = tmp_path / "latin1.alg"
+    path.write_bytes("field q\ndim 1\n# \xe9\n1\n".encode("latin-1"))
+    code, _, err = run(capsys, "analyze", str(path))
+    assert_clean_error(code, err, 2, "unreadable-file")
+    alg = write(tmp_path, "a.alg", "field q\ndim 2\n1 0\n0 1\n")
+    code, _, err = run(capsys, "extend", alg, "--family", str(path))
+    assert_clean_error(code, err, 2, "unreadable-file")
+
+
+def test_oracle_ideal_lattice_beyond_dim_3_exits_3(capsys):
+    code, _, err = run(capsys, "oracle", "ideal-lattice", "--field", "gf 2",
+                       "--dim", "4")
+    assert_clean_error(code, err, 3, "dimension-too-large")

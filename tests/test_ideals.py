@@ -5,7 +5,7 @@ import random
 import pytest
 
 from evoalg.algebra import EvolutionAlgebra
-from evoalg.errors import DimensionTooLarge, NotPerfect
+from evoalg.errors import AnswerTooLarge, DimensionTooLarge, NotPerfect
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
 from evoalg.ideals import (descendant_closed_sets, ideal_lattice_perfect,
@@ -65,6 +65,19 @@ def test_descendant_closed_sets_cap():
                                 for i in range(21)])
     with pytest.raises(DimensionTooLarge):
         descendant_closed_sets(big)
+
+
+def diagonal(n):
+    return EvolutionAlgebra(GF(101), [[1 if i == j else 0 for j in range(n)]
+                                      for i in range(n)])
+
+
+def test_descendant_closed_sets_answer_cap():
+    # Every index set of a diagonal algebra is closed: 2^n sets, and the cap
+    # is 2^16 sets whatever n is.
+    assert len(descendant_closed_sets(diagonal(16))) == 1 << 16
+    with pytest.raises(AnswerTooLarge, match="65536"):
+        descendant_closed_sets(diagonal(17))
 
 
 def test_ideal_lattice_perfect_requires_perfect():

@@ -2,7 +2,10 @@
 
 from itertools import product
 
+import pytest
+
 from evoalg.algebra import EvolutionAlgebra
+from evoalg.errors import DimensionTooLarge
 from evoalg.fields import GF
 from evoalg.linalg import Matrix, Subspace
 from evoalg.oracles import (all_subspaces, brute_triple_exists, det_mod,
@@ -66,6 +69,8 @@ def test_all_subspaces_counts():
     assert len({Subspace.from_vectors(GF(2), 3, [list(v) for v in rows])
                 for rows in spaces}) == 16
     assert len(all_subspaces(3, 2)) == 6   # 1 + 4 + 1
+    with pytest.raises(DimensionTooLarge):
+        all_subspaces(2, 4)
 
 
 def test_sampling_enumerates_small_cells():
