@@ -42,7 +42,7 @@ def parse_algebra_text(text):
                 raise ParseError("duplicate field line", line=lineno)
             try:
                 field = parse_field(" ".join(parts[1:]))
-            except (ParseError, NonPrimeModulus) as exc:
+            except ParseError as exc:
                 raise ParseError(str(exc), line=lineno) from None
         elif head == "dim":
             if dim is not None:

@@ -5,7 +5,8 @@ One subcommand per analysis; every subcommand reads an algebra file
 ``--json``, a JSON document.  Indices in all output are 1-based.
 
 Exit codes: 0 success, 1 a ``--check``-ed predicate is false or an
-oracle found mismatches, 2 usage, parse or unreadable-file errors, 3
+oracle found mismatches, 2 usage, parse, invalid-argument or
+unreadable-file errors (a non-prime field spec is a parse error), 3
 computation errors (unsupported cases, dimension and answer-size limits);
 code 2 and 3 output carries the machine-readable error code.
 """
@@ -18,7 +19,7 @@ from .adjoint import (adjoint_annihilator, adjoint_invariants, hierarchy,
                       is_irreducible, zeroth_decomposition)
 from .algfile import (emit_algebra_json, emit_algebra_text, load_algebra,
                       parse_basis_text, read_text)
-from .errors import EvoAlgError, ParseError, UnreadableFile
+from .errors import EvoAlgError, InvalidArgument, ParseError, UnreadableFile
 from .fields import parse_field, render_field
 from .generate import random_algebra
 from .ideals import (descendant_closed_sets, ideal_lattice_perfect,
@@ -428,7 +429,7 @@ def build_parser():
     p = add("minors", cmd_minors, "vanishing-minor witness u (v w) = 0",
             check=True)
     p.add_argument("--max-size", type=int, default=None,
-                   help="cap on the scanned index-subset size")
+                   help="cap on the scanned index-subset size (at least 1; default 12)")
 
     add("cube-nilpotent", cmd_cube_nilpotent, "find u != 0 with u^3 = 0",
         check=True)
@@ -467,7 +468,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, UnreadableFile) as exc:
+    except (ParseError, UnreadableFile, InvalidArgument) as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 2
     except EvoAlgError as exc:

@@ -75,6 +75,11 @@ class UnreadableFile(EvoAlgError):
     code = "unreadable-file"
 
 
+class InvalidArgument(EvoAlgError):
+    """An argument is outside the range the operation accepts."""
+    code = "invalid-argument"
+
+
 class IndexOutOfRange(EvoAlgError):
     code = "index-out-of-range"
 

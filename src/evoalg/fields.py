@@ -279,7 +279,10 @@ def parse_field(text):
     if t.startswith("gf"):
         rest = t[2:].strip().lstrip("(").rstrip(")").strip()
         if rest.isdigit():
-            return GF(int(rest))
+            try:
+                return GF(int(rest))
+            except NonPrimeModulus as exc:
+                raise ParseError(f"bad field spec {text!r}: {exc}") from None
     raise ParseError(f"bad field spec {text!r}")
 
 

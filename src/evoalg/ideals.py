@@ -112,12 +112,19 @@ def descendant_closed_sets(algebra):
     adjacency = structure_digraph(algebra)
     closures = [reachable(adjacency, [i]) for i in range(algebra.n)]
     # Closed sets are exactly the unions of single-index closures.
+    # The new sets of a step are collected apart and counted as they come,
+    # so a family past the cap is refused before it is built.
     family = {frozenset()}
     for c in closures:
-        family |= {s | c for s in family}
-        if len(family) > MAX_CLOSED_SETS:
-            raise AnswerTooLarge(f"more than {MAX_CLOSED_SETS} (2^16) descendant-closed "
-                                 "index sets; the enumeration is capped there")
+        new = set()
+        for s in family:
+            t = s | c
+            if t not in family:
+                new.add(t)
+                if len(family) + len(new) > MAX_CLOSED_SETS:
+                    raise AnswerTooLarge(f"more than {MAX_CLOSED_SETS} (2^16) descendant-closed "
+                                         "index sets; the enumeration is capped there")
+        family |= new
     return sorted(family, key=lambda s: (len(s), sorted(s)))
 
 

@@ -8,11 +8,15 @@ vectors whose square falls in ann^(k-1); the chain reaches the whole
 space exactly for nilpotent algebras.
 """
 
+import dataclasses
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
+from operator import mul
 
 from .algebra import Element
-from .errors import NotPerfect, SelfCheckFailed
+from .errors import InvalidArgument, NotPerfect, SelfCheckFailed
 from .ideals import structure_digraph
 from .linalg import Subspace
 
@@ -121,6 +125,23 @@ class OrthogonalityScan:
     witness: MinorWitness | None
     truncated: bool
     max_subset_size: int
+    minors: int = dataclasses.field(default=0, compare=False)   # square minors evaluated
+
+
+def _plain_rows(algebra):
+    """M as rows of plain numbers with the same vanishing minors, plus the
+    reduction and inversion that go with them: residues mod p, or over Q
+    integer rows (each row scaled by the lcm of its denominators, which
+    multiplies every minor by a nonzero constant) with Fraction inverses."""
+    p = algebra.field.p
+    if p is not None:
+        return ([[x.r for x in row] for row in algebra.M.data],
+                lambda x: x % p, lambda x: pow(x, -1, p))
+    rows = []
+    for row in algebra.M.data:
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([int(x * scale) for x in row])
+    return rows, lambda x: x, lambda x: Fraction(1, x)
 
 
 def find_orthogonality_witness(algebra, max_subset_size=None):
@@ -128,19 +149,46 @@ def find_orthogonality_witness(algebra, max_subset_size=None):
     lexicographically, for which every maximal square submatrix of
     M[Gamma, Omega] vanishes (rank below min(|Gamma|, |Omega|)); build a
     verified triple u (v w) = 0 from the first hit.  Only valid for
-    perfect algebras."""
+    perfect algebras.
+
+    The first hit is always square: a rank-deficient M[Gamma, Omega] with
+    |Gamma| > |Omega| contains a singular square block on a smaller Gamma,
+    and one with |Gamma| < |Omega| a singular square block on the same
+    Gamma and a smaller Omega, both earlier in the order.  So only square
+    pairs are scanned, one size at a time, each k x k minor built by
+    Laplace expansion along the first row of Gamma from the (k-1) x (k-1)
+    minors of the size below."""
+    if max_subset_size is not None and max_subset_size < 1:
+        raise InvalidArgument(f"subset size cap must be at least 1, got {max_subset_size}")
     if not algebra.is_perfect():
         raise NotPerfect("the minor criterion requires a perfect algebra")
     n = algebra.n
     cap = min(n, 12 if max_subset_size is None else max_subset_size)
-    for gsize in range(1, cap + 1):
-        for gamma in combinations(range(n), gsize):
-            for osize in range(1, cap + 1):
-                for omega in combinations(range(n), osize):
-                    witness = _witness_for_pair(algebra, gamma, omega)
-                    if witness is not None:
-                        return OrthogonalityScan(witness, False, cap)
-    return OrthogonalityScan(None, cap < n, cap)
+    rows, red, _ = _plain_rows(algebra)
+    # below[gamma][i] = det M[gamma, i-th omega of the size below]; the
+    # empty minor is 1.  Only gammas that are the tail of a larger gamma
+    # (those without index 0) are kept for the next size.
+    below, below_index = {(): [1]}, {(): 0}
+    minors = 0
+    for k in range(1, cap + 1):
+        omegas = list(combinations(range(n), k))
+        drops = [[below_index[o[:t] + o[t + 1:]] for t in range(k)] for o in omegas]
+        signed = {g: [[-row[j] if t % 2 else row[j] for t, j in enumerate(o)]
+                      for o in omegas]
+                  for g, row in enumerate(rows[:n - k + 1])}
+        level = {}
+        for gamma in combinations(range(n), k):
+            tail = below[gamma[1:]].__getitem__
+            dets = [red(sum(map(mul, coeffs, map(tail, drop))))
+                    for coeffs, drop in zip(signed[gamma[0]], drops)]
+            minors += len(dets)
+            if 0 in dets:
+                witness = _witness_for_pair(algebra, gamma, omegas[dets.index(0)])
+                return OrthogonalityScan(witness, False, cap, minors)
+            if gamma[0] and k < cap:
+                level[gamma] = dets
+        below, below_index = level, {o: i for i, o in enumerate(omegas)}
+    return OrthogonalityScan(None, cap < n, cap, minors)
 
 
 def _witness_for_pair(algebra, gamma, omega):
@@ -171,6 +219,7 @@ class CubeNilpotentScan:
     element: Element | None
     minor_indices: tuple | None   # first vanishing principal minor found
     needs_square_roots: bool
+    minors: int = dataclasses.field(default=0, compare=False)   # principal minors evaluated
 
     @property
     def diagnostic(self):
@@ -228,23 +277,70 @@ def _kernel_candidates(field, kern):
                 yield [field(c) * x for x in b]
 
 
+def _border(rows, gamma, q, inverses, red, inv):
+    """Inverse of M[gamma, gamma] (in gamma's order) from the kept inverse
+    of the block without j = gamma[q], or None when M[gamma, gamma] is
+    singular: the Schur complement s = m_jj - M[j, rest] inverse M[rest, j]
+    is det M[gamma, gamma] / det M[rest, rest]."""
+    j = gamma[q]
+    rest = gamma[:q] + gamma[q + 1:]
+    inverse = inverses[rest]
+    row = [rows[j][i] for i in rest]
+    x = [red(sum(map(mul, r, (rows[i][j] for i in rest)))) for r in inverse]
+    s = red(rows[j][j] - sum(map(mul, row, x)))
+    if not s:
+        return None
+    s_inv = inv(s)
+    y = [red(-sum(map(mul, row, c)) * s_inv) for c in zip(*inverse)]
+    grown = []
+    for r, xi in zip(inverse, x):
+        r = [red(a - xi * b) for a, b in zip(r, y)]
+        r.insert(q, red(-xi * s_inv))
+        grown.append(r)
+    y.insert(q, s_inv)
+    grown.insert(q, y)
+    return grown
+
+
 def find_cube_nilpotent(algebra):
     """Scan principal minors by increasing subset size (lexicographic within
     a size); a vanishing minor plus an all-squares kernel vector yields a
-    verified u with u^3 = 0."""
+    verified u with u^3 = 0.
+
+    Each block M[gamma, gamma] is bordered from a nonsingular block one
+    index smaller whose inverse the previous size kept, at O(k^2) per
+    subset: the prefix gamma[:-1] first, else another kept block.  Only
+    blocks that do not end at the last index are kept, since only they are
+    a prefix of a larger block.  With no kept block to border, the minor is
+    computed afresh."""
     if not algebra.is_perfect():
         raise NotPerfect("nilpotent-of-order-3 detection requires a perfect algebra")
     n = algebra.n
+    rows, red, inv = _plain_rows(algebra)
     first_vanishing = None
+    minors = 0
+    inverses = {(): []}
     for size in range(1, n + 1):
+        grown = {}
         for gamma in combinations(range(n), size):
-            if algebra.M.minor(gamma, gamma):
+            minors += 1
+            q = next((q for q in reversed(range(size))
+                      if gamma[:q] + gamma[q + 1:] in inverses), None)
+            if q is None:
+                singular = not algebra.M.minor(gamma, gamma)
+            else:
+                block = _border(rows, gamma, q, inverses, red, inv)
+                singular = block is None
+                if block is not None and gamma[-1] < n - 1:
+                    grown[gamma] = block
+            if not singular:
                 continue
             if first_vanishing is None:
                 first_vanishing = gamma
             u = cube_witness_from_minor(algebra, gamma)
             if u is not None:
-                return CubeNilpotentScan(u, gamma, False)
+                return CubeNilpotentScan(u, gamma, False, minors)
+        inverses = grown
     if first_vanishing is not None:
-        return CubeNilpotentScan(None, first_vanishing, True)
-    return CubeNilpotentScan(None, None, False)
+        return CubeNilpotentScan(None, first_vanishing, True, minors)
+    return CubeNilpotentScan(None, None, False, minors)

@@ -217,3 +217,27 @@ def test_oracle_ideal_lattice_beyond_dim_3_exits_3(capsys):
     code, _, err = run(capsys, "oracle", "ideal-lattice", "--field", "gf 2",
                        "--dim", "4")
     assert_clean_error(code, err, 3, "dimension-too-large")
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_minors_max_size_below_one_exits_2(capsys, tmp_path, size):
+    path = write(tmp_path, "p.alg", PERFECT2)
+    code, out, err = run(capsys, "minors", path, "--max-size", size)
+    assert_clean_error(code, err, 2, "invalid-argument")
+    assert out == ""
+    code, out, _ = run(capsys, "minors", path, "--max-size", "1")
+    assert code == 0 and "witness found" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["random", "--dim", "2"],
+    ["oracle", "natural-vectors", "--dim", "2", "--samples", "1"],
+])
+def test_non_prime_field_option_exits_2(capsys, tmp_path, argv):
+    # The same spec inside an algebra file is a parse error, exit 2.
+    path = write(tmp_path, "gf4.alg", "field gf 4\ndim 1\n1\n")
+    code, _, err = run(capsys, "analyze", path)
+    assert_clean_error(code, err, 2, "parse-error")
+    code, out, err = run(capsys, *argv, "--field", "gf 4")
+    assert_clean_error(code, err, 2, "parse-error")
+    assert out == "" and "not prime" in err

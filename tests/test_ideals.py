@@ -1,6 +1,7 @@
 """Ideals, digraph closures, lattices, simplicity variants."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -78,6 +79,27 @@ def test_descendant_closed_sets_answer_cap():
     assert len(descendant_closed_sets(diagonal(16))) == 1 << 16
     with pytest.raises(AnswerTooLarge, match="65536"):
         descendant_closed_sets(diagonal(17))
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+    except AnswerTooLarge:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_descendant_closed_sets_refused_before_built():
+    # A step may double the family; the refusal comes as soon as the cap is
+    # passed, so the refused n = 17 call holds no more than the accepted
+    # n = 16 call does.
+    accepted, refused = diagonal(16), diagonal(17)
+    assert traced_peak(descendant_closed_sets, refused) <= \
+        1.2 * traced_peak(descendant_closed_sets, accepted)
 
 
 def test_ideal_lattice_perfect_requires_perfect():

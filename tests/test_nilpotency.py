@@ -1,17 +1,22 @@
 """Power spaces, nilpotency reports, vanishing-minor witnesses."""
 
 import random
+from itertools import combinations
+from math import comb
 
 import pytest
 
+from evoalg import nilpotency
 from evoalg.algebra import Element, EvolutionAlgebra
-from evoalg.errors import NotPerfect, SelfCheckFailed
+from evoalg.errors import InvalidArgument, NotPerfect, SelfCheckFailed
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
-from evoalg.linalg import Subspace
-from evoalg.nilpotency import (_witness_for_pair, find_cube_nilpotent,
-                               find_orthogonality_witness, is_cube_zero,
-                               nilpotency_report, power_spaces, product_space)
+from evoalg.linalg import Matrix, Subspace
+from evoalg.nilpotency import (CubeNilpotentScan, OrthogonalityScan,
+                               _witness_for_pair, cube_witness_from_minor,
+                               find_cube_nilpotent, find_orthogonality_witness,
+                               is_cube_zero, nilpotency_report, power_spaces,
+                               product_space)
 from evoalg.oracles import all_elements_nil
 
 
@@ -187,3 +192,141 @@ def test_witness_self_check(monkeypatch):
     monkeypatch.setattr(Element, "is_zero", lambda self: False)
     with pytest.raises(SelfCheckFailed):
         _witness_for_pair(a, (0,), (0,))
+
+
+def test_minor_scan_cap_below_one():
+    a = EvolutionAlgebra(QQ, [[0, 1], [1, 0]])
+    for cap in (0, -1):
+        with pytest.raises(InvalidArgument):
+            find_orthogonality_witness(a, cap)
+
+
+# --------------------------------------------------------- reference scans
+
+
+def all_pairs_scan(algebra, max_subset_size=None):
+    """Every (Gamma, Omega) pair up to the cap, square or not, one rank
+    computation each, in the order of the fast scan."""
+    n = algebra.n
+    cap = min(n, 12 if max_subset_size is None else max_subset_size)
+    for gsize in range(1, cap + 1):
+        for gamma in combinations(range(n), gsize):
+            for osize in range(1, cap + 1):
+                for omega in combinations(range(n), osize):
+                    witness = _witness_for_pair(algebra, gamma, omega)
+                    if witness is not None:
+                        return OrthogonalityScan(witness, False, cap)
+    return OrthogonalityScan(None, cap < n, cap)
+
+
+def minor_per_subset_scan(algebra):
+    """One determinant per principal minor, in the order of the fast scan;
+    also returns the vanishing minors passed over for want of a witness."""
+    n = algebra.n
+    passed = []
+    for size in range(1, n + 1):
+        for gamma in combinations(range(n), size):
+            if algebra.M.minor(gamma, gamma):
+                continue
+            u = cube_witness_from_minor(algebra, gamma)
+            if u is not None:
+                return CubeNilpotentScan(u, gamma, False), passed
+            passed.append(gamma)
+    return CubeNilpotentScan(None, passed[0] if passed else None, bool(passed)), passed
+
+
+def random_perfect(rng):
+    field = rng.choice([QQ, GF(2), GF(3), GF(5), GF(101)])
+    n = rng.randint(1, 6)
+    while True:
+        density = rng.choice([rng.random(), 1.0])
+        if field == QQ:
+            hi = rng.choice([3, 9])
+            draw = lambda: rng.randint(1, hi) * rng.choice([-1, 1])
+        else:
+            draw = lambda: rng.randrange(1, field.p)
+        rows = [[draw() if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(n)]
+        a = EvolutionAlgebra(field, rows)
+        if a.is_perfect():
+            return a
+
+
+def counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_minor_scan_matches_all_pairs(monkeypatch):
+    rng = random.Random(41)
+    hits = late = none = 0
+    for case in range(1200):
+        a = random_perfect(rng)
+        cap = (None, 1, 2, 3)[case % 4]
+        expected = all_pairs_scan(a, cap)
+        calls = counting(monkeypatch, nilpotency, "_witness_for_pair")
+        scan = find_orthogonality_witness(a, cap)
+        monkeypatch.undo()
+        assert scan == expected
+        assert scan.minors <= sum(comb(a.n, k) ** 2 for k in range(1, scan.max_subset_size + 1))
+        assert len(calls) == (scan.witness is not None)
+        hits += scan.witness is not None
+        late += scan.witness is not None and len(scan.witness.gamma) > 1
+        none += scan.witness is None
+    assert hits and late and none
+
+
+def test_cube_scan_matches_minor_per_subset(monkeypatch):
+    rng = random.Random(42)
+    passed_over = later_witness = 0
+    for _ in range(1200):
+        a = random_perfect(rng)
+        expected, passed = minor_per_subset_scan(a)
+        fallbacks = counting(monkeypatch, Matrix, "minor")
+        scan = find_cube_nilpotent(a)
+        monkeypatch.undo()
+        assert scan == expected
+        assert scan.minors <= 2 ** a.n - 1
+        # A minor is computed afresh only below a vanishing prefix.
+        for _, gamma, _ in fallbacks:
+            assert any(gamma[:m] in passed for m in range(1, len(gamma)))
+        passed_over += bool(passed)
+        later_witness += bool(passed) and scan.element is not None
+    assert passed_over and later_witness
+
+
+def test_cube_scan_singular_prefixes(monkeypatch):
+    # {1, 2} vanishes without a witness: its kernel line (4, -1) has no
+    # rational square roots.  {1, 2, 3} is bordered from {1, 3} instead of
+    # its prefix; {1, 2, 4} has no other kept block (blocks that end at the
+    # last index are not kept), so its minor is computed afresh.
+    a = EvolutionAlgebra(QQ, [[1, 4, 0, 0],
+                              [-1, -4, 1, 0],
+                              [0, 1, 1, 0],
+                              [0, 0, 0, 1]])
+    # Every 2 x 2 principal minor inside {1, 2, 3} vanishes without a
+    # witness (kernel lines (1, -1)), so {1, 2, 3} has no nonsingular block
+    # to border.
+    b = EvolutionAlgebra(QQ, [[1, 1, 1, 0, 0],
+                              [1, 1, 1, 1, 0],
+                              [1, 1, 1, 0, 1],
+                              [1, 0, 0, 1, 1],
+                              [0, 1, 0, 1, 2]])
+    assert a.is_perfect() and b.is_perfect()
+    expected_a, passed_a = minor_per_subset_scan(a)
+    expected_b, passed_b = minor_per_subset_scan(b)
+    assert passed_a == [(0, 1), (0, 1, 3)]
+    assert passed_b[:4] == [(0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    fallbacks = counting(monkeypatch, Matrix, "minor")
+    assert find_cube_nilpotent(a) == expected_a
+    assert [gamma for _, gamma, _ in fallbacks] == [(0, 1, 3)]
+    fallbacks.clear()
+    assert find_cube_nilpotent(b) == expected_b
+    assert fallbacks[0][1] == (0, 1, 2)
