@@ -47,9 +47,12 @@ def parse_algebra_text(text):
         elif head == "dim":
             if dim is not None:
                 raise ParseError("duplicate dim line", line=lineno)
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            try:
+                dim = int(parts[1]) if len(parts) == 2 and parts[1].isdecimal() else 0
+            except ValueError:   # more digits than int() converts
+                dim = 0
+            if dim < 1:
                 raise ParseError("dim expects a single positive integer", line=lineno)
-            dim = int(parts[1])
         elif head == "labels":
             if labels is not None:
                 raise ParseError("duplicate labels line", line=lineno)
@@ -104,7 +107,9 @@ def parse_algebra_json(data):
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and integers past the
+            # interpreter's digit limit; RecursionError, deep nesting.
             raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError("top-level JSON value must be an object")

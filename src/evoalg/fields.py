@@ -96,11 +96,12 @@ class Mod:
         if isinstance(other, Mod):
             return self.p == other.p and self.r == other.r
         if isinstance(other, int):
-            return self.r == other % self.p
+            # Only the canonical residue: equal objects must hash equally.
+            return self.r == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.r, self.p))
+        return hash(self.r)
 
     def __bool__(self):
         return self.r != 0
@@ -116,9 +117,12 @@ def _parse_int(text):
         sign, t = -1, t[1:]
     elif t.startswith("+"):
         t = t[1:]
-    if not t.isdigit():
-        raise ParseError(f"bad integer {text!r}")
-    return sign * int(t)
+    if t.isdecimal():
+        try:
+            return sign * int(t)
+        except ValueError:   # more digits than int() converts
+            pass
+    raise ParseError(f"bad integer {text!r}")
 
 
 class Rationals:
@@ -278,11 +282,13 @@ def parse_field(text):
         return QQ
     if t.startswith("gf"):
         rest = t[2:].strip().lstrip("(").rstrip(")").strip()
-        if rest.isdigit():
+        if rest.isdecimal():
             try:
                 return GF(int(rest))
             except NonPrimeModulus as exc:
                 raise ParseError(f"bad field spec {text!r}: {exc}") from None
+            except ValueError:   # more digits than int() converts
+                pass
     raise ParseError(f"bad field spec {text!r}")
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from .algebra import EvolutionAlgebra
-from .errors import SamplingExhausted
+from .errors import InvalidArgument, SamplingExhausted
 from .fields import QQ
 
 
@@ -13,6 +13,8 @@ def random_algebra(field, dim, rng=None, seed=None, perfect=False,
     """A random evolution algebra: small-integer entries over Q, uniform
     residues over GF(p).  Rejection sampling enforces the flags, so the
     output is a deterministic function of the seed."""
+    if dim < 1:
+        raise InvalidArgument(f"dimension must be at least 1, got {dim}")
     if rng is None:
         rng = random.Random(seed)
     for _ in range(max_tries):

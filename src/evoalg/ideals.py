@@ -158,7 +158,7 @@ def is_basic_simple_relative(algebra):
     return len(strongly_connected_components(structure_digraph(algebra))) == 1
 
 
-def is_basic_simple(algebra, enumerate_bases=None):
+def is_basic_simple(algebra):
     """True / False / None.  For perfect algebras basic ideals do not depend
     on the natural basis, so the relative test decides.  Otherwise every
     natural basis must be inspected, which is only feasible by exhaustive
@@ -170,12 +170,10 @@ def is_basic_simple(algebra, enumerate_bases=None):
         return is_basic_simple_relative(algebra)
     if not is_basic_simple_relative(algebra):
         return False
-    if enumerate_bases is None:
-        from .oracles import enumerate_natural_bases_algebra
-        enumerate_bases = enumerate_natural_bases_algebra
     if algebra.field.characteristic == 0 or algebra.n > 3 or algebra.field.p > 7:
         return None
-    for basis in enumerate_bases(algebra):
+    from .oracles import enumerate_natural_bases_algebra
+    for basis in enumerate_natural_bases_algebra(algebra):
         rebased = algebra.change_basis(basis)
         if not is_basic_simple_relative(rebased):
             return False

@@ -2,22 +2,38 @@
 
 A nonzero u with support {i_1..i_r} is a natural vector iff either
 u^2 != 0 and the squares e_{i_1}^2..e_{i_r}^2 span a line, or u^2 = 0
-and all those squares vanish.  The canonical decomposition splits the
-standard basis into the annihilator part plus classes of indices whose
-squares are pairwise linearly dependent (projective classes of the
-nonzero structure-matrix columns).
+and all those squares vanish; over GF(2), a u with u^2 != 0 must also
+extend inside its class (see is_natural_vector).  The canonical
+decomposition splits the standard basis into the annihilator part plus
+classes of indices whose squares are pairwise linearly dependent
+(projective classes of the nonzero structure-matrix columns).
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import Element, EvolutionAlgebra
+from .algebra import Element
 from .errors import (CharTwoUnsupported, Degenerate, NotANaturalBasis,
                      NotNaturalVector, NotOrthogonal, ZeroVector)
 from .linalg import Matrix, Subspace
 
 
 def is_natural_vector(algebra, u):
+    """Whether u lies in some natural basis.
+
+    Over GF(2) the support-line condition is necessary but not sufficient
+    when u^2 != 0, and the rest is decided inside u's class C of the
+    canonical decomposition.  Every column in C equals the class line l,
+    so b(x, y) = sum_{j in C} x_j y_j and x^2 = b(x_C, x_C) l for x with
+    support in ann u C.  Each vector f of a natural basis passes the line
+    condition, so its support lies in ann and one class; those meeting C
+    have b(f_C, f_C) = 1 and are pairwise b-orthogonal.  A pairwise
+    orthogonal anisotropic family is independent (pair a relation with
+    each member), so exactly |C| of them meet C and their C-parts form an
+    orthogonal anisotropic basis of GF(2)^C containing u_C.  Conversely u,
+    such a completion of u_C and the unit vectors outside C form a natural
+    basis.  So u is natural iff u_C extends, degenerate algebras included.
+    """
     if not isinstance(u, Element):
         u = algebra.element(u)
     if u.is_zero():
@@ -25,10 +41,10 @@ def is_natural_vector(algebra, u):
     if not _support_line_condition(algebra, u):
         return False
     if algebra.field.characteristic == 2 and not u.square().is_zero():
-        # In characteristic 2 the support condition is necessary but not
-        # sufficient: the orthogonal complement of u need not contain a
-        # pairwise-orthogonal basis, so check completability directly.
-        return _char2_completable(algebra, u)
+        idx = next(idx for idx in decompose(algebra).component_indices
+                   if any(u.coords[i] for i in idx))
+        member = _mask(u.coords[i] for i in idx)
+        return _char2_completable(len(idx), [member]) is not None
     return True
 
 
@@ -40,48 +56,39 @@ def _support_line_condition(algebra, u):
     return Matrix(algebra.field, columns).rank() == 1
 
 
-def _char2_completable(algebra, u):
-    """Whether {u} extends to a natural basis, by bounded backtracking over
-    GF(2)^n: pick pairwise-orthogonal vectors, keeping the family
-    independent, until a full basis is reached."""
-    n = algebra.n
-    if n > 16:
+def _mask(coords):
+    return sum(1 << k for k, x in enumerate(coords) if x)
+
+
+def _char2_completable(size, members):
+    """Completion of pairwise-orthogonal anisotropic vectors of GF(2)^size
+    (bitmasks) to an orthogonal anisotropic basis under b(x, y) =
+    sum x_j y_j, or None when there is none.  Candidates are tried in
+    increasing order; diagonal forms need not admit orthogonal bases in
+    characteristic 2, so the search is exhaustive."""
+    if size > 16:
         raise CharTwoUnsupported(
-            "natural-vector completability over GF(2) is only decided "
-            "exhaustively up to dimension 16")
-    field = algebra.field
-    candidates = []
-    for mask in range(1, 1 << n):
-        vec = [field.one if mask >> k & 1 else field.zero for k in range(n)]
-        el = algebra.element(vec)
-        if (u * el).is_zero():
-            candidates.append(el)
+            f"a GF(2) class of {size} indices is too large for the exhaustive "
+            "completion search (at most 16)")
 
-    def search(start, chosen, span):
-        if len(chosen) == n:
-            return True
-        for k in range(start, len(candidates)):
-            el = candidates[k]
-            if span.contains(el.coords):
-                continue
-            if any(not (el * other).is_zero() for other in chosen):
-                continue
-            grown = span + Subspace.from_vectors(field, n, [el.coords])
-            if search(k + 1, chosen + [el], grown):
-                return True
-        return False
+    def search(start, family):
+        if len(family) == size:
+            return family[len(members):]
+        for v in range(start, 1 << size):
+            if v.bit_count() & 1 and not any((v & f).bit_count() & 1
+                                             for f in family):
+                found = search(v + 1, family + [v])
+                if found is not None:
+                    return found
+        return None
 
-    return search(0, [u], Subspace.from_vectors(field, n, [u.coords]))
+    return search(1, list(members))
 
 
 def has_property_2li(algebra):
-    """Squares of any two distinct basis vectors are linearly independent."""
-    for i, j in combinations(range(algebra.n), 2):
-        pair = Matrix(algebra.field,
-                      [algebra.column_square(i), algebra.column_square(j)])
-        if pair.rank() != 2:
-            return False
-    return True
+    """Squares of any two distinct basis vectors are linearly independent:
+    no square vanishes and no two share a class."""
+    return algebra.n == 1 or len(decompose(algebra).components) == algebra.n
 
 
 def has_unique_natural_basis(algebra):
@@ -228,13 +235,17 @@ def extend_family(algebra, family):
     completed = list(family)
     added = []
     for ci, idx in enumerate(dec.component_indices):
-        lambdas = _component_lambdas(algebra, idx, dec.component_squares[ci])
         members = [[u.coords[i] for i in idx] for u in by_component[ci]]
         if not members:
             local_added = Subspace.full(field, len(idx)).basis
         elif field.characteristic == 2:
-            local_added = _complete_char2(field, lambdas, members)
+            found = _char2_completable(len(idx), [_mask(m) for m in members])
+            if found is None:
+                raise CharTwoUnsupported("no orthogonal completion exists over GF(2)")
+            local_added = [[field.one if v >> k & 1 else field.zero
+                            for k in range(len(idx))] for v in found]
         else:
+            lambdas = _component_lambdas(algebra, idx, dec.component_squares[ci])
             local_added = _complete_orthogonal(field, lambdas, members)
         for loc in local_added:
             v = [field.zero] * algebra.n
@@ -282,47 +293,3 @@ def _complete_orthogonal(field, lambdas, members):
             projected.append([a - f * b for a, b in zip(x, v)])
         vecs = [list(r) for r in Subspace.from_vectors(field, size, projected).basis]
     return out
-
-
-def _complete_char2(field, lambdas, members):
-    """Exhaustive completion over GF(2): diagonal forms need not admit
-    orthogonal bases in characteristic 2, so search all extensions."""
-    size = len(lambdas)
-    if size > 16:
-        raise CharTwoUnsupported("component too large for exhaustive GF(2) completion")
-    candidates = []
-    for mask in range(1, 1 << size):
-        candidates.append([field.one if mask >> k & 1 else field.zero
-                           for k in range(size)])
-    need = size - len(members)
-
-    def ok(v, chosen):
-        if not _bilinear(field, lambdas, v, v):
-            return False
-        for m in members:
-            if _bilinear(field, lambdas, v, m):
-                return False
-        for c in chosen:
-            if _bilinear(field, lambdas, v, c):
-                return False
-        return True
-
-    def independent(chosen):
-        rows = members + chosen
-        return Matrix(field, rows).rank() == len(rows)
-
-    def search(start, chosen):
-        if len(chosen) == need:
-            return list(chosen)
-        for k in range(start, len(candidates)):
-            v = candidates[k]
-            if ok(v, chosen) and independent(chosen + [v]):
-                found = search(k + 1, chosen + [v])
-                if found is not None:
-                    return found
-        return None
-
-    found = search(0, [])
-    if found is None:
-        raise CharTwoUnsupported("no orthogonal completion exists over GF(2)")
-    return found

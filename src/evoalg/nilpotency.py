@@ -253,23 +253,15 @@ def _kernel_candidates(field, kern):
     basis = [list(v) for v in kern.basis]
     if not basis:
         return
-    if field.characteristic == 0:
-        for coeffs in product(range(-2, 3), repeat=len(basis)):
+    if field.characteristic == 0 or field.p <= 7:
+        coefficients = range(-2, 3) if field.characteristic == 0 else range(field.p)
+        for coeffs in product(coefficients, repeat=len(basis)):
             if not any(coeffs):
                 continue
             v = [field.zero] * len(basis[0])
             for c, b in zip(coeffs, basis):
                 if c:
                     v = [x + c * y for x, y in zip(v, b)]
-            yield v
-    elif field.p <= 7:
-        for coeffs in product(range(field.p), repeat=len(basis)):
-            if not any(coeffs):
-                continue
-            v = [field.zero] * len(basis[0])
-            for c, b in zip(coeffs, basis):
-                if c:
-                    v = [x + field(c) * y for x, y in zip(v, b)]
             yield v
     else:
         for b in basis:

@@ -14,7 +14,7 @@ from itertools import combinations, product
 
 from . import ideals, natural, nilpotency
 from .algebra import EvolutionAlgebra
-from .errors import DimensionTooLarge
+from .errors import DimensionTooLarge, InvalidArgument
 from .fields import GF
 from .linalg import Subspace
 
@@ -415,6 +415,10 @@ ORACLES = {
 def run_oracle(name, p, dim, samples=None, seed=7):
     if name not in ORACLES:
         raise KeyError(name)
+    if dim < 1:
+        raise InvalidArgument(f"dimension must be at least 1, got {dim}")
+    if samples is not None and samples < 1:
+        raise InvalidArgument(f"samples must be at least 1, got {samples}")
     fn = ORACLES[name]
     kwargs = {"seed": seed}
     if samples is not None:

@@ -1,6 +1,7 @@
 """Command line behavior: reports, exit codes, determinism."""
 
 import json
+import random
 import re
 from pathlib import Path
 
@@ -241,3 +242,55 @@ def test_non_prime_field_option_exits_2(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--field", "gf 4")
     assert_clean_error(code, err, 2, "parse-error")
     assert out == "" and "not prime" in err
+
+
+def test_natural_vector_gf2_beyond_sixteen(capsys, tmp_path):
+    # The GF(2) completion search runs inside the vector's class, so a dense
+    # algebra of dimension 20 (distinct columns, one index per class) is
+    # decided; seventeen equal columns form one class, which is refused.
+    rng = random.Random(20)
+    rows = [" ".join(str(rng.randrange(2)) for _ in range(20)) for _ in range(20)]
+    path = write(tmp_path, "d20.alg", "field gf 2\ndim 20\n" + "\n".join(rows) + "\n")
+    code, out, err = run(capsys, "natural", path, "--vector", "1" + ",0" * 19)
+    assert code == 0 and out == "natural vector: true\n" and err == ""
+    ones = "\n".join(["1 " * 17] * 17)
+    path = write(tmp_path, "ones17.alg", f"field gf 2\ndim 17\n{ones}\n")
+    code, out, err = run(capsys, "natural", path, "--vector", "1" + ",0" * 16)
+    assert_clean_error(code, err, 3, "char-two-unsupported")
+    assert out == "" and "17" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["random", "--field", "gf 2", "--dim", "0"],
+    ["random", "--field", "q", "--dim", "-1"],
+    ["oracle", "natural-vectors", "--field", "gf 2", "--dim", "0"],
+    ["oracle", "nilpotency", "--field", "gf 3", "--dim", "-2"],
+    ["oracle", "natural-vectors", "--field", "gf 2", "--dim", "2", "--samples", "0"],
+    ["oracle", "cube-nilpotent", "--field", "gf 2", "--dim", "2", "--samples", "-1"],
+])
+def test_size_option_below_one_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert_clean_error(code, err, 2, "invalid-argument")
+    assert out == ""
+
+
+@pytest.mark.parametrize("name, text", [
+    ("sup-field.alg", "field gf ²\ndim 1\n1\n"),
+    ("sup-dim.alg", "field q\ndim ²\n1\n"),
+    ("sup-entry.alg", "field q\ndim 1\n²\n"),
+    ("long-entry.alg", "field q\ndim 1\n" + "1" * 5000 + "\n"),
+    ("long-dim.alg", "field q\ndim " + "1" * 5000 + "\n1\n"),
+    ("long-field.alg", "field gf " + "1" * 5000 + "\ndim 1\n1\n"),
+    ("long-int.json", '{"field": "q", "dim": ' + "1" * 5000 + ', "matrix": []}'),
+    ("deep.json", "[" * 100000 + "]" * 100000),
+])
+def test_unreadable_numbers_are_parse_errors(capsys, tmp_path, name, text):
+    # '²' passes str.isdigit() but not int(); int() refuses more than 4300
+    # digits; json.loads raises RecursionError on deep nesting.
+    path = write(tmp_path, name, text)
+    code, out, err = run(capsys, "analyze", path)
+    assert_clean_error(code, err, 2, "parse-error")
+    assert out == ""
+    ok = write(tmp_path, "ok.alg", "field gf 5\ndim 1\n1\n")
+    code, out, err = run(capsys, "natural", ok, "--vector", "²")
+    assert_clean_error(code, err, 2, "parse-error")

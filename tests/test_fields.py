@@ -36,6 +36,18 @@ def test_mod_arithmetic():
     assert a ** 6 == F.one
 
 
+def test_mod_equality_agrees_with_hash():
+    # An int equals a Mod only as its canonical residue, and then the two
+    # hash alike, so sets and dicts treat them as one key.
+    assert Mod(1, 5) == 1 and hash(Mod(1, 5)) == hash(1)
+    assert Mod(1, 5) != 6 and Mod(4, 5) != -1
+    assert Mod(1, 5) != Mod(1, 7)
+    assert len({Mod(1, 5), 1}) == 1 and len({Mod(1, 5), Mod(6, 5)}) == 1
+    assert 1 in {Mod(1, 5)} and Mod(3, 7) in {3: "x"}
+    assert {Mod(2, 5): "a"}[2] == "a"
+    assert 6 not in {Mod(1, 5)}
+
+
 def test_mod_errors():
     with pytest.raises(DivisionByZero):
         GF(5)(0).inverse()

@@ -1,6 +1,7 @@
 """Natural vectors, decompositions, orthogonal-family extension."""
 
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -9,6 +10,7 @@ from evoalg.errors import (CharTwoUnsupported, Degenerate, NotOrthogonal,
                            ZeroVector)
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
+from evoalg.linalg import Matrix
 from evoalg.natural import (decompose, decomposition_for_basis, extend_family,
                             has_property_2li, has_unique_natural_basis,
                             is_natural_vector, verify_block_form)
@@ -51,6 +53,16 @@ def test_natural_vector_char2_needs_completability():
     assert is_natural_vector(a, [1, 0, 0])
     assert natural_basis_membership(((0, 0, 0), (1, 1, 1), (1, 1, 1)), 2,
                                     (1, 1, 1)) is False
+    # With nine equal columns, every vector orthogonal to the all-ones u has
+    # even weight; eight of them can be pairwise orthogonal (a totally
+    # isotropic 4-space has 15 nonzero vectors), but never independent,
+    # since the even-weight space carries a nondegenerate form.  Only
+    # anisotropic vectors count.
+    ones = EvolutionAlgebra(GF(2), [[1] * 9 for _ in range(9)])
+    assert not is_natural_vector(ones, [1] * 9)
+    assert is_natural_vector(ones, [1, 1, 1] + [0] * 6)
+    with pytest.raises(CharTwoUnsupported):
+        extend_family(ones, [ones.element([1] * 9)])
 
 
 def test_property_2li_family():
@@ -186,3 +198,147 @@ def test_extend_random_families():
                                nondegenerate=True)
             result = extend_family(a, [])
             assert a.verify_natural_basis(result.completed_basis)
+
+
+def gf2_rank(masks):
+    pivots = {}
+    for v in masks:
+        while v and v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if v:
+            pivots[v.bit_length()] = v
+    return len(pivots)
+
+
+def whole_space_natural(cols, u):
+    """Reference over GF(2), on bitmasks (bit i is coordinate i): extend
+    {u} by backtracking over all of GF(2)^n, choosing vectors in increasing
+    order that are orthogonal to every chosen one and keep the family
+    independent.  A node is cut when its family and the candidates still
+    open cannot span GF(2)^n."""
+    n = len(cols)
+
+    def mul(x, y):
+        out = 0
+        for i in range(n):
+            if (x & y) >> i & 1:
+                out ^= cols[i]
+        return out
+
+    def search(chosen, cands):
+        if len(chosen) == n:
+            return True
+        if gf2_rank(chosen + cands) < n:
+            return False
+        for k, v in enumerate(cands):
+            if gf2_rank(chosen + [v]) > len(chosen):
+                rest = [w for w in cands[k + 1:] if not mul(v, w)]
+                if search(chosen + [v], rest):
+                    return True
+        return False
+
+    return search([u], [v for v in range(1, 1 << n) if not mul(u, v)])
+
+
+def test_natural_vector_char2_matches_whole_space_search():
+    # Columns come from a small pool, so zero columns (an annihilator) and
+    # repeated columns (classes of several indices) both occur.
+    F = GF(2)
+    rng = random.Random(31)
+    pairs = zero_cols = repeated = 0
+    while pairs < 2000 or not (zero_cols and repeated):
+        n = rng.randint(1, 7)
+        pool = [(0,) * n] + [tuple(rng.randrange(2) for _ in range(n)) for _ in range(2)]
+        cols = [rng.choice(pool) for _ in range(n)]
+        rows = tuple(tuple(cols[i][j] for i in range(n)) for j in range(n))
+        a = EvolutionAlgebra(F, [list(r) for r in rows])
+        masks = [sum(x << j for j, x in enumerate(c)) for c in cols]
+        zero_cols += 0 in masks
+        repeated += len(set(masks) - {0}) < n - masks.count(0)
+        us = list(product((0, 1), repeat=n))[1:]
+        for u in rng.sample(us, min(len(us), 12)):
+            expected = whole_space_natural(masks, sum(x << j for j, x in enumerate(u)))
+            assert is_natural_vector(a, u) == expected, (cols, u)
+            if n <= 4:
+                assert natural_basis_membership(rows, 2, u) == expected, (cols, u)
+            pairs += 1
+    assert zero_cols and repeated
+
+
+def complete_char2_reference(field, lambdas, members):
+    """Reference: exhaustive completion over GF(2) with a rank check on
+    every accepted candidate."""
+    size = len(lambdas)
+    candidates = [[field.one if mask >> k & 1 else field.zero for k in range(size)]
+                  for mask in range(1, 1 << size)]
+    need = size - len(members)
+
+    def b(x, y):
+        return sum((l * p * q for l, p, q in zip(lambdas, x, y)), field.zero)
+
+    def ok(v, chosen):
+        return b(v, v) and not any(b(v, c) for c in members + chosen)
+
+    def independent(chosen):
+        rows = members + chosen
+        return Matrix(field, rows).rank() == len(rows)
+
+    def search(start, chosen):
+        if len(chosen) == need:
+            return list(chosen)
+        for k in range(start, len(candidates)):
+            v = candidates[k]
+            if ok(v, chosen) and independent(chosen + [v]):
+                found = search(k + 1, chosen + [v])
+                if found is not None:
+                    return found
+        return None
+
+    return search(0, [])
+
+
+def test_extend_family_char2_matches_reference():
+    # Index 0 is its own class; indices 1..size share the all-ones square,
+    # so b is the standard dot product there.  Every orthogonal anisotropic
+    # family of up to two members is completed as the reference completes it.
+    F = GF(2)
+    families = 0
+    for size in range(1, 7):
+        n = size + 1
+        cols = [[1] + [0] * size] + [[1] * n for _ in range(size)]
+        a = EvolutionAlgebra(F, [[cols[i][j] for i in range(n)] for j in range(n)])
+        odd = [v for v in product((0, 1), repeat=size) if sum(v) % 2]
+        fams = [[]] + [[v] for v in odd] + [
+            [v, w] for v, w in combinations(odd, 2)
+            if sum(x * y for x, y in zip(v, w)) % 2 == 0]
+        for fam in fams:
+            members = [[F(x) for x in v] for v in fam]
+            expected = complete_char2_reference(F, [F.one] * size, members)
+            family = [a.element([0] + list(v)) for v in fam]
+            families += 1
+            if expected is None:
+                with pytest.raises(CharTwoUnsupported):
+                    extend_family(a, family)
+                continue
+            added = [[F.one] + [F.zero] * size] + [[F.zero] + v for v in expected]
+            result = extend_family(a, family)
+            assert [list(e.coords) for e in result.added_vectors] == added
+            assert list(result.completed_basis[:len(family)]) == family
+    assert families >= 400
+
+
+def test_property_2li_matches_pairwise_rank():
+    rng = random.Random(12)
+    for field in (QQ, GF(2), GF(3), GF(5)):
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            a = random_algebra(field, n, rng=rng)
+            pool = [a.column_square(i) for i in range(n)] + [[field.zero] * n]
+            cols = [rng.choice(pool) for _ in range(n)]
+            b = EvolutionAlgebra(field, [[cols[i][j] for i in range(n)]
+                                         for j in range(n)])
+            for alg in (a, b):
+                expected = all(
+                    Matrix(field, [alg.column_square(i), alg.column_square(j)]).rank() == 2
+                    for i, j in combinations(range(n), 2))
+                assert has_property_2li(alg) == expected
