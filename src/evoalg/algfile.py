@@ -118,7 +118,7 @@ def parse_algebra_json(data):
             raise ParseError(f"missing key {key!r}")
     field = _field_from_json(data["field"])
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError("dim must be a positive integer")
     matrix = data["matrix"]
     if not isinstance(matrix, list) or len(matrix) != dim:

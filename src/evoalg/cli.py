@@ -94,8 +94,8 @@ def cmd_natural(args):
     if args.unique:
         verdict = has_unique_natural_basis(a)
         _emit(args, {"unique_natural_basis": verdict},
-              [f"unique natural basis: {_tri(verdict)}"])
-        return 1 if args.check and verdict is not True else 0
+              [f"unique natural basis: {str(verdict).lower()}"])
+        return 1 if args.check and not verdict else 0
     if args.vector is None:
         raise ParseError("natural requires --vector or --unique")
     v = _parse_vector(a.field, args.vector, a.n)

@@ -45,8 +45,8 @@ class NotNaturalVector(EvoAlgError):
     code = "not-natural-vector"
 
 
-class CharTwoUnsupported(EvoAlgError):
-    code = "char-two-unsupported"
+class NotExtendable(EvoAlgError):
+    code = "not-extendable"
 
 
 class Degenerate(EvoAlgError):

@@ -11,7 +11,7 @@ a nonsingular structure matrix) and relative basic simplicity.
 from dataclasses import dataclass
 
 from .algebra import Element
-from .errors import AnswerTooLarge, DimensionTooLarge, NotPerfect
+from .errors import AnswerTooLarge, NotPerfect
 from .linalg import Subspace
 
 MAX_CLOSED_SETS = 1 << 16
@@ -107,8 +107,6 @@ def descendant_closed_sets(algebra):
     """All index sets closed under taking descendants, sorted; these are
     exactly the sets whose coordinate spans are ideals.  Families of more
     than MAX_CLOSED_SETS sets are refused with AnswerTooLarge."""
-    if algebra.n > 20:
-        raise DimensionTooLarge("closed-set enumeration is limited to dimension 20")
     adjacency = structure_digraph(algebra)
     closures = [reachable(adjacency, [i]) for i in range(algebra.n)]
     # Closed sets are exactly the unions of single-index closures.

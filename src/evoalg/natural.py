@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import Element
-from .errors import (CharTwoUnsupported, Degenerate, NotANaturalBasis,
+from .errors import (Degenerate, NotANaturalBasis, NotExtendable,
                      NotNaturalVector, NotOrthogonal, ZeroVector)
 from .linalg import Matrix, Subspace
 
@@ -21,18 +21,18 @@ from .linalg import Matrix, Subspace
 def is_natural_vector(algebra, u):
     """Whether u lies in some natural basis.
 
-    Over GF(2) the support-line condition is necessary but not sufficient
-    when u^2 != 0, and the rest is decided inside u's class C of the
-    canonical decomposition.  Every column in C equals the class line l,
-    so b(x, y) = sum_{j in C} x_j y_j and x^2 = b(x_C, x_C) l for x with
-    support in ann u C.  Each vector f of a natural basis passes the line
-    condition, so its support lies in ann and one class; those meeting C
-    have b(f_C, f_C) = 1 and are pairwise b-orthogonal.  A pairwise
-    orthogonal anisotropic family is independent (pair a relation with
-    each member), so exactly |C| of them meet C and their C-parts form an
-    orthogonal anisotropic basis of GF(2)^C containing u_C.  Conversely u,
-    such a completion of u_C and the unit vectors outside C form a natural
-    basis.  So u is natural iff u_C extends, degenerate algebras included.
+    Over GF(2) the support-line condition is not sufficient when u^2 != 0.
+    Every nonzero square over supp(u) is then the class line l, so u^2 = l,
+    u's class is C = {i : e_i^2 = l}, b(x, y) = sum_{j in C} x_j y_j and
+    x^2 = b(x_C, x_C) l for x with support in ann u C.  Each vector f of a
+    natural basis passes the line condition, so its support lies in ann and
+    one class; those meeting C have b(f_C, f_C) = 1 and are pairwise
+    b-orthogonal.  A pairwise orthogonal anisotropic family is independent
+    (pair a relation with each member), so exactly |C| of them meet C and
+    their C-parts form an orthogonal anisotropic basis of GF(2)^C
+    containing u_C.  Conversely u, such a completion of u_C and the unit
+    vectors outside C form a natural basis.  So u is natural iff u_C
+    extends (_char2_completable): iff |C| = 1 or u_C != 1.
     """
     if not isinstance(u, Element):
         u = algebra.element(u)
@@ -40,11 +40,10 @@ def is_natural_vector(algebra, u):
         raise ZeroVector("the zero vector is not a natural vector")
     if not _support_line_condition(algebra, u):
         return False
-    if algebra.field.characteristic == 2 and not u.square().is_zero():
-        idx = next(idx for idx in decompose(algebra).component_indices
-                   if any(u.coords[i] for i in idx))
-        member = _mask(u.coords[i] for i in idx)
-        return _char2_completable(len(idx), [member]) is not None
+    line = u.square().coords
+    if algebra.field.characteristic == 2 and any(line):
+        cls = [i for i in range(algebra.n) if algebra.column_square(i) == line]
+        return len(cls) == 1 or not all(u.coords[i] for i in cls)
     return True
 
 
@@ -56,33 +55,52 @@ def _support_line_condition(algebra, u):
     return Matrix(algebra.field, columns).rank() == 1
 
 
-def _mask(coords):
-    return sum(1 << k for k, x in enumerate(coords) if x)
-
-
 def _char2_completable(size, members):
-    """Completion of pairwise-orthogonal anisotropic vectors of GF(2)^size
-    (bitmasks) to an orthogonal anisotropic basis under b(x, y) =
-    sum x_j y_j, or None when there is none.  Candidates are tried in
-    increasing order; diagonal forms need not admit orthogonal bases in
-    characteristic 2, so the search is exhaustive."""
-    if size > 16:
-        raise CharTwoUnsupported(
-            f"a GF(2) class of {size} indices is too large for the exhaustive "
-            "completion search (at most 16)")
+    """Completion of pairwise-orthogonal anisotropic bitmasks F of GF(2)^size
+    to an orthogonal anisotropic basis under b(x, y) = sum x_j y_j, or None.
 
-    def search(start, family):
-        if len(family) == size:
-            return family[len(members):]
-        for v in range(start, 1 << size):
-            if v.bit_count() & 1 and not any((v & f).bit_count() & 1
-                                             for f in family):
-                found = search(v + 1, family + [v])
-                if found is not None:
-                    return found
+    b(x, x) = b(x, 1) for the all-ones 1, and F has Gram matrix I, so the
+    form on F^perp is alternating iff 1 is in span F, i.e. iff 1 = XOR(F)
+    (its projection sum b(1, f) f).  A nondegenerate symmetric form in
+    characteristic 2 has an orthogonal basis iff it is not alternating
+    (A. A. Albert, Trans. AMS 43, 1938): F extends iff |F| = size or
+    XOR(F) != 1.  Each step appends the least v with b(v, F) = 0 and
+    b(v, 1) = 1 other than 1 ^ XOR(F), unless v is last.  A least-first
+    exhaustive search keeps the same v: a w < v in a completion of F + {v}
+    would have been kept first.
+    """
+    ones = (1 << size) - 1
+    xor = 0
+    for f in members:
+        xor ^= f
+    if len(members) < size and xor == ones:
         return None
+    pivots = {}   # lowest bit (a mask) -> (row, rhs); no other row has it
 
-    return search(1, list(members))
+    def search(family, xor, new):   # bench/layers.py hooks it by name
+        # A pivot bit is fixed by the free bits above it, so the least
+        # solution clears every free bit and the next sets the lowest one.
+        while len(family) < size:
+            for row, rhs in new:
+                for low, (r, c) in pivots.items():
+                    if row & low:
+                        row, rhs = row ^ r, rhs ^ c
+                low = row & -row
+                for p, (r, c) in list(pivots.items()):
+                    if r & low:
+                        pivots[p] = (r ^ row, c ^ rhs)
+                pivots[low] = (row, rhs)
+            v = sum(p for p, (_, c) in pivots.items() if c)
+            if v == ones ^ xor:   # on the last step no bit is free: j = 0
+                j = ones & ~sum(pivots)
+                j &= -j
+                v ^= j | sum(p for p, (r, _) in pivots.items() if r & j)
+            family.append(v)
+            xor ^= v
+            new = [(v, 0)]
+        return family[len(members):]
+
+    return search(list(members), xor, [(f, 0) for f in members] + [(ones, 1)])
 
 
 def has_property_2li(algebra):
@@ -92,15 +110,27 @@ def has_property_2li(algebra):
 
 
 def has_unique_natural_basis(algebra):
-    """True / False / None (None = undecided over GF(2) and GF(3))."""
+    """Whether the natural basis is unique up to order and scalars.
+
+    Without an annihilator the natural bases are the orthogonal anisotropic
+    bases of the classes under b = sum lambda_i x_i y_i (is_natural_vector).
+    Over GF(2) a class of at most 3 indices has only the unit vectors, and
+    the rows of J - I on 4 of its indices form another basis.  Over GF(3)
+    lambda = +-1: two equal lambdas give the basis (1, 1), (1, -1) on their
+    indices, and lambda (x^2 - y^2) vanishes off the axes.  Over larger
+    fields (2LI) decides.
+    """
     if algebra.n == 1:
         return True
     if algebra.annihilator().dim > 0:
         # Annihilator vectors mix freely into other basis vectors.
         return False
-    if algebra.field.characteristic in (2, 3) and algebra.field.p in (2, 3):
-        return None
-    return has_property_2li(algebra)
+    p = algebra.field.characteristic
+    dec = decompose(algebra)
+    return all(len(idx) == 1 or (p == 2 and len(idx) <= 3)
+               or (p == 3 and len(idx) == 2
+                   and not sum(_component_lambdas(algebra, idx, line), algebra.field.zero))
+               for idx, line in zip(dec.component_indices, dec.component_squares))
 
 
 def _normalize_line(field, vec):
@@ -156,24 +186,18 @@ def decomposition_for_basis(algebra, basis_vectors):
     rebased = algebra.change_basis(vecs)
     dec = decompose(rebased)
 
-    def to_ambient(subspace):
+    def to_ambient(rows):
         out = []
-        for row in subspace.basis:
+        for row in rows:
             v = [algebra.field.zero] * algebra.n
             for c, bv in zip(row, vecs):
                 v = [x + c * y for x, y in zip(v, bv)]
             out.append(v)
         return Subspace.from_vectors(algebra.field, algebra.n, out)
 
-    ann = to_ambient(dec.annihilator)
-    components = tuple(to_ambient(comp) for comp in dec.components)
-    lines = []
-    for key in dec.component_squares:
-        v = [algebra.field.zero] * algebra.n
-        for c, bv in zip(key, vecs):
-            v = [x + c * y for x, y in zip(v, bv)]
-        lines.append(Subspace.from_vectors(algebra.field, algebra.n, [v]))
-    return ann, components, tuple(lines)
+    ann = to_ambient(dec.annihilator.basis)
+    components = tuple(to_ambient(comp.basis) for comp in dec.components)
+    return ann, components, tuple(to_ambient([key]) for key in dec.component_squares)
 
 
 def verify_block_form(algebra, basis1, basis2):
@@ -239,9 +263,10 @@ def extend_family(algebra, family):
         if not members:
             local_added = Subspace.full(field, len(idx)).basis
         elif field.characteristic == 2:
-            found = _char2_completable(len(idx), [_mask(m) for m in members])
+            found = _char2_completable(len(idx), [sum(1 << k for k, x in enumerate(m) if x)
+                                                  for m in members])
             if found is None:
-                raise CharTwoUnsupported("no orthogonal completion exists over GF(2)")
+                raise NotExtendable("no orthogonal completion exists over GF(2)")
             local_added = [[field.one if v >> k & 1 else field.zero
                             for k in range(len(idx))] for v in found]
         else:

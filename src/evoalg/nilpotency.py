@@ -264,9 +264,10 @@ def _kernel_candidates(field, kern):
                     v = [x + c * y for x, y in zip(v, b)]
             yield v
     else:
-        for b in basis:
-            for c in range(1, field.p):
-                yield [field(c) * x for x in b]
+        # Each b of the RREF basis has a leading 1, so a multiple c * b can
+        # have only square entries only for a square c, and then exactly
+        # when b has them (Euler's criterion): b stands for all multiples.
+        yield from basis
 
 
 def _border(rows, gamma, q, inverses, red, inv):

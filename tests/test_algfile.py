@@ -75,6 +75,8 @@ def test_json_errors():
         parse_algebra_json({"field": "r", "dim": 1, "matrix": [["1"]]})
     with pytest.raises(ParseError):
         parse_algebra_json("{not json")
+    with pytest.raises(ParseError):
+        parse_algebra_json({"field": "q", "dim": True, "matrix": [["1"]]})
 
 
 def test_load_algebra_dispatch(tmp_path):

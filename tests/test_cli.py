@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -190,7 +191,7 @@ def assert_clean_error(code, err, expected_code, error_code):
 
 def test_ideals_answer_too_large(capsys, tmp_path):
     # A diagonal algebra has 2^17 closed index sets at n = 17, past the
-    # 2^16 cap, though n itself is under the dimension limit of 20.
+    # 2^16 cap.
     n = 17
     rows = [" ".join("1" if i == j else "0" for i in range(n)) for j in range(n)]
     path = write(tmp_path, "d17.alg", f"field gf 101\ndim {n}\n" + "\n".join(rows) + "\n")
@@ -245,9 +246,9 @@ def test_non_prime_field_option_exits_2(capsys, tmp_path, argv):
 
 
 def test_natural_vector_gf2_beyond_sixteen(capsys, tmp_path):
-    # The GF(2) completion search runs inside the vector's class, so a dense
+    # The GF(2) question is decided inside the vector's class, so a dense
     # algebra of dimension 20 (distinct columns, one index per class) is
-    # decided; seventeen equal columns form one class, which is refused.
+    # decided, and so is a class of seventeen equal columns.
     rng = random.Random(20)
     rows = [" ".join(str(rng.randrange(2)) for _ in range(20)) for _ in range(20)]
     path = write(tmp_path, "d20.alg", "field gf 2\ndim 20\n" + "\n".join(rows) + "\n")
@@ -256,8 +257,53 @@ def test_natural_vector_gf2_beyond_sixteen(capsys, tmp_path):
     ones = "\n".join(["1 " * 17] * 17)
     path = write(tmp_path, "ones17.alg", f"field gf 2\ndim 17\n{ones}\n")
     code, out, err = run(capsys, "natural", path, "--vector", "1" + ",0" * 16)
-    assert_clean_error(code, err, 3, "char-two-unsupported")
-    assert out == "" and "17" in err
+    assert code == 0 and out == "natural vector: true\n" and err == ""
+
+
+def test_gf2_class_of_forty_indices(capsys, tmp_path):
+    ones = "\n".join(["1 " * 40] * 40)
+    alg = write(tmp_path, "ones40.alg", f"field gf 2\ndim 40\n{ones}\n")
+    e1 = "1" + " 0" * 39
+    code, out, err = run(capsys, "natural", alg, "--vector", e1)
+    assert code == 0 and out == "natural vector: true\n" and err == ""
+    code, out, err = run(capsys, "natural", alg, "--vector", "1 " * 40)
+    assert code == 0 and out == "natural vector: false\n" and err == ""
+    code, out, err = run(capsys, "natural", alg, "--unique")
+    assert code == 0 and out == "unique natural basis: false\n" and err == ""
+    fam = write(tmp_path, "e1.txt", e1 + "\n")
+    code, out, err = run(capsys, "extend", alg, "--family", fam)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "completed natural basis:" and lines[-1] == "added vectors: 39"
+    # With every square equal, a natural basis is an orthonormal basis of
+    # GF(2)^40 under the dot product: odd weights, even overlaps.
+    basis = [int(line.replace(" ", ""), 2) for line in lines[1:-1]]
+    assert len(basis) == 40 and basis[0] == 1 << 39
+    assert all(v.bit_count() % 2 for v in basis)
+    assert not any((v & w).bit_count() % 2 for v, w in combinations(basis, 2))
+    # e1 and its complement are orthogonal and XOR to all-ones.
+    fam = write(tmp_path, "split.txt", e1 + "\n0" + " 1" * 39 + "\n")
+    code, out, err = run(capsys, "extend", alg, "--family", fam)
+    assert_clean_error(code, err, 3, "not-extendable")
+    assert out == ""
+
+
+def test_ideals_without_dimension_cap(capsys, tmp_path):
+    # e_j^2 = e_j + e_{j-1}: the closed sets are the 41 prefixes.
+    n = 40
+    rows = [" ".join("1" if j in (i, i + 1) else "0" for j in range(n)) for i in range(n)]
+    path = write(tmp_path, "chain40.alg", f"field gf 101\ndim {n}\n" + "\n".join(rows) + "\n")
+    code, out, err = run(capsys, "ideals", path)
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == f"perfect algebra; {n + 1} ideals, all basic"
+    assert out.splitlines()[-1] == "  span of e" + str(list(range(1, n + 1)))
+
+
+def test_json_dim_true_exits_2(capsys, tmp_path):
+    path = write(tmp_path, "a.json", '{"field": "q", "dim": true, "matrix": [[1]]}')
+    code, out, err = run(capsys, "analyze", path)
+    assert_clean_error(code, err, 2, "parse-error")
+    assert out == ""
 
 
 @pytest.mark.parametrize("argv", [

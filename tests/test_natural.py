@@ -6,15 +6,15 @@ from itertools import combinations, product
 import pytest
 
 from evoalg.algebra import EvolutionAlgebra
-from evoalg.errors import (CharTwoUnsupported, Degenerate, NotOrthogonal,
-                           ZeroVector)
+from evoalg.errors import Degenerate, NotExtendable, NotOrthogonal, ZeroVector
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
 from evoalg.linalg import Matrix
-from evoalg.natural import (decompose, decomposition_for_basis, extend_family,
-                            has_property_2li, has_unique_natural_basis,
-                            is_natural_vector, verify_block_form)
-from evoalg.oracles import (enumerate_natural_bases_algebra,
+from evoalg.natural import (_char2_completable, decompose, decomposition_for_basis,
+                            extend_family, has_property_2li,
+                            has_unique_natural_basis, is_natural_vector,
+                            verify_block_form)
+from evoalg.oracles import (enumerate_natural_bases, enumerate_natural_bases_algebra,
                             natural_basis_membership)
 
 
@@ -61,7 +61,7 @@ def test_natural_vector_char2_needs_completability():
     ones = EvolutionAlgebra(GF(2), [[1] * 9 for _ in range(9)])
     assert not is_natural_vector(ones, [1] * 9)
     assert is_natural_vector(ones, [1, 1, 1] + [0] * 6)
-    with pytest.raises(CharTwoUnsupported):
+    with pytest.raises(NotExtendable):
         extend_family(ones, [ones.element([1] * 9)])
 
 
@@ -85,7 +85,7 @@ def test_unique_basis_tri_state():
     degenerate = EvolutionAlgebra(QQ, [[0, 0], [0, 1]])
     assert has_unique_natural_basis(degenerate) is False
     small = EvolutionAlgebra(GF(3), [[1, 0], [0, 1]])
-    assert has_unique_natural_basis(small) is None
+    assert has_unique_natural_basis(small) is True
     not_2li = EvolutionAlgebra(QQ, [[1, 2], [1, 2]])
     assert has_unique_natural_basis(not_2li) is False
 
@@ -177,7 +177,7 @@ def test_extend_family_char2():
     # b(x, y) = x1 y1 + x2 y2 + x3 y3 is the even-weight plane, where every
     # vector is isotropic, so no orthogonal completion exists.
     b = EvolutionAlgebra(GF(2), [[1, 1, 1], [1, 1, 1], [1, 1, 1]])
-    with pytest.raises(CharTwoUnsupported):
+    with pytest.raises(NotExtendable):
         extend_family(b, [b.element([1, 1, 1])])
 
 
@@ -317,7 +317,7 @@ def test_extend_family_char2_matches_reference():
             family = [a.element([0] + list(v)) for v in fam]
             families += 1
             if expected is None:
-                with pytest.raises(CharTwoUnsupported):
+                with pytest.raises(NotExtendable):
                     extend_family(a, family)
                 continue
             added = [[F.one] + [F.zero] * size] + [[F.zero] + v for v in expected]
@@ -342,3 +342,83 @@ def test_property_2li_matches_pairwise_rank():
                     Matrix(field, [alg.column_square(i), alg.column_square(j)]).rank() == 2
                     for i, j in combinations(range(n), 2))
                 assert has_property_2li(alg) == expected
+
+
+def exhaustive_completable(size, members):
+    """Reference: the least-first exhaustive completion search over
+    GF(2)^size on bitmasks, without a size limit."""
+    def search(start, family):
+        if len(family) == size:
+            return family[len(members):]
+        for v in range(start, 1 << size):
+            if v.bit_count() & 1 and not any((v & f).bit_count() & 1
+                                             for f in family):
+                found = search(v + 1, family + [v])
+                if found is not None:
+                    return found
+        return None
+
+    return search(1, list(members))
+
+
+def test_char2_completion_matches_exhaustive_search():
+    # Random orthogonal anisotropic families, grown one random admissible
+    # vector at a time, complete as the exhaustive search completes them.
+    rng = random.Random(61)
+    larger = stuck = 0
+    for _ in range(2000):
+        size = rng.randint(1, 9)
+        family = []
+        for _ in range(rng.randint(0, 5)):
+            admissible = [v for v in range(1, 1 << size) if v.bit_count() & 1
+                          and not any((v & f).bit_count() & 1 for f in family)]
+            if not admissible:
+                break
+            family.append(rng.choice(admissible))
+        expected = exhaustive_completable(size, family)
+        assert _char2_completable(size, family) == expected, (size, family)
+        larger += len(family) >= 3
+        stuck += expected is None
+    assert larger and stuck
+
+
+def test_char2_classes_past_sixteen_indices():
+    # Forty (and forty-one) equal GF(2) columns form one class.  The
+    # criterion: u_C extends iff |C| = 1 or u_C is not all-ones.
+    forty = EvolutionAlgebra(GF(2), [[1] * 40 for _ in range(40)])
+    e1 = [1] + [0] * 39
+    assert is_natural_vector(forty, e1)
+    assert not is_natural_vector(forty, [1] * 40)        # u^2 = 0
+    assert is_natural_vector(forty, [0] + [1] * 39)
+    assert not is_natural_vector(EvolutionAlgebra(GF(2), [[1] * 41] * 41), [1] * 41)
+    result = extend_family(forty, [forty.element(e1)])
+    assert forty.verify_natural_basis(result.completed_basis)
+    with pytest.raises(NotExtendable):
+        extend_family(forty, [forty.element(e1), forty.element([0] + [1] * 39)])
+
+
+def unique_by_enumeration(algebra):
+    rows = [[algebra.M.entry(i, j).r for j in range(algebra.n)]
+            for i in range(algebra.n)]
+    return len(enumerate_natural_bases(rows, algebra.field.p)) == 1
+
+
+def test_unique_basis_matches_enumeration():
+    # Columns come from a small pool and its multiples, so classes of
+    # several indices, both GF(3) sign patterns and zero columns occur.
+    rng = random.Random(62)
+    for field, top in ((GF(2), 4), (GF(3), 3)):
+        verdicts = set()
+        for _ in range(300):
+            n = rng.randint(1, top)
+            pool = [[rng.randrange(field.p) for _ in range(n)] for _ in range(2)]
+            cols = []
+            for _ in range(n):
+                c = rng.randrange(1, field.p)
+                cols.append([c * x for x in rng.choice(pool)])
+            a = EvolutionAlgebra(field, [[cols[i][j] for i in range(n)]
+                                         for j in range(n)])
+            verdict = has_unique_natural_basis(a)
+            assert verdict == unique_by_enumeration(a), cols
+            verdicts.add(verdict)
+        assert verdicts == {True, False}

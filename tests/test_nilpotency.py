@@ -330,3 +330,70 @@ def test_cube_scan_singular_prefixes(monkeypatch):
     fallbacks.clear()
     assert find_cube_nilpotent(b) == expected_b
     assert fallbacks[0][1] == (0, 1, 2)
+
+
+def multiples_reference(field, kern):
+    """Reference for p > 7: every multiple c * b, c = 1..p-1, of every
+    kernel basis vector b."""
+    for b in kern.basis:
+        for c in range(1, field.p):
+            yield [field(c) * x for x in b]
+
+
+def character(field, b):
+    """The quadratic characters of the nonzero entries of b."""
+    return {field.sqrt(x) is not None for x in b if x}
+
+
+def test_kernel_candidates_match_all_multiples(monkeypatch):
+    # Random perfect algebras with a 2 x 2 principal block forced singular
+    # (row j of the block k times row i), so kernel lines of mixed
+    # character occur next to all-square ones.
+    rng = random.Random(43)
+    witnesses = mixed = blocks = 0
+    for field in (GF(11), GF(13), GF(101)):
+        for _ in range(150):
+            n = rng.randint(2, 4)
+            rows = [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)]
+            i, j = rng.sample(range(n), 2)
+            k = rng.randrange(1, field.p)
+            rows[j][i], rows[j][j] = k * rows[i][i], k * rows[i][j]
+            a = EvolutionAlgebra(field, rows)
+            if not a.is_perfect():
+                continue
+            for size in range(1, n + 1):
+                for gamma in combinations(range(n), size):
+                    if a.M.minor(gamma, gamma):
+                        continue
+                    witness = cube_witness_from_minor(a, gamma)
+                    monkeypatch.setattr(nilpotency, "_kernel_candidates",
+                                        multiples_reference)
+                    assert witness == cube_witness_from_minor(a, gamma), (rows, gamma)
+                    monkeypatch.undo()
+                    blocks += 1
+                    witnesses += witness is not None
+                    for b in a.M.submatrix(gamma, gamma).kernel().basis:
+                        # The premise of trying b alone: a leading 1.
+                        assert next(x for x in b if x) == 1
+                        mixed += len(character(field, b)) == 2
+    assert blocks >= 200 and witnesses and mixed
+
+
+def test_kernel_candidates_one_per_basis_vector(monkeypatch):
+    # The {1, 2} block vanishes with kernel line (-1, 1), of mixed character
+    # since -1 is a non-residue for p = 3 mod 4; the scan once tried all
+    # p - 1 multiples of it.
+    field = GF(1000000007)
+    a = EvolutionAlgebra(field, [[1, 1, 0], [1, 1, 1], [1, 0, 1]])
+    tried = []
+    original = nilpotency._kernel_candidates
+
+    def counted(field, kern):
+        candidates = list(original(field, kern))
+        tried.append((len(candidates), kern.dim))
+        return iter(candidates)
+
+    monkeypatch.setattr(nilpotency, "_kernel_candidates", counted)
+    scan = find_cube_nilpotent(a)
+    assert scan.minor_indices == (0, 1) and scan.element is None
+    assert tried and all(count == dim for count, dim in tried)
