@@ -7,8 +7,11 @@ vectors multiply to zero, which makes the product of two elements
 u = sum a_i e_i and v = sum b_i e_i equal to M (a_1 b_1, ..., a_n b_n)^T.
 """
 
-from .errors import AlgebraMismatch, IndexOutOfRange, NotANaturalBasis, ShapeMismatch
-from .linalg import Matrix, Subspace
+from operator import mul
+
+from .errors import (AlgebraMismatch, FieldMismatch, IndexOutOfRange, NotANaturalBasis,
+                     ShapeMismatch)
+from .linalg import Matrix, Subspace, matvec_rows, reduce_row, rref_rows
 
 
 class EvolutionAlgebra:
@@ -17,6 +20,8 @@ class EvolutionAlgebra:
     def __init__(self, field, structure, labels=None):
         self.field = field
         self.M = structure if isinstance(structure, Matrix) else Matrix(field, structure)
+        if self.M.field != field:
+            raise FieldMismatch(f"structure matrix over {self.M.field!r}, algebra over {field!r}")
         if not self.M.is_square:
             raise ShapeMismatch("structure matrix must be square")
         if self.M.rows < 1:
@@ -82,6 +87,10 @@ class EvolutionAlgebra:
     def ideal_closure(self, elements):
         return self._closure(elements, ideal=True)
 
+    def _product(self, u, w):
+        """Plain coordinates of u w from plain coordinates: M (u o w)."""
+        return matvec_rows(self.M.plain, list(map(mul, u, w)), self.field.reduce)
+
     def _closure(self, elements, ideal):
         # Rounds over a semi-echelon basis: every row is 1 at its pivot and 0
         # at the pivots of the rows before it.  A round multiplies only the
@@ -90,40 +99,38 @@ class EvolutionAlgebra:
         # once) or by the e_i in its support (ideal; e_i u = u_i e_i^2).  A
         # product is kept only if a remainder survives reduction against the
         # basis, and the loop stops when a round adds nothing or the span is
-        # the whole space.
+        # the whole space.  Everything runs on plain values.
         field, n = self.field, self.n
+        red, inv = field.reduce, field.inv
+        squares = list(zip(*self.M.plain))
         rows, pivots = [], []
 
         def adjoin(v):
-            for row, pc in zip(rows, pivots):
-                if v[pc]:
-                    f = v[pc]
-                    v = [a - f * b for a, b in zip(v, row.coords)]
+            v = reduce_row(rows, pivots, v, red)
             pc = next((j for j, x in enumerate(v) if x), None)
             if pc is not None:
-                inv = field.one / v[pc]
-                rows.append(Element(self, [x * inv for x in v]))
+                c = inv(v[pc])
+                rows.append([red(x * c) for x in v])
                 pivots.append(pc)
 
         for x in elements:
-            v = self._coords_of(x)
-            if len(v) != n:
-                raise ShapeMismatch(f"vectors of length {len(v)} in ambient dimension {n}")
-            adjoin(v)
-        units = self.basis() if ideal else None
+            adjoin(self._plain_of(x))
         done = 0
         while done < len(rows) < n:
             start, done = done, len(rows)
             for k in range(start, done):
                 u = rows[k]
-                partners = ([units[i] for i, c in enumerate(u.coords) if c] if ideal
-                            else rows[:k + 1])
-                for w in partners:
-                    if len(rows) < n:
-                        adjoin((u * w).coords)
+                if ideal:
+                    for i, c in enumerate(u):
+                        if c and len(rows) < n:
+                            adjoin([red(c * x) for x in squares[i]])
+                else:
+                    for w in rows[:k + 1]:
+                        if len(rows) < n:
+                            adjoin(self._product(u, w))
         if len(rows) == n:
             return Subspace.full(field, n)
-        return Subspace.from_vectors(field, n, [r.coords for r in rows])
+        return Subspace._from_plain(field, n, rows)
 
     def _coords_of(self, x):
         if isinstance(x, Element):
@@ -132,18 +139,25 @@ class EvolutionAlgebra:
             return x.coords
         return tuple(self.field(c) for c in x)
 
+    def _plain_of(self, x):
+        """Plain coordinates of an Element of this algebra or a coordinate list."""
+        if isinstance(x, Element):
+            return self.field.view(self._coords_of(x))
+        v = self.field.unbox(x)
+        if len(v) != self.n:
+            raise ShapeMismatch(f"vectors of length {len(v)} in ambient dimension {self.n}")
+        return v
+
     def verify_natural_basis(self, candidates):
         """True iff the candidates pairwise multiply to zero and span everything."""
-        vecs = [self._coords_of(c) for c in candidates]
+        vecs = [self._plain_of(c) for c in candidates]
         if len(vecs) != self.n:
             return False
-        if Matrix(self.field, vecs).rank() != self.n:
+        field = self.field
+        if len(rref_rows(list(vecs), self.n, field.reduce, field.inv)) != self.n:
             return False
-        for a in range(self.n):
-            for b in range(a + 1, self.n):
-                if not (Element(self, vecs[a]) * Element(self, vecs[b])).is_zero():
-                    return False
-        return True
+        return not any(any(self._product(vecs[a], vecs[b]))
+                       for a in range(self.n) for b in range(a + 1, self.n))
 
     def change_basis(self, candidates):
         """The same algebra written relative to a new natural basis."""
@@ -182,6 +196,14 @@ class Element:
         if len(self.coords) != algebra.n:
             raise ShapeMismatch("coordinate length does not match algebra dimension")
 
+    @classmethod
+    def _from_plain(cls, algebra, plain):
+        """Box canonical plain coordinates once."""
+        el = cls.__new__(cls)
+        el.algebra = algebra
+        el.coords = tuple(map(algebra.field.box, plain))
+        return el
+
     def _check(self, other):
         if not isinstance(other, Element):
             raise AlgebraMismatch(f"expected an Element, got {type(other).__name__}")
@@ -208,8 +230,9 @@ class Element:
 
     def __mul__(self, other):
         self._check(other)
-        hadamard = [a * b for a, b in zip(self.coords, other.coords)]
-        return Element(self.algebra, self.algebra.M.matvec(hadamard))
+        a = self.algebra
+        view = a.field.view
+        return Element._from_plain(a, a._product(view(self.coords), view(other.coords)))
 
     def square(self):
         return self * self
@@ -254,13 +277,13 @@ def check_algebra_homomorphism(source, target, f):
         f = Matrix(target.field, f)
     if f.cols != source.n or f.rows != target.n:
         raise ShapeMismatch("homomorphism matrix shape does not match the algebras")
-    images = [Element(target, f.column(i)) for i in range(source.n)]
-    for i in range(source.n):
-        lhs = Element(target, f.matvec(source.column_square(i)))
-        if lhs != images[i].square():
-            return False
-    for i in range(source.n):
-        for j in range(i + 1, source.n):
-            if not (images[i] * images[j]).is_zero():
-                return False
-    return True
+    if not source.field == target.field == f.field:
+        raise FieldMismatch("homomorphism between algebras over different fields")
+    red = target.field.reduce
+    images = list(zip(*f.plain))
+    squares = zip(*source.M.plain)
+    if any(matvec_rows(f.plain, sq, red) != target._product(im, im)
+           for sq, im in zip(squares, images)):
+        return False
+    return not any(any(target._product(images[i], images[j]))
+                   for i in range(source.n) for j in range(i + 1, source.n))

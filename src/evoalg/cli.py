@@ -391,81 +391,83 @@ def cmd_oracle(args):
 # ------------------------------------------------------------------ parser
 
 
-def build_parser():
+_BASIS = (("--basis",), {"help": "file with an alternative natural basis"})
+
+
+def _flag(name, helptext):
+    return ((name,), {"action": "store_true", "help": helptext})
+
+
+# name -> (handler, help, takes --check, arguments after the file and --json)
+COMMANDS = {
+    "analyze": (cmd_analyze, "summary of global properties", False, ()),
+    "natural": (cmd_natural, "natural-vector and unique-basis tests", True, (
+        (("--vector",), {"help": "coordinates, comma or space separated"}),
+        _flag("--unique", "decide uniqueness of the natural basis instead"))),
+    "extend": (cmd_extend, "extend an orthogonal family to a natural basis", False, (
+        (("--family",), {"required": True, "help": "file with one vector per line"}),)),
+    "decompose": (cmd_decompose, "canonical basis decomposition", False, (_BASIS,)),
+    "nilpotency": (cmd_nilpotency, "annihilator chain, type, nilpotency index", True, ()),
+    "minors": (cmd_minors, "vanishing-minor witness u (v w) = 0", True, (
+        (("--max-size",), {"type": int, "default": None, "help":
+                           "cap on the scanned index-subset size (at least 1; default 12)"}),)),
+    "cube-nilpotent": (cmd_cube_nilpotent, "find u != 0 with u^3 = 0", True, ()),
+    "ideals": (cmd_ideals, "basic ideals / full lattice when perfect", False, ()),
+    "simple": (cmd_simple, "simplicity and basic simplicity", True, ()),
+    "adjoint": (cmd_adjoint, "adjoint algebra and shared invariants", False, (
+        _flag("--emit", "print the adjoint algebra file instead of the report"),)),
+    "classify": (cmd_classify, "persistent/transient generators", False, (_BASIS,)),
+    "hierarchy": (cmd_hierarchy, "iterated decomposition of transient parts", False, ()),
+    "random": (cmd_random, "emit a seeded random algebra", False, (
+        (("--field",), {"required": True, "help": "'q' or 'gf <p>'"}),
+        (("--dim",), {"type": int, "required": True}),
+        (("--seed",), {"type": int, "default": 0}),
+        _flag("--perfect", None),
+        _flag("--nondegenerate", None))),
+    "oracle": (cmd_oracle, "diff a fast path against brute force", False, (
+        (("name",), {"choices": sorted(ORACLES)}),
+        (("--field",), {"required": True, "help": "'gf <p>'"}),
+        (("--dim",), {"type": int, "required": True}),
+        (("--samples",), {"type": int, "default": None}),
+        (("--seed",), {"type": int, "default": 7}))),
+}
+_NO_FILE = ("random", "oracle")
+
+
+def _parser(only=None):
+    """The full parser, or one with only the subcommand `only`; its usage
+    line still names every subcommand, so its messages are the same."""
     parser = argparse.ArgumentParser(
         prog="evoalg",
         description="Exact analysis of finite-dimensional evolution algebras.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, helptext, needs_file=True, check=False):
+    names = COMMANDS if only is None else (only,)
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if only is None else "{" + ",".join(COMMANDS) + "}")
+    for name in names:
+        fn, helptext, check, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=helptext)
-        if needs_file:
+        if name not in _NO_FILE:
             p.add_argument("file", help="algebra file (text, or .json)")
         p.add_argument("--json", action="store_true", help="JSON output")
         if check:
             p.add_argument("--check", action="store_true",
                            help="exit 1 when the headline predicate is false")
+        for args, kwargs in arguments:
+            p.add_argument(*args, **kwargs)
         p.set_defaults(fn=fn)
-        return p
-
-    add("analyze", cmd_analyze, "summary of global properties")
-
-    p = add("natural", cmd_natural, "natural-vector and unique-basis tests",
-            check=True)
-    p.add_argument("--vector", help="coordinates, comma or space separated")
-    p.add_argument("--unique", action="store_true",
-                   help="decide uniqueness of the natural basis instead")
-
-    p = add("extend", cmd_extend, "extend an orthogonal family to a natural basis")
-    p.add_argument("--family", required=True,
-                   help="file with one vector per line")
-
-    p = add("decompose", cmd_decompose, "canonical basis decomposition")
-    p.add_argument("--basis", help="file with an alternative natural basis")
-
-    add("nilpotency", cmd_nilpotency, "annihilator chain, type, nilpotency index",
-        check=True)
-
-    p = add("minors", cmd_minors, "vanishing-minor witness u (v w) = 0",
-            check=True)
-    p.add_argument("--max-size", type=int, default=None,
-                   help="cap on the scanned index-subset size (at least 1; default 12)")
-
-    add("cube-nilpotent", cmd_cube_nilpotent, "find u != 0 with u^3 = 0",
-        check=True)
-    add("ideals", cmd_ideals, "basic ideals / full lattice when perfect")
-    add("simple", cmd_simple, "simplicity and basic simplicity", check=True)
-
-    p = add("adjoint", cmd_adjoint, "adjoint algebra and shared invariants")
-    p.add_argument("--emit", action="store_true",
-                   help="print the adjoint algebra file instead of the report")
-
-    p = add("classify", cmd_classify, "persistent/transient generators")
-    p.add_argument("--basis", help="file with an alternative natural basis")
-
-    add("hierarchy", cmd_hierarchy, "iterated decomposition of transient parts")
-
-    p = add("random", cmd_random, "emit a seeded random algebra", needs_file=False)
-    p.add_argument("--field", required=True, help="'q' or 'gf <p>'")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--perfect", action="store_true")
-    p.add_argument("--nondegenerate", action="store_true")
-
-    p = add("oracle", cmd_oracle, "diff a fast path against brute force",
-            needs_file=False)
-    p.add_argument("name", choices=sorted(ORACLES))
-    p.add_argument("--field", required=True, help="'gf <p>'")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=7)
-
     return parser
 
 
+def build_parser():
+    return _parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Only the named subcommand's parser is built; -h, a missing or an
+    # unknown command gets the full one.
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, UnreadableFile, InvalidArgument) as exc:

@@ -5,6 +5,12 @@ positive denominator).  Prime-field scalars are :class:`Mod` instances,
 residues reduced modulo p.  Field descriptors (:data:`QQ`, :func:`GF`)
 coerce, parse, render and take square roots of their scalars.
 
+The linear-algebra kernels compute on plain values instead: canonical
+residues over GF(p), Fractions (or ints) over Q.  A descriptor supplies
+what they need: ``reduce`` and ``inv`` of plain values, ``unbox`` of public
+scalars (with the same FieldMismatch checks as coercion), ``view`` of
+already checked ones, and ``box`` to turn a plain result public again.
+
 There is no floating-point path anywhere in this package.
 """
 
@@ -145,6 +151,27 @@ class Rationals:
     def one(self):
         return Fraction(1)
 
+    def reduce(self, x):
+        return x
+
+    def inv(self, x):
+        return Fraction(x.denominator, x.numerator)
+
+    def box(self, x):
+        # Kernels hold Fractions and the ints they start from (0, 1); a
+        # float would come from a stray / on ints and is refused.
+        if type(x) is Fraction:
+            return x
+        if type(x) is int:
+            return Fraction(x)
+        raise TypeError(f"not an exact rational: {x!r}")
+
+    def unbox(self, v):
+        return [self(x) for x in v]
+
+    def view(self, v):
+        return v
+
     def sqrt(self, a):
         """Some r >= 0 with r*r == a, or None when a is not a rational square."""
         a = self(a)
@@ -210,6 +237,22 @@ class PrimeField:
 
     def elements(self):
         return (Mod(r, self.p) for r in range(self.p))
+
+    def reduce(self, x):
+        return x % self.p
+
+    def inv(self, x):
+        return pow(x, -1, self.p)
+
+    def box(self, x):
+        return Mod(x, self.p)
+
+    def unbox(self, v):
+        p = self.p
+        return [x % p if isinstance(x, int) else self(x).r for x in v]
+
+    def view(self, v):
+        return [x.r for x in v]
 
     def sqrt(self, a):
         """The square root with smaller residue, or None for non-residues."""

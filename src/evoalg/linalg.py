@@ -5,25 +5,106 @@ echelon form (first nonzero entry scanning left-to-right, top-to-bottom
 picks the pivot).  Determinants use fraction-free Bareiss elimination
 over Q and plain Gaussian elimination over GF(p).  Subspaces are stored
 as canonical RREF bases, so equality of subspaces is structural.
+
+Entries are public scalars (``Mod`` or ``Fraction``), but elimination,
+products and reduction run once, in the module-level kernels below, over
+the descriptor's plain values (``fields``); a matrix or subspace keeps its
+plain view, and a result is boxed once on the way out.
 """
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
-from .errors import IndexOutOfRange, NonSquareMatrix, ShapeMismatch
+from .errors import FieldMismatch, IndexOutOfRange, NonSquareMatrix, ShapeMismatch
 from .fields import QQ
 
 
+def rref_rows(m, cols, red, inv):
+    """Gauss-Jordan on the list m of plain rows, in place: rows are swapped
+    and replaced, never modified.  Returns the pivot columns."""
+    pivots = []
+    for pc in range(cols):
+        pr = len(pivots)
+        pivot_row = next((i for i in range(pr, len(m)) if m[i][pc]), None)
+        if pivot_row is None:
+            continue
+        m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        c = inv(m[pr][pc])
+        row = m[pr] = [red(x * c) for x in m[pr]]
+        for i, other in enumerate(m):
+            f = other[pc]
+            if f and i != pr:
+                m[i] = [red(a - f * b) for a, b in zip(other, row)]
+        pivots.append(pc)
+        if pr + 1 == len(m):
+            break
+    return pivots
+
+
+def reduce_row(rows, pivots, v, red):
+    """Remainder of the plain vector v after eliminating along rows that are
+    1 at their pivot and 0 at the pivots of the rows before them."""
+    for row, pc in zip(rows, pivots):
+        f = v[pc]
+        if f:
+            v = [red(a - f * b) for a, b in zip(v, row)]
+    return v
+
+
+def matvec_rows(rows, v, red):
+    """The plain product of rows and the vector v."""
+    return [red(sum(map(mul, row, v))) for row in rows]
+
+
+def kernel_rows(m, cols, pivots, red):
+    """Null-space vectors of the reduced rows m: one per free column f, 1 at
+    f and minus the pivot rows' entries of column f at their pivots."""
+    out = []
+    for f in sorted(set(range(cols)) - set(pivots)):
+        v = [0] * cols
+        v[f] = 1
+        for row, pc in zip(m, pivots):
+            v[pc] = red(-row[f])
+        out.append(v)
+    return out
+
+
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "data", "_plain")
 
     def __init__(self, field, data):
         self.field = field
         self.data = tuple(tuple(field(x) for x in row) for row in data)
+        self._plain = None
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
         if any(len(row) != self.cols for row in self.data):
             raise ShapeMismatch("ragged rows")
+
+    @classmethod
+    def _trusted(cls, field, data, plain=None):
+        """A matrix of rows already in the field, with their plain view if known."""
+        m = cls.__new__(cls)
+        m.field, m.data, m._plain = field, data, plain
+        m.rows = len(data)
+        m.cols = len(data[0]) if data else 0
+        return m
+
+    @classmethod
+    def _from_plain(cls, field, plain):
+        """Box canonical plain rows once."""
+        plain = tuple(map(tuple, plain))
+        box = field.box
+        return cls._trusted(field, tuple(tuple(map(box, row)) for row in plain), plain)
+
+    @property
+    def plain(self):
+        """The rows as plain values (residues over GF(p))."""
+        if self._plain is None:
+            view = self.field.view
+            self._plain = tuple(tuple(view(row)) for row in self.data)
+        return self._plain
 
     @classmethod
     def identity(cls, field, n):
@@ -63,28 +144,30 @@ class Matrix:
         return all(not x for row in self.data for x in row)
 
     def transpose(self):
-        return Matrix(self.field, list(zip(*self.data)))
+        plain = tuple(zip(*self._plain)) if self._plain is not None else None
+        return Matrix._trusted(self.field, tuple(zip(*self.data)), plain)
 
     def submatrix(self, row_indices, col_indices):
-        return Matrix(self.field,
-                      [[self.data[i][j] for j in col_indices] for i in row_indices])
+        return Matrix._trusted(self.field, tuple(tuple(self.data[i][j] for j in col_indices)
+                                                 for i in row_indices))
 
     def matvec(self, v):
         if len(v) != self.cols:
             raise ShapeMismatch(f"matvec: {self.cols} columns vs vector of length {len(v)}")
-        v = [self.field(x) for x in v]
-        return tuple(sum((row[j] * v[j] for j in range(self.cols)), self.field.zero)
-                     for row in self.data)
+        field = self.field
+        return tuple(map(field.box, matvec_rows(self.plain, field.unbox(v), field.reduce)))
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
+        if self.field != other.field:
+            raise FieldMismatch(f"matmul: {self.field!r} vs {other.field!r}")
         if self.cols != other.rows:
             raise ShapeMismatch(f"matmul: {self.cols} vs {other.rows}")
-        cols = [other.column(j) for j in range(other.cols)]
-        return Matrix(self.field,
-                      [[sum((row[k] * col[k] for k in range(self.cols)), self.field.zero)
-                        for col in cols] for row in self.data])
+        cols = list(zip(*other.plain))
+        red = self.field.reduce
+        return Matrix._from_plain(self.field, [matvec_rows(cols, row, red)
+                                               for row in self.plain])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -96,44 +179,24 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.field!r}, {[list(r) for r in self.data]!r})"
 
+    def _reduced(self):
+        """Plain RREF rows and pivot columns."""
+        m = list(self.plain)
+        return m, rref_rows(m, self.cols, self.field.reduce, self.field.inv)
+
     def rref(self):
         """(rref matrix, rank, pivot columns) by exact Gauss-Jordan."""
-        m = [list(row) for row in self.data]
-        pivots = []
-        pr = 0
-        for pc in range(self.cols):
-            pivot_row = next((i for i in range(pr, self.rows) if m[i][pc]), None)
-            if pivot_row is None:
-                continue
-            m[pr], m[pivot_row] = m[pivot_row], m[pr]
-            inv = self.field.one / m[pr][pc]
-            m[pr] = [x * inv for x in m[pr]]
-            for i in range(self.rows):
-                if i != pr and m[i][pc]:
-                    f = m[i][pc]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == self.rows:
-                break
-        return Matrix(self.field, m), pr, tuple(pivots)
+        m, pivots = self._reduced()
+        return Matrix._from_plain(self.field, m), len(pivots), tuple(pivots)
 
     def rank(self):
-        return self.rref()[1]
+        return len(self._reduced()[1])
 
     def kernel(self):
         """Canonical RREF basis of the right null space."""
-        red, rank, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        vectors = []
-        for f in free:
-            v = [self.field.zero] * self.cols
-            v[f] = self.field.one
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.entry(r, f)
-            vectors.append(v)
-        return Subspace.from_vectors(self.field, self.cols, vectors)
+        m, pivots = self._reduced()
+        return Subspace._from_plain(self.field, self.cols,
+                                    kernel_rows(m, self.cols, pivots, self.field.reduce))
 
     def det(self):
         if not self.is_square:
@@ -170,23 +233,25 @@ class Matrix:
         return Fraction(sign * m[n - 1][n - 1], denom)
 
     def _det_gauss(self):
+        field = self.field
+        red, inv = field.reduce, field.inv
         n = self.rows
-        m = [list(row) for row in self.data]
-        det = self.field.one
+        m = list(self.plain)
+        det = 1
         for k in range(n):
             pivot = next((i for i in range(k, n) if m[i][k]), None)
             if pivot is None:
-                return self.field.zero
+                return field.box(0)
             if pivot != k:
                 m[k], m[pivot] = m[pivot], m[k]
                 det = -det
-            det = det * m[k][k]
-            inv = self.field.one / m[k][k]
+            det = red(det * m[k][k])
+            c = inv(m[k][k])
             for i in range(k + 1, n):
                 if m[i][k]:
-                    f = m[i][k] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-        return det
+                    f = red(m[i][k] * c)
+                    m[i] = [red(a - f * b) for a, b in zip(m[i], m[k])]
+        return field.box(det)
 
     def minor(self, row_indices, col_indices):
         row_indices, col_indices = sorted(row_indices), sorted(col_indices)
@@ -198,38 +263,47 @@ class Matrix:
         """One exact solution of self @ x = b, or None when inconsistent."""
         if len(b) != self.rows:
             raise ShapeMismatch(f"solve: {self.rows} rows vs rhs of length {len(b)}")
-        aug = Matrix(self.field,
-                     [list(row) + [self.field(x)] for row, x in zip(self.data, b)])
-        red, rank, pivots = aug.rref()
+        field = self.field
+        m = [list(row) + [x] for row, x in zip(self.plain, field.unbox(b))]
+        pivots = rref_rows(m, self.cols + 1, field.reduce, field.inv)
         if self.cols in pivots:  # pivot in the rhs column
             return None
-        x = [self.field.zero] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.entry(r, self.cols)
-        return tuple(x)
+        x = [0] * self.cols
+        for row, pc in zip(m, pivots):
+            x[pc] = row[-1]
+        return tuple(map(field.box, x))
 
 
 class Subspace:
     """Linear subspace given by its canonical RREF basis (rows)."""
 
-    __slots__ = ("field", "ambient", "basis", "pivots")
+    __slots__ = ("field", "ambient", "basis", "pivots", "_plain")
 
-    def __init__(self, field, ambient, basis, pivots):
+    def __init__(self, field, ambient, basis, pivots, plain=None):
         self.field = field
         self.ambient = ambient
         self.basis = basis  # tuple of row tuples, already RREF, no zero rows
         self.pivots = pivots
+        self._plain = plain
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
-        vectors = [v for v in vectors]
-        if not vectors:
-            return cls(field, ambient, (), ())
-        m = Matrix(field, vectors)
-        if m.cols != ambient:
-            raise ShapeMismatch(f"vectors of length {m.cols} in ambient dimension {ambient}")
-        red, rank, pivots = m.rref()
-        return cls(field, ambient, red.data[:rank], pivots)
+        rows = []
+        for v in vectors:
+            if len(v) != ambient:
+                raise ShapeMismatch(f"vectors of length {len(v)} in ambient dimension {ambient}")
+            rows.append(field.unbox(v))
+        return cls._from_plain(field, ambient, rows)
+
+    @classmethod
+    def _from_plain(cls, field, ambient, rows):
+        """Span of canonical plain vectors of length ambient, given as a list
+        that rref_rows may reorder and overwrite."""
+        pivots = rref_rows(rows, ambient, field.reduce, field.inv)
+        plain = tuple(map(tuple, rows[:len(pivots)]))
+        box = field.box
+        return cls(field, ambient, tuple(tuple(map(box, row)) for row in plain),
+                   tuple(pivots), plain)
 
     @classmethod
     def coordinate(cls, field, ambient, indices):
@@ -251,49 +325,53 @@ class Subspace:
         return cls.coordinate(field, ambient, range(ambient))
 
     @property
+    def plain(self):
+        """The basis rows as plain values."""
+        if self._plain is None:
+            view = self.field.view
+            self._plain = tuple(tuple(view(row)) for row in self.basis)
+        return self._plain
+
+    @property
     def dim(self):
         return len(self.basis)
 
     def vectors(self):
         return list(self.basis)
 
-    def reduce(self, v):
-        """Remainder of v after eliminating along the basis."""
-        v = [self.field(x) for x in v]
+    def _remainder(self, v):
         if len(v) != self.ambient:
             raise ShapeMismatch("vector length does not match ambient dimension")
-        for row, pc in zip(self.basis, self.pivots):
-            if v[pc]:
-                f = v[pc]
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
+        return reduce_row(self.plain, self.pivots, self.field.unbox(v), self.field.reduce)
+
+    def reduce(self, v):
+        """Remainder of v after eliminating along the basis."""
+        return tuple(map(self.field.box, self._remainder(v)))
 
     def contains(self, v):
-        return not any(self.reduce(v))
+        return not any(self._remainder(v))
 
     def contains_subspace(self, other):
         return all(self.contains(row) for row in other.basis)
 
     def __add__(self, other):
         self._check(other)
-        return Subspace.from_vectors(self.field, self.ambient,
-                                     list(self.basis) + list(other.basis))
+        return Subspace._from_plain(self.field, self.ambient, list(self.plain + other.plain))
 
     def intersect(self, other):
         """Kernel method: solutions of a.U - b.V = 0 give the intersection."""
         self._check(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.field, self.ambient)
-        columns = [list(row) for row in self.basis] + [[-x for x in row] for row in other.basis]
-        stacked = Matrix.from_columns(self.field, columns)
-        coeffs = stacked.kernel()
-        vectors = []
-        for c in coeffs.basis:
-            v = [self.field.zero] * self.ambient
-            for a, row in zip(c[:self.dim], self.basis):
-                v = [x + a * y for x, y in zip(v, row)]
-            vectors.append(v)
-        return Subspace.from_vectors(self.field, self.ambient, vectors)
+        red = self.field.reduce
+        columns = list(self.plain) + [[red(-x) for x in row] for row in other.plain]
+        m = list(zip(*columns))
+        size = len(columns)
+        pivots = rref_rows(m, size, red, self.field.inv)
+        mine = list(zip(*self.plain))
+        return Subspace._from_plain(self.field, self.ambient,
+                                    [matvec_rows(mine, c[:self.dim], red)
+                                     for c in kernel_rows(m, size, pivots, red)])
 
     def _check(self, other):
         if self.field != other.field or self.ambient != other.ambient:

@@ -10,7 +10,6 @@ space exactly for nilpotent algebras.
 
 import dataclasses
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 from operator import mul
@@ -130,18 +129,17 @@ class OrthogonalityScan:
 
 def _plain_rows(algebra):
     """M as rows of plain numbers with the same vanishing minors, plus the
-    reduction and inversion that go with them: residues mod p, or over Q
-    integer rows (each row scaled by the lcm of its denominators, which
-    multiplies every minor by a nonzero constant) with Fraction inverses."""
-    p = algebra.field.p
-    if p is not None:
-        return ([[x.r for x in row] for row in algebra.M.data],
-                lambda x: x % p, lambda x: pow(x, -1, p))
+    field's reduction and inversion of plain values: the residues mod p,
+    or over Q integer rows (each row scaled by the lcm of its denominators,
+    which multiplies every minor by a nonzero constant)."""
+    field = algebra.field
+    if field.p is not None:
+        return algebra.M.plain, field.reduce, field.inv
     rows = []
     for row in algebra.M.data:
         scale = lcm(*(x.denominator for x in row))
         rows.append([int(x * scale) for x in row])
-    return rows, lambda x: x, lambda x: Fraction(1, x)
+    return rows, field.reduce, field.inv
 
 
 def find_orthogonality_witness(algebra, max_subset_size=None):

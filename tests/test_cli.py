@@ -1,8 +1,10 @@
 """Command line behavior: reports, exit codes, determinism."""
 
+import io
 import json
 import random
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
 
@@ -10,7 +12,8 @@ import pytest
 
 import evoalg
 from evoalg.algebra import Element
-from evoalg.cli import main
+from evoalg import cli
+from evoalg.cli import COMMANDS, build_parser, main
 
 EX59 = "field gf 5\ndim 3\n1 1 1\n1 1 1\n1 1 0\n"
 PERFECT2 = "field q\ndim 2\n0 1\n1 0\n"
@@ -340,3 +343,35 @@ def test_unreadable_numbers_are_parse_errors(capsys, tmp_path, name, text):
     ok = write(tmp_path, "ok.alg", "field gf 5\ndim 1\n1\n")
     code, out, err = run(capsys, "natural", ok, "--vector", "²")
     assert_clean_error(code, err, 2, "parse-error")
+
+
+def _exit_of(fn, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            fn(argv)
+    return out.getvalue(), err.getvalue(), exc.value.code
+
+
+def test_lazy_parser_matches_full_parser(monkeypatch):
+    # main builds only the named subcommand's parser; help, usage errors
+    # and exit codes must be those of the full parser, byte for byte.
+    built = []
+    parser = cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda only=None: built.append(only) or parser(only))
+    required = {"extend": ["f", "--family", "g"], "random": ["--field", "q", "--dim", "2"],
+                "oracle": ["natural", "--field", "gf 2", "--dim", "2"]}
+    cases = [["-h"], ["--help"], [], ["bogus"], ["--json", "analyze", "f"]]
+    for name in COMMANDS:
+        args = required.get(name, ["f"])
+        cases += [[name, "-h"], [name], [name, "--bogus"], [name, *args, "--bogus"]]
+    cases += [["minors", "f", "--max-size", "x"], ["oracle", "nope", "--field", "gf 2",
+                                                   "--dim", "2"]]
+    for argv in cases:
+        full = _exit_of(lambda a: build_parser().parse_args(a), argv)
+        built.clear()
+        lazy = _exit_of(main, argv)
+        assert lazy == full, argv
+        assert lazy[2] in (0, 2), argv
+        assert lazy[0] or lazy[1], argv
+        assert built == [argv[0] if argv and argv[0] in COMMANDS else None], argv

@@ -1,0 +1,292 @@
+"""The plain-value kernels behind rref, det, matvec, reduce and closures.
+
+Each kernel runs over canonical residues (GF(p)) or Fractions (Q) and boxes
+its output once.  The Mod-arithmetic loops they replaced are kept here as
+references; the kernels must agree with them, return canonical public
+scalars, box only their output, and still refuse scalars of another field.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from evoalg.algebra import EvolutionAlgebra, check_algebra_homomorphism
+from evoalg.errors import FieldMismatch
+from evoalg.fields import GF, QQ, Mod
+from evoalg.generate import random_algebra
+from evoalg.linalg import Matrix, Subspace
+
+
+def test_cross_field_checks():
+    A5 = Matrix(GF(5), [[1, 2], [3, 4]])
+    B7 = Matrix(GF(7), [[1, 2], [3, 4]])
+    a5 = EvolutionAlgebra(GF(5), [[1, 2], [3, 4]])
+    a7 = EvolutionAlgebra(GF(7), [[1, 2], [3, 4]])
+    identity = [[1, 0], [0, 1]]
+    with pytest.raises(FieldMismatch):
+        A5 * B7
+    with pytest.raises(FieldMismatch):
+        B7 * A5
+    with pytest.raises(FieldMismatch):
+        Matrix(QQ, identity) * A5
+    with pytest.raises(FieldMismatch):
+        check_algebra_homomorphism(a5, a7, identity)
+    with pytest.raises(FieldMismatch):
+        check_algebra_homomorphism(a7, a7, Matrix(GF(5), identity))
+    with pytest.raises(FieldMismatch):
+        a7.element(a5.unit(0).coords)
+    with pytest.raises(FieldMismatch):
+        B7.matvec(A5.row(0))
+    with pytest.raises(FieldMismatch):
+        Subspace.full(GF(7), 2).reduce(A5.row(0))
+    with pytest.raises(FieldMismatch):
+        Subspace.full(GF(7), 2).contains(A5.row(0))
+    with pytest.raises(FieldMismatch):
+        Subspace.from_vectors(GF(7), 2, [A5.row(0)])
+    with pytest.raises(FieldMismatch):
+        B7.solve(A5.row(0))
+    for closure in (a7.subalgebra_closure, a7.ideal_closure):
+        with pytest.raises(FieldMismatch):
+            closure([a5.unit(0).coords])
+    with pytest.raises(FieldMismatch):
+        a7.verify_natural_basis([a5.unit(0).coords, a5.unit(1).coords])
+    with pytest.raises(FieldMismatch):
+        Matrix(QQ, identity).matvec([GF(5)(1), GF(5)(0)])
+
+
+# References: the Mod-arithmetic loops the kernels replaced, on boxed rows.
+
+def ref_rref(field, data, cols):
+    m = [list(row) for row in data]
+    pivots = []
+    pr = 0
+    for pc in range(cols):
+        pivot_row = next((i for i in range(pr, len(m)) if m[i][pc]), None)
+        if pivot_row is None:
+            continue
+        m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        inv = field.one / m[pr][pc]
+        m[pr] = [x * inv for x in m[pr]]
+        for i in range(len(m)):
+            if i != pr and m[i][pc]:
+                f = m[i][pc]
+                m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == len(m):
+            break
+    return tuple(map(tuple, m)), pr, tuple(pivots)
+
+
+def ref_det_gauss(field, data):
+    n = len(data)
+    m = [list(row) for row in data]
+    det = field.one
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return field.zero
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det = det * m[k][k]
+        inv = field.one / m[k][k]
+        for i in range(k + 1, n):
+            if m[i][k]:
+                f = m[i][k] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def ref_matvec(field, data, v):
+    v = [field(x) for x in v]
+    return tuple(sum((row[j] * v[j] for j in range(len(v))), field.zero) for row in data)
+
+
+def ref_reduce(field, basis, pivots, v):
+    v = [field(x) for x in v]
+    for row, pc in zip(basis, pivots):
+        if v[pc]:
+            f = v[pc]
+            v = [a - f * b for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def ref_closure(algebra, elements, ideal):
+    """RREF basis of the closure: all products of the current basis
+    (subalgebra) or of the basis with every e_i (ideal), formed by the
+    reference matvec and re-reduced by the reference rref, until a round
+    adds nothing."""
+    field, n = algebra.field, algebra.n
+
+    def span(vectors):
+        rows, rank, _ = ref_rref(field, [[field(x) for x in v] for v in vectors], n)
+        return list(rows[:rank])
+
+    def times(u, w):
+        return ref_matvec(field, algebra.M.data, [a * b for a, b in zip(u, w)])
+
+    basis = span(algebra._coords_of(x) for x in elements)
+    units = [[field.one if j == i else field.zero for j in range(n)] for i in range(n)]
+    while True:
+        partners = units if ideal else basis
+        bigger = span(basis + [times(u, w) for u in basis for w in partners])
+        if len(bigger) == len(basis):
+            return tuple(map(tuple, basis))
+        basis = bigger
+
+
+FIELDS = (QQ, GF(2), GF(3), GF(101))
+
+
+def random_entry(rng, field):
+    if field == QQ:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return field(rng.randrange(field.p))
+
+
+def random_rows(rng, field, rows, cols):
+    """Dense, sparse, rank-deficient or zero rows, chosen at random."""
+    kind = rng.randrange(4)
+    if kind == 3 or rows == 0:
+        return [[field.zero] * cols for _ in range(rows)]
+    out = [[random_entry(rng, field) if kind != 1 or rng.random() < 0.3 else field.zero
+            for _ in range(cols)] for _ in range(rows)]
+    if kind == 2 and rows > 1:
+        # Rank-deficient: the last row combines the others.
+        c = [random_entry(rng, field) for _ in range(rows - 1)]
+        out[-1] = [sum((a * row[j] for a, row in zip(c, out)), field.zero)
+                   for j in range(cols)]
+    return out
+
+
+def shapes(rng):
+    """Empty, 1 x n, n x 1, square and random shapes."""
+    yield from ((0, 0), (1, 1), (1, rng.randint(2, 6)), (rng.randint(2, 6), 1))
+    for _ in range(3):
+        n = rng.randint(1, 7)
+        yield (n, n)
+        yield (rng.randint(1, 7), rng.randint(1, 7))
+
+
+def assert_canonical(field, values):
+    for x in values:
+        assert not isinstance(x, float)
+        if field == QQ:
+            assert type(x) is Fraction
+        else:
+            assert type(x) is Mod and x.p == field.p and 0 <= x.r < field.p
+
+
+def test_kernels_match_mod_loops():
+    rng = random.Random(71)
+    cases = {field: 0 for field in FIELDS}
+    full_rank = deficient = 0
+    for field in FIELDS:
+        for _ in range(30):
+            for rows, cols in shapes(rng):
+                data = random_rows(rng, field, rows, cols)
+                m = Matrix(field, data)
+                red, rank, pivots = m.rref()
+                ref = ref_rref(field, m.data, cols)
+                assert (red.data, rank, pivots) == ref
+                assert m.rank() == rank
+                assert_canonical(field, [x for row in red.data for x in row])
+                full_rank += rank == min(rows, cols) > 0
+                deficient += rank < min(rows, cols)
+                if rows == cols:
+                    det = m.det()
+                    assert_canonical(field, [det])
+                    if field != QQ:
+                        assert det == ref_det_gauss(field, m.data)
+                v = [random_entry(rng, field) for _ in range(cols)]
+                assert m.matvec(v) == ref_matvec(field, m.data, v)
+                assert_canonical(field, m.matvec(v))
+                kernel = m.kernel()
+                assert kernel.dim == cols - rank
+                assert_canonical(field, [x for row in kernel.basis for x in row])
+                assert not any(x for k in kernel.basis for x in ref_matvec(field, m.data, k))
+                x = m.solve(m.matvec(v))
+                assert_canonical(field, x)
+                assert ref_matvec(field, m.data, x) == m.matvec(v)
+                space = Subspace.from_vectors(field, cols, data) if cols else None
+                if space is not None:
+                    assert space.basis == ref[0][:rank]
+                    w = [random_entry(rng, field) for _ in range(cols)]
+                    out = space.reduce(w)
+                    assert out == ref_reduce(field, space.basis, space.pivots, w)
+                    assert_canonical(field, out)
+                    assert space.contains(w) == (not any(out))
+                    other = Subspace.from_vectors(field, cols, random_rows(rng, field, 2, cols))
+                    both = space.intersect(other)
+                    assert_canonical(field, [x for row in both.basis for x in row])
+                    assert space.contains_subspace(both) and other.contains_subspace(both)
+                    assert both.dim == space.dim + other.dim - (space + other).dim
+                cases[field] += 1
+    assert min(cases.values()) >= 250 and sum(cases.values()) >= 1000
+    assert full_rank >= 100 and deficient >= 100
+
+
+def test_closure_kernel_matches_all_pairs():
+    rng = random.Random(72)
+    count = 0
+    for field in FIELDS:
+        for n in range(1, 8):
+            for _ in range(4):
+                a = random_algebra(field, n, rng=rng)
+                if rng.random() < 0.5:
+                    a = EvolutionAlgebra(field, [[x if rng.random() < 0.3 else 0 for x in row]
+                                                 for row in a.M.data])
+                gens = [[a.unit(rng.randrange(n))], [a.zero()],
+                        [[random_entry(rng, field) for _ in range(n)]]]
+                for g in gens:
+                    for ideal in (False, True):
+                        got = a._closure(g, ideal)
+                        assert got.basis == ref_closure(a, g, ideal)
+                        assert_canonical(field, [x for row in got.basis for x in row])
+                        count += 1
+    assert count >= 600
+
+
+@pytest.fixture
+def boxed(monkeypatch):
+    """Counts Mod constructions: a machine-independent measure of boxing."""
+    count = [0]
+    init = Mod.__init__
+
+    def counted(self, r, p):
+        count[0] += 1
+        init(self, r, p)
+
+    monkeypatch.setattr(Mod, "__init__", counted)
+    return count
+
+
+def test_kernels_box_only_their_output(boxed):
+    # A dense GF(101) algebra at n = 11: the closure of e1 is the whole
+    # space, whose coordinate basis shares one boxed 0 and one boxed 1.
+    # The Mod loops boxed every intermediate scalar instead.
+    n, F = 11, GF(101)
+    rng = random.Random(73)
+    a = EvolutionAlgebra(F, [[rng.randrange(1, 101) for _ in range(n)] for _ in range(n)])
+    e1 = a.unit(0)
+    boxed[0] = 0
+    assert a.subalgebra_closure([e1]).dim == n
+    assert boxed[0] == 2
+    # An n x n rref boxes its n^2 output entries and nothing else.
+    m = Matrix(F, [[rng.randrange(101) for _ in range(n)] for _ in range(n)])
+    boxed[0] = 0
+    m.rref()
+    assert boxed[0] == n * n
+
+
+def test_structure_matrix_field_must_match():
+    # The kernels read M's residues with the algebra's modulus, so an algebra
+    # over one field cannot take a structure matrix over another.
+    with pytest.raises(FieldMismatch):
+        EvolutionAlgebra(GF(7), Matrix(GF(5), [[1, 2], [3, 4]]))
+    with pytest.raises(FieldMismatch):
+        EvolutionAlgebra(QQ, Matrix(GF(5), [[1]]))
+    a = EvolutionAlgebra(GF(5), Matrix(GF(5), [[1, 2], [3, 4]]))
+    assert a.element([1, 1]).square().coords == (GF(5)(3), GF(5)(2))
