@@ -101,24 +101,28 @@ class GeneratorClassification:
 
 
 def classify_generators(algebra):
-    """Per-index classification relative to the standard basis."""
+    """Per-index classification relative to the standard basis.  A spanned
+    closure is the coordinate span of its support, so generators with equal
+    supports share one verdict, decided once."""
     out = []
+    verdicts = {}
     for i in range(algebra.n):
         closure = algebra.subalgebra_closure([algebra.unit(i)])
-        support = sorted({j for row in closure.basis for j, x in enumerate(row) if x})
+        support = tuple(sorted({j for row in closure.basis for j, x in enumerate(row) if x}))
         spanned = closure.dim == len(support)
         if not spanned:
-            out.append(GeneratorClassification(TRANSIENT, closure, tuple(support), False))
+            out.append(GeneratorClassification(TRANSIENT, closure, support, False))
             continue
-        induced = EvolutionAlgebra(algebra.field,
-                                   algebra.M.submatrix(support, support))
-        if induced.square_space().dim == 0:
-            # A zero-product subalgebra is never persistent.
-            out.append(GeneratorClassification(TRANSIENT, closure, tuple(support), True))
-            continue
-        basic = is_basic_simple(induced)
-        verdict = PERSISTENT if basic else (UNKNOWN if basic is None else TRANSIENT)
-        out.append(GeneratorClassification(verdict, closure, tuple(support), True))
+        if support not in verdicts:
+            induced = EvolutionAlgebra(algebra.field, algebra.M.submatrix(support, support))
+            if induced.M.is_zero():
+                # A zero-product subalgebra is never persistent.
+                verdicts[support] = TRANSIENT
+            else:
+                basic = is_basic_simple(induced)
+                verdicts[support] = (PERSISTENT if basic else
+                                     UNKNOWN if basic is None else TRANSIENT)
+        out.append(GeneratorClassification(verdicts[support], closure, support, True))
     return out
 
 

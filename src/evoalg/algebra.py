@@ -92,29 +92,31 @@ class EvolutionAlgebra:
         return matvec_rows(self.M.plain, list(map(mul, u, w)), self.field.reduce)
 
     def _closure(self, elements, ideal):
-        # Rounds over a semi-echelon basis: every row is 1 at its pivot and 0
-        # at the pivots of the rows before it.  A round multiplies only the
-        # rows the previous round added: each by every row up to and
+        # Rounds over a semi-echelon basis: every row is nonzero at its pivot
+        # and 0 at the pivots of the rows before it.  A round multiplies only
+        # the rows the previous round added: each by every row up to and
         # including itself (subalgebra; commutativity makes that every pair
         # once) or by the e_i in its support (ideal; e_i u = u_i e_i^2).  A
         # product is kept only if a remainder survives reduction against the
         # basis, and the loop stops when a round adds nothing or the span is
-        # the whole space.  Everything runs on plain values.
+        # the whole space.  Everything runs on plain values, and over Q on
+        # primitive integer rows: products come from one integer multiple
+        # of M, which keeps their span.
         field, n = self.field, self.n
-        red, inv = field.reduce, field.inv
-        squares = list(zip(*self.M.plain))
+        red, normalize = field.reduce, field.normalize
+        M = field.integral(self.M.plain)
+        squares = list(zip(*M))
         rows, pivots = [], []
 
         def adjoin(v):
-            v = reduce_row(rows, pivots, v, red)
+            v = normalize(reduce_row(rows, pivots, v, field))
             pc = next((j for j, x in enumerate(v) if x), None)
             if pc is not None:
-                c = inv(v[pc])
-                rows.append([red(x * c) for x in v])
+                rows.append(v)
                 pivots.append(pc)
 
         for x in elements:
-            adjoin(self._plain_of(x))
+            adjoin(normalize(self._plain_of(x)))
         done = 0
         while done < len(rows) < n:
             start, done = done, len(rows)
@@ -127,7 +129,7 @@ class EvolutionAlgebra:
                 else:
                     for w in rows[:k + 1]:
                         if len(rows) < n:
-                            adjoin(self._product(u, w))
+                            adjoin(matvec_rows(M, list(map(mul, u, w)), red))
         if len(rows) == n:
             return Subspace.full(field, n)
         return Subspace._from_plain(field, n, rows)
@@ -153,8 +155,7 @@ class EvolutionAlgebra:
         vecs = [self._plain_of(c) for c in candidates]
         if len(vecs) != self.n:
             return False
-        field = self.field
-        if len(rref_rows(list(vecs), self.n, field.reduce, field.inv)) != self.n:
+        if len(rref_rows(list(vecs), self.n, self.field)) != self.n:
             return False
         return not any(any(self._product(vecs[a], vecs[b]))
                        for a in range(self.n) for b in range(a + 1, self.n))

@@ -6,16 +6,20 @@ residues reduced modulo p.  Field descriptors (:data:`QQ`, :func:`GF`)
 coerce, parse, render and take square roots of their scalars.
 
 The linear-algebra kernels compute on plain values instead: canonical
-residues over GF(p), Fractions (or ints) over Q.  A descriptor supplies
+residues over GF(p), Fractions or ints over Q.  A descriptor supplies
 what they need: ``reduce`` and ``inv`` of plain values, ``unbox`` of public
 scalars (with the same FieldMismatch checks as coercion), ``view`` of
 already checked ones, and ``box`` to turn a plain result public again.
+For elimination it also supplies ``integral`` (a matrix times one common
+nonzero constant, in plain integers), ``normalize`` (the canonical
+multiple of a row: monic over GF(p), primitive integer over Q) and
+``eliminate`` (one reduction step).
 
 There is no floating-point path anywhere in this package.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import DivisionByZero, FieldMismatch, NonPrimeModulus, ParseError
 
@@ -131,6 +135,21 @@ def _parse_int(text):
     raise ParseError(f"bad integer {text!r}")
 
 
+def integer_row(row, scale=None):
+    """The rationals (Fractions or ints) of row times scale, as ints, and
+    scale, by default the lcm of their denominators.
+
+    Scaling one row by a nonzero constant keeps its span, the row space of
+    a matrix and the vanishing of every minor, and multiplies the
+    determinant by that constant.  It is not enough for the products
+    M (u o w) of a structure matrix: scaling row j of M by its own d_j
+    multiplies coordinate j of every product by d_j and changes their span,
+    so M needs one scale common to all its rows."""
+    if scale is None:
+        scale = lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
 class Rationals:
     """Field descriptor for Q (arbitrary-precision rationals)."""
 
@@ -139,8 +158,15 @@ class Rationals:
     p = None
 
     def __call__(self, x, y=None):
-        if isinstance(x, Mod):
-            raise FieldMismatch("GF(p) scalar used where a rational was expected")
+        if type(x) is Fraction and y is None:
+            return x
+        # Only exact rationals: Fraction() would also take a float, a
+        # Decimal or a string.
+        for a in (x,) if y is None else (x, y):
+            if isinstance(a, Mod):
+                raise FieldMismatch("GF(p) scalar used where a rational was expected")
+            if not isinstance(a, (int, Fraction)):
+                raise FieldMismatch(f"cannot coerce {type(a).__name__} into Q")
         return Fraction(x) if y is None else Fraction(x, y)
 
     @property
@@ -157,8 +183,30 @@ class Rationals:
     def inv(self, x):
         return Fraction(x.denominator, x.numerator)
 
+    def integral(self, rows):
+        """The rows times the lcm of all their denominators, as ints."""
+        scale = lcm(*(x.denominator for row in rows for x in row))
+        return [integer_row(row, scale)[0] for row in rows]
+
+    def normalize(self, v):
+        """The primitive integer multiple of v (0 stays 0)."""
+        v = integer_row(v)[0]
+        g = gcd(*v)
+        return [x // g for x in v] if g > 1 else v
+
+    def eliminate(self, v, row, pc):
+        """v minus row times v[pc] / row[pc], times a nonzero integer that
+        keeps integer rows integral: with p = row[pc], f = v[pc] and g their
+        gcd, (p/g) v - (f/g) row.  Exactly v - v[pc] row when row[pc] = 1."""
+        f, p = v[pc], row[pc]
+        if p == 1:
+            return [a - f * b for a, b in zip(v, row)]
+        g = gcd(p, f)
+        p, f = p // g, f // g
+        return [p * a - f * b for a, b in zip(v, row)]
+
     def box(self, x):
-        # Kernels hold Fractions and the ints they start from (0, 1); a
+        # Kernels hold Fractions and ints (integer-scaled rows, 0 and 1); a
         # float would come from a stray / on ints and is refused.
         if type(x) is Fraction:
             return x
@@ -243,6 +291,21 @@ class PrimeField:
 
     def inv(self, x):
         return pow(x, -1, self.p)
+
+    def integral(self, rows):
+        """Residues are already integers."""
+        return rows
+
+    def normalize(self, v):
+        """v scaled to 1 at its first nonzero entry (0 stays 0)."""
+        p = self.p
+        c = pow(next((x for x in v if x), 1), -1, p)
+        return [x * c % p for x in v]
+
+    def eliminate(self, v, row, pc):
+        """v - v[pc] row, for a row that is 1 at pc."""
+        f, p = v[pc], self.p
+        return [(a - f * b) % p for a, b in zip(v, row)]
 
     def box(self, x):
         return Mod(x, self.p)

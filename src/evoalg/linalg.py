@@ -2,9 +2,10 @@
 
 Matrices are immutable, row-major, with a deterministic reduced row
 echelon form (first nonzero entry scanning left-to-right, top-to-bottom
-picks the pivot).  Determinants use fraction-free Bareiss elimination
-over Q and plain Gaussian elimination over GF(p).  Subspaces are stored
-as canonical RREF bases, so equality of subspaces is structural.
+picks the pivot).  Over Q, RREF and determinants use fraction-free
+Bareiss elimination on rows scaled to integers; over GF(p), plain
+Gaussian elimination on residues.  Subspaces are stored as canonical
+RREF bases, so equality of subspaces is structural.
 
 Entries are public scalars (``Mod`` or ``Fraction``), but elimination,
 products and reduction run once, in the module-level kernels below, over
@@ -13,16 +14,25 @@ plain view, and a result is boxed once on the way out.
 """
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 
 from .errors import FieldMismatch, IndexOutOfRange, NonSquareMatrix, ShapeMismatch
-from .fields import QQ
+from .fields import QQ, integer_row
 
 
-def rref_rows(m, cols, red, inv):
+def rref_rows(m, cols, field):
     """Gauss-Jordan on the list m of plain rows, in place: rows are swapped
     and replaced, never modified.  Returns the pivot columns."""
+    if field.p is None:
+        # Over Q: one division by the last pivot d ends fraction-free
+        # Gauss-Jordan on the rows scaled to integers.
+        m[:] = [integer_row(row)[0] for row in m]
+        pivots, d, _ = bareiss_rows(m, cols, above=True)
+        m[:len(pivots)] = [[Fraction(x, d) for x in row] for row in m[:len(pivots)]]
+        return pivots
+    # Over GF(p): the row at pc is 0 left of pc, so normalize makes it 1
+    # at pc.
+    normalize, eliminate = field.normalize, field.eliminate
     pivots = []
     for pc in range(cols):
         pr = len(pivots)
@@ -30,25 +40,59 @@ def rref_rows(m, cols, red, inv):
         if pivot_row is None:
             continue
         m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        c = inv(m[pr][pc])
-        row = m[pr] = [red(x * c) for x in m[pr]]
+        row = m[pr] = normalize(m[pr])
         for i, other in enumerate(m):
-            f = other[pc]
-            if f and i != pr:
-                m[i] = [red(a - f * b) for a, b in zip(other, row)]
+            if other[pc] and i != pr:
+                m[i] = eliminate(other, row, pc)
         pivots.append(pc)
         if pr + 1 == len(m):
             break
     return pivots
 
 
-def reduce_row(rows, pivots, v, red):
-    """Remainder of the plain vector v after eliminating along rows that are
-    1 at their pivot and 0 at the pivots of the rows before them."""
+def bareiss_rows(m, cols, above):
+    """Fraction-free (Bareiss) elimination of the integer rows m, in place:
+    every update p*a - f*b is divided exactly by the previous pivot, so each
+    entry stays an integer minor of m.  Rows below the pivot are cleared,
+    and with above the rows above it too (Gauss-Jordan), which leaves the
+    last pivot at the pivot of every pivot row.  Returns the pivot columns,
+    the last pivot and the sign of the row swaps."""
+    pivots, prev, sign = [], 1, 1
+    for pc in range(cols):
+        pr = len(pivots)
+        pivot_row = next((i for i in range(pr, len(m)) if m[i][pc]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != pr:
+            m[pr], m[pivot_row] = m[pivot_row], m[pr]
+            sign = -sign
+        row = m[pr]
+        p = row[pc]
+        for i in range(0 if above else pr + 1, len(m)):
+            if i == pr:
+                continue
+            other = m[i]
+            f = other[pc]
+            if f:
+                m[i] = [(p * a - f * b) // prev for a, b in zip(other, row)]
+            elif p != prev:
+                m[i] = [p * a // prev for a in other]
+        prev = p
+        pivots.append(pc)
+        if pr + 1 == len(m):
+            break
+    return pivots, prev, sign
+
+
+def reduce_row(rows, pivots, v, field):
+    """v reduced along rows that are nonzero at their pivot and 0 at the
+    pivots of the rows before it: 0 at every pivot, and a nonzero multiple
+    of the remainder (the remainder itself when every row is 1 at its
+    pivot)."""
+    eliminate = field.eliminate
     for row, pc in zip(rows, pivots):
-        f = v[pc]
-        if f:
-            v = [red(a - f * b) for a, b in zip(v, row)]
+        if v[pc]:
+            v = eliminate(v, row, pc)
     return v
 
 
@@ -182,7 +226,7 @@ class Matrix:
     def _reduced(self):
         """Plain RREF rows and pivot columns."""
         m = list(self.plain)
-        return m, rref_rows(m, self.cols, self.field.reduce, self.field.inv)
+        return m, rref_rows(m, self.cols, self.field)
 
     def rref(self):
         """(rref matrix, rank, pivot columns) by exact Gauss-Jordan."""
@@ -208,29 +252,14 @@ class Matrix:
         return self._det_gauss()
 
     def _det_bareiss(self):
-        # Scale each row to integers, then fraction-free elimination.
-        n = self.rows
-        denom = 1
-        m = []
+        # Each row scaled to integers multiplies the determinant by its scale.
+        m, denom = [], 1
         for row in self.data:
-            scale = lcm(*(x.denominator for x in row)) if row else 1
-            m.append([int(x * scale) for x in row])
+            row, scale = integer_row(row)
+            m.append(row)
             denom *= scale
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-                if swap is None:
-                    return Fraction(0)
-                m[k], m[swap] = m[swap], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return Fraction(sign * m[n - 1][n - 1], denom)
+        pivots, d, sign = bareiss_rows(m, self.cols, above=False)
+        return Fraction(sign * d if len(pivots) == self.rows else 0, denom)
 
     def _det_gauss(self):
         field = self.field
@@ -265,7 +294,7 @@ class Matrix:
             raise ShapeMismatch(f"solve: {self.rows} rows vs rhs of length {len(b)}")
         field = self.field
         m = [list(row) + [x] for row, x in zip(self.plain, field.unbox(b))]
-        pivots = rref_rows(m, self.cols + 1, field.reduce, field.inv)
+        pivots = rref_rows(m, self.cols + 1, field)
         if self.cols in pivots:  # pivot in the rhs column
             return None
         x = [0] * self.cols
@@ -299,7 +328,7 @@ class Subspace:
     def _from_plain(cls, field, ambient, rows):
         """Span of canonical plain vectors of length ambient, given as a list
         that rref_rows may reorder and overwrite."""
-        pivots = rref_rows(rows, ambient, field.reduce, field.inv)
+        pivots = rref_rows(rows, ambient, field)
         plain = tuple(map(tuple, rows[:len(pivots)]))
         box = field.box
         return cls(field, ambient, tuple(tuple(map(box, row)) for row in plain),
@@ -342,7 +371,7 @@ class Subspace:
     def _remainder(self, v):
         if len(v) != self.ambient:
             raise ShapeMismatch("vector length does not match ambient dimension")
-        return reduce_row(self.plain, self.pivots, self.field.unbox(v), self.field.reduce)
+        return reduce_row(self.plain, self.pivots, self.field.unbox(v), self.field)
 
     def reduce(self, v):
         """Remainder of v after eliminating along the basis."""
@@ -367,7 +396,7 @@ class Subspace:
         columns = list(self.plain) + [[red(-x) for x in row] for row in other.plain]
         m = list(zip(*columns))
         size = len(columns)
-        pivots = rref_rows(m, size, red, self.field.inv)
+        pivots = rref_rows(m, size, self.field)
         mine = list(zip(*self.plain))
         return Subspace._from_plain(self.field, self.ambient,
                                     [matvec_rows(mine, c[:self.dim], red)

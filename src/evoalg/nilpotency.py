@@ -11,7 +11,6 @@ space exactly for nilpotent algebras.
 import dataclasses
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import lcm
 from operator import mul
 
 from .algebra import Element
@@ -127,21 +126,6 @@ class OrthogonalityScan:
     minors: int = dataclasses.field(default=0, compare=False)   # square minors evaluated
 
 
-def _plain_rows(algebra):
-    """M as rows of plain numbers with the same vanishing minors, plus the
-    field's reduction and inversion of plain values: the residues mod p,
-    or over Q integer rows (each row scaled by the lcm of its denominators,
-    which multiplies every minor by a nonzero constant)."""
-    field = algebra.field
-    if field.p is not None:
-        return algebra.M.plain, field.reduce, field.inv
-    rows = []
-    for row in algebra.M.data:
-        scale = lcm(*(x.denominator for x in row))
-        rows.append([int(x * scale) for x in row])
-    return rows, field.reduce, field.inv
-
-
 def find_orthogonality_witness(algebra, max_subset_size=None):
     """Search index pairs (Gamma, Omega), ordered by size then
     lexicographically, for which every maximal square submatrix of
@@ -162,7 +146,9 @@ def find_orthogonality_witness(algebra, max_subset_size=None):
         raise NotPerfect("the minor criterion requires a perfect algebra")
     n = algebra.n
     cap = min(n, 12 if max_subset_size is None else max_subset_size)
-    rows, red, _ = _plain_rows(algebra)
+    # M times one nonzero constant, as plain integers, has the same
+    # vanishing minors.
+    rows, red = algebra.field.integral(algebra.M.plain), algebra.field.reduce
     # below[gamma][i] = det M[gamma, i-th omega of the size below]; the
     # empty minor is 1.  Only gammas that are the tail of a larger gamma
     # (those without index 0) are kept for the next size.
@@ -307,7 +293,8 @@ def find_cube_nilpotent(algebra):
     if not algebra.is_perfect():
         raise NotPerfect("nilpotent-of-order-3 detection requires a perfect algebra")
     n = algebra.n
-    rows, red, inv = _plain_rows(algebra)
+    field = algebra.field
+    rows, red, inv = field.integral(algebra.M.plain), field.reduce, field.inv
     first_vanishing = None
     minors = 0
     inverses = {(): []}

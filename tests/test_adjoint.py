@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from evoalg.adjoint import (PERSISTENT, TRANSIENT, UNKNOWN, adjoint_annihilator,
-                            adjoint_invariants, classify_generators,
-                            descendants, hierarchy, is_irreducible,
-                            zeroth_decomposition)
+from evoalg import adjoint as adjoint_module
+from evoalg.adjoint import (PERSISTENT, TRANSIENT, UNKNOWN, GeneratorClassification,
+                            adjoint_annihilator, adjoint_invariants,
+                            classify_generators, descendants, hierarchy,
+                            is_irreducible, zeroth_decomposition)
 from evoalg.algebra import EvolutionAlgebra
 from evoalg.errors import IndexOutOfRange, SelfCheckFailed
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
-from evoalg.ideals import descendant_closed_sets, structure_digraph
+from evoalg.ideals import descendant_closed_sets, is_basic_simple, structure_digraph
 from evoalg.linalg import Subspace
 
 
@@ -107,6 +108,55 @@ def test_unknown_verdict_reported():
     assert UNKNOWN in {c.verdict for c in classes}
     dec = zeroth_decomposition(a)
     assert any("undecided" in d for d in dec.diagnostics)
+
+
+def ref_classify_generators(algebra):
+    """Reference: every generator's induced algebra is built and decided
+    anew, and a zero algebra is found by the dimension of its square."""
+    out = []
+    for i in range(algebra.n):
+        closure = algebra.subalgebra_closure([algebra.unit(i)])
+        support = tuple(sorted({j for row in closure.basis for j, x in enumerate(row) if x}))
+        if closure.dim != len(support):
+            out.append(GeneratorClassification(TRANSIENT, closure, support, False))
+            continue
+        induced = EvolutionAlgebra(algebra.field, algebra.M.submatrix(support, support))
+        if induced.square_space().dim == 0:
+            verdict = TRANSIENT
+        else:
+            basic = is_basic_simple(induced)
+            verdict = PERSISTENT if basic else (UNKNOWN if basic is None else TRANSIENT)
+        out.append(GeneratorClassification(verdict, closure, support, True))
+    return out
+
+
+def test_classification_decides_each_support_once(monkeypatch):
+    decided = []
+    decide = adjoint_module.is_basic_simple
+
+    def counted(induced):
+        decided.append(induced)
+        return decide(induced)
+
+    monkeypatch.setattr(adjoint_module, "is_basic_simple", counted)
+    rng = random.Random(12)
+    shared = zero = 0
+    for field in (QQ, GF(3), GF(101)):
+        for n in range(1, 8):
+            for sparse in (False, True):
+                a = random_algebra(field, n, rng=rng)
+                if sparse:
+                    a = EvolutionAlgebra(field, [[x if rng.random() < 0.25 else 0 for x in row]
+                                                 for row in a.M.data])
+                decided.clear()
+                classes = classify_generators(a)
+                assert classes == ref_classify_generators(a)
+                spanned = [c.closure_support for c in classes if c.coordinate_spanned]
+                nonzero = [s for s in spanned if not a.M.submatrix(s, s).is_zero()]
+                assert len(decided) == len(set(nonzero))
+                shared += len(nonzero) - len(decided)
+                zero += len(spanned) - len(nonzero)
+    assert shared >= 50 and zero >= 10
 
 
 def test_zeroth_decomposition_components():

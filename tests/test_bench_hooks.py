@@ -30,16 +30,21 @@ profiler.disable()
 out = layers.metrics(profiler, counts, [{"argv": argv}], [{"stdout": None}])
 assert rc == 0, rc
 assert out["algebra.closure.calls"] >= 1, out["algebra.closure.calls"]
+assert out["linalg.det.calls"] >= 1, out["linalg.det.calls"]
+assert out["adjoint.classify.s"] > 0, out["adjoint.classify.s"]
 print("hooks ok")
 """
 
 
 def test_layers_metrics_on_classify(tmp_path):
-    path = tmp_path / "ex59.alg"
-    path.write_text("field gf 5\ndim 3\n1 1 1\n1 1 1\n1 1 0\n")
+    # The closure of e_1 is the whole algebra, so classify decides its basic
+    # simplicity, which starts with a determinant (is it perfect?).
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(path)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.rstrip().endswith("hooks ok")
+    for field in ("gf 5", "q"):
+        path = tmp_path / "ex59.alg"
+        path.write_text(f"field {field}\ndim 3\n1 1 1\n1 1 1\n1 1 0\n")
+        proc = subprocess.run([sys.executable, "-c", SCRIPT, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.rstrip().endswith("hooks ok")

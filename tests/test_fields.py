@@ -1,5 +1,6 @@
 """Exact scalar arithmetic over Q and GF(p)."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, strategies as st
 
 from evoalg.errors import (DivisionByZero, FieldMismatch, NonPrimeModulus,
                            ParseError)
+from evoalg.algebra import EvolutionAlgebra
 from evoalg.fields import (GF, QQ, Mod, is_prime, parse_field, render_field)
+from evoalg.linalg import Matrix
 
 
 def test_is_prime_small():
@@ -72,6 +75,24 @@ def test_rational_canonical():
         QQ.parse("1/0")
     with pytest.raises(ParseError):
         QQ.parse("0.5")
+
+
+def test_rationals_refuse_inexact_scalars():
+    # Fraction() would turn 0.5 into 1/2 and 0.1 into 3602879701896397 /
+    # 36028797018963968; Q coerces only ints and Fractions.
+    for x in (0.5, "1/3", Decimal("0.1")):
+        with pytest.raises(FieldMismatch):
+            QQ(x)
+        with pytest.raises(FieldMismatch):
+            QQ(1, x)
+    with pytest.raises(FieldMismatch):
+        Matrix(QQ, [[0.1]])
+    with pytest.raises(FieldMismatch):
+        EvolutionAlgebra(QQ, [[0.1]])
+    assert QQ(1, 3) == QQ.parse("1/3") == Fraction(1, 3)
+    assert QQ(Fraction(2, 4), 3) == Fraction(1, 6) and QQ(True) == 1
+    x = Fraction(5, 7)
+    assert QQ(x) is x and type(QQ(2)) is Fraction
 
 
 def test_rational_sqrt():

@@ -1,9 +1,11 @@
 """The plain-value kernels behind rref, det, matvec, reduce and closures.
 
-Each kernel runs over canonical residues (GF(p)) or Fractions (Q) and boxes
-its output once.  The Mod-arithmetic loops they replaced are kept here as
-references; the kernels must agree with them, return canonical public
-scalars, box only their output, and still refuse scalars of another field.
+Each kernel runs over canonical residues (GF(p)) or, over Q, Fractions and
+integer-scaled rows under fraction-free elimination, and boxes its output
+once.  The scalar-arithmetic loops they replaced (Mod over GF(p), Fraction
+over Q) are kept here as references; the kernels must agree with them,
+return canonical public scalars, box only their output, and still refuse
+scalars of another field.
 """
 
 import random
@@ -55,7 +57,7 @@ def test_cross_field_checks():
         Matrix(QQ, identity).matvec([GF(5)(1), GF(5)(0)])
 
 
-# References: the Mod-arithmetic loops the kernels replaced, on boxed rows.
+# References: the Mod and Fraction loops the kernels replaced, on boxed rows.
 
 def ref_rref(field, data, cols):
     m = [list(row) for row in data]
@@ -140,22 +142,32 @@ def ref_closure(algebra, elements, ideal):
 FIELDS = (QQ, GF(2), GF(3), GF(101))
 
 
-def random_entry(rng, field):
-    if field == QQ:
-        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    return field(rng.randrange(field.p))
+SMALL, INTEGER, HUGE = range(3)
 
 
-def random_rows(rng, field, rows, cols):
+def random_entry(rng, field, size=SMALL):
+    """Over Q: a small fraction, an integer, or a fraction with 20 to 25
+    digits in numerator and denominator."""
+    if field != QQ:
+        return field(rng.randrange(field.p))
+    if size == INTEGER:
+        return Fraction(rng.randint(-4, 4))
+    if size == HUGE:
+        return Fraction(rng.choice((-1, 0, 1)) * rng.randint(10**20, 10**25),
+                        rng.randint(10**20, 10**25))
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def random_rows(rng, field, rows, cols, size=SMALL):
     """Dense, sparse, rank-deficient or zero rows, chosen at random."""
     kind = rng.randrange(4)
     if kind == 3 or rows == 0:
         return [[field.zero] * cols for _ in range(rows)]
-    out = [[random_entry(rng, field) if kind != 1 or rng.random() < 0.3 else field.zero
+    out = [[random_entry(rng, field, size) if kind != 1 or rng.random() < 0.3 else field.zero
             for _ in range(cols)] for _ in range(rows)]
     if kind == 2 and rows > 1:
         # Rank-deficient: the last row combines the others.
-        c = [random_entry(rng, field) for _ in range(rows - 1)]
+        c = [random_entry(rng, field, size) for _ in range(rows - 1)]
         out[-1] = [sum((a * row[j] for a, row in zip(c, out)), field.zero)
                    for j in range(cols)]
     return out
@@ -183,10 +195,12 @@ def test_kernels_match_mod_loops():
     rng = random.Random(71)
     cases = {field: 0 for field in FIELDS}
     full_rank = deficient = 0
+    sizes = {size: 0 for size in (SMALL, INTEGER, HUGE)}
     for field in FIELDS:
-        for _ in range(30):
+        for t in range(30):
+            size = t % 3 if field == QQ else SMALL
             for rows, cols in shapes(rng):
-                data = random_rows(rng, field, rows, cols)
+                data = random_rows(rng, field, rows, cols, size)
                 m = Matrix(field, data)
                 red, rank, pivots = m.rref()
                 ref = ref_rref(field, m.data, cols)
@@ -198,9 +212,8 @@ def test_kernels_match_mod_loops():
                 if rows == cols:
                     det = m.det()
                     assert_canonical(field, [det])
-                    if field != QQ:
-                        assert det == ref_det_gauss(field, m.data)
-                v = [random_entry(rng, field) for _ in range(cols)]
+                    assert det == ref_det_gauss(field, m.data)
+                v = [random_entry(rng, field, size) for _ in range(cols)]
                 assert m.matvec(v) == ref_matvec(field, m.data, v)
                 assert_canonical(field, m.matvec(v))
                 kernel = m.kernel()
@@ -213,33 +226,45 @@ def test_kernels_match_mod_loops():
                 space = Subspace.from_vectors(field, cols, data) if cols else None
                 if space is not None:
                     assert space.basis == ref[0][:rank]
-                    w = [random_entry(rng, field) for _ in range(cols)]
+                    w = [random_entry(rng, field, size) for _ in range(cols)]
                     out = space.reduce(w)
                     assert out == ref_reduce(field, space.basis, space.pivots, w)
                     assert_canonical(field, out)
                     assert space.contains(w) == (not any(out))
-                    other = Subspace.from_vectors(field, cols, random_rows(rng, field, 2, cols))
+                    other = Subspace.from_vectors(field, cols,
+                                                  random_rows(rng, field, 2, cols, size))
                     both = space.intersect(other)
                     assert_canonical(field, [x for row in both.basis for x in row])
                     assert space.contains_subspace(both) and other.contains_subspace(both)
                     assert both.dim == space.dim + other.dim - (space + other).dim
                 cases[field] += 1
+                sizes[size] += field == QQ
     assert min(cases.values()) >= 250 and sum(cases.values()) >= 1000
     assert full_rank >= 100 and deficient >= 100
+    assert min(sizes.values()) >= 80
 
 
 def test_closure_kernel_matches_all_pairs():
+    # Over Q the structure matrices are integer (random_algebra), small
+    # fractions or huge fractions, so the common integer multiple of M that
+    # the kernel multiplies by is 1, small or hundreds of digits.  Huge
+    # entries stop at n = 5, where the Fraction reference is still fast.
     rng = random.Random(72)
     count = 0
     for field in FIELDS:
         for n in range(1, 8):
-            for _ in range(4):
+            sizes = (SMALL, INTEGER, HUGE)[:3 if n <= 5 else 2] if field == QQ else (SMALL,)
+            for t in range(6 if field == QQ else 4):
+                size = sizes[t % len(sizes)]
                 a = random_algebra(field, n, rng=rng)
+                if field == QQ and size != INTEGER:
+                    a = EvolutionAlgebra(field, [[random_entry(rng, field, size)
+                                                  for _ in range(n)] for _ in range(n)])
                 if rng.random() < 0.5:
                     a = EvolutionAlgebra(field, [[x if rng.random() < 0.3 else 0 for x in row]
                                                  for row in a.M.data])
                 gens = [[a.unit(rng.randrange(n))], [a.zero()],
-                        [[random_entry(rng, field) for _ in range(n)]]]
+                        [[random_entry(rng, field, size) for _ in range(n)]]]
                 for g in gens:
                     for ideal in (False, True):
                         got = a._closure(g, ideal)
@@ -279,6 +304,42 @@ def test_kernels_box_only_their_output(boxed):
     boxed[0] = 0
     m.rref()
     assert boxed[0] == n * n
+
+
+@pytest.fixture
+def fractions_made(monkeypatch):
+    """Counts Fraction constructions, the Q counterpart of ``boxed``."""
+    count = [0]
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return count
+
+
+def test_rational_kernels_make_only_their_output(fractions_made):
+    # A dense Q algebra at n = 8 with entries in +-1..3.  The closure of e1
+    # is the whole space (one shared 0 and 1), an n x n rref makes its n^2
+    # output entries, and det one Fraction; the Fraction Gauss-Jordan made
+    # a Fraction for every intermediate scalar instead.
+    n = 8
+    rng = random.Random(74)
+    entries = [[rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+    a = EvolutionAlgebra(QQ, entries)
+    m = Matrix(QQ, entries)
+    e1 = a.unit(0)
+    fractions_made[0] = 0
+    assert a.subalgebra_closure([e1]).dim == n
+    assert fractions_made[0] <= n
+    fractions_made[0] = 0
+    assert m.rref()[1] == n
+    assert fractions_made[0] <= n * n
+    fractions_made[0] = 0
+    assert m.det()
+    assert fractions_made[0] == 1
 
 
 def test_structure_matrix_field_must_match():
