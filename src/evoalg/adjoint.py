@@ -10,28 +10,21 @@ and iterating on E produces the hierarchy.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .algebra import EvolutionAlgebra
-from .errors import IndexOutOfRange, SelfCheckFailed
+from .errors import IndexOutOfRange, InvalidArgument, SelfCheckFailed
 from .ideals import (is_basic_simple, is_basic_simple_relative, is_simple,
-                     reachable, structure_digraph)
+                     reachable, reversed_digraph, structure_digraph)
 from .linalg import Subspace
 from .nilpotency import nilpotency_report, product_space
-
-
-def _reversed(adjacency):
-    out = [set() for _ in adjacency]
-    for i, targets in enumerate(adjacency):
-        for j in targets:
-            out[j].add(i)
-    return out
 
 
 def is_irreducible(algebra):
     """No splitting into two coordinate-closed parts: the underlying
     undirected graph of the structure digraph is connected."""
     adjacency = structure_digraph(algebra)
-    undirected = [a | b for a, b in zip(adjacency, _reversed(adjacency))]
+    undirected = [a | b for a, b in zip(adjacency, reversed_digraph(adjacency))]
     return len(reachable(undirected, [0])) == algebra.n
 
 
@@ -39,6 +32,8 @@ def descendants(algebra, i, k=None):
     """D^k(i) for a given k, or the full reachability closure D(i)."""
     if not 0 <= i < algebra.n:
         raise IndexOutOfRange(f"index {i} out of range for dimension {algebra.n}")
+    if k is not None and k < 1:
+        raise InvalidArgument(f"power index must be at least 1, got {k}")
     adjacency = structure_digraph(algebra)
     if k is not None:
         current = frozenset(adjacency[i])
@@ -83,7 +78,7 @@ def adjoint_invariants(algebra):
     # Complements of descendant-closed sets of A are closed in the adjoint:
     # an adjoint edge from outside a closed set C into C would be an edge of
     # A leaving C, so it suffices that the adjoint's digraph reverses A's.
-    complements_ok = structure_digraph(adj) == _reversed(structure_digraph(algebra))
+    complements_ok = structure_digraph(adj) == reversed_digraph(structure_digraph(algebra))
     return AdjointInvariants(*flags, agree, complements_ok)
 
 
@@ -144,29 +139,19 @@ def zeroth_decomposition(algebra):
         if c.verdict == UNKNOWN:
             diagnostics.append(
                 f"generator {i}: basic simplicity of its closure is undecided; treated as transient")
-    groups = []   # (generators, support, subspace)
+    # A persistent closure is the coordinate span of its support, so equal
+    # closures are equal supports and every overlap is an index overlap.
+    groups = {}   # closure support -> persistent generators
     for i in persistent:
-        placed = False
-        for g in groups:
-            if classes[i].closure == g[2]:
-                g[0].append(i)
-                placed = True
-                break
-        if not placed:
-            groups.append(([i], classes[i].closure_support, classes[i].closure))
-    for a in range(len(groups)):
-        for b in range(a + 1, len(groups)):
-            if set(groups[a][1]) & set(groups[b][1]):
-                diagnostics.append(
-                    f"components generated by {groups[a][0][0]} and {groups[b][0][0]} "
-                    "overlap without coinciding")
-    span = Subspace.coordinate(algebra.field, algebra.n, transient)
-    total = Subspace.zero(algebra.field, algebra.n)
-    for g in groups:
-        total = total + g[2]
-    if span.intersect(total).dim != 0:
+        groups.setdefault(classes[i].closure_support, []).append(i)
+    for a, b in combinations(groups, 2):
+        if set(a) & set(b):
+            diagnostics.append(f"components generated by {groups[a][0]} and {groups[b][0]} "
+                               "overlap without coinciding")
+    if set(transient) & set().union(*groups):
         diagnostics.append("transient span intersects the persistent components")
-    components = tuple((tuple(g[0]), tuple(g[1]), g[2]) for g in groups)
+    span = Subspace.coordinate(algebra.field, algebra.n, transient)
+    components = tuple((tuple(g), s, classes[g[0]].closure) for s, g in groups.items())
     return ZerothDecomposition(components, tuple(transient), span,
                                tuple(classes), tuple(diagnostics))
 

@@ -100,6 +100,8 @@ class Mod:
         return self._coerce(other) * self.inverse()
 
     def __pow__(self, k):
+        if k < 0 and self.r == 0:
+            raise DivisionByZero(f"inverse of 0 in GF({self.p})")
         return Mod(pow(self.r, k, self.p), self.p)
 
     def __eq__(self, other):

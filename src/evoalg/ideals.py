@@ -35,52 +35,19 @@ def reachable(adjacency, sources):
     return frozenset(seen)
 
 
-def strongly_connected_components(adjacency):
-    """Tarjan's algorithm, iterative; components in reverse topological order."""
-    n = len(adjacency)
-    index = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    components = []
-    counter = 0
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, iter(sorted(adjacency[root])))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] is None:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(sorted(adjacency[w]))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
-    return components
+def reversed_digraph(adjacency):
+    """The digraph with every edge turned around."""
+    out = [set() for _ in adjacency]
+    for i, targets in enumerate(adjacency):
+        for j in targets:
+            out[j].add(i)
+    return out
+
+
+def is_strongly_connected(adjacency):
+    """Vertex 0 reaches every vertex, and every vertex reaches vertex 0."""
+    return all(len(reachable(adj, [0])) == len(adjacency)
+               for adj in (adjacency, reversed_digraph(adjacency)))
 
 
 def is_ideal(algebra, subspace):
@@ -148,12 +115,12 @@ def is_simple(algebra):
     """Nonsingular structure matrix plus strongly connected digraph."""
     if not algebra.is_perfect():
         return False
-    return len(strongly_connected_components(structure_digraph(algebra))) == 1
+    return is_strongly_connected(structure_digraph(algebra))
 
 
 def is_basic_simple_relative(algebra):
-    """No proper nonempty descendant-closed index set, i.e. one SCC."""
-    return len(strongly_connected_components(structure_digraph(algebra))) == 1
+    """No proper nonempty descendant-closed index set: strongly connected."""
+    return is_strongly_connected(structure_digraph(algebra))
 
 
 def is_basic_simple(algebra):

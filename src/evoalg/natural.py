@@ -48,11 +48,13 @@ def is_natural_vector(algebra, u):
 
 
 def _support_line_condition(algebra, u):
-    """Squares over supp(u) span a line (u^2 != 0) or all vanish (u^2 = 0)."""
-    columns = [algebra.column_square(i) for i in sorted(u.support())]
+    """Squares over supp(u) span a line (u^2 != 0) or all vanish (u^2 = 0).
+    When u^2 != 0 some square is nonzero, and the squares span a line iff
+    the nonzero ones share one class key of decompose."""
+    columns = [algebra.column_square(i) for i in u.support()]
     if u.square().is_zero():
         return all(not any(col) for col in columns)
-    return Matrix(algebra.field, columns).rank() == 1
+    return len({_normalize_line(algebra.field, col) for col in columns if any(col)}) == 1
 
 
 def _char2_completable(size, members):

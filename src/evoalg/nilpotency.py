@@ -39,7 +39,7 @@ class PowerSpaces:
 
 def power_spaces(algebra, k):
     if k < 1:
-        raise ValueError("power index must be >= 1")
+        raise InvalidArgument(f"power index must be at least 1, got {k}")
     full = Subspace.full(algebra.field, algebra.n)
     principal = [None, full]
     for m in range(2, k + 1):

@@ -10,7 +10,7 @@ from evoalg.adjoint import (PERSISTENT, TRANSIENT, UNKNOWN, GeneratorClassificat
                             classify_generators, descendants, hierarchy,
                             is_irreducible, zeroth_decomposition)
 from evoalg.algebra import EvolutionAlgebra
-from evoalg.errors import IndexOutOfRange, SelfCheckFailed
+from evoalg.errors import IndexOutOfRange, InvalidArgument, SelfCheckFailed
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
 from evoalg.ideals import descendant_closed_sets, is_basic_simple, structure_digraph
@@ -45,6 +45,14 @@ def test_descendants():
     assert descendants(a, 2) == frozenset()
     with pytest.raises(IndexOutOfRange):
         descendants(a, 3)
+
+
+def test_descendants_power_index_below_one():
+    cycle = EvolutionAlgebra(QQ, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    assert descendants(cycle, 0, 1) == frozenset({1})
+    for k in (0, -1):
+        with pytest.raises(InvalidArgument):
+            descendants(cycle, 0, k)
 
 
 def test_adjoint_annihilator_dims():
@@ -171,10 +179,35 @@ def test_transient_overlap_diagnostic():
     # the transient span meets the persistent part, which is flagged.
     a = EvolutionAlgebra(QQ, [[0, 0, 1], [1, 1, -1], [1, -1, 1]])
     dec = zeroth_decomposition(a)
-    if dec.transient_indices and dec.components:
-        spans = dec.transient_span.intersect(dec.components[0][2])
-        if spans.dim:
-            assert any("intersects" in d for d in dec.diagnostics)
+    assert dec.transient_indices == (0,)
+    assert dec.components == (((1, 2), (0, 1, 2), Subspace.full(QQ, 3)),)
+    assert dec.transient_span.intersect(dec.components[0][2]).dim == 1
+    assert dec.diagnostics == ("transient span intersects the persistent components",)
+
+
+def test_transient_overlap_matches_subspace_intersection():
+    # Reference: intersect the transient span with the sum of the
+    # persistent component spans.
+    rng = random.Random(91)
+    seen = set()
+    for field in (QQ, GF(2), GF(3), GF(101)):
+        for _ in range(150):
+            # Entries +-1 cancel often, so closures that are not coordinate
+            # spans sit inside persistent components.
+            n = rng.randint(1, 5)
+            zeros = rng.choice([0.2, 0.4, 0.6])
+            rows = [[0 if rng.random() < zeros else rng.choice([-1, 1]) for _ in range(n)]
+                    for _ in range(n)]
+            dec = zeroth_decomposition(EvolutionAlgebra(field, rows))
+            total = Subspace.zero(field, n)
+            for _, _, span in dec.components:
+                total = total + span
+            meets = dec.transient_span.intersect(total).dim > 0
+            flagged = "transient span intersects the persistent components" in dec.diagnostics
+            assert flagged == meets, (field, rows)
+            seen.add((field, meets, bool(dec.components)))
+    for field in (QQ, GF(2), GF(3), GF(101)):
+        assert {(field, True, True), (field, False, True)} <= seen
 
 
 def test_hierarchy_terminates():

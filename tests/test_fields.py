@@ -54,6 +54,11 @@ def test_mod_equality_agrees_with_hash():
 def test_mod_errors():
     with pytest.raises(DivisionByZero):
         GF(5)(0).inverse()
+    for k in (-1, -3):
+        with pytest.raises(DivisionByZero):
+            GF(5)(0) ** k
+    assert GF(5)(2) ** -1 == GF(5)(2).inverse() == GF(5)(3)
+    assert GF(5)(0) ** 0 == GF(5)(1)
     with pytest.raises(FieldMismatch):
         GF(5)(1) + GF(7)(1)
     with pytest.raises(FieldMismatch):

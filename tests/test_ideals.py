@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from evoalg.adjoint import is_irreducible
 from evoalg.algebra import EvolutionAlgebra
 from evoalg.errors import AnswerTooLarge, NotPerfect
 from evoalg.fields import GF, QQ
@@ -12,8 +13,7 @@ from evoalg.generate import random_algebra
 from evoalg.ideals import (descendant_closed_sets, ideal_lattice_perfect,
                            is_basic_ideal, is_basic_simple,
                            is_basic_simple_relative, is_ideal, is_simple,
-                           reachable, strongly_connected_components,
-                           structure_digraph)
+                           is_strongly_connected, reachable, structure_digraph)
 from evoalg.linalg import Subspace
 
 
@@ -33,11 +33,149 @@ def test_reachable():
     assert reachable(adjacency, [4, 1]) == frozenset({0, 1, 4})
 
 
-def test_strongly_connected_components():
+def tarjan(adjacency):
+    """Reference: Tarjan's algorithm, iterative; components in reverse
+    topological order."""
+    n = len(adjacency)
+    index = [None] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    components = []
+    counter = 0
+    for root in range(n):
+        if index[root] is not None:
+            continue
+        work = [(root, iter(sorted(adjacency[root])))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if index[w] is None:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(sorted(adjacency[w]))))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                components.append(frozenset(comp))
+    return components
+
+
+def test_tarjan_reference():
     adjacency = [frozenset({1}), frozenset({0}), frozenset({0, 3}),
                  frozenset({2}), frozenset()]
-    comps = strongly_connected_components(adjacency)
+    comps = tarjan(adjacency)
     assert sorted(sorted(c) for c in comps) == [[0, 1], [2, 3], [4]]
+    assert not is_strongly_connected(adjacency)
+
+
+def two_cycles_joined(n, rng):
+    """Cycles on 0..k-1 and k..n-1 with edges from the first to the second."""
+    k = rng.randint(2, n - 2)
+    adjacency = [{(i + 1) % k} for i in range(k)]
+    adjacency += [{k + (i + 1) % (n - k)} for i in range(n - k)]
+    for _ in range(rng.randint(1, 3)):
+        adjacency[rng.randrange(k)].add(rng.randrange(k, n))
+    return [frozenset(t) for t in adjacency]
+
+
+def digraph_kinds(adjacency):
+    n = len(adjacency)
+    edges = {(i, j) for i in range(n) for j in adjacency[i]}
+    kinds = set()
+    if not edges:
+        kinds.add("empty")
+    if n > 1 and all(adjacency[i] >= set(range(n)) - {i} for i in range(n)):
+        kinds.add("complete")
+    if edges and all(i == j for i, j in edges):
+        kinds.add("self-loops only")
+    if edges and n > 1 and any(not adjacency[i] for i in range(n)):
+        kinds.add("sink")
+    if edges and n > 1 and any(all(i not in adjacency[j] for j in range(n)) for i in range(n)):
+        kinds.add("source")
+    comps = tarjan(adjacency)
+    if len(comps) == 2 and all(len(c) > 1 for c in comps):
+        inner = [sum(len(adjacency[i] & c) for i in c) for c in comps]
+        across = [{j in comps[1] for i in comps[0] for j in adjacency[i]},
+                  {j in comps[0] for i in comps[1] for j in adjacency[i]}]
+        if inner == [len(c) for c in comps] and (True in across[0]) != (True in across[1]):
+            kinds.add("two cycles joined one way")
+    return kinds
+
+
+def test_strongly_connected_matches_tarjan():
+    rng = random.Random(29)
+    graphs = []
+    for trial in range(1200):
+        n = rng.randint(1, 9)
+        density = rng.choice([0.0, 0.1, 0.25, 0.5, 0.8, 1.0])
+        graphs.append([frozenset(j for j in range(n) if rng.random() < density)
+                       for _ in range(n)])
+        if n >= 4 and trial % 10 == 0:
+            graphs.append(two_cycles_joined(n, rng))
+        if trial % 50 == 0:
+            graphs.append([frozenset({i}) if rng.random() < 0.7 else frozenset()
+                           for i in range(n)])
+    seen = set()
+    for adjacency in graphs:
+        assert is_strongly_connected(adjacency) == (len(tarjan(adjacency)) == 1), adjacency
+        seen |= digraph_kinds(adjacency)
+    assert len(graphs) >= 1000
+    assert seen == {"empty", "complete", "self-loops only", "sink", "source",
+                    "two cycles joined one way"}
+
+
+def sparse_algebra(field, n, rng):
+    """Random entries with about half of them zero, so digraphs vary."""
+    def entry():
+        if rng.random() < 0.55:
+            return 0
+        return rng.randint(-3, 3) if field == QQ else rng.randrange(1, field.p)
+    return EvolutionAlgebra(field, [[entry() for _ in range(n)] for _ in range(n)])
+
+
+def test_simplicity_tests_match_tarjan():
+    rng = random.Random(31)
+    verdicts = set()
+    for field in (QQ, GF(2), GF(101)):
+        for _ in range(150):
+            a = sparse_algebra(field, rng.randint(1, 6), rng)
+            adjacency = structure_digraph(a)
+            one_scc = len(tarjan(adjacency)) == 1
+            undirected = [set(t) for t in adjacency]
+            for i, targets in enumerate(adjacency):
+                for j in targets:
+                    undirected[j].add(i)
+            assert is_basic_simple_relative(a) == one_scc
+            assert is_simple(a) == (a.is_perfect() and one_scc)
+            assert is_irreducible(a) == (len(tarjan(undirected)) == 1)
+            verdicts.add((field, one_scc, is_irreducible(a), a.is_perfect()))
+    for field in (QQ, GF(2), GF(101)):
+        assert {(f, s, i) for f, s, i, _ in verdicts if f == field} >= {
+            (field, True, True), (field, False, True), (field, False, False)}
+        assert {(f, s, p) for f, s, _, p in verdicts if f == field} >= {
+            (field, True, True), (field, True, False)}
 
 
 def test_is_ideal_and_basic():

@@ -10,7 +10,8 @@ from evoalg.errors import Degenerate, NotExtendable, NotOrthogonal, ZeroVector
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
 from evoalg.linalg import Matrix
-from evoalg.natural import (_char2_completable, decompose, decomposition_for_basis,
+from evoalg.natural import (_char2_completable, _support_line_condition,
+                            decompose, decomposition_for_basis,
                             extend_family, has_property_2li,
                             has_unique_natural_basis, is_natural_vector,
                             verify_block_form)
@@ -422,3 +423,72 @@ def test_unique_basis_matches_enumeration():
             assert verdict == unique_by_enumeration(a), cols
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+def ref_support_line_condition(algebra, u):
+    """Reference: the rank of the support's squares, by a full RREF."""
+    columns = [algebra.column_square(i) for i in sorted(u.support())]
+    if u.square().is_zero():
+        return all(not any(col) for col in columns)
+    return Matrix(algebra.field, columns).rank() == 1
+
+
+def pooled_algebra(field, n, rng):
+    """Columns are zero or multiples of two pool vectors, so classes of
+    several indices and annihilator indices both occur."""
+    def scalar():
+        return rng.choice([-2, -1, 1, 2, 3]) if field == QQ else rng.randrange(1, field.p)
+    pool = [[rng.choice([0, scalar()]) for _ in range(n)] for _ in range(2)]
+    cols = []
+    for _ in range(n):
+        c = scalar()
+        cols.append([0] * n if rng.random() < 0.25 else [c * x for x in rng.choice(pool)])
+    return EvolutionAlgebra(field, [[cols[i][j] for i in range(n)] for j in range(n)])
+
+
+def test_support_line_condition_matches_rank():
+    rng = random.Random(71)
+    for field in (QQ, GF(2), GF(3), GF(101)):
+        cases = set()
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            a = pooled_algebra(field, n, rng)
+            coords = [0] * n
+            for i in rng.sample(range(n), rng.randint(1, n)):
+                coords[i] = rng.choice([-1, 1, 2]) if field == QQ else rng.randrange(1, field.p)
+            u = a.element(coords)
+            verdict = _support_line_condition(a, u)
+            assert verdict == ref_support_line_condition(a, u), (a.M.data, coords)
+            zero_cols = [i for i in u.support() if not any(a.column_square(i))]
+            cases.add(verdict)
+            if zero_cols and not u.square().is_zero():
+                cases.add("zero columns in the support")
+            if u.square().is_zero():
+                cases.add("u^2 = 0")
+            if len(zero_cols) == len(u.support()):
+                cases.add("supported on the annihilator")
+        assert cases == {True, False, "zero columns in the support", "u^2 = 0",
+                         "supported on the annihilator"}, field
+
+
+def test_natural_vector_makes_no_rank_call(monkeypatch):
+    calls = []
+    rank = Matrix.rank
+
+    def counted(self):
+        calls.append(self)
+        return rank(self)
+
+    monkeypatch.setattr(Matrix, "rank", counted)
+    Matrix(QQ, [[1, 2], [2, 4]]).rank()
+    assert len(calls) == 1
+    calls.clear()
+    rng = random.Random(72)
+    for field in (QQ, GF(2), GF(3), GF(101)):
+        for _ in range(50):
+            n = rng.randint(1, 5)
+            a = pooled_algebra(field, n, rng)
+            u = a.element([rng.randrange(3) for _ in range(n)])
+            if not u.is_zero():
+                is_natural_vector(a, u)
+    assert calls == []

@@ -41,6 +41,13 @@ def test_power_spaces_dim4():
     assert power_spaces(a, 3).principal != two.solvable
 
 
+def test_power_spaces_index_below_one():
+    assert power_spaces(dim4_example(), 1).principal.dim == 4
+    for k in (0, -1):
+        with pytest.raises(InvalidArgument):
+            power_spaces(dim4_example(), k)
+
+
 def test_nilpotency_report_dim4():
     rep = nilpotency_report(dim4_example())
     assert rep.is_nilpotent
