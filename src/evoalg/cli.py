@@ -371,6 +371,15 @@ def cmd_random(args):
     return 0
 
 
+def _mismatch_input(name, mismatch):
+    """The input an oracle failed on: its structure matrix (rows of M),
+    and for natural-vectors also the vector tested."""
+    if name == "natural-vectors":
+        m, u = mismatch
+        return {"rows": [list(r) for r in m], "vector": list(u)}
+    return {"rows": [list(r) for r in mismatch]}
+
+
 def cmd_oracle(args):
     field = parse_field(args.field)
     if field.p is None:
@@ -384,6 +393,14 @@ def cmd_oracle(args):
     }
     lines = [f"oracle {report.name}: checked {report.checked}, "
              f"mismatches {len(report.mismatches)}"]
+    shown = [_mismatch_input(report.name, x) for x in report.mismatches[:3]]
+    if shown:
+        data["first_mismatches"] = shown
+    for x in shown:
+        text = " / ".join(" ".join(map(str, row)) for row in x["rows"])
+        if "vector" in x:
+            text += ", vector " + " ".join(map(str, x["vector"]))
+        lines.append(f"mismatch: rows {text}")
     _emit(args, data, lines)
     return 1 if report.mismatches else 0
 

@@ -21,13 +21,16 @@ from .linalg import Subspace
 
 def product_space(algebra, s, t):
     """Span of all pairwise products of the two subspaces' basis vectors
-    (exact by bilinearity)."""
-    vectors = []
-    for a in s.basis:
-        ea = Element(algebra, a)
-        for b in t.basis:
-            vectors.append((ea * Element(algebra, b)).coords)
-    return Subspace.from_vectors(algebra.field, algebra.n, vectors)
+    (exact by bilinearity), formed on their plain rows."""
+    # Plain rows of another field or length would multiply without
+    # complaint; boxing one row of a mismatched factor as an Element raises
+    # FieldMismatch or ShapeMismatch.  A zero left factor reads neither.
+    if s.dim:
+        for space in (s, t):
+            if space.dim and (space.field != algebra.field or space.ambient != algebra.n):
+                Element(algebra, space.basis[0])
+    rows = [algebra._product(a, b) for a in s.plain for b in t.plain]
+    return Subspace._from_plain(algebra.field, algebra.n, rows)
 
 
 @dataclass(frozen=True)

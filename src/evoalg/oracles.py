@@ -2,9 +2,9 @@
 
 Everything here works on plain integer matrices modulo p, independent of
 the exact-arithmetic classes, so these routines can serve as oracles for
-the fast paths: natural-vector membership by exhaustive basis search,
-ideal lattices by full subspace enumeration, triple products and cube
-nilpotents by direct scanning.  The ``run_oracle`` entry point diffs an
+the fast paths: natural-vector membership read from an exhaustive
+enumeration of the natural bases, ideal lattices by full subspace
+enumeration, triple products and cube nilpotents by direct scanning.  The ``run_oracle`` entry point diffs an
 oracle against the corresponding fast path over a seeded corpus.
 """
 
@@ -71,13 +71,10 @@ def evo_mult(m, p, u, v):
 
 
 def normalized_vectors(p, n):
-    """Nonzero vectors with leading coordinate 1 (one per projective point)."""
-    out = []
-    for v in product(range(p), repeat=n):
-        lead = next((x for x in v if x), None)
-        if lead == 1:
-            out.append(v)
-    return out
+    """Nonzero vectors with leading coordinate 1 (one per projective point),
+    in lexicographic order: those led by more zeros come first."""
+    return [(0,) * k + (1,) + tail for k in reversed(range(n))
+            for tail in product(range(p), repeat=n - k - 1)]
 
 
 def support(v):
@@ -87,57 +84,62 @@ def support(v):
 # ------------------------------------------------------- natural-basis search
 
 
-def natural_basis_membership(m, p, u):
-    """True iff u belongs to some natural basis: exhaustive backtracking over
-    projective representatives."""
-    n = len(u)
-    cands = normalized_vectors(p, n)
-    chosen = [tuple(u)]
-
-    def orthogonal(a, b):
-        return not any(evo_mult(m, p, a, b))
-
-    def search(start):
-        if len(chosen) == n:
-            return rank_mod(chosen, p) == n
-        for k in range(start, len(cands)):
-            c = cands[k]
-            if all(orthogonal(c, other) for other in chosen):
-                chosen.append(c)
-                if search(k + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if n == 1:
-        return True
-    return search(0)
+def _orthogonal_later(m, p, points):
+    """Orthogonality graph on the points: bit j of the i-th mask is set iff
+    j > i and points i and j are orthogonal, M (a o b) = 0.  The test
+    depends only on the Hadamard product a o b, so it runs once per
+    distinct product: at most p^n ``evo_mult`` calls."""
+    ones = (1,) * len(m)
+    vanishes = {}
+    masks = []
+    for i, a in enumerate(points):
+        mask = 0
+        for j in range(i + 1, len(points)):
+            h = tuple(x * y % p for x, y in zip(a, points[j]))
+            zero = vanishes.get(h)
+            if zero is None:
+                zero = vanishes[h] = not any(evo_mult(m, p, h, ones))
+            if zero:
+                mask |= 1 << j
+        masks.append(mask)
+    return masks
 
 
 def enumerate_natural_bases(m, p):
-    """All natural bases as sorted tuples of projective representatives."""
+    """All natural bases as sorted tuples of projective representatives:
+    the full-rank n-cliques of the orthogonality graph, in lexicographic
+    order of their point indices (bitmask clique walk, no pivoting)."""
     n = len(m)
-    cands = normalized_vectors(p, n)
+    points = normalized_vectors(p, n)
+    later = _orthogonal_later(m, p, points)
     bases = []
     chosen = []
 
-    def orthogonal(a, b):
-        return not any(evo_mult(m, p, a, b))
-
-    def search(start):
+    def search(cands):
         if len(chosen) == n:
-            if rank_mod(chosen, p) == n:
-                bases.append(tuple(chosen))
+            basis = tuple(points[k] for k in chosen)
+            if rank_mod(basis, p) == n:
+                bases.append(basis)
             return
-        for k in range(start, len(cands)):
-            c = cands[k]
-            if all(orthogonal(c, other) for other in chosen):
-                chosen.append(c)
-                search(k + 1)
-                chosen.pop()
+        while cands.bit_count() >= n - len(chosen):
+            k = (cands & -cands).bit_length() - 1
+            cands &= cands - 1
+            chosen.append(k)
+            search(cands & later[k])
+            chosen.pop()
 
-    search(0)
+    search((1 << len(points)) - 1)
     return bases
+
+
+def natural_basis_membership(m, p, u):
+    """True iff u belongs to some natural basis (u = 0 never does)."""
+    lead = next((x for x in u if x % p), None)
+    if lead is None:
+        return False
+    inv = pow(lead, p - 2, p)
+    return tuple(x * inv % p for x in u) in {
+        v for basis in enumerate_natural_bases(m, p) for v in basis}
 
 
 def enumerate_natural_bases_algebra(algebra):
@@ -305,17 +307,19 @@ def _algebra_from_int_matrix(p, m):
 class OracleReport:
     name: str
     checked: int
-    mismatches: tuple
+    mismatches: tuple   # failing inputs: matrices; (matrix, u) for natural-vectors
 
 
 def oracle_natural_vectors(p, dim, samples=2000, seed=7):
-    """Thm-style natural-vector test vs exhaustive basis membership."""
+    """Thm-style natural-vector test vs membership in the enumerated
+    natural bases (every nonzero u when dim = 1)."""
     mismatches = []
     checked = 0
     for m in sample_structure_matrices(p, dim, samples, seed):
         algebra = _algebra_from_int_matrix(p, m)
+        members = {v for basis in enumerate_natural_bases(m, p) for v in basis}
         for u in normalized_vectors(p, dim):
-            expected = natural_basis_membership(m, p, u)
+            expected = u in members
             for scale in range(1, p):
                 scaled = tuple(x * scale % p for x in u)
                 checked += 1
@@ -381,8 +385,10 @@ def oracle_nilpotency(p, dim, samples=2000, seed=7):
 def oracle_cube_nilpotent(p, dim, samples=2000, seed=7):
     """u^3 = 0 existence vs vanishing principal minors (perfect algebras).
 
-    The witness construction needs square roots, so the element-direction
-    check is only exact when every element of GF(p) is a square (p = 2)."""
+    A vanishing minor is necessary; it is also sufficient only when every
+    element of GF(p) is a square (p = 2), since the witness needs square
+    roots.  For p <= 7 the scan tries every kernel vector of every
+    vanishing minor, so it finds an element exactly when one exists."""
     mismatches = []
     checked = 0
     for m in sample_structure_matrices(p, dim, samples, seed,
@@ -396,7 +402,7 @@ def oracle_cube_nilpotent(p, dim, samples=2000, seed=7):
             mismatches.append(m)
         elif p == 2 and minor != brute:
             mismatches.append(m)
-        elif p == 2 and minor != (scan.element is not None):
+        elif p <= 7 and brute != (scan.element is not None):
             mismatches.append(m)
         elif scan.element is not None and not scan.element.power(3).is_zero():
             mismatches.append(m)

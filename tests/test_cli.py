@@ -162,6 +162,39 @@ def test_oracle_cli(capsys):
     assert code == 0 and "mismatches 0" in out
 
 
+def test_oracle_cli_shows_first_mismatches(capsys, monkeypatch):
+    from evoalg import oracles
+    args = ("--field", "gf 3", "--dim", "2")
+    m = ((1, 2), (0, 1))
+    reports = {"nilpotency": (), "minor-condition": (m,),
+               "natural-vectors": ((m, (1, 2)),) * 4}
+    for name, mismatches in reports.items():
+        monkeypatch.setitem(oracles.ORACLES, name,
+                            lambda p, dim, seed, name=name, mismatches=mismatches:
+                            oracles.OracleReport(name, 5, mismatches))
+    # No mismatch: the report is exactly the summary line.
+    code, out, _ = run(capsys, "oracle", "nilpotency", *args)
+    assert (code, out) == (0, "oracle nilpotency: checked 5, mismatches 0\n")
+    code, out, _ = run(capsys, "oracle", "nilpotency", *args, "--json")
+    assert code == 0
+    assert out == json.dumps({"checked": 5, "mismatches": 0, "oracle": "nilpotency"},
+                             indent=2, sort_keys=True) + "\n"
+    code, out, _ = run(capsys, "oracle", "minor-condition", *args)
+    assert (code, out) == (1, "oracle minor-condition: checked 5, mismatches 1\n"
+                              "mismatch: rows 1 2 / 0 1\n")
+    code, out, _ = run(capsys, "oracle", "minor-condition", *args, "--json")
+    assert code == 1
+    assert json.loads(out)["first_mismatches"] == [{"rows": [[1, 2], [0, 1]]}]
+    # At most three are shown.
+    code, out, _ = run(capsys, "oracle", "natural-vectors", *args)
+    assert code == 1
+    assert out.splitlines() == ["oracle natural-vectors: checked 5, mismatches 4"] + [
+        "mismatch: rows 1 2 / 0 1, vector 1 2"] * 3
+    code, out, _ = run(capsys, "oracle", "natural-vectors", *args, "--json")
+    assert json.loads(out)["first_mismatches"] == [
+        {"rows": [[1, 2], [0, 1]], "vector": [1, 2]}] * 3
+
+
 
 def test_adjoint_beyond_closed_set_cap(capsys, tmp_path):
     # Dimension 24 is past the closed-set enumeration limit of `ideals`;

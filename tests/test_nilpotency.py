@@ -1,6 +1,7 @@
 """Power spaces, nilpotency reports, vanishing-minor witnesses."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -8,7 +9,8 @@ import pytest
 
 from evoalg import nilpotency
 from evoalg.algebra import Element, EvolutionAlgebra
-from evoalg.errors import InvalidArgument, NotPerfect, SelfCheckFailed
+from evoalg.errors import (FieldMismatch, InvalidArgument, NotPerfect,
+                           SelfCheckFailed, ShapeMismatch)
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
 from evoalg.linalg import Matrix, Subspace
@@ -189,6 +191,70 @@ def test_product_space_bilinearity():
         full = Subspace.full(GF(5), a.n)
         sq = product_space(a, full, full)
         assert sq == a.square_space()
+
+
+def ref_product_space(algebra, s, t):
+    """Products of boxed Elements, as product_space formed them before it
+    worked on plain rows."""
+    vectors = []
+    for a in s.basis:
+        ea = Element(algebra, a)
+        for b in t.basis:
+            vectors.append((ea * Element(algebra, b)).coords)
+    return Subspace.from_vectors(algebra.field, algebra.n, vectors)
+
+
+def test_product_space_matches_boxed_products(monkeypatch):
+    rng = random.Random(34)
+    draws = {GF(2): lambda: rng.randrange(2), GF(5): lambda: rng.randrange(5),
+             QQ: lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))}
+    made = counting(monkeypatch, Element, "__init__")
+    for field, draw in draws.items():
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            a = EvolutionAlgebra(field, [[draw() for _ in range(n)] for _ in range(n)])
+            s, t = (Subspace.from_vectors(field, n, [[draw() for _ in range(n)]
+                                                     for _ in range(rng.randint(0, n))])
+                    for _ in range(2))
+            del made[:]
+            fast = product_space(a, s, t)
+            assert not made   # no boxed Element on the way
+            assert fast == ref_product_space(a, s, t)
+
+
+def test_product_space_mismatch_errors():
+    # Each mismatch raises what coercing a boxed product raised; a zero
+    # subspace has no product to coerce, and a zero left factor leaves the
+    # right one unread.
+    a = EvolutionAlgebra(GF(5), [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+    q = EvolutionAlgebra(QQ, [[1, 2, 0], [0, 1, 1], [1, 0, 1]])
+    F5, full5 = GF(5), Subspace.full(GF(5), 3)
+    cases = [
+        (a, Subspace.full(GF(3), 3), full5, FieldMismatch, "GF(5) vs GF(3)"),
+        (a, full5, Subspace.full(GF(3), 3), FieldMismatch, "GF(5) vs GF(3)"),
+        (a, Subspace.full(QQ, 3), full5, FieldMismatch,
+         "rational scalar used where GF(5) was expected"),
+        (a, full5, Subspace.full(QQ, 3), FieldMismatch,
+         "rational scalar used where GF(5) was expected"),
+        (q, Subspace.full(QQ, 3), full5, FieldMismatch,
+         "GF(p) scalar used where a rational was expected"),
+        (a, Subspace.full(F5, 2), full5, ShapeMismatch,
+         "coordinate length does not match algebra dimension"),
+        (a, full5, Subspace.full(F5, 4), ShapeMismatch,
+         "coordinate length does not match algebra dimension"),
+        (a, Subspace.full(GF(3), 4), full5, FieldMismatch, "GF(5) vs GF(3)"),
+        (a, Subspace.full(GF(3), 3), Subspace.zero(F5, 3), FieldMismatch,
+         "GF(5) vs GF(3)"),
+    ]
+    for algebra, s, t, error, message in cases:
+        with pytest.raises(error) as info:
+            product_space(algebra, s, t)
+        assert str(info.value) == message
+        with pytest.raises(error):
+            ref_product_space(algebra, s, t)
+    for s, t in ((Subspace.zero(GF(3), 3), full5), (Subspace.zero(F5, 2), full5),
+                 (Subspace.zero(F5, 3), Subspace.full(F5, 2))):
+        assert product_space(a, s, t) == ref_product_space(a, s, t) == Subspace.zero(F5, 3)
 
 
 def test_witness_self_check(monkeypatch):

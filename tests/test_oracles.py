@@ -1,9 +1,12 @@
 """Sanity checks of the brute-force reference machinery itself."""
 
+import dataclasses
+import random
 from itertools import product
 
 import pytest
 
+from evoalg import nilpotency, oracles
 from evoalg.algebra import EvolutionAlgebra
 from evoalg.errors import DimensionTooLarge
 from evoalg.fields import GF
@@ -11,14 +14,165 @@ from evoalg.linalg import Matrix, Subspace
 from evoalg.oracles import (all_subspaces, brute_triple_exists, det_mod,
                             enumerate_natural_bases, evo_mult, kernel_mod,
                             minor_condition_exists, natural_basis_membership,
-                            normalized_vectors, rank_mod,
+                            normalized_vectors, oracle_cube_nilpotent,
+                            oracle_natural_vectors, rank_mod,
                             sample_structure_matrices)
+
+# ------------------------------------------ references: per-vector search
+
+
+def ref_normalized_vectors(p, n):
+    """Filter all p^n tuples down to those led by a 1."""
+    out = []
+    for v in product(range(p), repeat=n):
+        lead = next((x for x in v if x), None)
+        if lead == 1:
+            out.append(v)
+    return out
+
+
+def ref_natural_basis_membership(m, p, u):
+    """Exhaustive backtracking from u over projective representatives,
+    re-testing orthogonality at every node.  Its n = 1 shortcut also
+    answers True for u = 0."""
+    n = len(u)
+    cands = ref_normalized_vectors(p, n)
+    chosen = [tuple(u)]
+
+    def orthogonal(a, b):
+        return not any(evo_mult(m, p, a, b))
+
+    def search(start):
+        if len(chosen) == n:
+            return rank_mod(chosen, p) == n
+        for k in range(start, len(cands)):
+            c = cands[k]
+            if all(orthogonal(c, other) for other in chosen):
+                chosen.append(c)
+                if search(k + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if n == 1:
+        return True
+    return search(0)
+
+
+def ref_enumerate_natural_bases(m, p):
+    """The same backtracking, collecting every full-rank n-set."""
+    n = len(m)
+    cands = ref_normalized_vectors(p, n)
+    bases = []
+    chosen = []
+
+    def orthogonal(a, b):
+        return not any(evo_mult(m, p, a, b))
+
+    def search(start):
+        if len(chosen) == n:
+            if rank_mod(chosen, p) == n:
+                bases.append(tuple(chosen))
+            return
+        for k in range(start, len(cands)):
+            c = cands[k]
+            if all(orthogonal(c, other) for other in chosen):
+                chosen.append(c)
+                search(k + 1)
+                chosen.pop()
+
+    search(0)
+    return bases
 
 
 def test_normalized_vectors_cover_projective_points():
     vecs = normalized_vectors(3, 2)
     assert len(vecs) == 4   # (3^2 - 1) / (3 - 1)
     assert len(normalized_vectors(5, 3)) == 31
+    for p in (2, 3, 5):
+        for n in range(5):
+            assert normalized_vectors(p, n) == ref_normalized_vectors(p, n), (p, n)
+
+
+# Matrices per (p, n).  Dense orthogonality graphs have thousands of
+# n-cliques at n = 4, p >= 3, so those cells stay small; zero matrices and
+# the reference enumeration come only with at most 31 projective points.
+CORPUS = {2: (30, 150, 80, 60), 3: (30, 150, 80, 20),
+          5: (30, 150, 50, 6), 7: (30, 150, 40, 2)}
+
+
+def _corpus(rng):
+    """(p, m): a zero matrix where its enumeration is cheap, then random,
+    rank <= 1, repeated-column and zero-column matrices in turn."""
+    for p, counts in CORPUS.items():
+        for n, count in enumerate(counts, start=1):
+            if len(normalized_vectors(p, n)) <= 31:
+                yield p, ((0,) * n,) * n
+            for k in range(count):
+                m = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+                i, j = rng.randrange(n), rng.randrange(n)
+                if k % 4 == 1:
+                    m = [[m[r][0] * m[0][c] % p for c in range(n)] for r in range(n)]
+                elif k % 4 == 2:
+                    for row in m:
+                        row[j] = row[i]
+                elif k % 4 == 3:
+                    for row in m:
+                        row[j] = 0
+                yield p, tuple(map(tuple, m))
+
+
+def test_natural_bases_match_per_vector_search():
+    rng = random.Random(2024)
+    matrices = 0
+    for p, m in _corpus(rng):
+        n = len(m)
+        bases = enumerate_natural_bases(m, p)
+        points = normalized_vectors(p, n)
+        if len(points) <= 31:
+            assert bases == ref_enumerate_natural_bases(m, p), (p, m)
+        members = {v for basis in bases for v in basis}
+        inside = [v for v in points if v in members]
+        outside = [v for v in points if v not in members]
+        # The reference agrees on a point found in a basis and on one
+        # found in none.
+        for v in [rng.choice(vs) for vs in (inside, outside) if vs]:
+            assert ref_natural_basis_membership(m, p, v) == (v in members), (p, m, v)
+        # natural_basis_membership on a multiple of a point and on 0.
+        v = rng.choice(points)
+        scale = rng.randrange(1, p)
+        u = tuple(x * scale % p for x in v)
+        assert natural_basis_membership(m, p, u) == (v in members), (p, m, u)
+        assert ref_natural_basis_membership(m, p, u) == (v in members), (p, m, u)
+        # u = 0 is in no basis.  From 0 the reference walks every
+        # (n-1)-clique, so it runs on 0 only where that is cheap; its n = 1
+        # shortcut says True there.
+        assert not natural_basis_membership(m, p, (0,) * n)
+        if len(points) <= 31:
+            assert ref_natural_basis_membership(m, p, (0,) * n) == (n == 1)
+        matrices += 1
+    assert matrices >= 1000
+
+
+def test_oracle_natural_vectors_one_product_test_per_product(monkeypatch):
+    # Orthogonality is decided once per distinct Hadamard product, so a
+    # matrix costs at most p^n evo_mult calls.
+    calls = []
+    original = oracles.evo_mult
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(oracles, "evo_mult", counted)
+    for p, dim, samples in ((5, 4, 2), (3, 3, 20), (2, 4, 20)):
+        del calls[:]
+        report = oracle_natural_vectors(p, dim, samples=samples, seed=3)
+        assert report.mismatches == ()
+        assert 0 < len(calls) <= samples * p ** dim, (p, dim, len(calls))
+    # In dimension 1 every nonzero vector is a natural basis.
+    report = oracle_natural_vectors(7, 1, samples=3)
+    assert report.checked == 3 * 6 and report.mismatches == ()
 
 
 def test_int_linalg_against_matrix():
@@ -80,3 +234,15 @@ def test_sampling_enumerates_small_cells():
     assert len(sampled) == 50
     again = list(sample_structure_matrices(5, 3, 50, seed=5))
     assert sampled == again
+
+
+def test_cube_oracle_checks_the_element_direction_up_to_7(monkeypatch):
+    # For p <= 7 the scan tries every kernel vector of every vanishing
+    # minor, so a scan that misses an existing u with u^3 = 0 is a mismatch.
+    for p in (3, 5, 7):
+        assert oracle_cube_nilpotent(p, 3, samples=60, seed=1).mismatches == ()
+    scan = nilpotency.find_cube_nilpotent
+    monkeypatch.setattr(nilpotency, "find_cube_nilpotent",
+                        lambda a: dataclasses.replace(scan(a), element=None))
+    for p in (3, 5, 7):
+        assert oracle_cube_nilpotent(p, 3, samples=60, seed=1).mismatches, p
