@@ -8,14 +8,26 @@ u = sum a_i e_i and v = sum b_i e_i equal to M (a_1 b_1, ..., a_n b_n)^T.
 """
 
 from operator import mul
+from typing import NamedTuple
 
 from .errors import (AlgebraMismatch, FieldMismatch, IndexOutOfRange, NotANaturalBasis,
                      ShapeMismatch)
 from .linalg import Matrix, Subspace, matvec_rows, reduce_row, rref_rows
 
 
+class ColumnClasses(NamedTuple):
+    """The canonical decomposition A = ann(A) + A_1 + ... + A_m as an index
+    on plain values: e_i^2 = lambdas[i] * l for i in members[c], where l is
+    lines[c] scaled to leading entry 1."""
+    annihilator: tuple   # indices with a zero column
+    class_of: tuple      # class id per index, None on the annihilator
+    lines: tuple         # per class: monic over GF(p), primitive with lead > 0 over Q
+    members: tuple       # index tuple per class, classes ordered by first index
+    lambdas: tuple       # first nonzero entry of each column (0 on the annihilator)
+
+
 class EvolutionAlgebra:
-    __slots__ = ("field", "n", "M", "labels")
+    __slots__ = ("field", "n", "M", "labels", "_classes")
 
     def __init__(self, field, structure, labels=None):
         self.field = field
@@ -32,6 +44,7 @@ class EvolutionAlgebra:
             if len(labels) != self.n:
                 raise ShapeMismatch("label count does not match dimension")
         self.labels = labels
+        self._classes = None
 
     def element(self, coords):
         return Element(self, coords)
@@ -50,17 +63,34 @@ class EvolutionAlgebra:
     def basis(self):
         return [self.unit(i) for i in range(self.n)]
 
-    def column_square(self, i):
-        """Coordinates of e_i^2."""
-        return self.M.column(i)
-
     def is_perfect(self):
         return bool(self.M.det())
 
+    @property
+    def column_classes(self):
+        """The projective classes of the columns of M (ColumnClasses), built
+        once and keyed by the canonical multiple of each column."""
+        if self._classes is None:
+            normalize = self.field.normalize
+            classes, lambdas = {}, []   # line -> member indices; lambda_i
+            for i, col in enumerate(zip(*self.M.plain)):
+                lead = next((x for x in col if x), 0)
+                lambdas.append(lead)
+                if lead:
+                    # Monic over GF(p); over Q primitive, with the sign of lead.
+                    line = tuple(normalize(col))
+                    classes.setdefault(line if lead > 0 else tuple(-x for x in line),
+                                       []).append(i)
+            class_of = {i: c for c, idx in enumerate(classes.values()) for i in idx}
+            self._classes = ColumnClasses(
+                tuple(i for i, lead in enumerate(lambdas) if not lead),
+                tuple(map(class_of.get, range(self.n))), tuple(classes),
+                tuple(map(tuple, classes.values())), tuple(lambdas))
+        return self._classes
+
     def annihilator(self):
         """Span of the basis vectors with zero square (zero columns of M)."""
-        return Subspace.coordinate(self.field, self.n,
-                                   [i for i in range(self.n) if not any(self.M.column(i))])
+        return Subspace.coordinate(self.field, self.n, self.column_classes.annihilator)
 
     def annihilator_definitional(self):
         """The kernel {x : x e_j = 0 for all j}, independent of the zero-column rule."""
@@ -74,7 +104,7 @@ class EvolutionAlgebra:
         return Matrix(self.field, rows).kernel()
 
     def is_nondegenerate(self):
-        return self.annihilator().dim == 0
+        return not self.column_classes.annihilator
 
     def square_space(self):
         """A^2 as a subspace (span of the columns of M)."""

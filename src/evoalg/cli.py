@@ -140,8 +140,7 @@ def cmd_decompose(args):
         return 0
     dec = decompose(a)
     data = {
-        "annihilator_indices": _indices(
-            i for i in range(a.n) if not any(a.column_square(i))),
+        "annihilator_indices": _indices(a.column_classes.annihilator),
         "components": [_indices(ix) for ix in dec.component_indices],
         "component_squares": [_vec(a.field, s) for s in dec.component_squares],
         "square_dim": dec.square_dim,

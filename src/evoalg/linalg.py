@@ -234,6 +234,10 @@ class Matrix:
         return Matrix._from_plain(self.field, m), len(pivots), tuple(pivots)
 
     def rank(self):
+        if self.field.p is None:
+            # Over Q only the pivots are needed: forward Bareiss, no Fractions.
+            m = [integer_row(row)[0] for row in self.plain]
+            return len(bareiss_rows(m, self.cols, above=False)[0])
         return len(self._reduced()[1])
 
     def kernel(self):

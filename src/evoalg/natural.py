@@ -6,7 +6,9 @@ and all those squares vanish; over GF(2), a u with u^2 != 0 must also
 extend inside its class (see is_natural_vector).  The canonical
 decomposition splits the standard basis into the annihilator part plus
 classes of indices whose squares are pairwise linearly dependent
-(projective classes of the nonzero structure-matrix columns).
+(projective classes of the nonzero structure-matrix columns).  Every
+question here reads that partition from EvolutionAlgebra.column_classes,
+which each algebra builds once on plain values.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,7 @@ from itertools import combinations
 from .algebra import Element
 from .errors import (Degenerate, NotANaturalBasis, NotExtendable,
                      NotNaturalVector, NotOrthogonal, ZeroVector)
-from .linalg import Matrix, Subspace
+from .linalg import Subspace, kernel_rows, matvec_rows, rref_rows
 
 
 def is_natural_vector(algebra, u):
@@ -34,27 +36,31 @@ def is_natural_vector(algebra, u):
     vectors outside C form a natural basis.  So u is natural iff u_C
     extends (_char2_completable): iff |C| = 1 or u_C != 1.
     """
-    if not isinstance(u, Element):
-        u = algebra.element(u)
-    if u.is_zero():
+    u = algebra._plain_of(u)
+    if not any(u):
         raise ZeroVector("the zero vector is not a natural vector")
     if not _support_line_condition(algebra, u):
         return False
-    line = u.square().coords
-    if algebra.field.characteristic == 2 and any(line):
-        cls = [i for i in range(algebra.n) if algebra.column_square(i) == line]
-        return len(cls) == 1 or not all(u.coords[i] for i in cls)
+    if algebra.field.characteristic == 2:
+        # supp u meets at most one class, and u^2 != 0 when it meets one.
+        for cls in algebra.column_classes.members:
+            if any(u[i] for i in cls):
+                return len(cls) == 1 or not all(u[i] for i in cls)
     return True
 
 
 def _support_line_condition(algebra, u):
-    """Squares over supp(u) span a line (u^2 != 0) or all vanish (u^2 = 0).
-    When u^2 != 0 some square is nonzero, and the squares span a line iff
-    the nonzero ones share one class key of decompose."""
-    columns = [algebra.column_square(i) for i in u.support()]
-    if u.square().is_zero():
-        return all(not any(col) for col in columns)
-    return len({_normalize_line(algebra.field, col) for col in columns if any(col)}) == 1
+    """Squares over supp(u) span a line (u^2 != 0) or all vanish (u^2 = 0),
+    for plain u.  The nonzero squares span a line iff they share one class
+    C of algebra.column_classes; supp u then lies in ann u C, so
+    u^2 = (sum_{i in C} lambda_i u_i^2) l_C and no product is needed."""
+    classes = algebra.column_classes
+    met = {classes.class_of[i] for i, x in enumerate(u) if x} - {None}
+    if len(met) != 1:
+        return not met
+    lambdas = classes.lambdas
+    return bool(algebra.field.reduce(sum(lambdas[i] * u[i] * u[i]
+                                         for i in classes.members[met.pop()])))
 
 
 def _char2_completable(size, members):
@@ -108,7 +114,7 @@ def _char2_completable(size, members):
 def has_property_2li(algebra):
     """Squares of any two distinct basis vectors are linearly independent:
     no square vanishes and no two share a class."""
-    return algebra.n == 1 or len(decompose(algebra).components) == algebra.n
+    return algebra.n == 1 or len(algebra.column_classes.members) == algebra.n
 
 
 def has_unique_natural_basis(algebra):
@@ -124,21 +130,14 @@ def has_unique_natural_basis(algebra):
     """
     if algebra.n == 1:
         return True
-    if algebra.annihilator().dim > 0:
+    classes = algebra.column_classes
+    if classes.annihilator:
         # Annihilator vectors mix freely into other basis vectors.
         return False
-    p = algebra.field.characteristic
-    dec = decompose(algebra)
+    p, lambdas = algebra.field.characteristic, classes.lambdas
     return all(len(idx) == 1 or (p == 2 and len(idx) <= 3)
-               or (p == 3 and len(idx) == 2
-                   and not sum(_component_lambdas(algebra, idx, line), algebra.field.zero))
-               for idx, line in zip(dec.component_indices, dec.component_squares))
-
-
-def _normalize_line(field, vec):
-    lead = next(x for x in vec if x)
-    inv = field.one / lead
-    return tuple(inv * x for x in vec)
+               or (p == 3 and len(idx) == 2 and not sum(lambdas[i] for i in idx) % 3)
+               for idx in classes.members)
 
 
 @dataclass(frozen=True)
@@ -155,63 +154,43 @@ class Decomposition:
 
 
 def decompose(algebra):
-    field = algebra.field
-    ann_indices = []
-    classes = {}   # normalized column -> list of indices
-    order = []
-    for i in range(algebra.n):
-        col = algebra.column_square(i)
-        if not any(col):
-            ann_indices.append(i)
-            continue
-        key = _normalize_line(field, col)
-        if key not in classes:
-            classes[key] = []
-            order.append(key)
-        classes[key].append(i)
-
-    ann = Subspace.coordinate(field, algebra.n, ann_indices)
-    components, indices, squares = [], [], []
-    for key in sorted(order, key=lambda k: classes[k][0]):
-        idx = tuple(classes[key])
-        components.append(Subspace.coordinate(field, algebra.n, idx))
-        indices.append(idx)
-        squares.append(key)
-    return Decomposition(ann, tuple(components), tuple(indices), tuple(squares),
-                         algebra.square_space().dim)
+    """The canonical decomposition, boxed from algebra.column_classes with
+    each class line scaled to leading entry 1."""
+    field, n = algebra.field, algebra.n
+    classes = algebra.column_classes
+    squares = []
+    for line in classes.lines:
+        scale = field.inv(next(x for x in line if x))
+        squares.append(tuple(field.box(field.reduce(x * scale)) for x in line))
+    return Decomposition(Subspace.coordinate(field, n, classes.annihilator),
+                         tuple(Subspace.coordinate(field, n, idx) for idx in classes.members),
+                         classes.members, tuple(squares), algebra.square_space().dim)
 
 
 def decomposition_for_basis(algebra, basis_vectors):
     """Annihilator/component subspaces, in ambient coordinates, of the
-    decomposition induced by an arbitrary natural basis."""
-    vecs = [algebra._coords_of(v) for v in basis_vectors]
-    rebased = algebra.change_basis(vecs)
-    dec = decompose(rebased)
+    decomposition induced by an arbitrary natural basis.  Index i of the
+    rebased algebra is basis vector i, so each part is the span of its basis
+    vectors, and a class line l is P l for P with the basis as columns."""
+    vecs = [algebra._plain_of(v) for v in basis_vectors]
+    classes = algebra.change_basis(vecs).column_classes
+    field, n, P = algebra.field, algebra.n, list(zip(*vecs))
 
-    def to_ambient(rows):
-        out = []
-        for row in rows:
-            v = [algebra.field.zero] * algebra.n
-            for c, bv in zip(row, vecs):
-                v = [x + c * y for x, y in zip(v, bv)]
-            out.append(v)
-        return Subspace.from_vectors(algebra.field, algebra.n, out)
+    def span(rows):
+        return Subspace._from_plain(field, n, rows)
 
-    ann = to_ambient(dec.annihilator.basis)
-    components = tuple(to_ambient(comp.basis) for comp in dec.components)
-    return ann, components, tuple(to_ambient([key]) for key in dec.component_squares)
+    return (span([vecs[i] for i in classes.annihilator]),
+            tuple(span([vecs[i] for i in idx]) for idx in classes.members),
+            tuple(span([matvec_rows(P, line, field.reduce)]) for line in classes.lines))
 
 
 def verify_block_form(algebra, basis1, basis2):
     """Check the block change-of-basis shape between two natural bases:
     annihilator vectors map into the annihilator span, and each component
-    maps into the span of the matching component plus the annihilator."""
-    v1 = [algebra._coords_of(v) for v in basis1]
-    v2 = [algebra._coords_of(v) for v in basis2]
-    if not algebra.verify_natural_basis(v1) or not algebra.verify_natural_basis(v2):
-        raise NotANaturalBasis("both candidates must be natural bases")
-    ann1, comps1, lines1 = decomposition_for_basis(algebra, v1)
-    ann2, comps2, lines2 = decomposition_for_basis(algebra, v2)
+    maps into the span of the matching component plus the annihilator.
+    Raises NotANaturalBasis unless both are natural bases."""
+    ann1, comps1, lines1 = decomposition_for_basis(algebra, basis1)
+    ann2, comps2, lines2 = decomposition_for_basis(algebra, basis2)
     if len(comps1) != len(comps2):
         return False
     # Align components by their square-lines.
@@ -240,83 +219,74 @@ def extend_family(algebra, family):
     """Extend a pairwise-orthogonal family of natural vectors of a
     non-degenerate algebra to a full natural basis."""
     family = [f if isinstance(f, Element) else algebra.element(f) for f in family]
-    if algebra.annihilator().dim > 0:
+    classes = algebra.column_classes
+    if classes.annihilator:
         raise Degenerate("extension requires a non-degenerate algebra")
-    for a in range(len(family)):
-        for b in range(a + 1, len(family)):
-            if not (family[a] * family[b]).is_zero():
+    plain = [algebra._plain_of(u) for u in family]
+    for a in range(len(plain)):
+        for b in range(a + 1, len(plain)):
+            if any(algebra._product(plain[a], plain[b])):
                 raise NotOrthogonal(f"family members {a} and {b} are not orthogonal")
-    for u in family:
-        if u.is_zero() or not _support_line_condition(algebra, u):
+    by_class = [[] for _ in classes.members]
+    for u in plain:
+        if not any(u) or not _support_line_condition(algebra, u):
             raise NotNaturalVector("family contains a non-natural vector")
+        by_class[classes.class_of[next(i for i, x in enumerate(u) if x)]].append(u)
 
-    dec = decompose(algebra)
     field = algebra.field
-    by_component = {i: [] for i in range(len(dec.components))}
-    for u in family:
-        first = min(u.support())
-        comp = next(i for i, idx in enumerate(dec.component_indices) if first in idx)
-        by_component[comp].append(u)
-
-    completed = list(family)
     added = []
-    for ci, idx in enumerate(dec.component_indices):
-        members = [[u.coords[i] for i in idx] for u in by_component[ci]]
+    for idx, family_in_class in zip(classes.members, by_class):
+        size = len(idx)
+        members = [[u[i] for i in idx] for u in family_in_class]
         if not members:
-            local_added = Subspace.full(field, len(idx)).basis
+            local_added = [[int(j == k) for j in range(size)] for k in range(size)]
         elif field.characteristic == 2:
-            found = _char2_completable(len(idx), [sum(1 << k for k, x in enumerate(m) if x)
-                                                  for m in members])
+            found = _char2_completable(size, [sum(x << k for k, x in enumerate(m))
+                                              for m in members])
             if found is None:
                 raise NotExtendable("no orthogonal completion exists over GF(2)")
-            local_added = [[field.one if v >> k & 1 else field.zero
-                            for k in range(len(idx))] for v in found]
+            local_added = [[v >> k & 1 for k in range(size)] for v in found]
         else:
-            lambdas = _component_lambdas(algebra, idx, dec.component_squares[ci])
-            local_added = _complete_orthogonal(field, lambdas, members)
+            local_added = _complete_orthogonal(field, [classes.lambdas[i] for i in idx],
+                                               members)
         for loc in local_added:
-            v = [field.zero] * algebra.n
+            v = [0] * algebra.n
             for pos, x in zip(idx, loc):
                 v[pos] = x
-            el = algebra.element(v)
-            added.append(el)
-            completed.append(el)
+            added.append(Element._from_plain(algebra, v))
+    completed = family + added
     if not algebra.verify_natural_basis(completed):
         raise NotANaturalBasis("internal completion failed verification")
     return ExtensionResult(tuple(completed), tuple(added))
 
 
-def _component_lambdas(algebra, indices, line_key):
-    pivot = next(k for k, x in enumerate(line_key) if x)
-    return [algebra.column_square(i)[pivot] for i in indices]
-
-
-def _bilinear(field, lambdas, x, y):
-    return sum((l * a * b for l, a, b in zip(lambdas, x, y)), field.zero)
-
-
 def _complete_orthogonal(field, lambdas, members):
-    """Complete an orthogonal anisotropic family to an orthogonal basis of
-    the diagonal form sum lambda_i x_i y_i (characteristic != 2)."""
+    """Complete an orthogonal anisotropic family of plain vectors to an
+    orthogonal basis of the diagonal form sum lambda_i x_i y_i
+    (characteristic != 2)."""
     size = len(lambdas)
-    # Orthogonal complement of the members.
-    rows = [[l * c for l, c in zip(lambdas, m)] for m in members]
-    comp = Matrix(field, rows).kernel() if rows else Subspace.full(field, size)
-    vecs = [list(v) for v in comp.basis]
+    red, inv = field.reduce, field.inv
+
+    def bilinear(x, y):
+        return red(sum(l * a * b for l, a, b in zip(lambdas, x, y)))
+
+    # Orthogonal complement of the members; each round works on the RREF
+    # basis of what is left.
+    rows = [[red(l * c) for l, c in zip(lambdas, m)] for m in members]
+    vecs = kernel_rows(rows, size, rref_rows(rows, size, field), red)
     out = []
-    while vecs:
-        v = next((x for x in vecs if _bilinear(field, lambdas, x, x)), None)
+    while vecs := vecs[:len(rref_rows(vecs, size, field))]:
+        v = next((x for x in vecs if bilinear(x, x)), None)
         if v is None:
             # All isotropic: some cross pairing is nonzero; u+w is anisotropic
             # because b(u+w, u+w) = 2 b(u, w) and the characteristic is not 2.
-            pair = next((x, y) for x, y in combinations(vecs, 2)
-                        if _bilinear(field, lambdas, x, y))
-            v = [a + b for a, b in zip(*pair)]
+            pair = next((x, y) for x, y in combinations(vecs, 2) if bilinear(x, y))
+            v = [red(a + b) for a, b in zip(*pair)]
         out.append(v)
-        bvv = _bilinear(field, lambdas, v, v)
+        scale = inv(bilinear(v, v))
         projected = []
         for x in vecs:
-            f = _bilinear(field, lambdas, x, v) / bvv
-            projected.append([a - f * b for a, b in zip(x, v)])
-        vecs = [list(r) for r in Subspace.from_vectors(field, size, projected).basis]
+            f = red(bilinear(x, v) * scale)
+            projected.append([red(a - f * b) for a, b in zip(x, v)])
+        vecs = projected
     return out

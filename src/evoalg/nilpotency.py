@@ -72,7 +72,7 @@ class NilpotencyReport:
 def _annihilator_chain_indices(algebra):
     n = algebra.n
     supports = structure_digraph(algebra)
-    current = frozenset(i for i in range(n) if not supports[i])
+    current = frozenset(algebra.column_classes.annihilator)
     chain = [current]
     while True:
         bigger = frozenset(i for i in range(n) if supports[i] <= current)
@@ -104,12 +104,8 @@ def nilpotency_report(algebra):
 
 def is_cube_zero(algebra):
     """A^3 = 0 iff every index has a zero row or a zero column."""
-    m = algebra.M
-    n = algebra.n
-    for i in range(n):
-        if any(m.row(i)) and any(m.column(i)):
-            return False
-    return True
+    ann = set(algebra.column_classes.annihilator)
+    return all(i in ann or not any(row) for i, row in enumerate(algebra.M.plain))
 
 
 @dataclass(frozen=True)

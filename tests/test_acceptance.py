@@ -19,8 +19,7 @@ from evoalg.generate import random_algebra
 from evoalg.ideals import (is_basic_ideal, is_basic_simple,
                            is_basic_simple_relative, is_simple)
 from evoalg.linalg import Subspace
-from evoalg.natural import (_bilinear, _component_lambdas, decompose,
-                            decomposition_for_basis, extend_family,
+from evoalg.natural import (decompose, decomposition_for_basis, extend_family,
                             has_unique_natural_basis)
 from evoalg.nilpotency import (find_orthogonality_witness, nilpotency_report,
                                power_spaces)
@@ -151,7 +150,7 @@ def _decomposition_invariants(a):
     for idx in dec.component_indices:
         assert not covered & set(idx)
         covered.update(idx)
-    ann_indices = {i for i in range(a.n) if not any(a.column_square(i))}
+    ann_indices = {i for i in range(a.n) if not any(a.M.column(i))}
     assert covered | ann_indices == set(range(a.n))
     assert dec.annihilator.dim + sum(c.dim for c in dec.components) == a.n
     assert dec.square_dim == a.square_space().dim
@@ -187,6 +186,17 @@ def test_criterion_03_decomposition_suite():
 
 
 # ----------------------------------------------------------- criterion 4
+
+
+def _component_lambdas(algebra, indices, line_key):
+    """The lambda_i of e_i^2 = lambda_i l for the class line l, read at the
+    line's first nonzero entry."""
+    pivot = next(k for k, x in enumerate(line_key) if x)
+    return [algebra.M.column(i)[pivot] for i in indices]
+
+
+def _bilinear(field, lambdas, x, y):
+    return sum((l * a * b for l, a, b in zip(lambdas, x, y)), field.zero)
 
 
 def _random_orthogonal_family(a, rng):

@@ -37,6 +37,23 @@ def test_rank_singular_example():
     assert mq.det() == 0 and mq.rank() == 2
 
 
+def test_rational_rank_counts_rref_pivots():
+    # Over Q rank runs forward elimination only; it must count the pivots
+    # of the full RREF, zero rows, empty and non-square shapes included.
+    assert Matrix(QQ, []).rank() == 0
+    rng = random.Random(33)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        data = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * (rng.random() < 0.7)
+                 for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.3:
+            data[rng.randrange(rows)] = [0] * cols
+        if rng.random() < 0.3:
+            data.append([2 * x for x in data[0]])
+        m = Matrix(QQ, data)
+        assert m.rank() == len(m.rref()[2]), data
+
+
 def test_rref_canonical():
     m = Matrix(QQ, [[2, 4], [1, 2]])
     red, rank, pivots = m.rref()

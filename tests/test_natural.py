@@ -2,15 +2,17 @@
 
 import random
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
 from evoalg.algebra import EvolutionAlgebra
-from evoalg.errors import Degenerate, NotExtendable, NotOrthogonal, ZeroVector
-from evoalg.fields import GF, QQ
+from evoalg.errors import (AlgebraMismatch, Degenerate, NotExtendable, NotOrthogonal,
+                           ZeroVector)
+from evoalg.fields import GF, QQ, Mod
 from evoalg.generate import random_algebra
-from evoalg.linalg import Matrix
-from evoalg.natural import (_char2_completable, _support_line_condition,
+from evoalg.linalg import Matrix, Subspace
+from evoalg.natural import (Decomposition, _char2_completable, _support_line_condition,
                             decompose, decomposition_for_basis,
                             extend_family, has_property_2li,
                             has_unique_natural_basis, is_natural_vector,
@@ -334,13 +336,13 @@ def test_property_2li_matches_pairwise_rank():
         for _ in range(60):
             n = rng.randint(1, 5)
             a = random_algebra(field, n, rng=rng)
-            pool = [a.column_square(i) for i in range(n)] + [[field.zero] * n]
+            pool = [a.M.column(i) for i in range(n)] + [[field.zero] * n]
             cols = [rng.choice(pool) for _ in range(n)]
             b = EvolutionAlgebra(field, [[cols[i][j] for i in range(n)]
                                          for j in range(n)])
             for alg in (a, b):
                 expected = all(
-                    Matrix(field, [alg.column_square(i), alg.column_square(j)]).rank() == 2
+                    Matrix(field, [alg.M.column(i), alg.M.column(j)]).rank() == 2
                     for i, j in combinations(range(n), 2))
                 assert has_property_2li(alg) == expected
 
@@ -427,7 +429,7 @@ def test_unique_basis_matches_enumeration():
 
 def ref_support_line_condition(algebra, u):
     """Reference: the rank of the support's squares, by a full RREF."""
-    columns = [algebra.column_square(i) for i in sorted(u.support())]
+    columns = [algebra.M.column(i) for i in sorted(u.support())]
     if u.square().is_zero():
         return all(not any(col) for col in columns)
     return Matrix(algebra.field, columns).rank() == 1
@@ -457,9 +459,9 @@ def test_support_line_condition_matches_rank():
             for i in rng.sample(range(n), rng.randint(1, n)):
                 coords[i] = rng.choice([-1, 1, 2]) if field == QQ else rng.randrange(1, field.p)
             u = a.element(coords)
-            verdict = _support_line_condition(a, u)
+            verdict = _support_line_condition(a, a._plain_of(u))
             assert verdict == ref_support_line_condition(a, u), (a.M.data, coords)
-            zero_cols = [i for i in u.support() if not any(a.column_square(i))]
+            zero_cols = [i for i in u.support() if not any(a.M.column(i))]
             cases.add(verdict)
             if zero_cols and not u.square().is_zero():
                 cases.add("zero columns in the support")
@@ -492,3 +494,216 @@ def test_natural_vector_makes_no_rank_call(monkeypatch):
             if not u.is_zero():
                 is_natural_vector(a, u)
     assert calls == []
+
+
+def test_natural_vector_builds_no_mod(monkeypatch):
+    # Natural-vector questions run on plain values: building the column
+    # classes and answering repeated calls on one algebra creates no Mod.
+    rng = random.Random(73)
+    made = []
+    init = Mod.__init__
+
+    def counted(self, r, p):
+        made.append(p)
+        init(self, r, p)
+
+    verdicts = set()
+    for field in (GF(2), GF(5), GF(101)):
+        for _ in range(20):
+            n = rng.randint(1, 5)
+            a = pooled_algebra(field, n, rng)
+            us = [[rng.randrange(field.p) for _ in range(n)] for _ in range(8)]
+            us = [u for u in us if any(u)]
+            us += [a.element(u) for u in us]
+            with monkeypatch.context() as m:
+                m.setattr(Mod, "__init__", counted)
+                verdicts.update(is_natural_vector(a, u) for u in us)
+            assert made == [], field
+    assert verdicts == {True, False}
+
+
+def test_natural_vector_rejects_foreign_elements():
+    a = EvolutionAlgebra(QQ, [[1, 0], [0, 1]])
+    longer = EvolutionAlgebra(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    other = EvolutionAlgebra(QQ, [[1, 1], [1, 1]])
+    with pytest.raises(AlgebraMismatch):
+        is_natural_vector(a, longer.element([1, 0, 0]))
+    with pytest.raises(AlgebraMismatch):
+        is_natural_vector(a, other.element([1, 1]))
+    # An equal algebra built separately is the same algebra.
+    assert is_natural_vector(a, EvolutionAlgebra(QQ, [[1, 0], [0, 1]]).element([0, 2]))
+
+
+def normalize_line_reference(field, vec):
+    lead = next(x for x in vec if x)
+    inv = field.one / lead
+    return tuple(inv * x for x in vec)
+
+
+def decompose_reference(algebra):
+    """Reference: the classes keyed by each boxed column scaled to leading
+    entry 1, one column at a time."""
+    field = algebra.field
+    ann_indices = []
+    classes = {}   # normalized column -> list of indices
+    for i in range(algebra.n):
+        col = algebra.M.column(i)
+        if not any(col):
+            ann_indices.append(i)
+            continue
+        classes.setdefault(normalize_line_reference(field, col), []).append(i)
+    order = sorted(classes, key=lambda k: classes[k][0])
+    return Decomposition(
+        Subspace.coordinate(field, algebra.n, ann_indices),
+        tuple(Subspace.coordinate(field, algebra.n, classes[k]) for k in order),
+        tuple(tuple(classes[k]) for k in order), tuple(order),
+        algebra.square_space().dim)
+
+
+def decomposition_for_basis_reference(algebra, basis_vectors):
+    """Reference: decompose the rebased algebra and map every basis row
+    back to ambient coordinates with boxed arithmetic."""
+    vecs = [algebra._coords_of(v) for v in basis_vectors]
+    dec = decompose_reference(algebra.change_basis(vecs))
+
+    def to_ambient(rows):
+        out = []
+        for row in rows:
+            v = [algebra.field.zero] * algebra.n
+            for c, bv in zip(row, vecs):
+                v = [x + c * y for x, y in zip(v, bv)]
+            out.append(v)
+        return Subspace.from_vectors(algebra.field, algebra.n, out)
+
+    return (to_ambient(dec.annihilator.basis),
+            tuple(to_ambient(comp.basis) for comp in dec.components),
+            tuple(to_ambient([key]) for key in dec.component_squares))
+
+
+def random_natural_basis(algebra, rng):
+    """A natural basis other than the standard one: an orthogonal pair
+    (1, t), (lambda_j t, -lambda_i) on two indices of a class where it is
+    anisotropic, annihilator vectors mixed into the others, random scales."""
+    field, n = algebra.field, algebra.n
+
+    def scalar():
+        return field(rng.randint(1, 4) if field == QQ else rng.randrange(1, field.p))
+
+    classes = decompose_reference(algebra)
+    basis = [[field.one if j == i else field.zero for j in range(n)] for i in range(n)]
+    for idx in classes.component_indices:
+        if len(idx) < 2:
+            continue
+        i, j = rng.sample(idx, 2)
+        line = classes.component_squares[classes.component_indices.index(idx)]
+        li, lj = (algebra.M.column(k)[next(k for k, x in enumerate(line) if x)]
+                  for k in (i, j))
+        t = scalar()
+        if li + lj * t * t:
+            basis[i][j], basis[j][i], basis[j][j] = t, lj * t, -li
+    ann = classes.annihilator.pivots
+    for i, v in enumerate(basis):
+        if ann and i not in ann and rng.random() < 0.5:
+            v[rng.choice(ann)] += scalar()
+    scaled = []
+    for v in basis:
+        c = scalar()
+        scaled.append([c * x for x in v])
+    return scaled
+
+
+def test_column_classes_match_reference():
+    rng = random.Random(74)
+    for field in (QQ, GF(2), GF(3), GF(101)):
+        seen = set()
+        for _ in range(150):
+            a = pooled_algebra(field, rng.randint(1, 6), rng)
+            classes = a.column_classes
+            reference = decompose_reference(a)
+            assert decompose(a) == reference
+            assert classes.annihilator == reference.annihilator.pivots
+            assert classes.members == reference.component_indices
+            for c, line in enumerate(classes.lines):
+                # A canonical multiple of the leading-1 line: itself over
+                # GF(p), a primitive integer vector with positive lead over Q.
+                unit = reference.component_squares[c]
+                lead = next(x for x in line if x)
+                assert tuple(map(field.box, line)) == tuple(field.box(lead) * x for x in unit)
+                assert lead == 1 if field.p else (lead > 0 and gcd(*line) == 1)
+            for i in range(a.n):
+                c = classes.class_of[i]
+                unit = [0] * a.n if c is None else reference.component_squares[c]
+                assert a.M.column(i) == tuple(field.box(classes.lambdas[i]) * x for x in unit)
+                assert (c is None) == (i in classes.annihilator)
+                if c is not None:
+                    assert i in classes.members[c]
+            basis = random_natural_basis(a, rng)
+            assert decomposition_for_basis(a, basis) == \
+                decomposition_for_basis_reference(a, basis), (a.M.data, basis)
+            seen.add("zero column" if classes.annihilator else "no zero column")
+            seen.add("multi-index class" if any(len(m) > 1 for m in classes.members)
+                     else "singleton classes")
+        assert seen == {"zero column", "no zero column", "multi-index class",
+                        "singleton classes"}, field
+
+
+def complete_orthogonal_reference(field, lambdas, members):
+    """Reference: Gram-Schmidt on the RREF basis of the orthogonal
+    complement, with boxed scalars and one Subspace per round."""
+    def b(x, y):
+        return sum((l * p * q for l, p, q in zip(lambdas, x, y)), field.zero)
+
+    rows = [[l * c for l, c in zip(lambdas, m)] for m in members]
+    comp = Matrix(field, rows).kernel() if rows else Subspace.full(field, len(lambdas))
+    vecs = [list(v) for v in comp.basis]
+    out = []
+    while vecs:
+        v = next((x for x in vecs if b(x, x)), None)
+        if v is None:
+            pair = next((x, y) for x, y in combinations(vecs, 2) if b(x, y))
+            v = [p + q for p, q in zip(*pair)]
+        out.append(v)
+        vecs = [list(r) for r in Subspace.from_vectors(
+            field, len(lambdas), [[p - b(x, v) / b(v, v) * q for p, q in zip(x, v)]
+                                  for x in vecs]).basis]
+    return out
+
+
+def test_extend_family_matches_boxed_completion():
+    # One random anisotropic vector in some classes of an algebra whose
+    # columns are multiples of few pool vectors (classes of several indices,
+    # isotropic complements over GF(3) and GF(5)); every added vector equals
+    # the boxed reference's.
+    rng = random.Random(75)
+    for field in (QQ, GF(3), GF(5), GF(101)):
+        extended = 0
+        while extended < 60:
+            n = rng.randint(1, 6)
+            pool = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(2)]
+            cols = [[rng.choice([-2, -1, 1, 2]) * x for x in rng.choice(pool)]
+                    for _ in range(n)]
+            a = EvolutionAlgebra(field, [[cols[i][j] for i in range(n)] for j in range(n)])
+            if not a.is_nondegenerate():
+                continue
+            dec = decompose(a)
+            family, expected = [], []
+            for idx, line in zip(dec.component_indices, dec.component_squares):
+                pivot = next(k for k, x in enumerate(line) if x)
+                lambdas = [a.M.column(i)[pivot] for i in idx]
+                v = [field(rng.randint(-2, 2)) for _ in idx]
+                members = []
+                if rng.random() < 0.7 and sum((l * x * x for l, x in zip(lambdas, v)),
+                                              field.zero):
+                    members = [v]
+                    coords = [field.zero] * n
+                    for pos, x in zip(idx, v):
+                        coords[pos] = x
+                    family.append(a.element(coords))
+                for loc in complete_orthogonal_reference(field, lambdas, members):
+                    coords = [field.zero] * n
+                    for pos, x in zip(idx, loc):
+                        coords[pos] = x
+                    expected.append(tuple(coords))
+            result = extend_family(a, family)
+            assert [e.coords for e in result.added_vectors] == expected, (cols, family)
+            extended += 1
