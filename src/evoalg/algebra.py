@@ -187,21 +187,24 @@ class EvolutionAlgebra:
             return False
         if len(rref_rows(list(vecs), self.n, self.field)) != self.n:
             return False
-        return not any(any(self._product(vecs[a], vecs[b]))
-                       for a in range(self.n) for b in range(a + 1, self.n))
+        # u w = M (u o w) is zero when u o w is.
+        products = (list(map(mul, u, w)) for a, u in enumerate(vecs) for w in vecs[a + 1:])
+        return not any(any(uw) and any(matvec_rows(self.M.plain, uw, self.field.reduce))
+                       for uw in products)
 
     def change_basis(self, candidates):
-        """The same algebra written relative to a new natural basis."""
+        """The same algebra written relative to a new natural basis: column k
+        of the new structure matrix solves P y = v_k^2, P with the basis
+        vectors as columns, so one Gauss-Jordan elimination of
+        [P | v_1^2 ... v_n^2] leaves [I | new matrix]."""
         if not self.verify_natural_basis(candidates):
             raise NotANaturalBasis("candidates are not a natural basis")
-        vecs = [self._coords_of(c) for c in candidates]
-        P = Matrix.from_columns(self.field, [list(v) for v in vecs])
-        columns = []
-        for v in vecs:
-            sq = Element(self, v).square().coords
-            y = P.solve(sq)
-            columns.append(list(y))
-        return EvolutionAlgebra(self.field, Matrix.from_columns(self.field, columns))
+        field, n = self.field, self.n
+        vecs = [self._plain_of(c) for c in candidates]
+        squares = [self._product(v, v) for v in vecs]
+        m = [list(p_row) + list(s_row) for p_row, s_row in zip(zip(*vecs), zip(*squares))]
+        rref_rows(m, n, field)
+        return EvolutionAlgebra(field, Matrix._from_plain(field, [row[n:] for row in m]))
 
     def adjoint(self):
         """Evolution algebra on the same basis with transposed structure matrix."""

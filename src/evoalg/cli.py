@@ -22,8 +22,8 @@ from .algfile import (emit_algebra_json, emit_algebra_text, load_algebra,
 from .errors import EvoAlgError, InvalidArgument, ParseError, UnreadableFile
 from .fields import parse_field, render_field
 from .generate import random_algebra
-from .ideals import (descendant_closed_sets, ideal_lattice_perfect,
-                     is_basic_simple, is_basic_simple_relative, is_simple)
+from .ideals import (descendant_closed_sets, is_basic_simple, is_basic_simple_relative,
+                     is_simple)
 from .natural import (decompose, decomposition_for_basis, extend_family,
                       has_unique_natural_basis, is_natural_vector)
 from .nilpotency import (find_cube_nilpotent, find_orthogonality_witness,
@@ -232,26 +232,18 @@ def cmd_cube_nilpotent(args):
 
 
 def cmd_ideals(args):
+    # Every ideal of a perfect algebra is basic, so both reports list the
+    # descendant-closed index sets.
     a = _load(args)
+    closed = [_indices(s) for s in descendant_closed_sets(a)]
     if a.is_perfect():
-        lattice = ideal_lattice_perfect(a)
-        data = {
-            "perfect": True,
-            "ideals": [_indices(g) for g in lattice.generators],
-            "all_basic": True,
-        }
-        lines = [f"perfect algebra; {len(lattice.ideals)} ideals, all basic"]
-        lines += [f"  span of e{data['ideals'][k]}"
-                  for k in range(len(lattice.ideals))]
+        data = {"perfect": True, "ideals": closed, "all_basic": True}
+        lines = [f"perfect algebra; {len(closed)} ideals, all basic"]
     else:
-        closed = descendant_closed_sets(a)
-        data = {
-            "perfect": False,
-            "basic_ideals": [_indices(s) for s in closed],
-        }
+        data = {"perfect": False, "basic_ideals": closed}
         lines = [f"non-perfect algebra; {len(closed)} basic ideals "
                  "(ideals spanned by basis vectors)"]
-        lines += [f"  span of e{ix}" for ix in data["basic_ideals"]]
+    lines += [f"  span of e{ix}" for ix in closed]
     _emit(args, data, lines)
     return 0
 

@@ -253,29 +253,37 @@ def _kernel_candidates(field, kern):
         yield from basis
 
 
-def _border(rows, gamma, q, inverses, red, inv):
-    """Inverse of M[gamma, gamma] (in gamma's order) from the kept inverse
-    of the block without j = gamma[q], or None when M[gamma, gamma] is
-    singular: the Schur complement s = m_jj - M[j, rest] inverse M[rest, j]
-    is det M[gamma, gamma] / det M[rest, rest]."""
-    j = gamma[q]
-    rest = gamma[:q] + gamma[q + 1:]
-    inverse = inverses[rest]
-    row = [rows[j][i] for i in rest]
-    x = [red(sum(map(mul, r, (rows[i][j] for i in rest)))) for r in inverse]
-    s = red(rows[j][j] - sum(map(mul, row, x)))
-    if not s:
-        return None
-    s_inv = inv(s)
-    y = [red(-sum(map(mul, row, c)) * s_inv) for c in zip(*inverse)]
-    grown = []
-    for r, xi in zip(inverse, x):
-        r = [red(a - xi * b) for a, b in zip(r, y)]
-        r.insert(q, red(-xi * s_inv))
-        grown.append(r)
-    y.insert(q, s_inv)
-    grown.insert(q, y)
-    return grown
+def _grow(state, j, p):
+    """(nonsingular, state of gamma + (j)) from the state of gamma.
+
+    A state (rows, d, first, r) is fraction-free (Bareiss) elimination on
+    the indices of gamma, stopped with r rows and r columns left without a
+    pivot; rows holds those first, then the rows and columns of the indices
+    from first = gamma[-1] + 1 on, and d is the last pivot.  With r = 0,
+    rows[i][k] = det M[gamma + (first + i), gamma + (first + k)] and
+    d = det M[gamma, gamma], up to sign and one nonzero factor (Sylvester's
+    identity).  The child adds the row and column of j to the waiting ones
+    and eliminates their r + 1 columns, pivots from waiting rows, each step
+    (piv a - f b) / d exact on integers; a column finds no pivot exactly
+    when M[gamma + (j), gamma + (j)] is singular.  Over GF(p) only zero or
+    not matters, and a step without the division scales the rows left by
+    one nonzero constant, so entries are just reduced mod p."""
+    rows, d, first, r = state
+    lo = r + j - first
+    rows = [row[:r] + row[lo:] for row in rows[:r] + rows[lo:]]
+    for left in range(r + 1, 0, -1):
+        for k in range(left):
+            if rows[k][0]:
+                break
+        else:
+            return False, (rows, d, j + 1, left)
+        piv, *top = rows.pop(k)
+        if p:
+            rows = [[(piv * a - f * b) % p for a, b in zip(rest, top)] for f, *rest in rows]
+        else:
+            rows = [[(piv * a - f * b) // d for a, b in zip(rest, top)] for f, *rest in rows]
+        d = piv
+    return True, (rows, d, j + 1, 0)
 
 
 def find_cube_nilpotent(algebra):
@@ -283,41 +291,37 @@ def find_cube_nilpotent(algebra):
     a size); a vanishing minor plus an all-squares kernel vector yields a
     verified u with u^3 = 0.
 
-    Each block M[gamma, gamma] is bordered from a nonsingular block one
-    index smaller whose inverse the previous size kept, at O(k^2) per
-    subset: the prefix gamma[:-1] first, else another kept block.  Only
-    blocks that do not end at the last index are kept, since only they are
-    a prefix of a larger block.  With no kept block to border, the minor is
-    computed afresh."""
+    The subsets form a tree, gamma + (j) for j > gamma[-1] being a child of
+    gamma, and each size is the children of the size below, in order.  A
+    child costs one Schur-complement step on the bordered minors its parent
+    keeps (_grow), about (n - j)^2 operations, so a scan that finds nothing
+    costs about 3 * 2^n: the all-principal-minors method of Griffin and
+    Tsatsomeros, fraction-free as in Bareiss.  Only nodes that do not end
+    at the last index have children and are kept."""
     if not algebra.is_perfect():
         raise NotPerfect("nilpotent-of-order-3 detection requires a perfect algebra")
     n = algebra.n
-    field = algebra.field
-    rows, red, inv = field.integral(algebra.M.plain), field.reduce, field.inv
+    p = algebra.field.p
+    level = [((), (algebra.field.integral(algebra.M.plain), 1, 0, 0))]
     first_vanishing = None
     minors = 0
-    inverses = {(): []}
-    for size in range(1, n + 1):
-        grown = {}
-        for gamma in combinations(range(n), size):
-            minors += 1
-            q = next((q for q in reversed(range(size))
-                      if gamma[:q] + gamma[q + 1:] in inverses), None)
-            if q is None:
-                singular = not algebra.M.minor(gamma, gamma)
-            else:
-                block = _border(rows, gamma, q, inverses, red, inv)
-                singular = block is None
-                if block is not None and gamma[-1] < n - 1:
-                    grown[gamma] = block
-            if not singular:
-                continue
-            if first_vanishing is None:
-                first_vanishing = gamma
-            u = cube_witness_from_minor(algebra, gamma)
-            if u is not None:
-                return CubeNilpotentScan(u, gamma, False, minors)
-        inverses = grown
+    while level:
+        grown = []
+        for gamma, state in level:
+            for j in range(gamma[-1] + 1 if gamma else 0, n):
+                child = gamma + (j,)
+                minors += 1
+                nonsingular, child_state = _grow(state, j, p)
+                if j < n - 1:
+                    grown.append((child, child_state))
+                if nonsingular:
+                    continue
+                if first_vanishing is None:
+                    first_vanishing = child
+                u = cube_witness_from_minor(algebra, child)
+                if u is not None:
+                    return CubeNilpotentScan(u, child, False, minors)
+        level = grown
     if first_vanishing is not None:
         return CubeNilpotentScan(None, first_vanishing, True, minors)
     return CubeNilpotentScan(None, None, False, minors)

@@ -142,6 +142,33 @@ def test_cube_nilpotent_cli(capsys, tmp_path):
     assert code == 1 and "no vanishing principal minor" in out
 
 
+# cube-nilpotent reports on algebras whose scan passes over vanishing
+# minors without a witness and goes on below them (the two Q algebras of
+# test_nilpotency.test_cube_scan_singular_prefixes and a GF(13) algebra),
+# pinned byte for byte: (algebra, text report, --json report).
+CUBE_GOLDEN = [
+    ("field q\ndim 4\n1 4 0 0\n-1 -4 1 0\n0 1 1 0\n0 0 0 1\n",
+     "none found: minor vanishes, witness needs square roots (minor on [1, 2])\n",
+     '{\n  "diagnostic": "minor vanishes, witness needs square roots",\n'
+     '  "found": false,\n  "minor_indices": [\n    1,\n    2\n  ]\n}\n'),
+    ("field q\ndim 5\n1 1 1 0 0\n1 1 1 1 0\n1 1 1 0 1\n1 0 0 1 1\n0 1 0 1 2\n",
+     "none found: minor vanishes, witness needs square roots (minor on [1, 2])\n",
+     '{\n  "diagnostic": "minor vanishes, witness needs square roots",\n'
+     '  "found": false,\n  "minor_indices": [\n    1,\n    2\n  ]\n}\n'),
+    ("field gf 13\ndim 4\n12 10 11 0\n0 12 0 1\n2 0 4 0\n11 0 4 1\n",
+     "none found: minor vanishes, witness needs square roots (minor on [1, 3])\n",
+     '{\n  "diagnostic": "minor vanishes, witness needs square roots",\n'
+     '  "found": false,\n  "minor_indices": [\n    1,\n    3\n  ]\n}\n'),
+]
+
+
+@pytest.mark.parametrize("text, report, json_report", CUBE_GOLDEN)
+def test_cube_nilpotent_golden_reports(capsys, tmp_path, text, report, json_report):
+    path = write(tmp_path, "c.alg", text)
+    assert run(capsys, "cube-nilpotent", path) == (0, report, "")
+    assert run(capsys, "cube-nilpotent", "--json", path) == (0, json_report, "")
+
+
 def test_random_deterministic(capsys):
     code, out1, _ = run(capsys, "random", "--field", "gf 7", "--dim", "3",
                         "--seed", "42")

@@ -6,9 +6,9 @@ from math import gcd
 
 import pytest
 
-from evoalg.algebra import EvolutionAlgebra
-from evoalg.errors import (AlgebraMismatch, Degenerate, NotExtendable, NotOrthogonal,
-                           ZeroVector)
+from evoalg.algebra import Element, EvolutionAlgebra
+from evoalg.errors import (AlgebraMismatch, Degenerate, NotANaturalBasis, NotExtendable,
+                           NotOrthogonal, ZeroVector)
 from evoalg.fields import GF, QQ, Mod
 from evoalg.generate import random_algebra
 from evoalg.linalg import Matrix, Subspace
@@ -645,6 +645,47 @@ def test_column_classes_match_reference():
                      else "singleton classes")
         assert seen == {"zero column", "no zero column", "multi-index class",
                         "singleton classes"}, field
+
+
+def change_basis_reference(algebra, candidates):
+    """change_basis as it was: the rank and every pairwise product of the
+    candidates checked, then one boxed square and one P.solve per vector."""
+    field, n = algebra.field, algebra.n
+    vecs = [algebra._coords_of(c) for c in candidates]
+    if (len(vecs) != n or Matrix(field, vecs).rank() != n
+            or any(not (Element(algebra, u) * Element(algebra, w)).is_zero()
+                   for u, w in combinations(vecs, 2))):
+        raise NotANaturalBasis("candidates are not a natural basis")
+    P = Matrix.from_columns(field, [list(v) for v in vecs])
+    columns = [list(P.solve(Element(algebra, v).square().coords)) for v in vecs]
+    return EvolutionAlgebra(field, Matrix.from_columns(field, columns))
+
+
+def test_change_basis_matches_per_vector_solve():
+    rng = random.Random(75)
+
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except NotANaturalBasis:
+            return "not a natural basis"
+
+    for field in (QQ, GF(2), GF(3), GF(101)):
+        seen = set()
+        for case in range(120):
+            n = rng.randint(1, 6)
+            a = pooled_algebra(field, n, rng) if case % 2 else random_algebra(field, n, rng=rng)
+            basis = random_natural_basis(a, rng)
+            rng.shuffle(basis)
+            tries = [basis, basis[1:], basis[:1] + basis[:-1],
+                     [[x + y for x, y in zip(basis[0], basis[-1])]] + basis[1:],
+                     [[field(rng.randrange(3)) for _ in range(n)] for _ in range(n)]]
+            for candidates in tries:
+                expected = outcome(change_basis_reference, a, candidates)
+                assert outcome(a.change_basis, candidates) == expected, (a.M.data, candidates)
+                assert a.verify_natural_basis(candidates) == (expected != "not a natural basis")
+                seen.add(expected == "not a natural basis")
+        assert seen == {True, False}, field
 
 
 def complete_orthogonal_reference(field, lambdas, members):

@@ -356,37 +356,93 @@ def test_minor_scan_matches_all_pairs(monkeypatch):
     assert hits and late and none
 
 
+def rank_deficient_perfect(rng):
+    """A perfect algebra over Q, GF(11) or GF(13), n = 3..7, with one
+    principal block M[g, g], |g| < n, made singular: on the columns of g,
+    the first row of g is a combination of the others."""
+    field = rng.choice([QQ, GF(11), GF(13)])
+    n = rng.randint(3, 7)
+    draw = ((lambda: rng.randint(-3, 3)) if field == QQ
+            else (lambda: rng.randrange(field.p)))
+    while True:
+        rows = [[draw() for _ in range(n)] for _ in range(n)]
+        t, *others = rng.sample(range(n), rng.randint(2, n - 1))
+        coeffs = [draw() for _ in others]
+        for c in (t, *others):
+            rows[t][c] = sum(k * rows[u][c] for k, u in zip(coeffs, others))
+        a = EvolutionAlgebra(field, rows)
+        if a.is_perfect():
+            return a
+
+
+def fractions_made(monkeypatch, *paused):
+    """Fractions constructed from now on, outside calls of the paused
+    (owner, name) functions."""
+    made, active = [], [True]
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        if active[0]:
+            made.append(args)
+        return new(cls, *args, **kwargs)
+
+    def pause(original):
+        def run(*args):
+            active[0] = False
+            try:
+                return original(*args)
+            finally:
+                active[0] = True
+        return run
+
+    for owner, name in paused:
+        monkeypatch.setattr(owner, name, pause(getattr(owner, name)))
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    return made
+
+
 def test_cube_scan_matches_minor_per_subset(monkeypatch):
     rng = random.Random(42)
-    passed_over = later_witness = 0
-    for _ in range(1200):
-        a = random_perfect(rng)
+    corpus = ([random_perfect(rng) for _ in range(1200)]
+              + [rank_deficient_perfect(rng) for _ in range(600)])
+    passed_over = later_witness = resumed = 0
+    for a in corpus:
         expected, passed = minor_per_subset_scan(a)
-        fallbacks = counting(monkeypatch, Matrix, "minor")
+        minor_calls = counting(monkeypatch, Matrix, "minor")
+        det_calls = counting(monkeypatch, Matrix, "det")
+        grow_calls = counting(monkeypatch, nilpotency, "_grow")
+        tried = counting(monkeypatch, nilpotency, "cube_witness_from_minor")
+        made = fractions_made(monkeypatch, (EvolutionAlgebra, "is_perfect"),
+                              (nilpotency, "cube_witness_from_minor"))
         scan = find_cube_nilpotent(a)
         monkeypatch.undo()
         assert scan == expected
         assert scan.minors <= 2 ** a.n - 1
-        # A minor is computed afresh only below a vanishing prefix.
-        for _, gamma, _ in fallbacks:
-            assert any(gamma[:m] in passed for m in range(1, len(gamma)))
+        # No determinant inside the scan: the one det is the perfectness
+        # check on M itself.
+        assert not minor_calls and [m for m, in det_calls] == [a.M]
+        assert not made
+        # A witness is sought on exactly the vanishing minors, in order.
+        assert [gamma for _, gamma in tried] == passed + (
+            [scan.minor_indices] if scan.element is not None else [])
+        # Calls whose parent stopped its elimination with rows left over.
+        resumed += sum(state[3] > 0 for state, _, _ in grow_calls)
         passed_over += bool(passed)
         later_witness += bool(passed) and scan.element is not None
-    assert passed_over and later_witness
+    assert passed_over and later_witness and resumed > 200
 
 
 def test_cube_scan_singular_prefixes(monkeypatch):
     # {1, 2} vanishes without a witness: its kernel line (4, -1) has no
-    # rational square roots.  {1, 2, 3} is bordered from {1, 3} instead of
-    # its prefix; {1, 2, 4} has no other kept block (blocks that end at the
-    # last index are not kept), so its minor is computed afresh.
+    # rational square roots, so the children of {1, 2} go on eliminating
+    # with its rows and columns waiting for a pivot.
     a = EvolutionAlgebra(QQ, [[1, 4, 0, 0],
                               [-1, -4, 1, 0],
                               [0, 1, 1, 0],
                               [0, 0, 0, 1]])
     # Every 2 x 2 principal minor inside {1, 2, 3} vanishes without a
-    # witness (kernel lines (1, -1)), so {1, 2, 3} has no nonsingular block
-    # to border.
+    # witness (kernel lines (1, -1)), so {1, 2, 3} has no nonsingular
+    # prefix.
     b = EvolutionAlgebra(QQ, [[1, 1, 1, 0, 0],
                               [1, 1, 1, 1, 0],
                               [1, 1, 1, 0, 1],
@@ -397,12 +453,13 @@ def test_cube_scan_singular_prefixes(monkeypatch):
     expected_b, passed_b = minor_per_subset_scan(b)
     assert passed_a == [(0, 1), (0, 1, 3)]
     assert passed_b[:4] == [(0, 1), (0, 2), (1, 2), (0, 1, 2)]
-    fallbacks = counting(monkeypatch, Matrix, "minor")
+    minor_calls = counting(monkeypatch, Matrix, "minor")
+    det_calls = counting(monkeypatch, Matrix, "det")
     assert find_cube_nilpotent(a) == expected_a
-    assert [gamma for _, gamma, _ in fallbacks] == [(0, 1, 3)]
-    fallbacks.clear()
     assert find_cube_nilpotent(b) == expected_b
-    assert fallbacks[0][1] == (0, 1, 2)
+    # No determinant inside the scan: one det per scan, the perfectness
+    # check on M itself.
+    assert not minor_calls and [m for m, in det_calls] == [a.M, b.M]
 
 
 def multiples_reference(field, kern):
