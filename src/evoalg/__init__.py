@@ -6,7 +6,7 @@ from .adjoint import (AdjointInvariants, GeneratorClassification, Hierarchy,
                       hierarchy, is_irreducible, zeroth_decomposition)
 from .algebra import Element, EvolutionAlgebra, check_algebra_homomorphism
 from .algfile import (emit_algebra_json, emit_algebra_text, load_algebra,
-                      parse_algebra_json, parse_algebra_text, parse_basis_text)
+                      parse_algebra_json, parse_algebra_text, parse_vectors_text)
 from .errors import EvoAlgError, ParseError, SelfCheckFailed
 from .fields import GF, QQ, Mod, is_prime, parse_field, render_field
 from .generate import random_algebra

@@ -168,20 +168,22 @@ def load_algebra(path):
     return parse_algebra_text(text)
 
 
-def parse_basis_text(text, field, dim):
-    """Basis file: one vector per line, n scalars each, ``#`` comments."""
+def parse_vectors_text(text, field, dim, count=None):
+    """Vector file: one vector per line, dim scalars each separated by
+    spaces or commas, ``#`` comments.  With count (a basis file: count =
+    dim) the file must hold exactly count vectors; without it (a family)
+    any number.  A bad line is reported with its line number."""
     vectors = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
+        parts = _strip(raw).replace(",", " ").split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != dim:
             raise ParseError(f"expected {dim} entries, got {len(parts)}", line=lineno)
         try:
             vectors.append([field.parse(tok) for tok in parts])
         except ParseError as exc:
             raise ParseError(str(exc), line=lineno) from None
-    if len(vectors) != dim:
-        raise ParseError(f"expected {dim} basis vectors, got {len(vectors)}")
+    if count is not None and len(vectors) != count:
+        raise ParseError(f"expected {count} basis vectors, got {len(vectors)}")
     return vectors

@@ -18,7 +18,7 @@ import sys
 from .adjoint import (adjoint_annihilator, adjoint_invariants, hierarchy,
                       is_irreducible, zeroth_decomposition)
 from .algfile import (emit_algebra_json, emit_algebra_text, load_algebra,
-                      parse_basis_text, read_text)
+                      parse_vectors_text, read_text)
 from .errors import EvoAlgError, InvalidArgument, ParseError, UnreadableFile
 from .fields import parse_field, render_field
 from .generate import random_algebra
@@ -106,13 +106,7 @@ def cmd_natural(args):
 
 def cmd_extend(args):
     a = _load(args)
-    vectors = []
-    for raw in read_text(args.family).splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        vectors.append(_parse_vector(a.field, line, a.n))
-    result = extend_family(a, vectors)
+    result = extend_family(a, parse_vectors_text(read_text(args.family), a.field, a.n))
     data = {
         "basis": [_vec(a.field, u.coords) for u in result.completed_basis],
         "added": [_vec(a.field, u.coords) for u in result.added_vectors],
@@ -127,7 +121,7 @@ def cmd_extend(args):
 def cmd_decompose(args):
     a = _load(args)
     if args.basis:
-        vecs = parse_basis_text(read_text(args.basis), a.field, a.n)
+        vecs = parse_vectors_text(read_text(args.basis), a.field, a.n, count=a.n)
         ann, comps, lines_ = decomposition_for_basis(a, vecs)
         data = {
             "annihilator": _subspace(a.field, ann),
@@ -301,7 +295,7 @@ def cmd_adjoint(args):
 def cmd_classify(args):
     a = _load(args)
     if args.basis:
-        vecs = parse_basis_text(read_text(args.basis), a.field, a.n)
+        vecs = parse_vectors_text(read_text(args.basis), a.field, a.n, count=a.n)
         a = a.change_basis(vecs)
     dec = zeroth_decomposition(a)
     data = {

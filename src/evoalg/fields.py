@@ -10,7 +10,9 @@ residues over GF(p), Fractions or ints over Q.  A descriptor supplies
 what they need: ``reduce`` and ``inv`` of plain values, ``unbox`` of public
 scalars (with the same FieldMismatch checks as coercion), ``view`` of
 already checked ones, and ``box`` to turn a plain result public again.
-For elimination it also supplies ``integral`` (a matrix times one common
+RREF, rank and determinants (``linalg.bareiss_rows``, one fraction-free
+elimination for both fields) need only its modulus ``p``, None over Q.
+Closures and reductions also use ``integral`` (a matrix times one common
 nonzero constant, in plain integers), ``normalize`` (the canonical
 multiple of a row: monic over GF(p), primitive integer over Q) and
 ``eliminate`` (one reduction step).

@@ -18,9 +18,9 @@ MAX_CLOSED_SETS = 1 << 16
 
 
 def structure_digraph(algebra):
-    """Adjacency sets: i -> j iff entry (j, i) of M is nonzero."""
-    return [frozenset(j for j in range(algebra.n) if algebra.M.entry(j, i))
-            for i in range(algebra.n)]
+    """Adjacency sets: i -> j iff entry (j, i) of M is nonzero, read from
+    the plain columns of M (column i is e_i^2)."""
+    return [frozenset(j for j, x in enumerate(col) if x) for col in zip(*algebra.M.plain)]
 
 
 def reachable(adjacency, sources):

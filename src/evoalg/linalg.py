@@ -2,10 +2,11 @@
 
 Matrices are immutable, row-major, with a deterministic reduced row
 echelon form (first nonzero entry scanning left-to-right, top-to-bottom
-picks the pivot).  Over Q, RREF and determinants use fraction-free
-Bareiss elimination on rows scaled to integers; over GF(p), plain
-Gaussian elimination on residues.  Subspaces are stored as canonical
-RREF bases, so equality of subspaces is structural.
+picks the pivot).  RREF, rank, kernels, solutions and determinants all
+come from one fraction-free (Bareiss) elimination, ``bareiss_rows``, over
+both fields: on rows scaled to integers over Q, on residues over GF(p).
+Subspaces are stored as canonical RREF bases, so equality of subspaces is
+structural.
 
 Entries are public scalars (``Mod`` or ``Fraction``), but elimination,
 products and reduction run once, in the module-level kernels below, over
@@ -14,50 +15,55 @@ plain view, and a result is boxed once on the way out.
 """
 
 from fractions import Fraction
+from math import prod
 from operator import mul
 
-from .errors import FieldMismatch, IndexOutOfRange, NonSquareMatrix, ShapeMismatch
-from .fields import QQ, integer_row
+from .errors import (FieldMismatch, IndexOutOfRange, InvalidArgument, NonSquareMatrix,
+                     ShapeMismatch)
+from .fields import integer_row
+
+
+def integer_rows(rows, p):
+    """The plain rows as integers for bareiss_rows, with the product of
+    their scales: over Q (p None) each row times its lcm of denominators."""
+    if p is not None:
+        return list(rows), 1
+    rows = [integer_row(row) for row in rows]
+    return [row for row, _ in rows], prod(s for _, s in rows)
 
 
 def rref_rows(m, cols, field):
     """Gauss-Jordan on the list m of plain rows, in place: rows are swapped
-    and replaced, never modified.  Returns the pivot columns."""
-    if field.p is None:
-        # Over Q: one division by the last pivot d ends fraction-free
-        # Gauss-Jordan on the rows scaled to integers.
-        m[:] = [integer_row(row)[0] for row in m]
-        pivots, d, _ = bareiss_rows(m, cols, above=True)
-        m[:len(pivots)] = [[Fraction(x, d) for x in row] for row in m[:len(pivots)]]
-        return pivots
-    # Over GF(p): the row at pc is 0 left of pc, so normalize makes it 1
-    # at pc.
-    normalize, eliminate = field.normalize, field.eliminate
-    pivots = []
-    for pc in range(cols):
-        pr = len(pivots)
-        pivot_row = next((i for i in range(pr, len(m)) if m[i][pc]), None)
-        if pivot_row is None:
-            continue
-        m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        row = m[pr] = normalize(m[pr])
-        for i, other in enumerate(m):
-            if other[pc] and i != pr:
-                m[i] = eliminate(other, row, pc)
-        pivots.append(pc)
-        if pr + 1 == len(m):
-            break
+    and replaced, never modified.  Returns the pivot columns.  bareiss_rows
+    leaves the last pivot d at every pivot, so one division by d ends it."""
+    p = field.p
+    if p is None:
+        m[:] = integer_rows(m, p)[0]
+    pivots, d, _ = bareiss_rows(m, cols, above=True, p=p)
+    r = len(pivots)
+    if p is None:
+        m[:r] = [[Fraction(x, d) for x in row] for row in m[:r]]
+    elif d != 1:
+        c = pow(d, -1, p)
+        m[:r] = [[x * c % p for x in row] for row in m[:r]]
     return pivots
 
 
-def bareiss_rows(m, cols, above):
+def bareiss_rows(m, cols, above, p):
     """Fraction-free (Bareiss) elimination of the integer rows m, in place:
-    every update p*a - f*b is divided exactly by the previous pivot, so each
-    entry stays an integer minor of m.  Rows below the pivot are cleared,
-    and with above the rows above it too (Gauss-Jordan), which leaves the
-    last pivot at the pivot of every pivot row.  Returns the pivot columns,
-    the last pivot and the sign of the row swaps."""
-    pivots, prev, sign = [], 1, 1
+    every update piv*a - f*b is divided exactly by the previous pivot, so
+    each entry stays a minor of m (Sylvester's identity), and the last pivot
+    is the determinant of the pivot block up to the sign of the swaps.  Rows
+    below the pivot are cleared, and with above the rows above it too
+    (Gauss-Jordan), which leaves the last pivot at every pivot.  Returns
+    the pivot columns, the last pivot and the sign of the row swaps.
+
+    Over GF(p), on residues, the division is a product with the inverse of
+    prev (a nonzero minor) mod p, and scales wait until the end: pivot row
+    i stands for scale[i] * m[i], a row below for prev * m[i].  A step is
+    then q * (a - (f/q)*b) for the stored pivot q = piv/prev: it multiplies
+    the pivot rows' scales, and the entries only of the rows it clears."""
+    pivots, prev, sign, scale = [], 1, 1, []
     for pc in range(cols):
         pr = len(pivots)
         pivot_row = next((i for i in range(pr, len(m)) if m[i][pc]), None)
@@ -67,20 +73,30 @@ def bareiss_rows(m, cols, above):
             m[pr], m[pivot_row] = m[pivot_row], m[pr]
             sign = -sign
         row = m[pr]
-        p = row[pc]
+        piv = row[pc]
+        if p is not None:
+            q, c = piv, pow(piv, -1, p)
+            if above and q != 1:
+                scale = [x * q % p for x in scale]
+            scale.append(prev)
+            piv = piv * prev % p
         for i in range(0 if above else pr + 1, len(m)):
-            if i == pr:
-                continue
             other = m[i]
             f = other[pc]
-            if f:
-                m[i] = [(p * a - f * b) // prev for a, b in zip(other, row)]
-            elif p != prev:
-                m[i] = [p * a // prev for a in other]
-        prev = p
+            if i == pr:
+                continue
+            if p is not None:
+                if f:
+                    g = f * c % p
+                    m[i] = [(a - g * b) % p for a, b in zip(other, row)]
+            elif f or piv != prev and any(other):
+                m[i] = [(piv * a - f * b) // prev for a, b in zip(other, row)]
+        prev = piv
         pivots.append(pc)
         if pr + 1 == len(m):
             break
+    # Over GF(p); the rows past the pivot rows end as zeros.
+    m[:len(scale)] = [row if x == 1 else [y * x % p for y in row] for row, x in zip(m, scale)]
     return pivots, prev, sign
 
 
@@ -192,6 +208,14 @@ class Matrix:
         return Matrix._trusted(self.field, tuple(zip(*self.data)), plain)
 
     def submatrix(self, row_indices, col_indices):
+        """The entries in the given rows and columns, in the given order;
+        each index set must be distinct and in range."""
+        row_indices, col_indices = tuple(row_indices), tuple(col_indices)
+        for indices, size in ((row_indices, self.rows), (col_indices, self.cols)):
+            if not all(0 <= i < size for i in indices):
+                raise IndexOutOfRange(f"submatrix index out of range for size {size}")
+            if len(set(indices)) != len(indices):
+                raise InvalidArgument("submatrix index repeated")
         return Matrix._trusted(self.field, tuple(tuple(self.data[i][j] for j in col_indices)
                                                  for i in row_indices))
 
@@ -223,68 +247,42 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.field!r}, {[list(r) for r in self.data]!r})"
 
-    def _reduced(self):
-        """Plain RREF rows and pivot columns."""
-        m = list(self.plain)
-        return m, rref_rows(m, self.cols, self.field)
-
     def rref(self):
         """(rref matrix, rank, pivot columns) by exact Gauss-Jordan."""
-        m, pivots = self._reduced()
+        m = list(self.plain)
+        pivots = rref_rows(m, self.cols, self.field)
         return Matrix._from_plain(self.field, m), len(pivots), tuple(pivots)
 
     def rank(self):
-        if self.field.p is None:
-            # Over Q only the pivots are needed: forward Bareiss, no Fractions.
-            m = [integer_row(row)[0] for row in self.plain]
-            return len(bareiss_rows(m, self.cols, above=False)[0])
-        return len(self._reduced()[1])
+        """The pivot count of the forward sweep: no row above a pivot is
+        touched and nothing is divided at the end."""
+        p = self.field.p
+        return len(bareiss_rows(integer_rows(self.plain, p)[0], self.cols,
+                                above=False, p=p)[0])
 
     def kernel(self):
-        """Canonical RREF basis of the right null space."""
-        m, pivots = self._reduced()
-        return Subspace._from_plain(self.field, self.cols,
-                                    kernel_rows(m, self.cols, pivots, self.field.reduce))
+        """Canonical RREF basis of the right null space, from one sweep of M
+        with its columns reversed: turned back, the null vector of that RREF
+        for a free column f is 1 at f and 0 before f and at the other free
+        columns, so in order of f these vectors are the canonical basis."""
+        n = self.cols
+        m = [row[::-1] for row in self.plain]
+        pivots = rref_rows(m, n, self.field)
+        basis = [v[::-1] for v in reversed(kernel_rows(m, n, pivots, self.field.reduce))]
+        return Subspace._from_plain(self.field, n, basis,
+                                   [next(j for j, x in enumerate(v) if x) for v in basis])
 
     def det(self):
+        """sign * d over the product of the row scales, where d is the last
+        pivot of the forward sweep; 0 below full rank."""
         if not self.is_square:
             raise NonSquareMatrix("determinant of a non-square matrix")
-        if self.rows == 0:
-            return self.field.one
-        if self.field == QQ:
-            return self._det_bareiss()
-        return self._det_gauss()
-
-    def _det_bareiss(self):
-        # Each row scaled to integers multiplies the determinant by its scale.
-        m, denom = [], 1
-        for row in self.data:
-            row, scale = integer_row(row)
-            m.append(row)
-            denom *= scale
-        pivots, d, sign = bareiss_rows(m, self.cols, above=False)
-        return Fraction(sign * d if len(pivots) == self.rows else 0, denom)
-
-    def _det_gauss(self):
-        field = self.field
-        red, inv = field.reduce, field.inv
-        n = self.rows
-        m = list(self.plain)
-        det = 1
-        for k in range(n):
-            pivot = next((i for i in range(k, n) if m[i][k]), None)
-            if pivot is None:
-                return field.box(0)
-            if pivot != k:
-                m[k], m[pivot] = m[pivot], m[k]
-                det = -det
-            det = red(det * m[k][k])
-            c = inv(m[k][k])
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    f = red(m[i][k] * c)
-                    m[i] = [red(a - f * b) for a, b in zip(m[i], m[k])]
-        return field.box(det)
+        field, p = self.field, self.field.p
+        m, scale = integer_rows(self.plain, p)
+        pivots, d, sign = bareiss_rows(m, self.cols, above=False, p=p)
+        if len(pivots) < self.rows:
+            return field.box(0)
+        return field.box(Fraction(sign * d, scale) if p is None else sign * d)
 
     def minor(self, row_indices, col_indices):
         row_indices, col_indices = sorted(row_indices), sorted(col_indices)
@@ -329,11 +327,14 @@ class Subspace:
         return cls._from_plain(field, ambient, rows)
 
     @classmethod
-    def _from_plain(cls, field, ambient, rows):
+    def _from_plain(cls, field, ambient, rows, pivots=None):
         """Span of canonical plain vectors of length ambient, given as a list
-        that rref_rows may reorder and overwrite."""
-        pivots = rref_rows(rows, ambient, field)
-        plain = tuple(map(tuple, rows[:len(pivots)]))
+        that rref_rows may reorder and overwrite, or as RREF rows with their
+        pivots."""
+        if pivots is None:
+            pivots = rref_rows(rows, ambient, field)
+            rows = rows[:len(pivots)]
+        plain = tuple(map(tuple, rows))
         box = field.box
         return cls(field, ambient, tuple(tuple(map(box, row)) for row in plain),
                    tuple(pivots), plain)

@@ -6,7 +6,7 @@ import pytest
 
 from evoalg.algfile import (emit_algebra_json, emit_algebra_text, load_algebra,
                             parse_algebra_json, parse_algebra_text,
-                            parse_basis_text)
+                            parse_vectors_text)
 from evoalg.errors import ParseError
 from evoalg.fields import GF, QQ
 
@@ -90,9 +90,12 @@ def test_load_algebra_dispatch(tmp_path):
 
 
 def test_parse_basis_text():
-    vecs = parse_basis_text("# basis\n1 1\n1 -1\n", QQ, 2)
+    vecs = parse_vectors_text("# basis\n1 1\n1 -1\n", QQ, 2, count=2)
     assert vecs == [[1, 1], [1, -1]]
     with pytest.raises(ParseError):
-        parse_basis_text("1 1\n", QQ, 2)
+        parse_vectors_text("1 1\n", QQ, 2, count=2)
     with pytest.raises(ParseError):
-        parse_basis_text("1 1 1\n1 0 0\n", QQ, 2)
+        parse_vectors_text("1 1 1\n1 0 0\n", QQ, 2, count=2)
+    # Without a count (a family file) any number of vectors, commas allowed.
+    assert parse_vectors_text("1, 1\n", QQ, 2) == [[1, 1]]
+    assert parse_vectors_text("# none\n", QQ, 2) == []

@@ -131,6 +131,13 @@ def test_extend_cli(capsys, tmp_path):
     assert code == 0 and "added vectors: 1" in out
 
 
+def test_extend_family_parse_error_names_its_line(capsys, tmp_path):
+    alg = write(tmp_path, "a.alg", "field q\ndim 2\n1 0\n0 1\n")
+    fam = write(tmp_path, "fam.txt", "# family\n1, 0\n0 x\n")
+    code, _, err = run(capsys, "extend", alg, "--family", fam)
+    assert code == 2 and "parse-error" in err and "(line 3)" in err
+
+
 def test_hierarchy_cli(capsys, ex59):
     code, out, _ = run(capsys, "hierarchy", ex59)
     assert code == 0 and out.startswith("level 0:")

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from evoalg import linalg
 from evoalg.algebra import EvolutionAlgebra, check_algebra_homomorphism
 from evoalg.errors import FieldMismatch
 from evoalg.fields import GF, QQ, Mod
@@ -139,7 +140,8 @@ def ref_closure(algebra, elements, ideal):
         basis = bigger
 
 
-FIELDS = (QQ, GF(2), GF(3), GF(101))
+# GF(1000003) and GF(2**61 - 1): products of residues pass a machine word.
+FIELDS = (QQ, GF(2), GF(3), GF(101), GF(1000003), GF(2**61 - 1))
 
 
 SMALL, INTEGER, HUGE = range(3)
@@ -218,6 +220,7 @@ def test_kernels_match_mod_loops():
                 assert_canonical(field, m.matvec(v))
                 kernel = m.kernel()
                 assert kernel.dim == cols - rank
+                assert Subspace.from_vectors(field, cols, kernel.basis) == kernel
                 assert_canonical(field, [x for row in kernel.basis for x in row])
                 assert not any(x for k in kernel.basis for x in ref_matvec(field, m.data, k))
                 x = m.solve(m.matvec(v))
@@ -304,6 +307,26 @@ def test_kernels_box_only_their_output(boxed):
     boxed[0] = 0
     m.rref()
     assert boxed[0] == n * n
+
+
+def test_one_elimination_per_call(monkeypatch):
+    # Over GF(p) as over Q, det, rank, rref, kernel and solve each run one
+    # fraction-free sweep and no other elimination.
+    calls = [0]
+    sweep = linalg.bareiss_rows
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "bareiss_rows", counted)
+    rng = random.Random(75)
+    for field in (GF(2), GF(101), QQ):
+        m = Matrix(field, random_rows(rng, field, 5, 5))
+        for call in (m.det, m.rank, m.rref, m.kernel, lambda: m.solve(m.column(0))):
+            calls[0] = 0
+            call()
+            assert calls[0] == 1
 
 
 @pytest.fixture

@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from evoalg.errors import IndexOutOfRange, NonSquareMatrix, ShapeMismatch
+from evoalg.errors import IndexOutOfRange, InvalidArgument, NonSquareMatrix, ShapeMismatch
 from evoalg.fields import GF, QQ
 from evoalg.linalg import Matrix, Subspace
 
@@ -187,3 +187,20 @@ def test_subspace_coordinate_rejects_out_of_range():
     for bad in ([3], [-1], [0, 4]):
         with pytest.raises(IndexOutOfRange):
             Subspace.coordinate(QQ, 3, bad)
+
+
+def test_submatrix_and_minor_check_indices():
+    # Out of range and negative indices (which would wrap to the last row)
+    # are refused, and so is a repeated index (whose minor would read 0).
+    m = Matrix(GF(7), [[1, 2, 3], [4, 5, 6], [0, 1, 1]])
+    for rows, cols in (([3], [0]), ([-1], [0]), ([0, 1], [0, 3])):
+        with pytest.raises(IndexOutOfRange):
+            m.minor(rows, cols)
+        with pytest.raises(IndexOutOfRange):
+            m.submatrix(rows, cols)
+    for rows, cols in (([0, 0], [0, 1]), ([0, 1], [2, 2])):
+        with pytest.raises(InvalidArgument):
+            m.minor(rows, cols)
+        with pytest.raises(InvalidArgument):
+            m.submatrix(rows, cols)
+    assert m.minor([2, 0], [1, 0]) == GF(7)(1)
