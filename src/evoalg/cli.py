@@ -9,9 +9,13 @@ oracle found mismatches, 2 usage, parse, invalid-argument or
 unreadable-file errors (a non-prime field spec is a parse error), 3
 computation errors (unsupported cases, dimension and answer-size limits);
 code 2 and 3 output carries the machine-readable error code.
+
+The parser is built once per process, on first use, and every ``main``
+call parses with it.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -369,8 +373,7 @@ def cmd_oracle(args):
     field = parse_field(args.field)
     if field.p is None:
         raise ParseError("oracles run over prime fields only")
-    report = run_oracle(args.name, field.p, args.dim,
-                                    samples=args.samples, seed=args.seed)
+    report = run_oracle(args.name, field.p, args.dim, samples=args.samples, seed=args.seed)
     data = {
         "oracle": report.name,
         "checked": report.checked,
@@ -436,18 +439,13 @@ COMMANDS = {
 _NO_FILE = ("random", "oracle")
 
 
-def _parser(only=None):
-    """The full parser, or one with only the subcommand `only`; its usage
-    line still names every subcommand, so its messages are the same."""
+@functools.cache
+def build_parser():
     parser = argparse.ArgumentParser(
         prog="evoalg",
         description="Exact analysis of finite-dimensional evolution algebras.")
-    names = COMMANDS if only is None else (only,)
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if only is None else "{" + ",".join(COMMANDS) + "}")
-    for name in names:
-        fn, helptext, check, arguments = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, helptext, check, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         if name not in _NO_FILE:
             p.add_argument("file", help="algebra file (text, or .json)")
@@ -461,23 +459,13 @@ def _parser(only=None):
     return parser
 
 
-def build_parser():
-    return _parser()
-
-
 def main(argv=None):
-    # Only the named subcommand's parser is built; -h, a missing or an
-    # unknown command gets the full one.
-    argv = sys.argv[1:] if argv is None else argv
-    args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, UnreadableFile, InvalidArgument) as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 2
     except EvoAlgError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, (ParseError, UnreadableFile, InvalidArgument)) else 3
 
 
 if __name__ == "__main__":

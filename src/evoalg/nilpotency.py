@@ -21,7 +21,7 @@ from .linalg import Subspace
 
 def product_space(algebra, s, t):
     """Span of all pairwise products of the two subspaces' basis vectors
-    (exact by bilinearity), formed on their plain rows."""
+    (exact by bilinearity), formed on their plain rows; zero products dropped."""
     # Plain rows of another field or length would multiply without
     # complaint; boxing one row of a mismatched factor as an Element raises
     # FieldMismatch or ShapeMismatch.  A zero left factor reads neither.
@@ -29,7 +29,7 @@ def product_space(algebra, s, t):
         for space in (s, t):
             if space.dim and (space.field != algebra.field or space.ambient != algebra.n):
                 Element(algebra, space.basis[0])
-    rows = [algebra._product(a, b) for a in s.plain for b in t.plain]
+    rows = [r for a in s.plain for b in t.plain if any(r := algebra._product(a, b))]
     return Subspace._from_plain(algebra.field, algebra.n, rows)
 
 

@@ -11,6 +11,7 @@ oracle against the corresponding fast path over a seeded corpus.
 import random
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import mul
 
 from . import ideals, natural, nilpotency
 from .algebra import EvolutionAlgebra
@@ -66,8 +67,8 @@ def kernel_mod(rows, p, cols):
 
 
 def evo_mult(m, p, u, v):
-    n = len(u)
-    return tuple(sum(m[j][i] * u[i] * v[i] for i in range(n)) % p for j in range(n))
+    w = [a * b for a, b in zip(u, v)]
+    return tuple(sum(map(mul, row, w)) % p for row in m)
 
 
 def normalized_vectors(p, n):
@@ -372,10 +373,12 @@ def oracle_nilpotency(p, dim, samples=2000, seed=7):
     for m in sample_structure_matrices(p, dim, samples, seed):
         algebra = _algebra_from_int_matrix(p, m)
         report = nilpotency.nilpotency_report(algebra)
-        right_zero = nilpotency.power_spaces(algebra, dim + 1).right.dim == 0
+        right = full = Subspace.full(algebra.field, dim)
+        for _ in range(dim):
+            right = nilpotency.product_space(algebra, right, full)
         nil = all_elements_nil(m, p)
         checked += 1
-        if not report.is_nilpotent == right_zero == nil:
+        if not report.is_nilpotent == (right.dim == 0) == nil:
             mismatches.append(m)
         elif report.is_nilpotent and report.right_nilpotency_index != len(report.type_sequence) + 1:
             mismatches.append(m)
@@ -418,14 +421,22 @@ ORACLES = {
 }
 
 
+MAX_ORACLE_POINTS = 1000   # projective points of GF(p)^dim a brute force may scan
+
+
 def run_oracle(name, p, dim, samples=None, seed=7):
-    if name not in ORACLES:
-        raise KeyError(name)
+    fn = ORACLES[name]
     if dim < 1:
         raise InvalidArgument(f"dimension must be at least 1, got {dim}")
     if samples is not None and samples < 1:
         raise InvalidArgument(f"samples must be at least 1, got {samples}")
-    fn = ORACLES[name]
+    points = 0
+    for k in range(dim):   # Horner for (p^dim - 1)/(p - 1), stopped past the limit
+        points = points * p + 1
+        if points > MAX_ORACLE_POINTS:
+            count = points if k == dim - 1 else f"more than {points}"
+            raise DimensionTooLarge(f"brute force over GF({p}) at dimension {dim} scans "
+                                    f"{count} projective points; the limit is {MAX_ORACLE_POINTS}")
     kwargs = {"seed": seed}
     if samples is not None:
         kwargs["samples"] = samples

@@ -4,6 +4,7 @@ import io
 import json
 import random
 import re
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
@@ -12,7 +13,6 @@ import pytest
 
 import evoalg
 from evoalg.algebra import Element
-from evoalg import cli
 from evoalg.cli import COMMANDS, build_parser, main
 
 EX59 = "field gf 5\ndim 3\n1 1 1\n1 1 1\n1 1 0\n"
@@ -291,6 +291,19 @@ def test_oracle_ideal_lattice_beyond_dim_3_exits_3(capsys):
     assert_clean_error(code, err, 3, "dimension-too-large")
 
 
+@pytest.mark.parametrize("field, dim, count", [
+    ("gf 10007", "2", "10008"), ("gf 1000003", "3", "more than 1000004")])
+def test_oracle_brute_force_past_point_limit_exits_3(capsys, field, dim, count):
+    # Refused before a single projective point is listed.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "natural-vectors", "--field", field,
+                         "--dim", dim)
+    assert time.perf_counter() - start < 0.5
+    assert_clean_error(code, err, 3, "dimension-too-large")
+    assert f"scans {count} projective points; the limit is 1000" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("size", ["0", "-1"])
 def test_minors_max_size_below_one_exits_2(capsys, tmp_path, size):
     path = write(tmp_path, "p.alg", PERFECT2)
@@ -420,12 +433,11 @@ def _exit_of(fn, argv):
     return out.getvalue(), err.getvalue(), exc.value.code
 
 
-def test_lazy_parser_matches_full_parser(monkeypatch):
-    # main builds only the named subcommand's parser; help, usage errors
-    # and exit codes must be those of the full parser, byte for byte.
-    built = []
-    parser = cli._parser
-    monkeypatch.setattr(cli, "_parser", lambda only=None: built.append(only) or parser(only))
+def test_one_parser_per_process(capsys, tmp_path):
+    # main parses every call with the one parser build_parser caches; help,
+    # usage errors and exit codes stay those of a freshly built parser, byte
+    # for byte, also after successful runs and other errors.
+    ok = write(tmp_path, "ok.alg", PERFECT2)
     required = {"extend": ["f", "--family", "g"], "random": ["--field", "q", "--dim", "2"],
                 "oracle": ["natural", "--field", "gf 2", "--dim", "2"]}
     cases = [["-h"], ["--help"], [], ["bogus"], ["--json", "analyze", "f"]]
@@ -434,11 +446,16 @@ def test_lazy_parser_matches_full_parser(monkeypatch):
         cases += [[name, "-h"], [name], [name, "--bogus"], [name, *args, "--bogus"]]
     cases += [["minors", "f", "--max-size", "x"], ["oracle", "nope", "--field", "gf 2",
                                                    "--dim", "2"]]
-    for argv in cases:
-        full = _exit_of(lambda a: build_parser().parse_args(a), argv)
-        built.clear()
-        lazy = _exit_of(main, argv)
-        assert lazy == full, argv
-        assert lazy[2] in (0, 2), argv
-        assert lazy[0] or lazy[1], argv
-        assert built == [argv[0] if argv and argv[0] in COMMANDS else None], argv
+    build_parser.cache_clear()
+    report = run(capsys, "analyze", ok)
+    assert report[0] == 0 and "perfect: true" in report[1]
+    for _ in range(2):
+        for argv in cases:
+            fresh = _exit_of(lambda a: build_parser.__wrapped__().parse_args(a), argv)
+            cached = _exit_of(main, argv)
+            assert cached == fresh, argv
+            assert cached[2] in (0, 2), argv
+            assert cached[0] or cached[1], argv
+            assert run(capsys, "analyze", ok) == report
+            assert _exit_of(main, ["random", "--dim", "x"])[2] == 2
+    assert build_parser.cache_info().misses == 1

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from evoalg import nilpotency
+from evoalg import linalg, nilpotency
 from evoalg.algebra import Element, EvolutionAlgebra
 from evoalg.errors import (FieldMismatch, InvalidArgument, NotPerfect,
                            SelfCheckFailed, ShapeMismatch)
@@ -220,6 +220,34 @@ def test_product_space_matches_boxed_products(monkeypatch):
             fast = product_space(a, s, t)
             assert not made   # no boxed Element on the way
             assert fast == ref_product_space(a, s, t)
+
+
+def test_product_space_drops_zero_products(monkeypatch):
+    # Zero products add nothing to the span, so none reaches the elimination;
+    # sparse structure matrices make many of them.
+    rng = random.Random(35)
+    zero_rows = []
+    for name in ("rref_rows", "bareiss_rows"):
+        def recorded(m, *args, original=getattr(linalg, name), **kwargs):
+            zero_rows.extend(row for row in m if not any(row))
+            return original(m, *args, **kwargs)
+        monkeypatch.setattr(linalg, name, recorded)
+    zero_products = 0
+    for field, values in ((GF(2), [0, 1]), (GF(5), [0, 0, 0, 1, 3]),
+                          (QQ, [0, 0, 0, 1, Fraction(-1, 2)])):
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            a = EvolutionAlgebra(field, [[rng.choice(values) for _ in range(n)]
+                                         for _ in range(n)])
+            s, t = (Subspace.from_vectors(field, n, [[rng.choice(values) for _ in range(n)]
+                                                     for _ in range(rng.randint(0, n))])
+                    for _ in range(2))
+            zero_products += sum(not any(a._product(u, w)) for u in s.plain for w in t.plain)
+            del zero_rows[:]
+            fast = product_space(a, s, t)
+            assert not zero_rows
+            assert fast == ref_product_space(a, s, t)
+    assert zero_products > 50
 
 
 def test_product_space_mismatch_errors():
