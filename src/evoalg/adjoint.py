@@ -48,7 +48,7 @@ def adjoint_annihilator(algebra):
     M); verified against the annihilator of the adjoint and against
     A^2 . ann(adjoint) = 0."""
     span = Subspace.coordinate(algebra.field, algebra.n,
-                               [i for i in range(algebra.n) if not any(algebra.M.row(i))])
+                               [i for i, row in enumerate(algebra.M.plain) if not any(row)])
     if span != algebra.adjoint().annihilator():
         raise SelfCheckFailed("zero rows of M do not span the adjoint's annihilator")
     if product_space(algebra, algebra.square_space(), span).dim:
@@ -103,7 +103,7 @@ def classify_generators(algebra):
     verdicts = {}
     for i in range(algebra.n):
         closure = algebra.subalgebra_closure([algebra.unit(i)])
-        support = tuple(sorted({j for row in closure.basis for j, x in enumerate(row) if x}))
+        support = tuple(sorted({j for row in closure.plain for j, x in enumerate(row) if x}))
         spanned = closure.dim == len(support)
         if not spanned:
             out.append(GeneratorClassification(TRANSIENT, closure, support, False))

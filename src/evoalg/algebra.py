@@ -5,9 +5,12 @@ an n x n structure matrix M whose column i holds the coordinates of
 e_i^2 (so M[j][i] is the coefficient of e_j in e_i^2).  Distinct basis
 vectors multiply to zero, which makes the product of two elements
 u = sum a_i e_i and v = sum b_i e_i equal to M (a_1 b_1, ..., a_n b_n)^T.
+Elements store plain coordinates (``fields``); ``Element.coords`` boxes
+them when a caller reads it.
 """
 
-from operator import mul
+from functools import partial
+from operator import add, mul, neg, sub
 from typing import NamedTuple
 
 from .errors import (AlgebraMismatch, FieldMismatch, IndexOutOfRange, NotANaturalBasis,
@@ -53,12 +56,10 @@ class EvolutionAlgebra:
         """The i-th natural basis vector (0-based)."""
         if not 0 <= i < self.n:
             raise IndexOutOfRange(f"basis index {i} out of range for dimension {self.n}")
-        coords = [self.field.zero] * self.n
-        coords[i] = self.field.one
-        return Element(self, coords)
+        return Element._from_plain(self, [int(j == i) for j in range(self.n)])
 
     def zero(self):
-        return Element(self, [self.field.zero] * self.n)
+        return Element._from_plain(self, [0] * self.n)
 
     def basis(self):
         return [self.unit(i) for i in range(self.n)]
@@ -95,21 +96,19 @@ class EvolutionAlgebra:
     def annihilator_definitional(self):
         """The kernel {x : x e_j = 0 for all j}, independent of the zero-column rule."""
         rows = []
-        for j in range(self.n):
-            col = self.M.column(j)
-            for k in range(self.n):
-                row = [self.field.zero] * self.n
-                row[j] = col[k]
+        for j, col in enumerate(zip(*self.M.plain)):
+            for x in col:
+                row = [0] * self.n
+                row[j] = x
                 rows.append(row)
-        return Matrix(self.field, rows).kernel()
+        return Matrix._from_plain(self.field, rows).kernel()
 
     def is_nondegenerate(self):
         return not self.column_classes.annihilator
 
     def square_space(self):
         """A^2 as a subspace (span of the columns of M)."""
-        return Subspace.from_vectors(self.field, self.n,
-                                     [self.M.column(i) for i in range(self.n)])
+        return Subspace._from_plain(self.field, self.n, list(zip(*self.M.plain)))
 
     def subalgebra_closure(self, elements):
         return self._closure(elements, ideal=False)
@@ -164,21 +163,25 @@ class EvolutionAlgebra:
             return Subspace.full(field, n)
         return Subspace._from_plain(field, n, rows)
 
-    def _coords_of(self, x):
-        if isinstance(x, Element):
-            if x.algebra is not self and x.algebra != self:
-                raise AlgebraMismatch("element from a different algebra")
-            return x.coords
-        return tuple(self.field(c) for c in x)
-
     def _plain_of(self, x):
         """Plain coordinates of an Element of this algebra or a coordinate list."""
         if isinstance(x, Element):
-            return self.field.view(self._coords_of(x))
+            if x.algebra is not self and x.algebra != self:
+                raise AlgebraMismatch("element from a different algebra")
+            return x.plain
         v = self.field.unbox(x)
         if len(v) != self.n:
             raise ShapeMismatch(f"vectors of length {len(v)} in ambient dimension {self.n}")
         return v
+
+    def _check_space(self, space):
+        """Raise what making an Element of this algebra from a basis row of
+        the subspace raises: FieldMismatch for another field, ShapeMismatch
+        for another length."""
+        if space.field != self.field:
+            self.field(space.field.one)
+        if space.ambient != self.n:
+            raise ShapeMismatch("coordinate length does not match algebra dimension")
 
     def verify_natural_basis(self, candidates):
         """True iff the candidates pairwise multiply to zero and span everything."""
@@ -222,21 +225,25 @@ class EvolutionAlgebra:
 
 
 class Element:
-    __slots__ = ("algebra", "coords")
+    __slots__ = ("algebra", "plain")
 
     def __init__(self, algebra, coords):
         self.algebra = algebra
-        self.coords = tuple(algebra.field(c) for c in coords)
-        if len(self.coords) != algebra.n:
+        self.plain = tuple(algebra.field.unbox(coords))
+        if len(self.plain) != algebra.n:
             raise ShapeMismatch("coordinate length does not match algebra dimension")
 
     @classmethod
     def _from_plain(cls, algebra, plain):
-        """Box canonical plain coordinates once."""
+        """An element of canonical plain coordinates, taken as they are."""
         el = cls.__new__(cls)
-        el.algebra = algebra
-        el.coords = tuple(map(algebra.field.box, plain))
+        el.algebra, el.plain = algebra, tuple(plain)
         return el
+
+    @property
+    def coords(self):
+        """The coordinates as public scalars."""
+        return tuple(map(self.algebra.field.box, self.plain))
 
     def _check(self, other):
         if not isinstance(other, Element):
@@ -244,29 +251,33 @@ class Element:
         if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise AlgebraMismatch("elements from different algebras")
 
+    def _map(self, op, *others):
+        """The element whose plain coordinates are op of this one's (and others')."""
+        red = self.algebra.field.reduce
+        return Element._from_plain(self.algebra, [red(op(*xs)) for xs in
+                                                  zip(self.plain, *(o.plain for o in others))])
+
     def __add__(self, other):
         self._check(other)
-        return Element(self.algebra, [a + b for a, b in zip(self.coords, other.coords)])
+        return self._map(add, other)
 
     def __sub__(self, other):
         self._check(other)
-        return Element(self.algebra, [a - b for a, b in zip(self.coords, other.coords)])
+        return self._map(sub, other)
 
     def __neg__(self):
-        return Element(self.algebra, [-a for a in self.coords])
+        return self._map(neg)
 
     def scale(self, scalar):
-        scalar = self.algebra.field(scalar)
-        return Element(self.algebra, [scalar * a for a in self.coords])
+        (c,) = self.algebra.field.unbox([scalar])
+        return self._map(partial(mul, c))
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
 
     def __mul__(self, other):
         self._check(other)
-        a = self.algebra
-        view = a.field.view
-        return Element._from_plain(a, a._product(view(self.coords), view(other.coords)))
+        return Element._from_plain(self.algebra, self.algebra._product(self.plain, other.plain))
 
     def square(self):
         return self * self
@@ -282,20 +293,20 @@ class Element:
 
     def support(self):
         """0-based indices of the nonzero coordinates."""
-        return frozenset(i for i, c in enumerate(self.coords) if c)
+        return frozenset(i for i, c in enumerate(self.plain) if c)
 
     def is_zero(self):
-        return not any(self.coords)
+        return not any(self.plain)
 
     def __bool__(self):
         return not self.is_zero()
 
     def __eq__(self, other):
         return (isinstance(other, Element) and self.algebra == other.algebra
-                and self.coords == other.coords)
+                and self.plain == other.plain)
 
     def __hash__(self):
-        return hash((self.algebra, self.coords))
+        return hash((self.algebra, self.plain))
 
     def __repr__(self):
         return f"Element({list(self.coords)!r})"

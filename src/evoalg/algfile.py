@@ -83,8 +83,8 @@ def emit_algebra_text(algebra):
     out = [f"field {render_field(algebra.field)}", f"dim {algebra.n}"]
     if algebra.labels is not None:
         out.append("labels " + " ".join(algebra.labels))
-    for i in range(algebra.n):
-        out.append(" ".join(algebra.field.render(x) for x in algebra.M.row(i)))
+    # A plain value prints as its field renders it.
+    out += [" ".join(map(str, row)) for row in algebra.M.plain]
     return "\n".join(out) + "\n"
 
 
@@ -140,8 +140,7 @@ def emit_algebra_json(algebra):
     out = {
         "field": _field_to_json(algebra.field),
         "dim": algebra.n,
-        "matrix": [[algebra.field.render(x) for x in algebra.M.row(i)]
-                   for i in range(algebra.n)],
+        "matrix": [list(map(str, row)) for row in algebra.M.plain],
     }
     if algebra.labels is not None:
         out["labels"] = list(algebra.labels)

@@ -5,11 +5,12 @@ positive denominator).  Prime-field scalars are :class:`Mod` instances,
 residues reduced modulo p.  Field descriptors (:data:`QQ`, :func:`GF`)
 coerce, parse, render and take square roots of their scalars.
 
-The linear-algebra kernels compute on plain values instead: canonical
+Matrices, subspaces and elements store plain values instead: canonical
 residues over GF(p), Fractions or ints over Q.  A descriptor supplies
 what they need: ``reduce`` and ``inv`` of plain values, ``unbox`` of public
-scalars (with the same FieldMismatch checks as coercion), ``view`` of
-already checked ones, and ``box`` to turn a plain result public again.
+scalars (with the same FieldMismatch checks as coercion), and ``box``,
+which the three boxing views (``Matrix.data``, ``Subspace.basis`` and
+``Element.coords``) apply to a plain value when a caller reads it.
 RREF, rank and determinants (``linalg.bareiss_rows``, one fraction-free
 elimination for both fields) need only its modulus ``p``, None over Q.
 Closures and reductions also use ``integral`` (a matrix times one common
@@ -221,9 +222,6 @@ class Rationals:
     def unbox(self, v):
         return [self(x) for x in v]
 
-    def view(self, v):
-        return v
-
     def sqrt(self, a):
         """Some r >= 0 with r*r == a, or None when a is not a rational square."""
         a = self(a)
@@ -287,9 +285,6 @@ class PrimeField:
     def one(self):
         return Mod(1, self.p)
 
-    def elements(self):
-        return (Mod(r, self.p) for r in range(self.p))
-
     def reduce(self, x):
         return x % self.p
 
@@ -317,9 +312,6 @@ class PrimeField:
     def unbox(self, v):
         p = self.p
         return [x % p if isinstance(x, int) else self(x).r for x in v]
-
-    def view(self, v):
-        return [x.r for x in v]
 
     def sqrt(self, a):
         """The square root with smaller residue, or None for non-residues."""

@@ -1,11 +1,11 @@
 """Seeded random structure matrices for fuzzing and demos."""
 
 import random
-from fractions import Fraction
 
 from .algebra import EvolutionAlgebra
 from .errors import InvalidArgument, SamplingExhausted
 from .fields import QQ
+from .linalg import Matrix
 
 
 def random_algebra(field, dim, rng=None, seed=None, perfect=False,
@@ -19,12 +19,10 @@ def random_algebra(field, dim, rng=None, seed=None, perfect=False,
         rng = random.Random(seed)
     for _ in range(max_tries):
         if field == QQ:
-            rows = [[Fraction(rng.randint(-3, 3)) for _ in range(dim)]
-                    for _ in range(dim)]
+            rows = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
         else:
-            rows = [[field(rng.randrange(field.p)) for _ in range(dim)]
-                    for _ in range(dim)]
-        algebra = EvolutionAlgebra(field, rows)
+            rows = [[rng.randrange(field.p) for _ in range(dim)] for _ in range(dim)]
+        algebra = EvolutionAlgebra(field, Matrix._from_plain(field, rows))
         if perfect and not algebra.is_perfect():
             continue
         if nondegenerate and not algebra.is_nondegenerate():

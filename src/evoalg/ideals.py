@@ -10,7 +10,6 @@ a nonsingular structure matrix) and relative basic simplicity.
 
 from dataclasses import dataclass
 
-from .algebra import Element
 from .errors import AnswerTooLarge, NotPerfect
 from .linalg import Subspace
 
@@ -50,24 +49,25 @@ def is_strongly_connected(adjacency):
                for adj in (adjacency, reversed_digraph(adjacency)))
 
 
+def _support(subspace):
+    """The indices where some basis row of the subspace is nonzero."""
+    return {i for row in subspace.plain for i, x in enumerate(row) if x}
+
+
 def is_ideal(algebra, subspace):
-    """A I <= I, checked on basis vectors times RREF rows (bilinearity)."""
-    for row in subspace.basis:
-        s = Element(algebra, row)
-        for i in range(algebra.n):
-            if not subspace.contains((algebra.unit(i) * s).coords):
-                return False
-    return True
+    """A I <= I.  By bilinearity it suffices that e_i s = s_i e_i^2 lies in
+    I for every RREF row s and every i, that is that e_i^2 does for every
+    i in the support of I."""
+    if not subspace.dim:
+        return True
+    algebra._check_space(subspace)
+    squares = list(zip(*algebra.M.plain))
+    return all(subspace.contains(squares[i]) for i in _support(subspace))
 
 
 def is_basic_ideal(algebra, subspace):
     """An ideal equal to the span of the standard basis vectors it touches."""
-    if not is_ideal(algebra, subspace):
-        return False
-    support = set()
-    for row in subspace.basis:
-        support.update(i for i, x in enumerate(row) if x)
-    return len(support) == subspace.dim
+    return is_ideal(algebra, subspace) and len(_support(subspace)) == subspace.dim
 
 
 def descendant_closed_sets(algebra):

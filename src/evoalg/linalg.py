@@ -8,10 +8,12 @@ both fields: on rows scaled to integers over Q, on residues over GF(p).
 Subspaces are stored as canonical RREF bases, so equality of subspaces is
 structural.
 
-Entries are public scalars (``Mod`` or ``Fraction``), but elimination,
-products and reduction run once, in the module-level kernels below, over
-the descriptor's plain values (``fields``); a matrix or subspace keeps its
-plain view, and a result is boxed once on the way out.
+A matrix or subspace stores only the descriptor's plain values
+(``fields``), and elimination, products and reduction run on them in the
+module-level kernels below.  The three boxing views, ``Matrix.data`` (with
+``row``, ``column`` and ``entry``), ``Subspace.basis`` and
+``algebra.Element.coords``, turn plain values into public scalars (``Mod``
+or ``Fraction``) when a caller reads them.
 """
 
 from fractions import Fraction
@@ -131,81 +133,72 @@ def kernel_rows(m, cols, pivots, red):
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "data", "_plain")
+    __slots__ = ("field", "plain")
 
     def __init__(self, field, data):
         self.field = field
-        self.data = tuple(tuple(field(x) for x in row) for row in data)
-        self._plain = None
-        self.rows = len(self.data)
-        self.cols = len(self.data[0]) if self.data else 0
-        if any(len(row) != self.cols for row in self.data):
+        self.plain = tuple(tuple(field.unbox(row)) for row in data)
+        if any(len(row) != self.cols for row in self.plain):
             raise ShapeMismatch("ragged rows")
 
     @classmethod
-    def _trusted(cls, field, data, plain=None):
-        """A matrix of rows already in the field, with their plain view if known."""
+    def _from_plain(cls, field, plain):
+        """A matrix of canonical plain rows, taken as they are."""
         m = cls.__new__(cls)
-        m.field, m.data, m._plain = field, data, plain
-        m.rows = len(data)
-        m.cols = len(data[0]) if data else 0
+        m.field, m.plain = field, tuple(map(tuple, plain))
         return m
 
     @classmethod
-    def _from_plain(cls, field, plain):
-        """Box canonical plain rows once."""
-        plain = tuple(map(tuple, plain))
-        box = field.box
-        return cls._trusted(field, tuple(tuple(map(box, row)) for row in plain), plain)
-
-    @property
-    def plain(self):
-        """The rows as plain values (residues over GF(p))."""
-        if self._plain is None:
-            view = self.field.view
-            self._plain = tuple(tuple(view(row)) for row in self.data)
-        return self._plain
-
-    @classmethod
     def identity(cls, field, n):
-        return cls(field, [[field.one if i == j else field.zero for j in range(n)]
-                           for i in range(n)])
+        return cls._from_plain(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, field, rows, cols):
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)])
+        return cls._from_plain(field, [[0] * cols for _ in range(rows)])
 
     @classmethod
     def diagonal(cls, field, entries):
-        entries = [field(x) for x in entries]
+        entries = field.unbox(entries)
         n = len(entries)
-        return cls(field, [[entries[i] if i == j else field.zero for j in range(n)]
-                           for i in range(n)])
+        return cls._from_plain(field, [[entries[i] if i == j else 0 for j in range(n)]
+                                       for i in range(n)])
 
     @classmethod
     def from_columns(cls, field, columns):
         return cls(field, list(zip(*columns))) if columns else cls(field, [])
 
+    @property
+    def rows(self):
+        return len(self.plain)
+
+    @property
+    def cols(self):
+        return len(self.plain[0]) if self.plain else 0
+
+    @property
+    def data(self):
+        """The rows as public scalars."""
+        box = self.field.box
+        return tuple(tuple(map(box, row)) for row in self.plain)
+
     def entry(self, i, j):
-        return self.data[i][j]
+        return self.field.box(self.plain[i][j])
 
     def row(self, i):
-        return self.data[i]
+        return tuple(map(self.field.box, self.plain[i]))
 
     def column(self, j):
-        return tuple(row[j] for row in self.data)
+        return tuple(self.field.box(row[j]) for row in self.plain)
 
     @property
     def is_square(self):
         return self.rows == self.cols
 
     def is_zero(self):
-        return all(not x for row in self.data for x in row)
+        return not any(map(any, self.plain))
 
     def transpose(self):
-        plain = tuple(zip(*self._plain)) if self._plain is not None else None
-        return Matrix._trusted(self.field, tuple(zip(*self.data)), plain)
+        return Matrix._from_plain(self.field, zip(*self.plain))
 
     def submatrix(self, row_indices, col_indices):
         """The entries in the given rows and columns, in the given order;
@@ -216,8 +209,8 @@ class Matrix:
                 raise IndexOutOfRange(f"submatrix index out of range for size {size}")
             if len(set(indices)) != len(indices):
                 raise InvalidArgument("submatrix index repeated")
-        return Matrix._trusted(self.field, tuple(tuple(self.data[i][j] for j in col_indices)
-                                                 for i in row_indices))
+        return Matrix._from_plain(self.field, [[self.plain[i][j] for j in col_indices]
+                                               for i in row_indices])
 
     def matvec(self, v):
         if len(v) != self.cols:
@@ -239,10 +232,10 @@ class Matrix:
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
-                and self.data == other.data)
+                and self.plain == other.plain)
 
     def __hash__(self):
-        return hash((self.field, self.data))
+        return hash((self.field, self.plain))
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {[list(r) for r in self.data]!r})"
@@ -308,14 +301,13 @@ class Matrix:
 class Subspace:
     """Linear subspace given by its canonical RREF basis (rows)."""
 
-    __slots__ = ("field", "ambient", "basis", "pivots", "_plain")
+    __slots__ = ("field", "ambient", "plain", "pivots")
 
-    def __init__(self, field, ambient, basis, pivots, plain=None):
+    def __init__(self, field, ambient, plain, pivots):
         self.field = field
         self.ambient = ambient
-        self.basis = basis  # tuple of row tuples, already RREF, no zero rows
+        self.plain = plain  # tuple of plain row tuples, already RREF, no zero rows
         self.pivots = pivots
-        self._plain = plain
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors):
@@ -334,10 +326,7 @@ class Subspace:
         if pivots is None:
             pivots = rref_rows(rows, ambient, field)
             rows = rows[:len(pivots)]
-        plain = tuple(map(tuple, rows))
-        box = field.box
-        return cls(field, ambient, tuple(tuple(map(box, row)) for row in plain),
-                   tuple(pivots), plain)
+        return cls(field, ambient, tuple(map(tuple, rows)), tuple(pivots))
 
     @classmethod
     def coordinate(cls, field, ambient, indices):
@@ -346,9 +335,8 @@ class Subspace:
         pivots = tuple(sorted(set(indices)))
         if pivots and not (0 <= pivots[0] and pivots[-1] < ambient):
             raise IndexOutOfRange(f"coordinate index out of range for ambient dimension {ambient}")
-        zero, one = field.zero, field.one
-        basis = tuple(tuple(one if j == i else zero for j in range(ambient)) for i in pivots)
-        return cls(field, ambient, basis, pivots)
+        return cls(field, ambient,
+                   tuple(tuple(int(j == i) for j in range(ambient)) for i in pivots), pivots)
 
     @classmethod
     def zero(cls, field, ambient):
@@ -359,16 +347,14 @@ class Subspace:
         return cls.coordinate(field, ambient, range(ambient))
 
     @property
-    def plain(self):
-        """The basis rows as plain values."""
-        if self._plain is None:
-            view = self.field.view
-            self._plain = tuple(tuple(view(row)) for row in self.basis)
-        return self._plain
+    def basis(self):
+        """The basis rows as public scalars."""
+        box = self.field.box
+        return tuple(tuple(map(box, row)) for row in self.plain)
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.plain)
 
     def vectors(self):
         return list(self.basis)
@@ -413,10 +399,10 @@ class Subspace:
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
-                and self.ambient == other.ambient and self.basis == other.basis)
+                and self.ambient == other.ambient and self.plain == other.plain)
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.basis))
+        return hash((self.field, self.ambient, self.plain))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"

@@ -23,12 +23,11 @@ def product_space(algebra, s, t):
     """Span of all pairwise products of the two subspaces' basis vectors
     (exact by bilinearity), formed on their plain rows; zero products dropped."""
     # Plain rows of another field or length would multiply without
-    # complaint; boxing one row of a mismatched factor as an Element raises
-    # FieldMismatch or ShapeMismatch.  A zero left factor reads neither.
+    # complaint.  A zero left factor reads neither.
     if s.dim:
         for space in (s, t):
-            if space.dim and (space.field != algebra.field or space.ambient != algebra.n):
-                Element(algebra, space.basis[0])
+            if space.dim:
+                algebra._check_space(space)
     rows = [r for a in s.plain for b in t.plain if any(r := algebra._product(a, b))]
     return Subspace._from_plain(algebra.field, algebra.n, rows)
 
@@ -175,26 +174,22 @@ def find_orthogonality_witness(algebra, max_subset_size=None):
 
 
 def _witness_for_pair(algebra, gamma, omega):
-    field = algebra.field
     sub = algebra.M.submatrix(gamma, omega)
     if sub.rank() >= min(len(gamma), len(omega)):
         return None
-    alpha = next(iter(sub.kernel().basis))
+    alpha = sub.kernel().plain[0]
     shrunk = tuple(j for j, a in zip(omega, alpha) if a)
-    coeffs = [a for a in alpha if a]
     n = algebra.n
-    u = [field.zero] * n
+    u, v, w = [0] * n, [0] * n, [0] * n
     for t in gamma:
-        u[t] = field.one
-    v = [field.zero] * n
-    w = [field.zero] * n
-    for j, a in zip(shrunk, coeffs):
-        v[j] = a
-        w[j] = field.one
-    u, v, w = algebra.element(u), algebra.element(v), algebra.element(w)
-    if not (u * (v * w)).is_zero():
+        u[t] = 1
+    for j, a in zip(omega, alpha):
+        if a:
+            v[j], w[j] = a, 1
+    if any(algebra._product(u, algebra._product(v, w))):
         raise SelfCheckFailed("vanishing-minor triple has u (v w) != 0")
-    return MinorWitness(tuple(gamma), shrunk, u, v, w)
+    return MinorWitness(tuple(gamma), shrunk,
+                        *(Element._from_plain(algebra, x) for x in (u, v, w)))
 
 
 @dataclass(frozen=True)
@@ -217,34 +212,35 @@ def cube_witness_from_minor(algebra, gamma):
     when no scanned kernel vector has all-square entries."""
     field = algebra.field
     gamma = tuple(sorted(gamma))
-    sub = algebra.M.submatrix(gamma, gamma)
-    kern = sub.kernel()
+    kern = algebra.M.submatrix(gamma, gamma).kernel()
     for beta in _kernel_candidates(field, kern):
         roots = [field.sqrt(b) for b in beta]
         if any(r is None for r in roots):
             continue
-        coords = [field.zero] * algebra.n
-        for j, r in zip(gamma, roots):
-            coords[j] = r
-        u = algebra.element(coords)
-        if not u.is_zero() and u.power(3).is_zero():
-            return u
+        u = [0] * algebra.n
+        for j, r in zip(gamma, field.unbox(roots)):
+            u[j] = r
+        if any(u) and not any(algebra._product(u, algebra._product(u, u))):
+            return Element._from_plain(algebra, u)
     return None
 
 
 def _kernel_candidates(field, kern):
-    basis = [list(v) for v in kern.basis]
+    """Plain kernel vectors to try: every small combination of the RREF
+    basis over Q or GF(p), p <= 7, else the basis itself."""
+    basis = kern.plain
     if not basis:
         return
     if field.characteristic == 0 or field.p <= 7:
         coefficients = range(-2, 3) if field.characteristic == 0 else range(field.p)
+        red = field.reduce
         for coeffs in product(coefficients, repeat=len(basis)):
             if not any(coeffs):
                 continue
-            v = [field.zero] * len(basis[0])
+            v = [0] * len(basis[0])
             for c, b in zip(coeffs, basis):
                 if c:
-                    v = [x + c * y for x, y in zip(v, b)]
+                    v = [red(x + c * y) for x, y in zip(v, b)]
             yield v
     else:
         # Each b of the RREF basis has a leading 1, so a multiple c * b can

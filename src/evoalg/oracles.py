@@ -146,7 +146,7 @@ def natural_basis_membership(m, p, u):
 def enumerate_natural_bases_algebra(algebra):
     """Natural bases of a GF(p) algebra as coordinate lists."""
     p = algebra.field.p
-    m = [[algebra.M.entry(i, j).r for j in range(algebra.n)] for i in range(algebra.n)]
+    m = [list(row) for row in algebra.M.plain]
     return [[list(v) for v in basis] for basis in enumerate_natural_bases(m, p)]
 
 
@@ -224,26 +224,6 @@ def vanishing_principal_minor_exists(m, p):
             if rank_mod(rows, p) < k:
                 return True
     return False
-
-
-def det_mod(m, p):
-    n = len(m)
-    rows = [list(r) for r in m]
-    det = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if rows[i][k] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            det = -det
-        det = det * rows[k][k] % p
-        inv = pow(rows[k][k], p - 2, p)
-        for i in range(k + 1, n):
-            if rows[i][k] % p:
-                f = rows[i][k] * inv % p
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[k])]
-    return det % p
 
 
 def is_nil_element(m, p, u):
@@ -336,7 +316,7 @@ def oracle_ideal_lattice(p, dim, samples=500, seed=7):
     field = GF(p)
     subspaces = all_subspaces(p, dim)
     for m in sample_structure_matrices(p, dim, samples, seed,
-                                       predicate=lambda m: det_mod(m, p)):
+                                       predicate=lambda m: rank_mod(m, p) == len(m)):
         algebra = _algebra_from_int_matrix(p, m)
         brute = set()
         for rows in subspaces:
@@ -355,7 +335,7 @@ def oracle_minor_condition(p, dim, samples=2000, seed=7):
     mismatches = []
     checked = 0
     for m in sample_structure_matrices(p, dim, samples, seed,
-                                       predicate=lambda m: det_mod(m, p)):
+                                       predicate=lambda m: rank_mod(m, p) == len(m)):
         algebra = _algebra_from_int_matrix(p, m)
         brute = brute_triple_exists(m, p)
         condition = minor_condition_exists(m, p)
@@ -395,7 +375,7 @@ def oracle_cube_nilpotent(p, dim, samples=2000, seed=7):
     mismatches = []
     checked = 0
     for m in sample_structure_matrices(p, dim, samples, seed,
-                                       predicate=lambda m: det_mod(m, p)):
+                                       predicate=lambda m: rank_mod(m, p) == len(m)):
         algebra = _algebra_from_int_matrix(p, m)
         brute = brute_cube_zero_exists(m, p)
         minor = vanishing_principal_minor_exists(m, p)
@@ -421,7 +401,7 @@ ORACLES = {
 }
 
 
-MAX_ORACLE_POINTS = 1000   # projective points of GF(p)^dim a brute force may scan
+MAX_ORACLE_POINTS = 1000   # projective points (natural-vectors: vectors) a brute force may scan
 
 
 def run_oracle(name, p, dim, samples=None, seed=7):
@@ -437,6 +417,11 @@ def run_oracle(name, p, dim, samples=None, seed=7):
             count = points if k == dim - 1 else f"more than {points}"
             raise DimensionTooLarge(f"brute force over GF({p}) at dimension {dim} scans "
                                     f"{count} projective points; the limit is {MAX_ORACLE_POINTS}")
+    # natural-vectors also checks every nonzero multiple of each point.
+    vectors = points * (p - 1)
+    if name == "natural-vectors" and vectors > MAX_ORACLE_POINTS:
+        raise DimensionTooLarge(f"oracle natural-vectors over GF({p}) at dimension {dim} checks "
+                                f"{vectors} vectors per matrix; the limit is {MAX_ORACLE_POINTS}")
     kwargs = {"seed": seed}
     if samples is not None:
         kwargs["samples"] = samples

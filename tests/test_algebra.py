@@ -167,12 +167,17 @@ def test_labels_roundtrip():
     assert a.adjoint().labels == ("x",)
 
 
+def boxed_coords(algebra, x):
+    """The public coordinates of an element, or of a coordinate list."""
+    return (x if isinstance(x, Element) else algebra.element(x)).coords
+
+
 def fixpoint_closure(algebra, elements, ideal):
     """Reference: all products of the current RREF basis (or of the basis
     with e_1..e_n), re-reduced each round, until a round adds nothing."""
     n = algebra.n
     span = Subspace.from_vectors(algebra.field, n,
-                                 [algebra._coords_of(x) for x in elements])
+                                 [boxed_coords(algebra, x) for x in elements])
     while True:
         rows = span.vectors()
         if ideal:

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import evoalg
-from evoalg.algebra import Element
+from evoalg.algebra import EvolutionAlgebra
 from evoalg.cli import COMMANDS, build_parser, main
+from evoalg.fields import Mod
 
 EX59 = "field gf 5\ndim 3\n1 1 1\n1 1 1\n1 1 0\n"
 PERFECT2 = "field q\ndim 2\n0 1\n1 0\n"
@@ -244,9 +245,34 @@ def test_adjoint_beyond_closed_set_cap(capsys, tmp_path):
 def test_minors_self_check_failure_exits_3(capsys, monkeypatch, tmp_path):
     # "verified" is printed only after u (v w) = 0 is checked, also under -O.
     path = write(tmp_path, "p.alg", PERFECT2)
-    monkeypatch.setattr(Element, "is_zero", lambda self: False)
+    monkeypatch.setattr(EvolutionAlgebra, "_product", lambda self, u, w: [1] * self.n)
     code, out, err = run(capsys, "minors", path)
     assert code == 3 and "self-check-failed" in err and "verified" not in out
+
+
+# Mod objects one run makes on a dense GF(101) algebra at n = 10: the 100
+# parsed entries, one per determinant returned, one per scalar printed,
+# and for cube-nilpotent the square roots it tries.
+@pytest.mark.parametrize("argv, made", [
+    (["analyze"], 102), (["natural", "--unique"], 100),
+    (["natural", "--vector", "1 0 0 0 0 0 0 0 0 0"], 110), (["decompose"], 200),
+    (["nilpotency"], 100), (["minors"], 131), (["cube-nilpotent"], 122), (["ideals"], 101),
+    (["simple"], 102), (["adjoint"], 102), (["adjoint", "--emit"], 100),
+    (["classify"], 101), (["hierarchy"], 101)])
+def test_mod_objects_per_subcommand(capsys, monkeypatch, tmp_path, argv, made):
+    rng = random.Random(101)
+    rows = [" ".join(str(rng.randrange(1, 101)) for _ in range(10)) for _ in range(10)]
+    path = write(tmp_path, "dense.alg", "field gf 101\ndim 10\n" + "\n".join(rows) + "\n")
+    count = [0]
+    init = Mod.__init__
+
+    def counted(self, r, p):
+        count[0] += 1
+        init(self, r, p)
+
+    monkeypatch.setattr(Mod, "__init__", counted)
+    code, _, _ = run(capsys, argv[0], path, *argv[1:])
+    assert (code, count[0]) == (0, made)
 
 
 def test_version_matches_pyproject():
@@ -301,6 +327,19 @@ def test_oracle_brute_force_past_point_limit_exits_3(capsys, field, dim, count):
     assert time.perf_counter() - start < 0.5
     assert_clean_error(code, err, 3, "dimension-too-large")
     assert f"scans {count} projective points; the limit is 1000" in err
+    assert out == ""
+
+
+def test_oracle_natural_vectors_past_vector_limit_exits_3(capsys):
+    # natural-vectors checks every nonzero multiple of each projective
+    # point, p^dim - 1 vectors per matrix; refused before any matrix is
+    # sampled.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "natural-vectors", "--field", "gf 1000003",
+                         "--dim", "1")
+    assert time.perf_counter() - start < 0.5
+    assert_clean_error(code, err, 3, "dimension-too-large")
+    assert "checks 1000002 vectors per matrix; the limit is 1000" in err
     assert out == ""
 
 

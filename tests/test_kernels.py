@@ -1,11 +1,12 @@
 """The plain-value kernels behind rref, det, matvec, reduce and closures.
 
 Each kernel runs over canonical residues (GF(p)) or, over Q, Fractions and
-integer-scaled rows under fraction-free elimination, and boxes its output
-once.  The scalar-arithmetic loops they replaced (Mod over GF(p), Fraction
-over Q) are kept here as references; the kernels must agree with them,
-return canonical public scalars, box only their output, and still refuse
-scalars of another field.
+integer-scaled rows under fraction-free elimination, and the matrices,
+subspaces and elements it returns store those plain values; their public
+views box them when read.  The scalar-arithmetic loops they replaced (Mod
+over GF(p), Fraction over Q) are kept here as references; the kernels must
+agree with them, read back as canonical public scalars, box nothing a
+caller does not read, and still refuse scalars of another field.
 """
 
 import random
@@ -14,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from evoalg import linalg
-from evoalg.algebra import EvolutionAlgebra, check_algebra_homomorphism
+from evoalg.algebra import Element, EvolutionAlgebra, check_algebra_homomorphism
 from evoalg.errors import FieldMismatch
 from evoalg.fields import GF, QQ, Mod
 from evoalg.generate import random_algebra
@@ -130,7 +131,7 @@ def ref_closure(algebra, elements, ideal):
     def times(u, w):
         return ref_matvec(field, algebra.M.data, [a * b for a, b in zip(u, w)])
 
-    basis = span(algebra._coords_of(x) for x in elements)
+    basis = span(x.coords if isinstance(x, Element) else x for x in elements)
     units = [[field.one if j == i else field.zero for j in range(n)] for i in range(n)]
     while True:
         partners = units if ideal else basis
@@ -293,20 +294,75 @@ def boxed(monkeypatch):
 
 def test_kernels_box_only_their_output(boxed):
     # A dense GF(101) algebra at n = 11: the closure of e1 is the whole
-    # space, whose coordinate basis shares one boxed 0 and one boxed 1.
-    # The Mod loops boxed every intermediate scalar instead.
+    # space.  Kernels and the objects they return hold plain residues, so
+    # neither the closure nor an n x n rref creates a Mod; a caller that
+    # reads the rref's entries boxes each one it reads.
     n, F = 11, GF(101)
     rng = random.Random(73)
     a = EvolutionAlgebra(F, [[rng.randrange(1, 101) for _ in range(n)] for _ in range(n)])
     e1 = a.unit(0)
     boxed[0] = 0
     assert a.subalgebra_closure([e1]).dim == n
-    assert boxed[0] == 2
-    # An n x n rref boxes its n^2 output entries and nothing else.
+    assert boxed[0] == 0
     m = Matrix(F, [[rng.randrange(101) for _ in range(n)] for _ in range(n)])
     boxed[0] = 0
-    m.rref()
+    r = m.rref()[0]
+    assert boxed[0] == 0
+    assert len(r.data) == n
     assert boxed[0] == n * n
+
+
+def test_boxed_views_match_eager_boxing():
+    # Matrices, subspaces and elements store plain values, and .data,
+    # .basis and .coords box them on read into what boxing every entry up
+    # front gave.  Objects built from public scalars and from kernel output
+    # (over Q a mix of ints and Fractions) compare and hash alike.
+    rng = random.Random(79)
+
+    def assert_plain(rows):
+        assert not any(isinstance(x, Mod) for row in rows for x in row)
+
+    for field in (GF(2), GF(101), QQ):
+        for rows, cols in shapes(rng):
+            if not rows:
+                continue
+            data = random_rows(rng, field, rows, cols)
+            m = Matrix(field, data)
+            eager = tuple(tuple(field(x) for x in row) for row in data)
+            assert m.data == eager
+            assert_canonical(field, [x for row in m.data for x in row])
+            i, j = rng.randrange(rows), rng.randrange(cols)
+            assert (m.row(i), m.column(j), m.entry(i, j)) == (
+                eager[i], tuple(row[j] for row in eager), eager[i][j])
+            ref, rank, _ = ref_rref(field, eager, cols)
+            r = m.rref()[0]
+            assert r.data == ref
+            public = Matrix(field, ref)
+            assert public == r and hash(public) == hash(r)
+            s = Subspace.from_vectors(field, cols, data)
+            assert s.basis == ref[:rank] and s.vectors() == list(ref[:rank])
+            assert_canonical(field, [x for row in s.basis for x in row])
+            for space in (s, m.kernel()):
+                public = Subspace.from_vectors(field, cols, space.basis)
+                assert public == space and hash(public) == hash(space)
+            assert_plain(m.plain + r.plain + s.plain)
+        a = random_algebra(field, rng.randint(1, 6), rng=rng)
+        for _ in range(10):
+            coords = random_rows(rng, field, 1, a.n)[0]
+            u = a.element(coords)
+            assert u.coords == tuple(field(x) for x in coords)
+            assert_canonical(field, u.coords)
+            for kernel_output in (u * u, u + u, u.scale(field(3)), -u, a.unit(0)):
+                public = a.element(kernel_output.coords)
+                assert public == kernel_output and hash(public) == hash(kernel_output)
+                assert_plain([kernel_output.plain])
+    for n in range(1, 6):
+        full = Subspace.full(QQ, n)
+        perfect = random_algebra(QQ, n, rng=rng, perfect=True)
+        computed = (perfect.square_space(), Subspace.from_vectors(QQ, n, perfect.M.data),
+                    perfect.ideal_closure([perfect.M.column(0)]) + Subspace.full(QQ, n))
+        for space in computed:
+            assert space == full and hash(space) == hash(full)
 
 
 def test_one_elimination_per_call(monkeypatch):
@@ -345,7 +401,7 @@ def fractions_made(monkeypatch):
 
 def test_rational_kernels_make_only_their_output(fractions_made):
     # A dense Q algebra at n = 8 with entries in +-1..3.  The closure of e1
-    # is the whole space (one shared 0 and 1), an n x n rref makes its n^2
+    # is the whole space (plain 0s and 1s), an n x n rref makes its n^2
     # output entries, and det one Fraction; the Fraction Gauss-Jordan made
     # a Fraction for every intermediate scalar instead.
     n = 8

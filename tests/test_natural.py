@@ -563,7 +563,8 @@ def decompose_reference(algebra):
 def decomposition_for_basis_reference(algebra, basis_vectors):
     """Reference: decompose the rebased algebra and map every basis row
     back to ambient coordinates with boxed arithmetic."""
-    vecs = [algebra._coords_of(v) for v in basis_vectors]
+    vecs = [(v if isinstance(v, Element) else algebra.element(v)).coords
+            for v in basis_vectors]
     dec = decompose_reference(algebra.change_basis(vecs))
 
     def to_ambient(rows):
@@ -651,7 +652,7 @@ def change_basis_reference(algebra, candidates):
     """change_basis as it was: the rank and every pairwise product of the
     candidates checked, then one boxed square and one P.solve per vector."""
     field, n = algebra.field, algebra.n
-    vecs = [algebra._coords_of(c) for c in candidates]
+    vecs = [(c if isinstance(c, Element) else algebra.element(c)).coords for c in candidates]
     if (len(vecs) != n or Matrix(field, vecs).rank() != n
             or any(not (Element(algebra, u) * Element(algebra, w)).is_zero()
                    for u, w in combinations(vecs, 2))):
