@@ -11,7 +11,8 @@ Text format, line oriented, ``#`` starts a comment anywhere:
 
 JSON mirror: ``{"field": "q" | {"gf": p}, "dim": n, "matrix": [[str, ...],
 ...], "labels": [...]}`` with every scalar rendered as a string so that
-round trips are exact.
+round trips are exact.  Both formats parse tokens to plain values
+(``field.parse``) and print a plain value as its ``str``.
 """
 
 import json
@@ -19,6 +20,7 @@ import json
 from .algebra import EvolutionAlgebra
 from .errors import NonPrimeModulus, ParseError, UnreadableFile
 from .fields import GF, QQ, parse_field, render_field
+from .linalg import Matrix
 
 
 def _strip(line):
@@ -76,14 +78,13 @@ def parse_algebra_text(text):
         raise ParseError(f"expected {dim} matrix rows, got {len(rows)}")
     if labels is not None and len(labels) != dim:
         raise ParseError("label count does not match dim")
-    return EvolutionAlgebra(field, rows, labels=labels)
+    return EvolutionAlgebra(field, Matrix._from_plain(field, rows), labels=labels)
 
 
 def emit_algebra_text(algebra):
     out = [f"field {render_field(algebra.field)}", f"dim {algebra.n}"]
     if algebra.labels is not None:
         out.append("labels " + " ".join(algebra.labels))
-    # A plain value prints as its field renders it.
     out += [" ".join(map(str, row)) for row in algebra.M.plain]
     return "\n".join(out) + "\n"
 
@@ -133,7 +134,7 @@ def parse_algebra_json(data):
         if not isinstance(labels, list) or len(labels) != dim:
             raise ParseError("labels must list one name per basis vector")
         labels = tuple(str(x) for x in labels)
-    return EvolutionAlgebra(field, rows, labels=labels)
+    return EvolutionAlgebra(field, Matrix._from_plain(field, rows), labels=labels)
 
 
 def emit_algebra_json(algebra):

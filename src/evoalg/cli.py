@@ -35,12 +35,12 @@ from .nilpotency import (find_cube_nilpotent, find_orthogonality_witness,
 from .oracles import ORACLES, run_oracle
 
 
-def _vec(field, coords):
-    return " ".join(field.render(x) for x in coords)
+def _vec(coords):
+    return " ".join(map(str, coords))
 
 
-def _subspace(field, s):
-    return [_vec(field, row) for row in s.basis]
+def _subspace(s):
+    return [_vec(row) for row in s.plain]
 
 
 def _indices(ixs):
@@ -112,8 +112,8 @@ def cmd_extend(args):
     a = _load(args)
     result = extend_family(a, parse_vectors_text(read_text(args.family), a.field, a.n))
     data = {
-        "basis": [_vec(a.field, u.coords) for u in result.completed_basis],
-        "added": [_vec(a.field, u.coords) for u in result.added_vectors],
+        "basis": [_vec(u.plain) for u in result.completed_basis],
+        "added": [_vec(u.plain) for u in result.added_vectors],
     }
     lines = ["completed natural basis:"]
     lines += [f"  {v}" for v in data["basis"]]
@@ -128,19 +128,19 @@ def cmd_decompose(args):
         vecs = parse_vectors_text(read_text(args.basis), a.field, a.n, count=a.n)
         ann, comps, lines_ = decomposition_for_basis(a, vecs)
         data = {
-            "annihilator": _subspace(a.field, ann),
-            "components": [_subspace(a.field, c) for c in comps],
+            "annihilator": _subspace(ann),
+            "components": [_subspace(c) for c in comps],
         }
         lines = [f"annihilator dim: {ann.dim}"]
         for k, c in enumerate(comps, start=1):
-            lines.append(f"component {k}: " + "; ".join(_subspace(a.field, c)))
+            lines.append(f"component {k}: " + "; ".join(_subspace(c)))
         _emit(args, data, lines)
         return 0
     dec = decompose(a)
     data = {
         "annihilator_indices": _indices(a.column_classes.annihilator),
         "components": [_indices(ix) for ix in dec.component_indices],
-        "component_squares": [_vec(a.field, s) for s in dec.component_squares],
+        "component_squares": [_vec(s) for s in dec.component_squares],
         "square_dim": dec.square_dim,
         "component_count": len(dec.components),
         "count_matches_square_dim": dec.component_count_matches_square_dim,
@@ -190,9 +190,9 @@ def cmd_minors(args):
         data.update({
             "gamma": _indices(w.gamma),
             "omega": _indices(w.omega),
-            "u": _vec(a.field, w.u.coords),
-            "v": _vec(a.field, w.v.coords),
-            "w": _vec(a.field, w.w.coords),
+            "u": _vec(w.u.plain),
+            "v": _vec(w.v.plain),
+            "w": _vec(w.w.plain),
         })
         lines.append(f"witness found: gamma {data['gamma']}, omega {data['omega']}")
         lines.append(f"u: {data['u']}")
@@ -217,7 +217,7 @@ def cmd_cube_nilpotent(args):
     }
     lines = []
     if scan.element is not None:
-        data["element"] = _vec(a.field, scan.element.coords)
+        data["element"] = _vec(scan.element.plain)
         lines.append(f"element with cube zero: {data['element']}")
         lines.append(f"from principal minor on {data['minor_indices']}")
     elif scan.diagnostic:
@@ -281,7 +281,7 @@ def cmd_adjoint(args):
         "nilpotent": list(inv.nilpotent),
         "all_agree": inv.all_agree,
         "subalgebra_complements_ok": inv.subalgebra_complements_ok,
-        "adjoint_annihilator": _subspace(a.field, ann),
+        "adjoint_annihilator": _subspace(ann),
     }
     lines = []
     for name in ("irreducible", "simple", "basic_simple_relative", "nilpotent"):

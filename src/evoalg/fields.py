@@ -3,14 +3,17 @@
 Rational scalars are ``fractions.Fraction`` (canonical lowest terms,
 positive denominator).  Prime-field scalars are :class:`Mod` instances,
 residues reduced modulo p.  Field descriptors (:data:`QQ`, :func:`GF`)
-coerce, parse, render and take square roots of their scalars.
+coerce, render and take square roots of their scalars.
 
 Matrices, subspaces and elements store plain values instead: canonical
 residues over GF(p), Fractions or ints over Q.  A descriptor supplies
-what they need: ``reduce`` and ``inv`` of plain values, ``unbox`` of public
-scalars (with the same FieldMismatch checks as coercion), and ``box``,
-which the three boxing views (``Matrix.data``, ``Subspace.basis`` and
-``Element.coords``) apply to a plain value when a caller reads it.
+what they need: ``parse`` of a file token and ``reduce``, ``inv`` and
+``plain_sqrt`` of plain values, all returning plain values; ``unbox`` of
+public scalars (with the same FieldMismatch checks as coercion); and
+``box``, which the three boxing views (``Matrix.data``, ``Subspace.basis``
+and ``Element.coords``) apply to a plain value when a caller reads it.
+Reports print a plain value as its ``str``, which is what ``render``
+gives for the boxed scalar.
 RREF, rank and determinants (``linalg.bareiss_rows``, one fraction-free
 elimination for both fields) need only its modulus ``p``, None over Q.
 Closures and reductions also use ``integral`` (a matrix times one common
@@ -232,6 +235,8 @@ class Rationals:
             return Fraction(rn, rd)
         return None
 
+    plain_sqrt = sqrt   # a Fraction is both the public and the plain form
+
     def parse(self, text):
         t = text.strip()
         if "/" in t:
@@ -315,19 +320,21 @@ class PrimeField:
 
     def sqrt(self, a):
         """The square root with smaller residue, or None for non-residues."""
-        a = self(a)
+        r = self.plain_sqrt(self(a).r)
+        return None if r is None else Mod(r, self.p)
+
+    def plain_sqrt(self, a):
+        """sqrt of the residue a, as a residue."""
         p = self.p
-        if a.r == 0:
-            return Mod(0, p)
-        if p == 2:
+        if a == 0 or p == 2:
             return a
-        if pow(a.r, (p - 1) // 2, p) != 1:
+        if pow(a, (p - 1) // 2, p) != 1:
             return None
-        r = _tonelli_shanks(a.r, p)
-        return Mod(min(r, p - r), p)
+        r = _tonelli_shanks(a, p)
+        return min(r, p - r)
 
     def parse(self, text):
-        return Mod(_parse_int(text), self.p)
+        return _parse_int(text) % self.p
 
     def render(self, a):
         return str(self(a).r)

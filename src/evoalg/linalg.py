@@ -165,7 +165,10 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field, columns):
-        return cls(field, list(zip(*columns))) if columns else cls(field, [])
+        try:
+            return cls(field, list(zip(*columns, strict=True)))
+        except ValueError:
+            raise ShapeMismatch("ragged columns") from None
 
     @property
     def rows(self):
@@ -372,7 +375,11 @@ class Subspace:
         return not any(self._remainder(v))
 
     def contains_subspace(self, other):
-        return all(self.contains(row) for row in other.basis)
+        """A nonzero other over another ambient dimension or field raises
+        ShapeMismatch or FieldMismatch, as its basis rows would."""
+        if other.plain and other.ambient == self.ambient and other.field != self.field:
+            self.field(other.field.one)
+        return all(self.contains(row) for row in other.plain)
 
     def __add__(self, other):
         self._check(other)

@@ -145,7 +145,7 @@ class Decomposition:
     annihilator: Subspace
     components: tuple            # Subspace per class, ordered by smallest index
     component_indices: tuple     # tuple of index tuples
-    component_squares: tuple     # normalized line generator per class (coord tuples)
+    component_squares: tuple     # normalized line generator per class (plain tuples)
     square_dim: int              # dim A^2, reported separately from the class count
 
     @property
@@ -154,14 +154,14 @@ class Decomposition:
 
 
 def decompose(algebra):
-    """The canonical decomposition, boxed from algebra.column_classes with
+    """The canonical decomposition, read from algebra.column_classes with
     each class line scaled to leading entry 1."""
     field, n = algebra.field, algebra.n
     classes = algebra.column_classes
     squares = []
     for line in classes.lines:
         scale = field.inv(next(x for x in line if x))
-        squares.append(tuple(field.box(field.reduce(x * scale)) for x in line))
+        squares.append(tuple(field.reduce(x * scale) for x in line))
     return Decomposition(Subspace.coordinate(field, n, classes.annihilator),
                          tuple(Subspace.coordinate(field, n, idx) for idx in classes.members),
                          classes.members, tuple(squares), algebra.square_space().dim)

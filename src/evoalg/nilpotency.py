@@ -214,11 +214,11 @@ def cube_witness_from_minor(algebra, gamma):
     gamma = tuple(sorted(gamma))
     kern = algebra.M.submatrix(gamma, gamma).kernel()
     for beta in _kernel_candidates(field, kern):
-        roots = [field.sqrt(b) for b in beta]
+        roots = [field.plain_sqrt(b) for b in beta]
         if any(r is None for r in roots):
             continue
         u = [0] * algebra.n
-        for j, r in zip(gamma, field.unbox(roots)):
+        for j, r in zip(gamma, roots):
             u[j] = r
         if any(u) and not any(algebra._product(u, algebra._product(u, u))):
             return Element._from_plain(algebra, u)

@@ -1,6 +1,7 @@
 """Algebra file parsing and emission, text and JSON."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -38,6 +39,19 @@ def test_parse_gf():
     a = parse_algebra_text("field gf 5\ndim 2\n1 2\n3 4\n")
     assert a.field == GF(5)
     assert a.M.entry(1, 0) == GF(5)(3)
+    # Text, JSON and vector files parse to plain rows (canonical residues,
+    # Fractions), which box to the scalars of the integers written.
+    tokens = ["+3", "-1", "007", "1" * 30]
+    values = [3, -1, 7, int("1" * 30)]
+    for F, spec, js in ((GF(2), "gf 2", {"gf": 2}), (GF(101), "gf 101", {"gf": 101}),
+                        (QQ, "q", "q")):
+        text = parse_algebra_text(f"field {spec}\ndim 4\n" + (" ".join(tokens) + "\n") * 4)
+        doc = parse_algebra_json({"field": js, "dim": 4, "matrix": [tokens] * 4})
+        plain = tuple(map(F.parse, tokens))
+        for b in (text, doc):
+            assert b.M.plain == (plain,) * 4 and b.M.row(3) == tuple(map(F, values))
+        assert parse_vectors_text(", ".join(tokens), F, 4) == [list(plain)]
+    assert parse_algebra_text("field q\ndim 1\n-3/6\n").M.plain == ((Fraction(-1, 2),),)
 
 
 def test_parse_errors_carry_line_numbers():
@@ -54,6 +68,21 @@ def test_parse_errors_carry_line_numbers():
         parse_algebra_text("field gf 4\ndim 1\n1\n")     # 4 is not prime
     with pytest.raises(ParseError):
         parse_algebra_text(SAMPLE + "field q\n")         # duplicate field
+    # A bad scalar keeps its message in every format, with the line of a
+    # text or vector file.
+    for bad in ("1.5", "0x1", "1_0", "1/0"):
+        for F, spec, js in ((GF(101), "gf 101", {"gf": 101}), (QQ, "q", "q")):
+            message = ("zero denominator in '1/0'" if (F, bad) == (QQ, "1/0")
+                       else f"bad integer {bad!r}")
+            for parse, line in (
+                    (lambda: parse_algebra_text(f"field {spec}\ndim 2\n1 0\n0 {bad}\n"), 4),
+                    (lambda: parse_algebra_json({"field": js, "dim": 2,
+                                                 "matrix": [["1", "0"], ["0", bad]]}), None),
+                    (lambda: parse_vectors_text(f"1 0\n# basis\n0 {bad}\n", F, 2), 3)):
+                with pytest.raises(ParseError) as err:
+                    parse()
+                assert err.value.line == line
+                assert str(err.value) == message + ("" if line is None else f" (line {line})")
 
 
 def test_json_roundtrip():

@@ -80,6 +80,26 @@ def test_rational_canonical():
         QQ.parse("1/0")
     with pytest.raises(ParseError):
         QQ.parse("0.5")
+    # Both descriptors parse to plain values: GF(p) to the canonical
+    # residue, which boxes to the Mod of the integer; Q to a Fraction.
+    big = "1" * 30
+    for token, value in (("+3", 3), ("-1", -1), ("007", 7), ("-3/6", Fraction(-1, 2)),
+                         (big, int(big)), ("-" + big, -int(big))):
+        assert QQ.parse(token) == value and type(QQ.parse(token)) is Fraction
+        for F in (GF(2), GF(101)):
+            if type(value) is Fraction:
+                with pytest.raises(ParseError, match="bad integer '-3/6'"):
+                    F.parse(token)
+                continue
+            r = F.parse(token)
+            assert type(r) is int and r == value % F.p and F(r) == Mod(value, F.p)
+    for token in ("1.5", "0x1", "1_0", "1/0"):
+        for F in (GF(2), GF(101), QQ):
+            with pytest.raises(ParseError) as err:
+                F.parse(token)
+            assert str(err.value) == ("zero denominator in '1/0'" if (F, token) == (QQ, "1/0")
+                                      else f"bad integer {token!r}")
+            assert err.value.line is None
 
 
 def test_rationals_refuse_inexact_scalars():

@@ -6,7 +6,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from evoalg.errors import IndexOutOfRange, InvalidArgument, NonSquareMatrix, ShapeMismatch
+from evoalg.errors import (FieldMismatch, IndexOutOfRange, InvalidArgument, NonSquareMatrix,
+                           ShapeMismatch)
 from evoalg.fields import GF, QQ
 from evoalg.linalg import Matrix, Subspace
 
@@ -131,6 +132,11 @@ def test_matmul_and_transpose():
     b = Matrix(QQ, [[0, 1], [1, 0]])
     assert (a * b) == Matrix(QQ, [[2, 1], [4, 3]])
     assert a.transpose() == Matrix(QQ, [[1, 3], [2, 4]])
+    assert Matrix.from_columns(QQ, [[1, 3], [2, 4]]) == a
+    with pytest.raises(ShapeMismatch, match="ragged columns"):
+        Matrix.from_columns(QQ, [[1, 2], [3]])
+    with pytest.raises(ShapeMismatch, match="ragged rows"):
+        Matrix(QQ, [[1, 2], [3]])
     assert Matrix.identity(QQ, 2) * a == a
 
 
@@ -159,6 +165,18 @@ def test_subspace_canonical_equality():
     assert a == b
     assert a.contains([5, 5, -2])
     assert not a.contains([1, 0, 0])
+    # A zero subspace lies in every subspace; a nonzero one over another
+    # field or ambient dimension raises.
+    assert a.contains_subspace(Subspace.zero(GF(5), 3))
+    assert a.contains_subspace(Subspace.zero(QQ, 2))
+    full5 = Subspace.full(GF(5), 3)
+    for space, other in ((a, Subspace.coordinate(GF(5), 3, [0])), (full5, a),
+                         (full5, Subspace.full(GF(7), 3))):
+        with pytest.raises(FieldMismatch):
+            space.contains_subspace(other)
+    for space, other in ((a, Subspace.full(QQ, 2)), (full5, Subspace.coordinate(GF(5), 4, [3]))):
+        with pytest.raises(ShapeMismatch):
+            space.contains_subspace(other)
 
 
 def test_subspace_reduce():

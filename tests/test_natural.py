@@ -522,6 +522,21 @@ def test_natural_vector_builds_no_mod(monkeypatch):
     assert verdicts == {True, False}
 
 
+def test_verify_block_form_builds_no_mod(monkeypatch):
+    # Containment of the decompositions' subspaces reads plain rows.
+    a = random_algebra(GF(101), 10, seed=5)
+    made = []
+    init = Mod.__init__
+
+    def counted(self, r, p):
+        made.append(p)
+        init(self, r, p)
+
+    monkeypatch.setattr(Mod, "__init__", counted)
+    basis = [[int(i == j) for j in range(10)] for i in range(10)]
+    assert verify_block_form(a, basis, basis) and made == []
+
+
 def test_natural_vector_rejects_foreign_elements():
     a = EvolutionAlgebra(QQ, [[1, 0], [0, 1]])
     longer = EvolutionAlgebra(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])

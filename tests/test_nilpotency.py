@@ -492,10 +492,10 @@ def test_cube_scan_singular_prefixes(monkeypatch):
 
 def multiples_reference(field, kern):
     """Reference for p > 7: every multiple c * b, c = 1..p-1, of every
-    kernel basis vector b."""
+    kernel basis vector b, as plain values like _kernel_candidates."""
     for b in kern.basis:
         for c in range(1, field.p):
-            yield [field(c) * x for x in b]
+            yield field.unbox([field(c) * x for x in b])
 
 
 def character(field, b):

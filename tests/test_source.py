@@ -14,3 +14,16 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_boundary_reads_plain_values():
+    # The CLI and the file formats parse to and print plain values: they
+    # read no boxing view and render or box no scalar (args.basis is the
+    # --basis option).
+    boxing = {"coords", "basis", "data", "row", "column", "entry", "render", "box"}
+    root = Path(evoalg.__file__).parent
+    found = [f"{name}:{node.lineno} .{node.attr}" for name in ("cli.py", "algfile.py")
+             for node in ast.walk(ast.parse((root / name).read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in boxing
+             and not (isinstance(node.value, ast.Name) and node.value.id == "args")]
+    assert found == []
