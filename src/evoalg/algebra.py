@@ -30,7 +30,7 @@ class ColumnClasses(NamedTuple):
 
 
 class EvolutionAlgebra:
-    __slots__ = ("field", "n", "M", "labels", "_classes")
+    __slots__ = ("field", "n", "M", "labels", "_classes", "_integral", "_perfect")
 
     def __init__(self, field, structure, labels=None):
         self.field = field
@@ -47,7 +47,7 @@ class EvolutionAlgebra:
             if len(labels) != self.n:
                 raise ShapeMismatch("label count does not match dimension")
         self.labels = labels
-        self._classes = None
+        self._classes = self._integral = self._perfect = None
 
     def element(self, coords):
         return Element(self, coords)
@@ -65,7 +65,20 @@ class EvolutionAlgebra:
         return [self.unit(i) for i in range(self.n)]
 
     def is_perfect(self):
-        return bool(self.M.det())
+        """det M != 0, decided once (M is immutable)."""
+        if self._perfect is None:
+            self._perfect = bool(self.M.det())
+        return self._perfect
+
+    @property
+    def integral(self):
+        """M times one common nonzero constant, as plain integer rows
+        (field.integral), built once.  The scale keeps the span of every
+        product M (u o w) and the vanishing of every minor, which is all
+        that closures and the minor scans read."""
+        if self._integral is None:
+            self._integral = tuple(map(tuple, self.field.integral(self.M.plain)))
+        return self._integral
 
     @property
     def column_classes(self):
@@ -133,7 +146,7 @@ class EvolutionAlgebra:
         # of M, which keeps their span.
         field, n = self.field, self.n
         red, normalize = field.reduce, field.normalize
-        M = field.integral(self.M.plain)
+        M = self.integral
         squares = list(zip(*M))
         rows, pivots = [], []
 

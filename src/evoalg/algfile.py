@@ -19,7 +19,7 @@ import json
 
 from .algebra import EvolutionAlgebra
 from .errors import NonPrimeModulus, ParseError, UnreadableFile
-from .fields import GF, QQ, parse_field, render_field
+from .fields import GF, QQ, is_digits, parse_field, render_field
 from .linalg import Matrix
 
 
@@ -50,7 +50,7 @@ def parse_algebra_text(text):
             if dim is not None:
                 raise ParseError("duplicate dim line", line=lineno)
             try:
-                dim = int(parts[1]) if len(parts) == 2 and parts[1].isdecimal() else 0
+                dim = int(parts[1]) if len(parts) == 2 and is_digits(parts[1]) else 0
             except ValueError:   # more digits than int() converts
                 dim = 0
             if dim < 1:

@@ -82,7 +82,7 @@ def cmd_analyze(args):
         "perfect": a.is_perfect(),
         "nondegenerate": a.is_nondegenerate(),
         "annihilator_dim": a.annihilator().dim,
-        "square_dim": a.square_space().dim,
+        "square_dim": a.M.rank(),
         "irreducible": is_irreducible(a),
         "simple": is_simple(a),
         "nilpotent": rep.is_nilpotent,

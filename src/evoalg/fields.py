@@ -6,9 +6,14 @@ residues reduced modulo p.  Field descriptors (:data:`QQ`, :func:`GF`)
 coerce, render and take square roots of their scalars.
 
 Matrices, subspaces and elements store plain values instead: canonical
-residues over GF(p), Fractions or ints over Q.  A descriptor supplies
-what they need: ``parse`` of a file token and ``reduce``, ``inv`` and
-``plain_sqrt`` of plain values, all returning plain values; ``unbox`` of
+residues over GF(p); over Q an ``int`` whenever the value is an integer
+and a ``Fraction`` (denominator > 1) only otherwise.  :func:`rational`
+decides that form, and no other module names ``Fraction``.  Ints and
+Fractions mix exactly, compare and hash equal and print the same ``str``,
+so integer inputs stay on Python ints and no consumer needs a second
+path.  A descriptor supplies what they need: ``parse`` of a file token
+and ``reduce``, ``inv`` and ``plain_sqrt`` of plain values, all
+returning plain values; ``unbox`` of
 public scalars (with the same FieldMismatch checks as coercion); and
 ``box``, which the three boxing views (``Matrix.data``, ``Subspace.basis``
 and ``Element.coords``) apply to a plain value when a caller reads it.
@@ -128,19 +133,30 @@ class Mod:
         return f"Mod({self.r}, {self.p})"
 
 
+def is_digits(text):
+    """Nonempty and ASCII decimal digits only: str.isdecimal alone also
+    takes other scripts' digits, which int() would read."""
+    return text.isascii() and text.isdecimal()
+
+
 def _parse_int(text):
     t = text.strip()
-    sign = 1
-    if t.startswith("-"):
-        sign, t = -1, t[1:]
-    elif t.startswith("+"):
-        t = t[1:]
-    if t.isdecimal():
+    digits = t[1:] if t[:1] in ("+", "-") else t
+    if is_digits(digits):
         try:
-            return sign * int(t)
+            return int(t)
         except ValueError:   # more digits than int() converts
             pass
     raise ParseError(f"bad integer {text!r}")
+
+
+def rational(num, den):
+    """The canonical plain rational num / den, for ints num and den != 0:
+    an int when den divides num, else a Fraction in lowest terms."""
+    if den == 1:
+        return num
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def integer_row(row, scale=None):
@@ -155,6 +171,8 @@ def integer_row(row, scale=None):
     so M needs one scale common to all its rows."""
     if scale is None:
         scale = lcm(*(x.denominator for x in row))
+    if scale == 1:   # only ints: a canonical Fraction has a denominator > 1
+        return list(row), 1
     return [x.numerator * (scale // x.denominator) for x in row], scale
 
 
@@ -186,10 +204,12 @@ class Rationals:
         return Fraction(1)
 
     def reduce(self, x):
-        return x
+        """The canonical form of a plain value: a Fraction of denominator 1
+        (from arithmetic on Fractions) becomes its int."""
+        return x if type(x) is int or x.denominator != 1 else x.numerator
 
     def inv(self, x):
-        return Fraction(x.denominator, x.numerator)
+        return rational(x.denominator, x.numerator)
 
     def integral(self, rows):
         """The rows times the lcm of all their denominators, as ints."""
@@ -214,8 +234,8 @@ class Rationals:
         return [p * a - f * b for a, b in zip(v, row)]
 
     def box(self, x):
-        # Kernels hold Fractions and ints (integer-scaled rows, 0 and 1); a
-        # float would come from a stray / on ints and is refused.
+        # Plain values are ints and Fractions; a float would come from a
+        # stray / on ints and is refused.
         if type(x) is Fraction:
             return x
         if type(x) is int:
@@ -223,19 +243,26 @@ class Rationals:
         raise TypeError(f"not an exact rational: {x!r}")
 
     def unbox(self, v):
-        return [self(x) for x in v]
+        # Anything but an int or a Fraction goes through the checks of
+        # coercion (a bool or a subclass comes back as a Fraction).
+        reduce = self.reduce
+        return [reduce(x if type(x) is int or type(x) is Fraction else self(x)) for x in v]
 
     def sqrt(self, a):
         """Some r >= 0 with r*r == a, or None when a is not a rational square."""
-        a = self(a)
+        r = self.plain_sqrt(self(a))
+        return None if r is None else self.box(r)
+
+    def plain_sqrt(self, a):
+        """sqrt of the plain rational a, as a plain value: isqrt of its
+        numerator and denominator."""
         if a < 0:
             return None
-        rn, rd = isqrt(a.numerator), isqrt(a.denominator)
-        if rn * rn == a.numerator and rd * rd == a.denominator:
-            return Fraction(rn, rd)
+        num, den = a.numerator, a.denominator
+        rn, rd = isqrt(num), isqrt(den)
+        if rn * rn == num and rd * rd == den:
+            return rational(rn, rd)
         return None
-
-    plain_sqrt = sqrt   # a Fraction is both the public and the plain form
 
     def parse(self, text):
         t = text.strip()
@@ -244,8 +271,8 @@ class Rationals:
             d = _parse_int(den)
             if d == 0:
                 raise ParseError(f"zero denominator in {text!r}")
-            return Fraction(_parse_int(num), d)
-        return Fraction(_parse_int(t))
+            return rational(_parse_int(num), d)
+        return _parse_int(t)
 
     def render(self, a):
         return str(self(a))
@@ -391,7 +418,7 @@ def parse_field(text):
         return QQ
     if t.startswith("gf"):
         rest = t[2:].strip().lstrip("(").rstrip(")").strip()
-        if rest.isdecimal():
+        if is_digits(rest):
             try:
                 return GF(int(rest))
             except NonPrimeModulus as exc:

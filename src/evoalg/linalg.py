@@ -10,19 +10,22 @@ structural.
 
 A matrix or subspace stores only the descriptor's plain values
 (``fields``), and elimination, products and reduction run on them in the
-module-level kernels below.  The three boxing views, ``Matrix.data`` (with
-``row``, ``column`` and ``entry``), ``Subspace.basis`` and
-``algebra.Element.coords``, turn plain values into public scalars (``Mod``
-or ``Fraction``) when a caller reads them.
+module-level kernels below.  Over Q a plain value is an int whenever it
+is an integer: the one division that ends an RREF and the quotient of a
+determinant go through ``fields.rational``, so an entry of an RREF,
+kernel or solution is a Fraction only where it is not an integer.  The
+three boxing views, ``Matrix.data`` (with ``row``, ``column`` and
+``entry``), ``Subspace.basis`` and ``algebra.Element.coords``, turn plain
+values into public scalars (``Mod`` or ``Fraction``) when a caller reads
+them.
 """
 
-from fractions import Fraction
 from math import prod
 from operator import mul
 
 from .errors import (FieldMismatch, IndexOutOfRange, InvalidArgument, NonSquareMatrix,
                      ShapeMismatch)
-from .fields import integer_row
+from .fields import integer_row, rational
 
 
 def integer_rows(rows, p):
@@ -43,11 +46,12 @@ def rref_rows(m, cols, field):
         m[:] = integer_rows(m, p)[0]
     pivots, d, _ = bareiss_rows(m, cols, above=True, p=p)
     r = len(pivots)
-    if p is None:
-        m[:r] = [[Fraction(x, d) for x in row] for row in m[:r]]
-    elif d != 1:
-        c = pow(d, -1, p)
-        m[:r] = [[x * c % p for x in row] for row in m[:r]]
+    if d != 1:
+        if p is None:
+            m[:r] = [[rational(x, d) for x in row] for row in m[:r]]
+        else:
+            c = pow(d, -1, p)
+            m[:r] = [[x * c % p for x in row] for row in m[:r]]
     return pivots
 
 
@@ -278,7 +282,7 @@ class Matrix:
         pivots, d, sign = bareiss_rows(m, self.cols, above=False, p=p)
         if len(pivots) < self.rows:
             return field.box(0)
-        return field.box(Fraction(sign * d, scale) if p is None else sign * d)
+        return field.box(rational(sign * d, scale) if p is None else sign * d)
 
     def minor(self, row_indices, col_indices):
         row_indices, col_indices = sorted(row_indices), sorted(col_indices)

@@ -164,7 +164,7 @@ def decompose(algebra):
         squares.append(tuple(field.reduce(x * scale) for x in line))
     return Decomposition(Subspace.coordinate(field, n, classes.annihilator),
                          tuple(Subspace.coordinate(field, n, idx) for idx in classes.members),
-                         classes.members, tuple(squares), algebra.square_space().dim)
+                         classes.members, tuple(squares), algebra.M.rank())
 
 
 def decomposition_for_basis(algebra, basis_vectors):

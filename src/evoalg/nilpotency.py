@@ -146,7 +146,7 @@ def find_orthogonality_witness(algebra, max_subset_size=None):
     cap = min(n, 12 if max_subset_size is None else max_subset_size)
     # M times one nonzero constant, as plain integers, has the same
     # vanishing minors.
-    rows, red = algebra.field.integral(algebra.M.plain), algebra.field.reduce
+    rows, red = algebra.integral, algebra.field.reduce
     # below[gamma][i] = det M[gamma, i-th omega of the size below]; the
     # empty minor is 1.  Only gammas that are the tail of a larger gamma
     # (those without index 0) are kept for the next size.
@@ -298,7 +298,7 @@ def find_cube_nilpotent(algebra):
         raise NotPerfect("nilpotent-of-order-3 detection requires a perfect algebra")
     n = algebra.n
     p = algebra.field.p
-    level = [((), (algebra.field.integral(algebra.M.plain), 1, 0, 0))]
+    level = [((), (algebra.integral, 1, 0, 0))]
     first_vanishing = None
     minors = 0
     while level:

@@ -39,8 +39,9 @@ def test_parse_gf():
     a = parse_algebra_text("field gf 5\ndim 2\n1 2\n3 4\n")
     assert a.field == GF(5)
     assert a.M.entry(1, 0) == GF(5)(3)
-    # Text, JSON and vector files parse to plain rows (canonical residues,
-    # Fractions), which box to the scalars of the integers written.
+    # Text, JSON and vector files parse to plain rows (canonical residues;
+    # over Q ints for integers), which box to the scalars of the integers
+    # written.
     tokens = ["+3", "-1", "007", "1" * 30]
     values = [3, -1, 7, int("1" * 30)]
     for F, spec, js in ((GF(2), "gf 2", {"gf": 2}), (GF(101), "gf 101", {"gf": 101}),
@@ -51,6 +52,7 @@ def test_parse_gf():
         for b in (text, doc):
             assert b.M.plain == (plain,) * 4 and b.M.row(3) == tuple(map(F, values))
         assert parse_vectors_text(", ".join(tokens), F, 4) == [list(plain)]
+        assert all(type(x) is int for row in text.M.plain for x in row)
     assert parse_algebra_text("field q\ndim 1\n-3/6\n").M.plain == ((Fraction(-1, 2),),)
 
 
@@ -68,9 +70,16 @@ def test_parse_errors_carry_line_numbers():
         parse_algebra_text("field gf 4\ndim 1\n1\n")     # 4 is not prime
     with pytest.raises(ParseError):
         parse_algebra_text(SAMPLE + "field q\n")         # duplicate field
+    # Field and dim lines take ASCII digits only.
+    for text, message in (("field gf \u0667\ndim 1\n1\n", "bad field spec 'gf \u0667' (line 1)"),
+                          ("field gf(\uff17)\ndim 1\n1\n", "bad field spec 'gf(\uff17)' (line 1)"),
+                          ("field q\ndim \u0663\n1\n", "dim expects a single positive integer (line 2)")):
+        with pytest.raises(ParseError) as err:
+            parse_algebra_text(text)
+        assert str(err.value) == message
     # A bad scalar keeps its message in every format, with the line of a
     # text or vector file.
-    for bad in ("1.5", "0x1", "1_0", "1/0"):
+    for bad in ("1.5", "0x1", "1_0", "1/0", "\u0663", "\uff17"):
         for F, spec, js in ((GF(101), "gf 101", {"gf": 101}), (QQ, "q", "q")):
             message = ("zero denominator in '1/0'" if (F, bad) == (QQ, "1/0")
                        else f"bad integer {bad!r}")

@@ -6,6 +6,7 @@ import random
 import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -167,6 +168,11 @@ CUBE_GOLDEN = [
      "none found: minor vanishes, witness needs square roots (minor on [1, 3])\n",
      '{\n  "diagnostic": "minor vanishes, witness needs square roots",\n'
      '  "found": false,\n  "minor_indices": [\n    1,\n    3\n  ]\n}\n'),
+    # A Q algebra with fractional entries whose witness is fractional.
+    ("field q\ndim 4\n1/2 -2 1 3\n-3/4 3 -2 1\n1 1 -3/4 1/3\n1 5 2 5/3\n",
+     "element with cube zero: 1 1/2 0 0\nfrom principal minor on [1, 2]\n",
+     '{\n  "diagnostic": null,\n  "element": "1 1/2 0 0",\n  "found": true,\n'
+     '  "minor_indices": [\n    1,\n    2\n  ]\n}\n'),
 ]
 
 
@@ -175,6 +181,38 @@ def test_cube_nilpotent_golden_reports(capsys, tmp_path, text, report, json_repo
     path = write(tmp_path, "c.alg", text)
     assert run(capsys, "cube-nilpotent", path) == (0, report, "")
     assert run(capsys, "cube-nilpotent", "--json", path) == (0, json_report, "")
+
+
+# Reports on Q algebras with fractional entries (the vanishing 2 x 2
+# block of the first has kernel line (1, 1/4); the second has the
+# subalgebra span(e3, e4)), pinned byte for byte.
+FRACTIONAL_GOLDEN = [
+    ("field q\ndim 4\n1/2 -2 1 3\n-3/4 3 -2 1\n1 1 -3/4 1/3\n1 5 2 5/3\n", {
+        "minors": "witness found: gamma [1, 2], omega [1, 2]\nu: 1 1 0 0\nv: 1 1/4 0 0\n"
+                  "w: 1 1 0 0\nu (v w) = 0 verified\n",
+        "cube-nilpotent": "element with cube zero: 1 1/2 0 0\nfrom principal minor on [1, 2]\n",
+        "classify": "".join(f"generator {i}: persistent (closure on indices [1, 2, 3, 4])\n"
+                            for i in range(1, 5))
+                    + "component 1: generators [1, 2, 3, 4], support [1, 2, 3, 4]\n"
+                      "transient indices: []\n"}),
+    ("field q\ndim 4\n1/2 -2 0 0\n-3/4 5 0 0\n1 1 -3/4 1/3\n1 5 2 5/3\n", {
+        "minors": "witness found: gamma [1], omega [3]\nu: 1 0 0 0\nv: 0 0 1 0\n"
+                  "w: 0 0 1 0\nu (v w) = 0 verified\n",
+        "cube-nilpotent": "no vanishing principal minor: no such element exists\n",
+        "classify": "generator 1: transient (closure on indices [1, 2, 3, 4])\n"
+                    "generator 2: transient (closure on indices [1, 2, 3, 4])\n"
+                    "generator 3: persistent (closure on indices [3, 4])\n"
+                    "generator 4: persistent (closure on indices [3, 4])\n"
+                    "component 1: generators [3, 4], support [3, 4]\n"
+                    "transient indices: [1, 2]\n"}),
+]
+
+
+@pytest.mark.parametrize("text, reports", FRACTIONAL_GOLDEN)
+def test_fractional_golden_reports(capsys, tmp_path, text, reports):
+    path = write(tmp_path, "f.alg", text)
+    for command, report in reports.items():
+        assert run(capsys, command, path) == (0, report, "")
 
 
 def test_random_deterministic(capsys):
@@ -254,10 +292,10 @@ def test_minors_self_check_failure_exits_3(capsys, monkeypatch, tmp_path):
 # determinant returned (Matrix.det), none per parsed entry, printed scalar
 # or square root tried.  The ids name the subcommand, not the count.
 MOD_COUNTS = [
-    (["analyze"], 2), (["natural", "--unique"], 0),
+    (["analyze"], 1), (["natural", "--unique"], 0),
     (["natural", "--vector", "1 0 0 0 0 0 0 0 0 0"], 0), (["decompose"], 0),
     (["nilpotency"], 0), (["minors"], 1), (["cube-nilpotent"], 1), (["ideals"], 1),
-    (["simple"], 2), (["adjoint"], 2), (["adjoint", "--emit"], 0),
+    (["simple"], 1), (["adjoint"], 2), (["adjoint", "--emit"], 0),
     (["classify"], 1), (["hierarchy"], 1)]
 
 
@@ -278,6 +316,51 @@ def test_mod_objects_per_subcommand(capsys, monkeypatch, tmp_path, argv, made):
     monkeypatch.setattr(Mod, "__init__", counted)
     code, _, _ = run(capsys, argv[0], path, *argv[1:])
     assert (code, count[0]) == (0, made)
+
+
+# Fractions made per subcommand on a dense integer Q algebra at n = 8:
+# over Q a plain value is an int whenever it is an integer, so what is
+# left is one per determinant returned (perfectness, once per algebra)
+# and the Fraction arithmetic that scales decompose's class lines to
+# leading entry 1.  The zero at (3, 3) gives minors and cube-nilpotent
+# their witness e3.
+FRACTION_COUNTS = [
+    (["analyze"], 1), (["natural", "--unique"], 0),
+    (["natural", "--vector", "1 0 0 0 0 0 0 0"], 0), (["decompose"], 63),
+    (["nilpotency"], 0), (["minors"], 1), (["cube-nilpotent"], 1), (["ideals"], 1),
+    (["simple"], 1), (["adjoint"], 2), (["adjoint", "--emit"], 0),
+    (["classify"], 1), (["hierarchy"], 1)]
+
+
+@pytest.mark.parametrize("argv, made", FRACTION_COUNTS,
+                         ids=["-".join(a.lstrip("-") for a in argv[:2])
+                              for argv, _ in FRACTION_COUNTS])
+def test_fraction_objects_per_subcommand(capsys, monkeypatch, tmp_path, argv, made):
+    rng = random.Random(8)
+    rows = [[rng.randint(1, 9) for _ in range(8)] for _ in range(8)]
+    rows[2][2] = 0
+    path = write(tmp_path, "dense.alg", "field q\ndim 8\n"
+                 + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+    count = [0]
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    if hasattr(Fraction, "_from_coprime_ints"):   # arithmetic results, Python 3.12+
+        make = Fraction._from_coprime_ints
+
+        def counted_coprime(cls, *args):
+            count[0] += 1
+            return make(*args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+    code, out, _ = run(capsys, argv[0], path, *argv[1:])
+    assert (code, count[0]) == (0, made)
+    if argv[0] in ("minors", "cube-nilpotent"):
+        assert "0 0 1 0 0 0 0 0" in out
 
 
 def test_version_matches_pyproject():

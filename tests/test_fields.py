@@ -81,25 +81,29 @@ def test_rational_canonical():
     with pytest.raises(ParseError):
         QQ.parse("0.5")
     # Both descriptors parse to plain values: GF(p) to the canonical
-    # residue, which boxes to the Mod of the integer; Q to a Fraction.
+    # residue, which boxes to the Mod of the integer; Q to an int for an
+    # integer and to a Fraction otherwise (fields.rational).
     big = "1" * 30
     for token, value in (("+3", 3), ("-1", -1), ("007", 7), ("-3/6", Fraction(-1, 2)),
-                         (big, int(big)), ("-" + big, -int(big))):
-        assert QQ.parse(token) == value and type(QQ.parse(token)) is Fraction
+                         ("6/3", 2), ("-4/-2", 2), (big, int(big)), ("-" + big, -int(big))):
+        assert QQ.parse(token) == value and type(QQ.parse(token)) is type(value)
         for F in (GF(2), GF(101)):
-            if type(value) is Fraction:
-                with pytest.raises(ParseError, match="bad integer '-3/6'"):
+            if "/" in token:
+                with pytest.raises(ParseError, match=f"bad integer '{token}'"):
                     F.parse(token)
                 continue
             r = F.parse(token)
             assert type(r) is int and r == value % F.p and F(r) == Mod(value, F.p)
-    for token in ("1.5", "0x1", "1_0", "1/0"):
+    # Only ASCII digits: int() would also read other scripts' digits.
+    for token in ("1.5", "0x1", "1_0", "1/0", "\u0663", "\uff17", "-\u0663"):
         for F in (GF(2), GF(101), QQ):
             with pytest.raises(ParseError) as err:
                 F.parse(token)
             assert str(err.value) == ("zero denominator in '1/0'" if (F, token) == (QQ, "1/0")
                                       else f"bad integer {token!r}")
             assert err.value.line is None
+    with pytest.raises(ParseError, match="bad integer '\u0662'"):
+        QQ.parse("1/\u0662")
 
 
 def test_rationals_refuse_inexact_scalars():
@@ -165,6 +169,9 @@ def test_parse_render_field():
     assert render_field(GF(5)) == "gf 5"
     with pytest.raises(ParseError):
         parse_field("r")
+    for spec in ("gf \u0667", "gf(\uff17)", "gf 1\u0661"):
+        with pytest.raises(ParseError, match="bad field spec"):
+            parse_field(spec)
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40))

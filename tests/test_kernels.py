@@ -1,7 +1,8 @@
 """The plain-value kernels behind rref, det, matvec, reduce and closures.
 
-Each kernel runs over canonical residues (GF(p)) or, over Q, Fractions and
-integer-scaled rows under fraction-free elimination, and the matrices,
+Each kernel runs over canonical residues (GF(p)) or, over Q, ints and
+Fractions (an int whenever the value is an integer) and integer-scaled
+rows under fraction-free elimination, and the matrices,
 subspaces and elements it returns store those plain values; their public
 views box them when read.  The scalar-arithmetic loops they replaced (Mod
 over GF(p), Fraction over Q) are kept here as references; the kernels must
@@ -13,6 +14,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evoalg import linalg
 from evoalg.algebra import Element, EvolutionAlgebra, check_algebra_homomorphism
@@ -430,3 +432,49 @@ def test_structure_matrix_field_must_match():
         EvolutionAlgebra(QQ, Matrix(GF(5), [[1]]))
     a = EvolutionAlgebra(GF(5), Matrix(GF(5), [[1, 2], [3, 4]]))
     assert a.element([1, 1]).square().coords == (GF(5)(3), GF(5)(2))
+
+
+def canonical(x):
+    """A plain rational is an int exactly when it is an integer."""
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
+# Integers, and Fractions of which some are integral (4/2 is Fraction(2)).
+RATIONALS = st.one_of(st.integers(-4, 4),
+                      st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(RATIONALS, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_rational_plain_values_are_canonical(rows):
+    n = len(rows)
+    plain = [QQ.unbox(row) for row in rows]
+    assert plain == rows and all(canonical(x) for row in plain for x in row)
+    for x in (x for row in plain for x in row):
+        parsed = QQ.parse(str(x))
+        assert parsed == x and canonical(parsed)
+        root = QQ.plain_sqrt(x * x)
+        assert root == abs(x) and canonical(root)
+        root = QQ.plain_sqrt(x)
+        assert root is None or (root * root == x and canonical(root))
+    m = Matrix(QQ, rows)
+    rref = m.rref()[0].plain
+    kernel = m.kernel().plain
+    span = Subspace.from_vectors(QQ, n, rows).plain
+    for v in (*rref, *kernel, *span):
+        assert all(canonical(x) for x in v)
+    for v in kernel:
+        assert not any(m.matvec(v))
+    # solve returns public Fractions; its plain solution is read off the
+    # canonical RREF of [M | b].
+    b = [sum(row) for row in rows]
+    x = m.solve(b)
+    assert all(type(c) is Fraction for c in x) and m.matvec(x) == tuple(b)
+    assert all(canonical(c) for row in Matrix(QQ, [r + [c] for r, c in zip(rows, b)])
+               .rref()[0].plain for c in row)
+    a = EvolutionAlgebra(QQ, rows)
+    u, w = a.element(rows[0]), a.element(rows[-1])
+    for el in (u * w, u.square(), u + w, u - w, -u, u.scale(Fraction(1, 2)), u.scale(2)):
+        assert all(canonical(c) for c in el.plain)
+        assert el.coords == tuple(map(Fraction, el.plain))

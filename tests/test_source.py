@@ -27,3 +27,17 @@ def test_boundary_reads_plain_values():
              if isinstance(node, ast.Attribute) and node.attr in boxing
              and not (isinstance(node.value, ast.Name) and node.value.id == "args")]
     assert found == []
+
+
+def test_only_fields_names_fraction():
+    # The canonical Q form (an int whenever the value is an integer) is
+    # decided in one place: every other module makes rationals through
+    # fields.rational and the field descriptors.
+    root = Path(evoalg.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(root.glob("*.py"))
+             if path.name != "fields.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if (isinstance(node, ast.Name) and node.id == "Fraction")
+             or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+             or (isinstance(node, ast.alias) and "Fraction" in (node.name, node.asname))]
+    assert found == []
