@@ -11,8 +11,10 @@ Text format, line oriented, ``#`` starts a comment anywhere:
 
 JSON mirror: ``{"field": "q" | {"gf": p}, "dim": n, "matrix": [[str, ...],
 ...], "labels": [...]}`` with every scalar rendered as a string so that
-round trips are exact.  Both formats parse tokens to plain values
-(``field.parse``) and print a plain value as its ``str``.
+round trips are exact.  A JSON label must be a string the text format
+holds as one token: nonempty, with no whitespace and no ``#``.  Both
+formats parse tokens to plain values (``field.parse``) and print a plain
+value as its ``str``.
 """
 
 import json
@@ -133,7 +135,13 @@ def parse_algebra_json(data):
     if labels is not None:
         if not isinstance(labels, list) or len(labels) != dim:
             raise ParseError("labels must list one name per basis vector")
-        labels = tuple(str(x) for x in labels)
+        for x in labels:
+            # One token of a text labels line: no whitespace (line breaks
+            # included) and no comment sign.
+            if not isinstance(x, str) or x.split() != [x] or "#" in x:
+                raise ParseError(f"label {x!r} is not a nonempty string without "
+                                 "whitespace or '#'")
+        labels = tuple(labels)
     return EvolutionAlgebra(field, Matrix._from_plain(field, rows), labels=labels)
 
 

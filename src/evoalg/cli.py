@@ -1,8 +1,12 @@
 """Command line interface.
 
-One subcommand per analysis; every subcommand reads an algebra file
-(text or ``.json``), prints a deterministic plain-text report or, with
-``--json``, a JSON document.  Indices in all output are 1-based.
+One subcommand per analysis.  Handlers compute and ``main`` reports: a
+handler ``cmd_*(algebra, args)`` returns ``(data, lines, verdict)``, its
+JSON document, its plain-text lines and its headline predicate (None if
+it has none), and writes nothing.  ``main`` loads the algebra file (text
+or ``.json``) for every command but ``random`` and ``oracle``, calls the
+handler, prints the document (``--json``) or the lines, and sets the exit
+code.  Indices in all output are 1-based.
 
 Exit codes: 0 success, 1 a ``--check``-ed predicate is false or an
 oracle found mismatches, 2 usage, parse, invalid-argument or
@@ -51,10 +55,6 @@ def _tri(value):
     return "unknown" if value is None else ("true" if value else "false")
 
 
-def _load(args):
-    return load_algebra(args.file)
-
-
 def _parse_vector(field, text, n):
     parts = text.replace(",", " ").split()
     if len(parts) != n:
@@ -62,19 +62,15 @@ def _parse_vector(field, text, n):
     return [field.parse(tok) for tok in parts]
 
 
-def _emit(args, data, lines):
-    if args.json:
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+def _algebra_file(a):
+    """An algebra file as the report, its text form cut at newlines only."""
+    return emit_algebra_json(a), emit_algebra_text(a)[:-1].split("\n"), None
 
 
 # ------------------------------------------------------------- subcommands
 
 
-def cmd_analyze(args):
-    a = _load(args)
+def cmd_analyze(a, args):
     rep = nilpotency_report(a)
     data = {
         "field": render_field(a.field),
@@ -89,27 +85,21 @@ def cmd_analyze(args):
     }
     lines = [f"{k}: {str(v).lower() if isinstance(v, bool) else v}"
              for k, v in data.items()]
-    _emit(args, data, lines)
-    return 0
+    return data, lines, None
 
 
-def cmd_natural(args):
-    a = _load(args)
+def cmd_natural(a, args):
     if args.unique:
         verdict = has_unique_natural_basis(a)
-        _emit(args, {"unique_natural_basis": verdict},
-              [f"unique natural basis: {str(verdict).lower()}"])
-        return 1 if args.check and not verdict else 0
+        return ({"unique_natural_basis": verdict},
+                [f"unique natural basis: {str(verdict).lower()}"], verdict)
     if args.vector is None:
         raise ParseError("natural requires --vector or --unique")
-    v = _parse_vector(a.field, args.vector, a.n)
-    verdict = is_natural_vector(a, v)
-    _emit(args, {"natural": verdict}, [f"natural vector: {str(verdict).lower()}"])
-    return 1 if args.check and not verdict else 0
+    verdict = is_natural_vector(a, _parse_vector(a.field, args.vector, a.n))
+    return {"natural": verdict}, [f"natural vector: {str(verdict).lower()}"], verdict
 
 
-def cmd_extend(args):
-    a = _load(args)
+def cmd_extend(a, args):
     result = extend_family(a, parse_vectors_text(read_text(args.family), a.field, a.n))
     data = {
         "basis": [_vec(u.plain) for u in result.completed_basis],
@@ -118,24 +108,18 @@ def cmd_extend(args):
     lines = ["completed natural basis:"]
     lines += [f"  {v}" for v in data["basis"]]
     lines.append(f"added vectors: {len(data['added'])}")
-    _emit(args, data, lines)
-    return 0
+    return data, lines, None
 
 
-def cmd_decompose(args):
-    a = _load(args)
+def cmd_decompose(a, args):
     if args.basis:
         vecs = parse_vectors_text(read_text(args.basis), a.field, a.n, count=a.n)
-        ann, comps, lines_ = decomposition_for_basis(a, vecs)
-        data = {
-            "annihilator": _subspace(ann),
-            "components": [_subspace(c) for c in comps],
-        }
+        ann, comps, _ = decomposition_for_basis(a, vecs)
+        data = {"annihilator": _subspace(ann), "components": [_subspace(c) for c in comps]}
         lines = [f"annihilator dim: {ann.dim}"]
         for k, c in enumerate(comps, start=1):
             lines.append(f"component {k}: " + "; ".join(_subspace(c)))
-        _emit(args, data, lines)
-        return 0
+        return data, lines, None
     dec = decompose(a)
     data = {
         "annihilator_indices": _indices(a.column_classes.annihilator),
@@ -153,12 +137,10 @@ def cmd_decompose(args):
     lines.append(f"component count: {len(dec.components)}"
                  + ("" if dec.component_count_matches_square_dim
                     else "  (differs from dim of the square space)"))
-    _emit(args, data, lines)
-    return 0
+    return data, lines, None
 
 
-def cmd_nilpotency(args):
-    a = _load(args)
+def cmd_nilpotency(a, args):
     rep = nilpotency_report(a)
     data = {
         "nilpotent": rep.is_nilpotent,
@@ -176,12 +158,10 @@ def cmd_nilpotency(args):
         lines.append(f"right nilpotency index: {rep.right_nilpotency_index}")
         lines.append(f"triangular order: {data['triangular_order']}")
     lines.append(f"cube zero: {str(data['cube_zero']).lower()}")
-    _emit(args, data, lines)
-    return 1 if args.check and not rep.is_nilpotent else 0
+    return data, lines, rep.is_nilpotent
 
 
-def cmd_minors(args):
-    a = _load(args)
+def cmd_minors(a, args):
     scan = find_orthogonality_witness(a, args.max_size)
     w = scan.witness
     data = {"found": w is not None, "truncated": scan.truncated}
@@ -202,12 +182,10 @@ def cmd_minors(args):
     else:
         lines.append("no vanishing-minor witness"
                      + (" (search truncated)" if scan.truncated else ""))
-    _emit(args, data, lines)
-    return 1 if args.check and w is None else 0
+    return data, lines, w is not None
 
 
-def cmd_cube_nilpotent(args):
-    a = _load(args)
+def cmd_cube_nilpotent(a, args):
     scan = find_cube_nilpotent(a)
     data = {
         "found": scan.element is not None,
@@ -225,14 +203,12 @@ def cmd_cube_nilpotent(args):
                      f"(minor on {data['minor_indices']})")
     else:
         lines.append("no vanishing principal minor: no such element exists")
-    _emit(args, data, lines)
-    return 1 if args.check and scan.element is None else 0
+    return data, lines, scan.element is not None
 
 
-def cmd_ideals(args):
+def cmd_ideals(a, args):
     # Every ideal of a perfect algebra is basic, so both reports list the
     # descendant-closed index sets.
-    a = _load(args)
     closed = [_indices(s) for s in descendant_closed_sets(a)]
     if a.is_perfect():
         data = {"perfect": True, "ideals": closed, "all_basic": True}
@@ -242,12 +218,10 @@ def cmd_ideals(args):
         lines = [f"non-perfect algebra; {len(closed)} basic ideals "
                  "(ideals spanned by basis vectors)"]
     lines += [f"  span of e{ix}" for ix in closed]
-    _emit(args, data, lines)
-    return 0
+    return data, lines, None
 
 
-def cmd_simple(args):
-    a = _load(args)
+def cmd_simple(a, args):
     simple = is_simple(a)
     relative = is_basic_simple_relative(a)
     absolute = is_basic_simple(a)
@@ -259,19 +233,12 @@ def cmd_simple(args):
     lines = [f"simple: {str(simple).lower()}",
              f"basic simple (relative to the given basis): {str(relative).lower()}",
              f"basic simple (every natural basis): {_tri(absolute)}"]
-    _emit(args, data, lines)
-    return 1 if args.check and not simple else 0
+    return data, lines, simple
 
 
-def cmd_adjoint(args):
-    a = _load(args)
-    adj = a.adjoint()
+def cmd_adjoint(a, args):
     if args.emit:
-        if args.json:
-            print(json.dumps(emit_algebra_json(adj), indent=2, sort_keys=True))
-        else:
-            sys.stdout.write(emit_algebra_text(adj))
-        return 0
+        return _algebra_file(a.adjoint())
     inv = adjoint_invariants(a)
     ann = adjoint_annihilator(a)
     data = {
@@ -292,12 +259,10 @@ def cmd_adjoint(args):
     lines.append("closed-set complements transfer to the adjoint: "
                  + str(inv.subalgebra_complements_ok).lower())
     lines.append(f"adjoint annihilator dim: {ann.dim}")
-    _emit(args, data, lines)
-    return 0
+    return data, lines, None
 
 
-def cmd_classify(args):
-    a = _load(args)
+def cmd_classify(a, args):
     if args.basis:
         vecs = parse_vectors_text(read_text(args.basis), a.field, a.n, count=a.n)
         a = a.change_basis(vecs)
@@ -319,12 +284,10 @@ def cmd_classify(args):
     lines.append(f"transient indices: {data['transient_indices']}")
     for d in dec.diagnostics:
         lines.append(f"note: {d}")
-    _emit(args, data, lines)
-    return 0
+    return data, lines, None
 
 
-def cmd_hierarchy(args):
-    a = _load(args)
+def cmd_hierarchy(a, args):
     h = hierarchy(a)
     data = {"levels": []}
     lines = []
@@ -345,19 +308,13 @@ def cmd_hierarchy(args):
         lines.append(f"  transient (local): {entry['transient']}")
         for d in entry["diagnostics"]:
             lines.append(f"  note: {d}")
-    _emit(args, data, lines)
-    return 0
+    return data, lines, None
 
 
-def cmd_random(args):
+def cmd_random(_, args):
     field = parse_field(args.field)
-    a = random_algebra(field, args.dim, seed=args.seed,
-                       perfect=args.perfect, nondegenerate=args.nondegenerate)
-    if args.json:
-        print(json.dumps(emit_algebra_json(a), indent=2, sort_keys=True))
-    else:
-        sys.stdout.write(emit_algebra_text(a))
-    return 0
+    return _algebra_file(random_algebra(field, args.dim, seed=args.seed, perfect=args.perfect,
+                                        nondegenerate=args.nondegenerate))
 
 
 def _mismatch_input(name, mismatch):
@@ -369,7 +326,7 @@ def _mismatch_input(name, mismatch):
     return {"rows": [list(r) for r in mismatch]}
 
 
-def cmd_oracle(args):
+def cmd_oracle(_, args):
     field = parse_field(args.field)
     if field.p is None:
         raise ParseError("oracles run over prime fields only")
@@ -389,8 +346,7 @@ def cmd_oracle(args):
         if "vector" in x:
             text += ", vector " + " ".join(map(str, x["vector"]))
         lines.append(f"mismatch: rows {text}")
-    _emit(args, data, lines)
-    return 1 if report.mismatches else 0
+    return data, lines, not report.mismatches
 
 
 # ------------------------------------------------------------------ parser
@@ -462,10 +418,19 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        algebra = None if args.command in _NO_FILE else load_algebra(args.file)
+        data, lines, verdict = args.fn(algebra, args)
     except EvoAlgError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ParseError, UnreadableFile, InvalidArgument)) else 3
+    if args.json:
+        print(json.dumps(data, indent=2, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    # A false verdict fails the run under --check; oracle, the one command
+    # with a verdict and no --check, fails on every mismatch.
+    return 1 if verdict is False and getattr(args, "check", True) else 0
 
 
 if __name__ == "__main__":

@@ -179,7 +179,6 @@ def integer_row(row, scale=None):
 class Rationals:
     """Field descriptor for Q (arbitrary-precision rationals)."""
 
-    kind = "rationals"
     characteristic = 0
     p = None
 
@@ -217,9 +216,13 @@ class Rationals:
         return [integer_row(row, scale)[0] for row in rows]
 
     def normalize(self, v):
-        """The primitive integer multiple of v (0 stays 0)."""
-        v = integer_row(v)[0]
-        g = gcd(*v)
+        """The primitive integer multiple of v (0 stays 0).  Integer rows,
+        the common case, skip the lcm of the denominators."""
+        try:
+            g = gcd(*v)
+        except TypeError:   # a Fraction is present
+            v = integer_row(v)[0]
+            g = gcd(*v)
         return [x // g for x in v] if g > 1 else v
 
     def eliminate(self, v, row, pc):
@@ -289,8 +292,6 @@ class Rationals:
 
 class PrimeField:
     """Field descriptor for GF(p), p prime."""
-
-    kind = "gf"
 
     def __init__(self, p):
         if not isinstance(p, int) or not is_prime(p):

@@ -17,6 +17,7 @@ from itertools import combinations
 from .algebra import Element
 from .errors import (Degenerate, NotANaturalBasis, NotExtendable,
                      NotNaturalVector, NotOrthogonal, ZeroVector)
+from .fields import rational
 from .linalg import Subspace, kernel_rows, matvec_rows, rref_rows
 
 
@@ -155,13 +156,15 @@ class Decomposition:
 
 def decompose(algebra):
     """The canonical decomposition, read from algebra.column_classes with
-    each class line scaled to leading entry 1."""
+    each class line scaled to leading entry 1: the lines are monic over
+    GF(p) and primitive integer rows with a positive lead over Q, so
+    rational(x, lead) is that scaling over both fields."""
     field, n = algebra.field, algebra.n
     classes = algebra.column_classes
     squares = []
     for line in classes.lines:
-        scale = field.inv(next(x for x in line if x))
-        squares.append(tuple(field.reduce(x * scale) for x in line))
+        lead = next(x for x in line if x)
+        squares.append(tuple(rational(x, lead) for x in line))
     return Decomposition(Subspace.coordinate(field, n, classes.annihilator),
                          tuple(Subspace.coordinate(field, n, idx) for idx in classes.members),
                          classes.members, tuple(squares), algebra.M.rank())

@@ -229,8 +229,6 @@ def _kernel_candidates(field, kern):
     """Plain kernel vectors to try: every small combination of the RREF
     basis over Q or GF(p), p <= 7, else the basis itself."""
     basis = kern.plain
-    if not basis:
-        return
     if field.characteristic == 0 or field.p <= 7:
         coefficients = range(-2, 3) if field.characteristic == 0 else range(field.p)
         red = field.reduce

@@ -117,6 +117,21 @@ def test_json_errors():
         parse_algebra_json({"field": "q", "dim": True, "matrix": [["1"]]})
 
 
+def test_json_labels_are_text_tokens():
+    # A JSON label must be one token of a text labels line, so every JSON
+    # algebra re-emits as a text file that parses back to it.
+    doc = {"field": "q", "dim": 2, "matrix": [["1", "0"], ["0", "1"]]}
+    for labels in (["a", "x_1"], ["\u03b1", "b'"]):
+        a = parse_algebra_json(dict(doc, labels=labels))
+        assert a.labels == tuple(labels)
+        assert parse_algebra_text(emit_algebra_text(a)).labels == a.labels
+    for bad in ("x y", None, "", "c#d", "a\u2028b", "a\rb", "\t", 3, ["a"]):
+        with pytest.raises(ParseError) as err:
+            parse_algebra_json(json.dumps(dict(doc, labels=["a", bad])))
+        assert str(err.value) == (f"label {bad!r} is not a nonempty string without "
+                                  "whitespace or '#'")
+
+
 def test_load_algebra_dispatch(tmp_path):
     a = parse_algebra_text(SAMPLE)
     text_path = tmp_path / "a.alg"

@@ -7,13 +7,14 @@ import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
 import evoalg
 from evoalg.algebra import EvolutionAlgebra
+from evoalg.algfile import load_algebra
 from evoalg.cli import COMMANDS, build_parser, main
 from evoalg.fields import Mod
 
@@ -151,6 +152,39 @@ def test_cube_nilpotent_cli(capsys, tmp_path):
     assert code == 1 and "no vanishing principal minor" in out
 
 
+# A false headline predicate per command with --check: (command, algebra,
+# extra arguments).  DENSE2 has no zero entry and no vanishing minor.
+DENSE2 = "field q\ndim 2\n1 1\n1 2\n"
+FALSE_VERDICTS = [
+    ("natural", EX59, ["--vector", "1 0 1"]),
+    ("natural", "field q\ndim 2\n1 0\n1 0\n", ["--unique"]),
+    ("nilpotency", PERFECT2, []), ("minors", DENSE2, []),
+    ("cube-nilpotent", DENSE2, []), ("simple", SINGULAR2, [])]
+
+
+@pytest.mark.parametrize("command, text, extra", FALSE_VERDICTS,
+                         ids=["-".join([c, *e[:1]]).replace("--", "")
+                              for c, _, e in FALSE_VERDICTS])
+def test_false_verdict_exits_1_only_under_check(capsys, tmp_path, command, text, extra):
+    assert {name for name, c in COMMANDS.items() if c[2]} == {
+        c for c, _, _ in FALSE_VERDICTS}
+    path = write(tmp_path, "a.alg", text)
+    for fmt in ([], ["--json"]):
+        code, out, err = run(capsys, command, path, *extra, *fmt)
+        assert (code, err) == (0, "") and out
+        assert run(capsys, command, path, *extra, *fmt, "--check") == (1, out, "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["natural", "ALG"], "natural requires --vector or --unique"),
+    (["oracle", "nilpotency", "--field", "q", "--dim", "2"],
+     "oracles run over prime fields only")], ids=["natural", "oracle"])
+def test_cli_argument_errors_exit_2(capsys, tmp_path, argv, message):
+    path = write(tmp_path, "a.alg", EX59)
+    code, out, err = run(capsys, *[path if a == "ALG" else a for a in argv])
+    assert (code, out, err) == (2, "", f"error [parse-error]: {message}\n")
+
+
 # cube-nilpotent reports on algebras whose scan passes over vanishing
 # minors without a witness and goes on below them (the two Q algebras of
 # test_nilpotency.test_cube_scan_singular_prefixes and a GF(13) algebra),
@@ -268,6 +302,40 @@ def test_oracle_cli_shows_first_mismatches(capsys, monkeypatch):
         {"rows": [[1, 2], [0, 1]], "vector": [1, 2]}] * 3
 
 
+def test_handlers_compute_and_main_prints(capsys, tmp_path, ex59):
+    # Every handler returns (data, lines, verdict) and writes nothing; main
+    # prints exactly the JSON document or the lines.  ex59 is not perfect,
+    # so minors and cube-nilpotent also run on PERFECT2.
+    basis = write(tmp_path, "basis.txt", "1 1 0\n1 4 0\n0 0 1\n")
+    family = write(tmp_path, "fam.txt", "1 0 0\n")
+    extra = {"natural": [["--vector", "1 0 1"], ["--unique"]],
+             "extend": [["--family", family]], "decompose": [[], ["--basis", basis]],
+             "adjoint": [[], ["--emit"]], "classify": [[], ["--basis", basis]],
+             "random": [["--field", "gf 7", "--dim", "3", "--seed", "42"],
+                        ["--field", "q", "--dim", "2", "--perfect", "--nondegenerate"]],
+             "oracle": [["natural-vectors", "--field", "gf 3", "--dim", "2",
+                         "--samples", "4"]]}
+    files = {"minors": [write(tmp_path, "p.alg", PERFECT2)]}
+    files["cube-nilpotent"] = files["minors"]
+    seen = set()
+    for name, (fn, *_) in COMMANDS.items():
+        for path, more, fmt in product(files.get(name, [ex59]), extra.get(name, [[]]),
+                                       ([], ["--json"])):
+            if name in ("random", "oracle"):
+                argv, algebra = [name, *more, *fmt], None
+            else:
+                argv, algebra = [name, path, *more, *fmt], load_algebra(path)
+            data, lines, verdict = fn(algebra, build_parser().parse_args(argv))
+            assert capsys.readouterr() == ("", "")
+            assert verdict in (None, True, False)
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (int(verdict is False and name == "oracle"), ""), argv
+            assert out == (json.dumps(data, indent=2, sort_keys=True) + "\n" if fmt
+                           else "".join(line + "\n" for line in lines))
+            seen.add(name)
+    assert seen == set(COMMANDS)
+
+
 
 def test_adjoint_beyond_closed_set_cap(capsys, tmp_path):
     # Dimension 24 is past the closed-set enumeration limit of `ideals`;
@@ -321,12 +389,12 @@ def test_mod_objects_per_subcommand(capsys, monkeypatch, tmp_path, argv, made):
 # Fractions made per subcommand on a dense integer Q algebra at n = 8:
 # over Q a plain value is an int whenever it is an integer, so what is
 # left is one per determinant returned (perfectness, once per algebra)
-# and the Fraction arithmetic that scales decompose's class lines to
-# leading entry 1.  The zero at (3, 3) gives minors and cube-nilpotent
-# their witness e3.
+# and one per entry of decompose's class lines, scaled to leading entry
+# 1, that is not an integer.  The zero at (3, 3) gives minors and
+# cube-nilpotent their witness e3.
 FRACTION_COUNTS = [
     (["analyze"], 1), (["natural", "--unique"], 0),
-    (["natural", "--vector", "1 0 0 0 0 0 0 0"], 0), (["decompose"], 63),
+    (["natural", "--vector", "1 0 0 0 0 0 0 0"], 0), (["decompose"], 35),
     (["nilpotency"], 0), (["minors"], 1), (["cube-nilpotent"], 1), (["ideals"], 1),
     (["simple"], 1), (["adjoint"], 2), (["adjoint", "--emit"], 0),
     (["classify"], 1), (["hierarchy"], 1)]

@@ -41,3 +41,18 @@ def test_only_fields_names_fraction():
              or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
              or (isinstance(node, ast.alias) and "Fraction" in (node.name, node.asname))]
     assert found == []
+
+
+def test_only_cli_main_writes_output():
+    # Handlers return their report; main alone prints it, or the error, and
+    # sets the exit code.
+    tree = ast.parse((Path(evoalg.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    found = [f"cli.py:{node.lineno}" for top in tree.body
+             if not (isinstance(top, ast.FunctionDef) and top.name == "main")
+             for node in ast.walk(top)
+             if (isinstance(node, ast.Name) and node.id == "print")
+             or (isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr"))]
+    assert found == []
+    main = next(top for top in tree.body
+                if isinstance(top, ast.FunctionDef) and top.name == "main")
+    assert any(isinstance(node, ast.Name) and node.id == "print" for node in ast.walk(main))
