@@ -9,8 +9,8 @@ Elements store plain coordinates (``fields``); ``Element.coords`` boxes
 them when a caller reads it.
 """
 
-from functools import partial
-from operator import add, mul, neg, sub
+from functools import partial, reduce
+from operator import add, lshift, mul, neg, sub, xor
 from typing import NamedTuple
 
 from .errors import (AlgebraMismatch, FieldMismatch, IndexOutOfRange, NotANaturalBasis,
@@ -75,7 +75,7 @@ class EvolutionAlgebra:
         """M times one common nonzero constant, as plain integer rows
         (field.integral), built once.  The scale keeps the span of every
         product M (u o w) and the vanishing of every minor, which is all
-        that closures and the minor scans read."""
+        that closures over Q and the minor scans read."""
         if self._integral is None:
             self._integral = tuple(map(tuple, self.field.integral(self.M.plain)))
         return self._integral
@@ -134,16 +134,24 @@ class EvolutionAlgebra:
         return matvec_rows(self.M.plain, list(map(mul, u, w)), self.field.reduce)
 
     def _closure(self, elements, ideal):
-        # Rounds over a semi-echelon basis: every row is nonzero at its pivot
-        # and 0 at the pivots of the rows before it.  A round multiplies only
-        # the rows the previous round added: each by every row up to and
-        # including itself (subalgebra; commutativity makes that every pair
-        # once) or by the e_i in its support (ideal; e_i u = u_i e_i^2).  A
-        # product is kept only if a remainder survives reduction against the
-        # basis, and the loop stops when a round adds nothing or the span is
-        # the whole space.  Everything runs on plain values, and over Q on
-        # primitive integer rows: products come from one integer multiple
-        # of M, which keeps their span.
+        # Rounds over a semi-echelon basis (_rounds): every row is nonzero at
+        # its pivot and 0 at the pivots of the rows before it.  Over Q the
+        # rows are primitive integer rows; over GF(p) they are monic residue
+        # rows, each also packed into one int, so a product and a reduction
+        # step are O(n) big-int operations (_gfp_rounds, _gf2_rounds).
+        field, n = self.field, self.n
+        gens = [field.normalize(self._plain_of(x)) for x in elements]
+        p = field.p
+        rounds = (self._rational_rounds if p is None
+                  else self._gf2_rounds if p == 2 else self._gfp_rounds)
+        rows = rounds(gens, ideal)
+        if len(rows) == n:
+            return Subspace.full(field, n)
+        return Subspace._from_plain(field, n, rows)
+
+    def _rational_rounds(self, gens, ideal):
+        # Products come from one integer multiple of M, which keeps their
+        # span, so every row stays a primitive integer row.
         field, n = self.field, self.n
         red, normalize = field.reduce, field.normalize
         M = self.integral
@@ -157,24 +165,90 @@ class EvolutionAlgebra:
                 rows.append(v)
                 pivots.append(pc)
 
-        for x in elements:
-            adjoin(normalize(self._plain_of(x)))
-        done = 0
-        while done < len(rows) < n:
-            start, done = done, len(rows)
-            for k in range(start, done):
-                u = rows[k]
-                if ideal:
-                    for i, c in enumerate(u):
-                        if c and len(rows) < n:
-                            adjoin([red(c * x) for x in squares[i]])
-                else:
-                    for w in rows[:k + 1]:
-                        if len(rows) < n:
-                            adjoin(matvec_rows(M, list(map(mul, u, w)), red))
-        if len(rows) == n:
-            return Subspace.full(field, n)
-        return Subspace._from_plain(field, n, rows)
+        def products(k):
+            u = rows[k]
+            if ideal:
+                for i, c in enumerate(u):
+                    if c:
+                        yield [c * x for x in squares[i]]
+            else:
+                for w in rows[:k + 1]:
+                    yield matvec_rows(M, list(map(mul, u, w)), red)
+
+        _rounds(n, rows, gens, adjoin, products)
+        return rows
+
+    def _gfp_rounds(self, gens, ideal):
+        # Odd p.  A packed row holds coordinate j in the s-bit slot at bit
+        # s*j.  The product M (u o w) = sum_k (u_k w_k mod p) C_k of the
+        # packed columns C_k starts below n p^2 in every slot (a generator
+        # below p, an ideal product c C_i below p^2).  Reducing against a
+        # kept row r (1 at its pivot slot) reads f = pivot slot mod p and
+        # adds (p - f) r: no subtraction, so no borrow, and less than p^2
+        # per slot, once per kept row, at most n times.  So every slot stays
+        # below 2 n p^2 < 2^s and no carry crosses a slot.  The remainder is
+        # unpacked once, then made monic and repacked.
+        n, p = self.n, self.field.p
+        s = (2 * n * p * p).bit_length() + 1
+        mask, slots = (1 << s) - 1, range(0, n * s, s)
+        cols = [sum(map(lshift, col, slots)) for col in zip(*self.M.plain)]
+        rows, packed, shifts = [], [], []   # monic rows, the same packed, pivot bits
+
+        def adjoin(v):
+            v = reduce_packed(packed, shifts, v, p, mask)
+            row = [(v >> b & mask) % p for b in slots]
+            pc = next((j for j, x in enumerate(row) if x), None)
+            if pc is not None:
+                c = pow(row[pc], -1, p)
+                row = [x * c % p for x in row]
+                rows.append(row)
+                packed.append(sum(map(lshift, row, slots)))
+                shifts.append(pc * s)
+
+        def products(k):
+            u = rows[k]
+            support = [i for i, x in enumerate(u) if x]
+            if ideal:
+                for i in support:
+                    yield u[i] * cols[i]
+            else:
+                for w in rows[:k + 1]:
+                    yield sum(u[i] * w[i] % p * cols[i] for i in support if w[i])
+
+        _rounds(n, rows, [sum(map(lshift, g, slots)) for g in gens], adjoin, products)
+        return rows
+
+    def _gf2_rounds(self, gens, ideal):
+        # Over GF(2) addition is XOR, so a slot is one bit and nothing is
+        # reduced mod p: u o w is u & w, M h is the XOR of the packed columns
+        # C_k over the set bits k of h, and a reduction step is v ^= r.
+        n = self.n
+        bits = range(n)
+        cols = [sum(map(lshift, col, bits)) for col in zip(*self.M.plain)]
+        rows, pivots = [], []   # packed rows, their lowest set bits
+
+        def adjoin(v):
+            v = reduce_bits(rows, pivots, v)
+            if v:
+                rows.append(v)
+                pivots.append((v & -v).bit_length() - 1)
+
+        def columns(h):
+            while h:
+                low = h & -h
+                yield cols[low.bit_length() - 1]
+                h ^= low
+
+        def products(k):
+            u = rows[k]
+            if ideal:
+                yield from columns(u)
+            else:
+                for w in rows[:k + 1]:
+                    yield reduce(xor, columns(u & w), 0)
+
+        _rounds(n, rows, [sum(map(lshift, g, bits)) for g in gens], adjoin, products)
+        return [[v >> j & 1 for j in bits] for v in rows]
 
     def _plain_of(self, x):
         """Plain coordinates of an Element of this algebra or a coordinate list."""
@@ -323,6 +397,48 @@ class Element:
 
     def __repr__(self):
         return f"Element({list(self.coords)!r})"
+
+
+def _rounds(n, rows, gens, adjoin, products):
+    """Grow a closure's semi-echelon basis ``rows`` in rounds.  Each
+    generator is adjoined (kept only if a remainder survives reduction
+    against the basis), then a round multiplies only the rows the previous
+    round added: ``products(k)`` yields row k times every row up to and
+    including itself (subalgebra; commutativity makes that every pair once)
+    or times the e_i in its support (ideal; e_i u = u_i e_i^2).  The rounds
+    stop when one adds nothing or the span is the whole space."""
+    for v in gens:
+        adjoin(v)
+    done = 0
+    while done < len(rows) < n:
+        start, done = done, len(rows)
+        for k in range(start, done):
+            for v in products(k):
+                adjoin(v)
+                if len(rows) == n:
+                    return
+
+
+def reduce_packed(rows, shifts, v, p, mask):
+    """The packed v reduced along packed rows that are 1 at their pivot slot
+    (the s-bit slot at bit ``shifts[k]``, s = mask.bit_length()) and 0 at
+    the pivot slots of the rows before it: each step adds (p - f) r, f the
+    pivot slot mod p, which leaves that slot 0 mod p (see _gfp_rounds)."""
+    for r, b in zip(rows, shifts):
+        f = (v >> b & mask) % p
+        if f:
+            v += (p - f) * r
+    return v
+
+
+def reduce_bits(rows, pivots, v):
+    """The GF(2) row v (one bit per coordinate) reduced along rows whose
+    lowest set bit is their pivot and which are 0 at the pivots of the rows
+    before them."""
+    for r, b in zip(rows, pivots):
+        if v >> b & 1:
+            v ^= r
+    return v
 
 
 def check_algebra_homomorphism(source, target, f):

@@ -29,6 +29,12 @@ def _strip(line):
     return line.split("#", 1)[0].strip()
 
 
+def vector_tokens(line):
+    """The scalar tokens of one vector line: separated by spaces or commas,
+    with ``#`` starting a comment."""
+    return _strip(line).replace(",", " ").split()
+
+
 def parse_algebra_text(text):
     lines = text.splitlines()
     field = None
@@ -183,7 +189,7 @@ def parse_vectors_text(text, field, dim, count=None):
     any number.  A bad line is reported with its line number."""
     vectors = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = _strip(raw).replace(",", " ").split()
+        parts = vector_tokens(raw)
         if not parts:
             continue
         if len(parts) != dim:

@@ -26,7 +26,7 @@ import sys
 from .adjoint import (adjoint_annihilator, adjoint_invariants, hierarchy,
                       is_irreducible, zeroth_decomposition)
 from .algfile import (emit_algebra_json, emit_algebra_text, load_algebra,
-                      parse_vectors_text, read_text)
+                      parse_vectors_text, read_text, vector_tokens)
 from .errors import EvoAlgError, InvalidArgument, ParseError, UnreadableFile
 from .fields import parse_field, render_field
 from .generate import random_algebra
@@ -56,7 +56,7 @@ def _tri(value):
 
 
 def _parse_vector(field, text, n):
-    parts = text.replace(",", " ").split()
+    parts = vector_tokens(text)
     if len(parts) != n:
         raise ParseError(f"expected {n} coordinates, got {len(parts)}")
     return [field.parse(tok) for tok in parts]
@@ -89,6 +89,8 @@ def cmd_analyze(a, args):
 
 
 def cmd_natural(a, args):
+    if args.unique and args.vector is not None:
+        raise ParseError("natural takes --vector or --unique, not both")
     if args.unique:
         verdict = has_unique_natural_basis(a)
         return ({"unique_natural_basis": verdict},

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -230,15 +231,18 @@ def test_closure_product_count(monkeypatch):
     # A subalgebra closure of dimension d forms each unordered pair of basis
     # rows once, at most d(d+1)/2 products; an ideal closure multiplies each
     # basis row by at most n basis vectors.  Every generator and product is
-    # reduced against the basis exactly once, so the reductions count them.
+    # reduced against the basis exactly once, so the reductions count them:
+    # reduce_row over Q, reduce_packed over odd p and reduce_bits over GF(2).
     count = [0]
-    reduce_row = algebra_module.reduce_row
 
-    def counted(*args):
-        count[0] += 1
-        return reduce_row(*args)
+    def counted(fn):
+        def wrapper(*args):
+            count[0] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(algebra_module, "reduce_row", counted)
+    for name in ("reduce_row", "reduce_packed", "reduce_bits"):
+        monkeypatch.setattr(algebra_module, name, counted(getattr(algebra_module, name)))
     rng = random.Random(5)
     for field, n in ((GF(101), 11), (GF(2), 9), (QQ, 7)):
         a = random_algebra(field, n, rng=rng)
@@ -253,3 +257,34 @@ def test_closure_product_count(monkeypatch):
                 count[0] = 0
                 d = alg.ideal_closure([alg.unit(i)]).dim
                 assert count[0] - 1 <= d * n
+
+
+def test_packed_closure_keeps_slots_apart():
+    # Over GF(p) closures run on packed rows, n slots of s bits in one int,
+    # whose slots grow until a remainder is unpacked.  Entries at or near
+    # p - 1 push the slots towards their bound.
+    rng = random.Random(19)
+    for p in (2, 3, 10007, 2**61 - 1):
+        field = GF(p)
+        near = (p - 1, p - 2, 1, 0)
+        r = isqrt(p - 1)
+        for n in range(1, 13):
+            top = EvolutionAlgebra(field, [[p - 1] * n for _ in range(n)])
+            noisy = EvolutionAlgebra(field, [[rng.choice(near) % p for _ in range(n)]
+                                             for _ in range(n)])
+            u = [rng.choice(near) % p for _ in range(n)]
+            v = [(x - 1) % p for x in u]
+            cases = [(a, g) for a in (top, noisy)
+                     for g in ([[0] * n], [u], [u, [2 * x % p for x in u], [0] * n, v])]
+            # Under top every product is a multiple of the all-ones vector,
+            # which these generators span.  The square of (1, r, ..., r),
+            # r^2 just below p, starts near n p^2 in every slot, and its
+            # reduction against the echelon rows (0, ..., 0, 1, p - 1, ...,
+            # p - 1) adds up to p^2 per row: slots pass n p^2 on the way to
+            # a zero remainder, which a carry would leave nonzero.
+            for k in range(1, n):
+                echelon = [[0] * i + [1] + [p - 1] * (n - 1 - i) for i in range(1, k)]
+                cases.append((top, [[1] + [r] * (n - 1)] + echelon + [[1] * n, [0] * n]))
+            for a, g in cases:
+                for ideal in (False, True):
+                    assert a._closure(g, ideal) == fixpoint_closure(a, g, ideal)

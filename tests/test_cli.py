@@ -64,6 +64,15 @@ def test_natural_check_exit_codes(capsys, ex59):
     assert code == 0 and "unknown" not in out
 
 
+def test_natural_vector_comment(capsys, ex59):
+    # --vector reads one line of a vector file: "#" starts a comment.
+    for text in ("1 0 1 # e1+e3", "1,0,1#e1+e3"):
+        assert run(capsys, "natural", ex59, "--vector", text) == \
+            (0, "natural vector: false\n", "")
+    assert run(capsys, "natural", ex59, "--vector", "1 0 # 1") == \
+        (2, "", "error [parse-error]: expected 3 coordinates, got 2\n")
+
+
 def test_decompose_and_basis(capsys, tmp_path, ex59):
     code, out, _ = run(capsys, "decompose", ex59)
     assert code == 0 and "component 1: indices [1, 2]" in out
@@ -177,8 +186,10 @@ def test_false_verdict_exits_1_only_under_check(capsys, tmp_path, command, text,
 
 @pytest.mark.parametrize("argv, message", [
     (["natural", "ALG"], "natural requires --vector or --unique"),
+    (["natural", "ALG", "--vector", "1 0 1", "--unique", "--check"],
+     "natural takes --vector or --unique, not both"),
     (["oracle", "nilpotency", "--field", "q", "--dim", "2"],
-     "oracles run over prime fields only")], ids=["natural", "oracle"])
+     "oracles run over prime fields only")], ids=["natural", "natural-both", "oracle"])
 def test_cli_argument_errors_exit_2(capsys, tmp_path, argv, message):
     path = write(tmp_path, "a.alg", EX59)
     code, out, err = run(capsys, *[path if a == "ALG" else a for a in argv])
@@ -242,7 +253,7 @@ FRACTIONAL_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("text, reports", FRACTIONAL_GOLDEN)
+@pytest.mark.parametrize("text, reports", FRACTIONAL_GOLDEN, ids=["dense", "block"])
 def test_fractional_golden_reports(capsys, tmp_path, text, reports):
     path = write(tmp_path, "f.alg", text)
     for command, report in reports.items():
