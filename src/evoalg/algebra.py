@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 from .errors import (AlgebraMismatch, FieldMismatch, IndexOutOfRange, NotANaturalBasis,
                      ShapeMismatch)
+from .ideals import reachable, structure_digraph
 from .linalg import Matrix, Subspace, matvec_rows, reduce_row, rref_rows
 
 
@@ -124,16 +125,25 @@ class EvolutionAlgebra:
         return Subspace._from_plain(self.field, self.n, list(zip(*self.M.plain)))
 
     def subalgebra_closure(self, elements):
-        return self._closure(elements, ideal=False)
+        return self._closure(elements)
 
     def ideal_closure(self, elements):
-        return self._closure(elements, ideal=True)
+        """The span of the elements and of e_i^2 for every index i reachable
+        in the structure digraph from their supports.  It is an ideal: its
+        support lies in the reachable set, and e_i v = v_i e_i^2.  It is the
+        least one: an ideal holding v holds v_i e_i^2, so e_i^2, for each i in
+        the support of v, and the support of e_i^2 is the successors of i."""
+        gens = [self._plain_of(x) for x in elements]
+        support = {i for v in gens for i, x in enumerate(v) if x}
+        squares = list(zip(*self.M.plain))
+        gens += [squares[i] for i in reachable(structure_digraph(self), support)]
+        return Subspace._from_plain(self.field, self.n, gens)
 
     def _product(self, u, w):
         """Plain coordinates of u w from plain coordinates: M (u o w)."""
         return matvec_rows(self.M.plain, list(map(mul, u, w)), self.field.reduce)
 
-    def _closure(self, elements, ideal):
+    def _closure(self, elements):
         # Rounds over a semi-echelon basis (_rounds): every row is nonzero at
         # its pivot and 0 at the pivots of the rows before it.  Over Q the
         # rows are primitive integer rows; over GF(p) they are monic residue
@@ -144,18 +154,17 @@ class EvolutionAlgebra:
         p = field.p
         rounds = (self._rational_rounds if p is None
                   else self._gf2_rounds if p == 2 else self._gfp_rounds)
-        rows = rounds(gens, ideal)
+        rows = rounds(gens)
         if len(rows) == n:
             return Subspace.full(field, n)
         return Subspace._from_plain(field, n, rows)
 
-    def _rational_rounds(self, gens, ideal):
+    def _rational_rounds(self, gens):
         # Products come from one integer multiple of M, which keeps their
         # span, so every row stays a primitive integer row.
         field, n = self.field, self.n
         red, normalize = field.reduce, field.normalize
         M = self.integral
-        squares = list(zip(*M))
         rows, pivots = [], []
 
         def adjoin(v):
@@ -167,27 +176,22 @@ class EvolutionAlgebra:
 
         def products(k):
             u = rows[k]
-            if ideal:
-                for i, c in enumerate(u):
-                    if c:
-                        yield [c * x for x in squares[i]]
-            else:
-                for w in rows[:k + 1]:
-                    yield matvec_rows(M, list(map(mul, u, w)), red)
+            for w in rows[:k + 1]:
+                yield matvec_rows(M, list(map(mul, u, w)), red)
 
         _rounds(n, rows, gens, adjoin, products)
         return rows
 
-    def _gfp_rounds(self, gens, ideal):
+    def _gfp_rounds(self, gens):
         # Odd p.  A packed row holds coordinate j in the s-bit slot at bit
         # s*j.  The product M (u o w) = sum_k (u_k w_k mod p) C_k of the
         # packed columns C_k starts below n p^2 in every slot (a generator
-        # below p, an ideal product c C_i below p^2).  Reducing against a
-        # kept row r (1 at its pivot slot) reads f = pivot slot mod p and
-        # adds (p - f) r: no subtraction, so no borrow, and less than p^2
-        # per slot, once per kept row, at most n times.  So every slot stays
-        # below 2 n p^2 < 2^s and no carry crosses a slot.  The remainder is
-        # unpacked once, then made monic and repacked.
+        # below p).  Reducing against a kept row r (1 at its pivot slot) reads
+        # f = pivot slot mod p and adds (p - f) r: no subtraction, so no
+        # borrow, and less than p^2 per slot, once per kept row, at most n
+        # times.  So every slot stays below 2 n p^2 < 2^s and no carry
+        # crosses a slot.  The remainder is unpacked once, then made monic
+        # and repacked.
         n, p = self.n, self.field.p
         s = (2 * n * p * p).bit_length() + 1
         mask, slots = (1 << s) - 1, range(0, n * s, s)
@@ -208,17 +212,13 @@ class EvolutionAlgebra:
         def products(k):
             u = rows[k]
             support = [i for i, x in enumerate(u) if x]
-            if ideal:
-                for i in support:
-                    yield u[i] * cols[i]
-            else:
-                for w in rows[:k + 1]:
-                    yield sum(u[i] * w[i] % p * cols[i] for i in support if w[i])
+            for w in rows[:k + 1]:
+                yield sum(u[i] * w[i] % p * cols[i] for i in support if w[i])
 
         _rounds(n, rows, [sum(map(lshift, g, slots)) for g in gens], adjoin, products)
         return rows
 
-    def _gf2_rounds(self, gens, ideal):
+    def _gf2_rounds(self, gens):
         # Over GF(2) addition is XOR, so a slot is one bit and nothing is
         # reduced mod p: u o w is u & w, M h is the XOR of the packed columns
         # C_k over the set bits k of h, and a reduction step is v ^= r.
@@ -241,11 +241,8 @@ class EvolutionAlgebra:
 
         def products(k):
             u = rows[k]
-            if ideal:
-                yield from columns(u)
-            else:
-                for w in rows[:k + 1]:
-                    yield reduce(xor, columns(u & w), 0)
+            for w in rows[:k + 1]:
+                yield reduce(xor, columns(u & w), 0)
 
         _rounds(n, rows, [sum(map(lshift, g, bits)) for g in gens], adjoin, products)
         return [[v >> j & 1 for j in bits] for v in rows]
@@ -404,9 +401,8 @@ def _rounds(n, rows, gens, adjoin, products):
     generator is adjoined (kept only if a remainder survives reduction
     against the basis), then a round multiplies only the rows the previous
     round added: ``products(k)`` yields row k times every row up to and
-    including itself (subalgebra; commutativity makes that every pair once)
-    or times the e_i in its support (ideal; e_i u = u_i e_i^2).  The rounds
-    stop when one adds nothing or the span is the whole space."""
+    including itself, which by commutativity forms every pair once.  The
+    rounds stop when one adds nothing or the span is the whole space."""
     for v in gens:
         adjoin(v)
     done = 0

@@ -19,8 +19,8 @@ public scalars (with the same FieldMismatch checks as coercion); and
 and ``Element.coords``) apply to a plain value when a caller reads it.
 Reports print a plain value as its ``str``, which is what ``render``
 gives for the boxed scalar.
-RREF, rank and determinants (``linalg.bareiss_rows``, one fraction-free
-elimination for both fields) need only its modulus ``p``, None over Q.
+RREF, rank and determinants (``linalg.bareiss_rows``, one elimination
+for both fields) need only its modulus ``p``, None over Q.
 Closures and reductions also use ``integral`` (a matrix times one common
 nonzero constant, in plain integers), ``normalize`` (the canonical
 multiple of a row: monic over GF(p), primitive integer over Q) and
@@ -41,7 +41,7 @@ def is_prime(n):
     """Deterministic Miller-Rabin, exact for n < 2**64."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1

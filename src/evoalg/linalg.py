@@ -3,8 +3,9 @@
 Matrices are immutable, row-major, with a deterministic reduced row
 echelon form (first nonzero entry scanning left-to-right, top-to-bottom
 picks the pivot).  RREF, rank, kernels, solutions and determinants all
-come from one fraction-free (Bareiss) elimination, ``bareiss_rows``, over
-both fields: on rows scaled to integers over Q, on residues over GF(p).
+come from one elimination, ``bareiss_rows``, over both fields:
+fraction-free (Bareiss) on rows scaled to integers over Q, monic
+Gauss-Jordan on residues over GF(p).
 Subspaces are stored as canonical RREF bases, so equality of subspaces is
 structural.
 
@@ -39,37 +40,33 @@ def integer_rows(rows, p):
 
 def rref_rows(m, cols, field):
     """Gauss-Jordan on the list m of plain rows, in place: rows are swapped
-    and replaced, never modified.  Returns the pivot columns.  bareiss_rows
-    leaves the last pivot d at every pivot, so one division by d ends it."""
+    and replaced, never modified.  Returns the pivot columns.  Over GF(p)
+    bareiss_rows leaves the RREF itself; over Q it leaves the last pivot d
+    at every pivot, so one division by d ends it."""
     p = field.p
-    if p is None:
-        m[:] = integer_rows(m, p)[0]
+    if p is not None:
+        return bareiss_rows(m, cols, above=True, p=p)[0]
+    m[:] = integer_rows(m, p)[0]
     pivots, d, _ = bareiss_rows(m, cols, above=True, p=p)
-    r = len(pivots)
     if d != 1:
-        if p is None:
-            m[:r] = [[rational(x, d) for x in row] for row in m[:r]]
-        else:
-            c = pow(d, -1, p)
-            m[:r] = [[x * c % p for x in row] for row in m[:r]]
+        m[:len(pivots)] = [[rational(x, d) for x in row] for row in m[:len(pivots)]]
     return pivots
 
 
 def bareiss_rows(m, cols, above, p):
-    """Fraction-free (Bareiss) elimination of the integer rows m, in place:
-    every update piv*a - f*b is divided exactly by the previous pivot, so
-    each entry stays a minor of m (Sylvester's identity), and the last pivot
-    is the determinant of the pivot block up to the sign of the swaps.  Rows
-    below the pivot are cleared, and with above the rows above it too
-    (Gauss-Jordan), which leaves the last pivot at every pivot.  Returns
-    the pivot columns, the last pivot and the sign of the row swaps.
+    """Elimination of the rows m, in place: rows below each pivot are
+    cleared, and with above the rows above it too (Gauss-Jordan).  Returns
+    the pivot columns, d and the sign of the row swaps, where sign * d is
+    the determinant of the pivot block.
 
-    Over GF(p), on residues, the division is a product with the inverse of
-    prev (a nonzero minor) mod p, and scales wait until the end: pivot row
-    i stands for scale[i] * m[i], a row below for prev * m[i].  A step is
-    then q * (a - (f/q)*b) for the stored pivot q = piv/prev: it multiplies
-    the pivot rows' scales, and the entries only of the rows it clears."""
-    pivots, prev, sign, scale = [], 1, 1, []
+    Over Q (p None), on integer rows, it is fraction-free (Bareiss): every
+    update piv*a - f*b is divided exactly by the previous pivot, so each
+    entry stays a minor of m (Sylvester's identity) and d, the last pivot,
+    is the determinant up to sign; Gauss-Jordan leaves d at every pivot.
+    Over GF(p), on residues, each pivot row is scaled by the inverse of its
+    pivot and a - f*b clears the other rows, so d is the product of the
+    pivots and Gauss-Jordan leaves the RREF."""
+    pivots, prev, sign = [], 1, 1
     for pc in range(cols):
         pr = len(pivots)
         pivot_row = next((i for i in range(pr, len(m)) if m[i][pc]), None)
@@ -81,10 +78,9 @@ def bareiss_rows(m, cols, above, p):
         row = m[pr]
         piv = row[pc]
         if p is not None:
-            q, c = piv, pow(piv, -1, p)
-            if above and q != 1:
-                scale = [x * q % p for x in scale]
-            scale.append(prev)
+            if piv != 1:
+                c = pow(piv, -1, p)
+                row = m[pr] = [x * c % p for x in row]
             piv = piv * prev % p
         for i in range(0 if above else pr + 1, len(m)):
             other = m[i]
@@ -93,16 +89,13 @@ def bareiss_rows(m, cols, above, p):
                 continue
             if p is not None:
                 if f:
-                    g = f * c % p
-                    m[i] = [(a - g * b) % p for a, b in zip(other, row)]
+                    m[i] = [(a - f * b) % p for a, b in zip(other, row)]
             elif f or piv != prev and any(other):
                 m[i] = [(piv * a - f * b) // prev for a, b in zip(other, row)]
         prev = piv
         pivots.append(pc)
         if pr + 1 == len(m):
             break
-    # Over GF(p); the rows past the pivot rows end as zeros.
-    m[:len(scale)] = [row if x == 1 else [y * x % p for y in row] for row, x in zip(m, scale)]
     return pivots, prev, sign
 
 
@@ -379,10 +372,12 @@ class Subspace:
         return not any(self._remainder(v))
 
     def contains_subspace(self, other):
-        """A nonzero other over another ambient dimension or field raises
-        ShapeMismatch or FieldMismatch, as its basis rows would."""
-        if other.plain and other.ambient == self.ambient and other.field != self.field:
-            self.field(other.field.one)
+        """Another ambient dimension raises ShapeMismatch and another field
+        FieldMismatch, the zero subspace included."""
+        if other.ambient != self.ambient:
+            raise ShapeMismatch("subspace length does not match ambient dimension")
+        if other.field != self.field:
+            raise FieldMismatch(f"subspace over {other.field!r} in a space over {self.field!r}")
         return all(self.contains(row) for row in other.plain)
 
     def __add__(self, other):

@@ -22,7 +22,7 @@ from evoalg.linalg import Subspace
 from evoalg.natural import (decompose, decomposition_for_basis, extend_family,
                             has_unique_natural_basis)
 from evoalg.nilpotency import (find_orthogonality_witness, nilpotency_report,
-                               power_spaces)
+                               power_spaces, product_space)
 from evoalg.oracles import (enumerate_natural_bases_algebra, run_oracle)
 
 
@@ -295,9 +295,11 @@ def test_criterion_08_adjoint_invariants():
                 a = random_algebra(field, rng.randint(1, 4), rng=rng)
                 inv = adjoint_invariants(a)
                 assert inv.all_agree and inv.subalgebra_complements_ok
-                # adjoint_annihilator internally cross-checks its formula
-                # against ann(adjoint) and verifies A^2 ann = 0.
+                # The zero rows of M span the adjoint's annihilator, and A^2
+                # annihilates that span.
                 ann = adjoint_annihilator(a)
+                assert ann == a.adjoint().annihilator()
+                assert product_space(a, a.square_space(), ann).dim == 0
                 if ann.dim > 0 and is_irreducible(a):
                     dec = zeroth_decomposition(a)
                     assert dec.transient_span.contains_subspace(ann)

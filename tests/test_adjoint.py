@@ -10,7 +10,7 @@ from evoalg.adjoint import (PERSISTENT, TRANSIENT, UNKNOWN, GeneratorClassificat
                             classify_generators, descendants, hierarchy,
                             is_irreducible, zeroth_decomposition)
 from evoalg.algebra import EvolutionAlgebra
-from evoalg.errors import IndexOutOfRange, InvalidArgument, SelfCheckFailed
+from evoalg.errors import IndexOutOfRange, InvalidArgument
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
 from evoalg.ideals import descendant_closed_sets, is_basic_simple, structure_digraph
@@ -60,20 +60,6 @@ def test_adjoint_annihilator_dims():
     # annihilators of different dimension.
     assert adjoint_annihilator(fixture_59()).dim == 0
     assert adjoint_annihilator(fixture_59_rebased()).dim == 1
-
-
-def test_adjoint_annihilator_self_checks(monkeypatch):
-    a = fixture_59_rebased()
-    with monkeypatch.context() as m:
-        m.setattr(EvolutionAlgebra, "annihilator",
-                  lambda self: Subspace.full(self.field, self.n))
-        with pytest.raises(SelfCheckFailed):
-            adjoint_annihilator(a)
-    with monkeypatch.context() as m:
-        m.setattr("evoalg.adjoint.product_space",
-                  lambda algebra, s, t: Subspace.full(algebra.field, algebra.n))
-        with pytest.raises(SelfCheckFailed):
-            adjoint_annihilator(a)
 
 
 def test_adjoint_invariants_random():

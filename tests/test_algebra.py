@@ -7,13 +7,14 @@ from math import isqrt
 import pytest
 
 import evoalg.algebra as algebra_module
+import evoalg.linalg as linalg_module
 from evoalg.algebra import (Element, EvolutionAlgebra,
                             check_algebra_homomorphism)
 from evoalg.errors import (AlgebraMismatch, IndexOutOfRange, NotANaturalBasis,
                            SamplingExhausted, ShapeMismatch)
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
-from evoalg.linalg import Matrix, Subspace
+from evoalg.linalg import Matrix, Subspace, rref_rows
 
 
 def algebra_q(rows):
@@ -216,8 +217,8 @@ def test_closure_matches_fixpoint():
                             for row in a.M.data]
                     a = EvolutionAlgebra(field, rows)
                 for gens in closure_generators(rng, a):
-                    for ideal in (False, True):
-                        assert a._closure(gens, ideal) == fixpoint_closure(a, gens, ideal)
+                    assert a.subalgebra_closure(gens) == fixpoint_closure(a, gens, False)
+                    assert a.ideal_closure(gens) == fixpoint_closure(a, gens, True)
     a = algebra_q([[1, 0], [0, 1]])
     other = algebra_q([[1, 1], [0, 1]])
     for closure in (a.subalgebra_closure, a.ideal_closure):
@@ -229,20 +230,26 @@ def test_closure_matches_fixpoint():
 
 def test_closure_product_count(monkeypatch):
     # A subalgebra closure of dimension d forms each unordered pair of basis
-    # rows once, at most d(d+1)/2 products; an ideal closure multiplies each
-    # basis row by at most n basis vectors.  Every generator and product is
+    # rows once, at most d(d+1)/2 products.  Every generator and product is
     # reduced against the basis exactly once, so the reductions count them:
     # reduce_row over Q, reduce_packed over odd p and reduce_bits over GF(2).
-    count = [0]
+    # An ideal closure is one span of the generators and the reachable
+    # squares: no rounds, no product, no reduction and one rref_rows.
+    count, rrefs = [0], [0]
 
-    def counted(fn):
+    def counted(fn, counter):
         def wrapper(*args):
-            count[0] += 1
+            counter[0] += 1
             return fn(*args)
         return wrapper
 
-    for name in ("reduce_row", "reduce_packed", "reduce_bits"):
-        monkeypatch.setattr(algebra_module, name, counted(getattr(algebra_module, name)))
+    def forbidden(*args):
+        raise AssertionError("an ideal closure formed a product or ran closure rounds")
+
+    for module, name in ((algebra_module, "reduce_row"), (algebra_module, "reduce_packed"),
+                         (algebra_module, "reduce_bits"), (linalg_module, "reduce_row")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name), count))
+    monkeypatch.setattr(linalg_module, "rref_rows", counted(rref_rows, rrefs))
     rng = random.Random(5)
     for field, n in ((GF(101), 11), (GF(2), 9), (QQ, 7)):
         a = random_algebra(field, n, rng=rng)
@@ -254,9 +261,13 @@ def test_closure_product_count(monkeypatch):
                 count[0] = 0
                 d = alg.subalgebra_closure([alg.unit(i)]).dim
                 assert 1 <= count[0] - 1 <= d * (d + 1) // 2
-                count[0] = 0
-                d = alg.ideal_closure([alg.unit(i)]).dim
-                assert count[0] - 1 <= d * n
+            with monkeypatch.context() as m:
+                m.setattr(EvolutionAlgebra, "_closure", forbidden)
+                m.setattr(EvolutionAlgebra, "_product", forbidden)
+                for gens in closure_generators(rng, alg):
+                    count[0] = rrefs[0] = 0
+                    alg.ideal_closure(gens)
+                    assert (count[0], rrefs[0]) == (0, 1)
 
 
 def test_packed_closure_keeps_slots_apart():
@@ -286,5 +297,5 @@ def test_packed_closure_keeps_slots_apart():
                 echelon = [[0] * i + [1] + [p - 1] * (n - 1 - i) for i in range(1, k)]
                 cases.append((top, [[1] + [r] * (n - 1)] + echelon + [[1] * n, [0] * n]))
             for a, g in cases:
-                for ideal in (False, True):
-                    assert a._closure(g, ideal) == fixpoint_closure(a, g, ideal)
+                assert a.subalgebra_closure(g) == fixpoint_closure(a, g, False)
+                assert a.ideal_closure(g) == fixpoint_closure(a, g, True)

@@ -272,8 +272,9 @@ def test_closure_kernel_matches_all_pairs():
                 gens = [[a.unit(rng.randrange(n))], [a.zero()],
                         [[random_entry(rng, field, size) for _ in range(n)]]]
                 for g in gens:
-                    for ideal in (False, True):
-                        got = a._closure(g, ideal)
+                    for ideal, closure in ((False, a.subalgebra_closure),
+                                           (True, a.ideal_closure)):
+                        got = closure(g)
                         assert got.basis == ref_closure(a, g, ideal)
                         assert_canonical(field, [x for row in got.basis for x in row])
                         count += 1
