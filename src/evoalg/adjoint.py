@@ -10,7 +10,6 @@ and iterating on E produces the hierarchy.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .algebra import EvolutionAlgebra
 from .errors import IndexOutOfRange, InvalidArgument
@@ -63,19 +62,19 @@ class AdjointInvariants:
 
 
 def adjoint_invariants(algebra):
-    adj = algebra.adjoint()
-    flags = (
-        (is_irreducible(algebra), is_irreducible(adj)),
-        (is_simple(algebra), is_simple(adj)),
-        (is_basic_simple_relative(algebra), is_basic_simple_relative(adj)),
-        (nilpotency_report(algebra).is_nilpotent, nilpotency_report(adj).is_nilpotent),
-    )
-    agree = all(a == b for a, b in flags)
-    # Complements of descendant-closed sets of A are closed in the adjoint:
-    # an adjoint edge from outside a closed set C into C would be an edge of
-    # A leaving C, so it suffices that the adjoint's digraph reverses A's.
-    complements_ok = structure_digraph(adj) == reversed_digraph(structure_digraph(algebra))
-    return AdjointInvariants(*flags, agree, complements_ok)
+    """Each invariant of A paired with the adjoint's, read from A alone.
+    The adjoint's matrix is M^T, so its edge i -> j (entry (j, i) of M^T
+    nonzero) is the edge j -> i of A: its digraph is A's reversed.
+    Reversal keeps weak connectivity (irreducible), strong connectivity
+    (basic simple relative) and acyclicity, and det M^T = det M, so the
+    two are perfect together and simple (perfect and strongly connected)
+    together.  The annihilator chain reaches every index iff no index lies
+    on a cycle, so nilpotency agrees too.  A closed set C of A
+    has no edge leaving it, so the reversed digraph has none entering it:
+    its complement is closed in the adjoint."""
+    flags = (is_irreducible(algebra), is_simple(algebra),
+             is_basic_simple_relative(algebra), nilpotency_report(algebra).is_nilpotent)
+    return AdjointInvariants(*((x, x) for x in flags), True, True)
 
 
 PERSISTENT = "persistent"
@@ -135,15 +134,13 @@ def zeroth_decomposition(algebra):
         if c.verdict == UNKNOWN:
             diagnostics.append(
                 f"generator {i}: basic simplicity of its closure is undecided; treated as transient")
-    # A persistent closure is the coordinate span of its support, so equal
-    # closures are equal supports and every overlap is an index overlap.
+    # A persistent closure is the span of its support T, so it holds e_j^2
+    # for each j in T: T is closed and is the set reachable from i.  It is
+    # basic simple, so T is strongly connected, and T = reach(k) for every
+    # k in T.  So two persistent supports are equal or disjoint.
     groups = {}   # closure support -> persistent generators
     for i in persistent:
         groups.setdefault(classes[i].closure_support, []).append(i)
-    for a, b in combinations(groups, 2):
-        if set(a) & set(b):
-            diagnostics.append(f"components generated by {groups[a][0]} and {groups[b][0]} "
-                               "overlap without coinciding")
     if set(transient) & set().union(*groups):
         diagnostics.append("transient span intersects the persistent components")
     span = Subspace.coordinate(algebra.field, algebra.n, transient)

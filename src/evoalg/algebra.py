@@ -107,16 +107,6 @@ class EvolutionAlgebra:
         """Span of the basis vectors with zero square (zero columns of M)."""
         return Subspace.coordinate(self.field, self.n, self.column_classes.annihilator)
 
-    def annihilator_definitional(self):
-        """The kernel {x : x e_j = 0 for all j}, independent of the zero-column rule."""
-        rows = []
-        for j, col in enumerate(zip(*self.M.plain)):
-            for x in col:
-                row = [0] * self.n
-                row[j] = x
-                rows.append(row)
-        return Matrix._from_plain(self.field, rows).kernel()
-
     def is_nondegenerate(self):
         return not self.column_classes.annihilator
 
@@ -144,11 +134,12 @@ class EvolutionAlgebra:
         return matvec_rows(self.M.plain, list(map(mul, u, w)), self.field.reduce)
 
     def _closure(self, elements):
-        # Rounds over a semi-echelon basis (_rounds): every row is nonzero at
-        # its pivot and 0 at the pivots of the rows before it.  Over Q the
-        # rows are primitive integer rows; over GF(p) they are monic residue
-        # rows, each also packed into one int, so a product and a reduction
-        # step are O(n) big-int operations (_gfp_rounds, _gf2_rounds).
+        # One worklist over a semi-echelon basis (_rounds): every row is
+        # nonzero at its pivot and 0 at the pivots of the rows before it.
+        # Over Q the rows are primitive integer rows; over GF(p) they are
+        # monic residue rows, each also packed into one int, so a product and
+        # a reduction step are O(n) big-int operations (_gfp_rounds,
+        # _gf2_rounds).
         field, n = self.field, self.n
         gens = [field.normalize(self._plain_of(x)) for x in elements]
         p = field.p
@@ -397,22 +388,21 @@ class Element:
 
 
 def _rounds(n, rows, gens, adjoin, products):
-    """Grow a closure's semi-echelon basis ``rows`` in rounds.  Each
+    """Grow a closure's semi-echelon basis ``rows`` from one worklist.  Each
     generator is adjoined (kept only if a remainder survives reduction
-    against the basis), then a round multiplies only the rows the previous
-    round added: ``products(k)`` yields row k times every row up to and
+    against the basis), then k walks the kept rows in order, new ones
+    included: ``products(k)`` yields row k times every row up to and
     including itself, which by commutativity forms every pair once.  The
-    rounds stop when one adds nothing or the span is the whole space."""
+    walk stops at the last row or when the span is the whole space."""
     for v in gens:
         adjoin(v)
-    done = 0
-    while done < len(rows) < n:
-        start, done = done, len(rows)
-        for k in range(start, done):
-            for v in products(k):
-                adjoin(v)
-                if len(rows) == n:
-                    return
+    k = 0
+    while k < len(rows) < n:
+        for v in products(k):
+            adjoin(v)
+            if len(rows) == n:
+                return
+        k += 1
 
 
 def reduce_packed(rows, shifts, v, p, mask):

@@ -9,25 +9,30 @@ handler, prints the document (``--json``) or the lines, and sets the exit
 code.  Indices in all output are 1-based.
 
 Exit codes: 0 success, 1 a ``--check``-ed predicate is false or an
-oracle found mismatches, 2 usage, parse, invalid-argument or
-unreadable-file errors (a non-prime field spec is a parse error), 3
-computation errors (unsupported cases, dimension and answer-size limits);
-code 2 and 3 output carries the machine-readable error code.
+oracle found mismatches, 2 usage, parse, invalid-argument,
+unreadable-file or unwritable-output errors (a non-prime field spec is a
+parse error; a report that standard output refuses, as a closed pipe or
+a full device does, is unwritable-output), 3 computation errors
+(unsupported cases, dimension and answer-size limits); code 2 and 3
+output carries the machine-readable error code.
 
 The parser is built once per process, on first use, and every ``main``
 call parses with it.
 """
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 
 from .adjoint import (adjoint_annihilator, adjoint_invariants, hierarchy,
                       is_irreducible, zeroth_decomposition)
 from .algfile import (emit_algebra_json, emit_algebra_text, load_algebra,
                       parse_vectors_text, read_text, vector_tokens)
-from .errors import EvoAlgError, InvalidArgument, ParseError, UnreadableFile
+from .errors import (EvoAlgError, InvalidArgument, ParseError, UnreadableFile,
+                     UnwritableOutput)
 from .fields import parse_field, render_field
 from .generate import random_algebra
 from .ideals import (descendant_closed_sets, is_basic_simple, is_basic_simple_relative,
@@ -422,14 +427,20 @@ def main(argv=None):
     try:
         algebra = None if args.command in _NO_FILE else load_algebra(args.file)
         data, lines, verdict = args.fn(algebra, args)
+        try:
+            sys.stdout.write(json.dumps(data, indent=2, sort_keys=True) + "\n" if args.json
+                             else "".join(line + "\n" for line in lines))
+            sys.stdout.flush()
+        except OSError as exc:
+            # Point fd 1 at os.devnull, so the flush at interpreter exit has
+            # nothing left to fail on.
+            with contextlib.suppress(OSError, ValueError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise UnwritableOutput(f"cannot write the report: {exc}") from None
     except EvoAlgError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (ParseError, UnreadableFile, InvalidArgument)) else 3
-    if args.json:
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+        return 2 if isinstance(exc, (ParseError, UnreadableFile, InvalidArgument,
+                                     UnwritableOutput)) else 3
     # A false verdict fails the run under --check; oracle, the one command
     # with a verdict and no --check, fails on every mismatch.
     return 1 if verdict is False and getattr(args, "check", True) else 0

@@ -75,6 +75,11 @@ class UnreadableFile(EvoAlgError):
     code = "unreadable-file"
 
 
+class UnwritableOutput(EvoAlgError):
+    """Standard output refused the report (a closed pipe, a full device)."""
+    code = "unwritable-output"
+
+
 class InvalidArgument(EvoAlgError):
     """An argument is outside the range the operation accepts."""
     code = "invalid-argument"
@@ -92,10 +97,6 @@ class SelfCheckFailed(EvoAlgError):
 class ParseError(EvoAlgError):
     code = "parse-error"
 
-    def __init__(self, message, line=None, column=None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + loc)
+    def __init__(self, message, line=None):
+        super().__init__(message + ("" if line is None else f" (line {line})"))
         self.line = line
-        self.column = column

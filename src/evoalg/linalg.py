@@ -150,17 +150,6 @@ class Matrix:
         return cls._from_plain(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, field, rows, cols):
-        return cls._from_plain(field, [[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def diagonal(cls, field, entries):
-        entries = field.unbox(entries)
-        n = len(entries)
-        return cls._from_plain(field, [[entries[i] if i == j else 0 for j in range(n)]
-                                       for i in range(n)])
-
-    @classmethod
     def from_columns(cls, field, columns):
         try:
             return cls(field, list(zip(*columns, strict=True)))

@@ -61,8 +61,7 @@ def power_spaces(algebra, k):
 @dataclass(frozen=True)
 class NilpotencyReport:
     is_nilpotent: bool
-    ann_chain: tuple              # Subspaces, strictly increasing until stable
-    ann_chain_indices: tuple      # index sets backing the chain
+    ann_chain_indices: tuple      # index sets, strictly increasing until stable
     type_sequence: tuple          # dimension increments, empty when not nilpotent
     right_nilpotency_index: int | None
     triangular_order: tuple | None  # basis order making M strictly upper triangular
@@ -84,10 +83,9 @@ def _annihilator_chain_indices(algebra):
 def nilpotency_report(algebra):
     n = algebra.n
     chain_indices = _annihilator_chain_indices(algebra)
-    chain = tuple(Subspace.coordinate(algebra.field, n, s) for s in chain_indices)
     nilpotent = len(chain_indices[-1]) == n
     if not nilpotent:
-        return NilpotencyReport(False, chain, tuple(chain_indices), (), None, None)
+        return NilpotencyReport(False, tuple(chain_indices), (), None, None)
     dims = [len(s) for s in chain_indices]
     type_sequence = tuple(d - prev for d, prev in zip(dims, [0] + dims[:-1]))
     # Reordering by annihilator stratum makes M strictly upper triangular:
@@ -97,7 +95,7 @@ def nilpotency_report(algebra):
         for i in s:
             stratum.setdefault(i, level)
     order = tuple(sorted(range(n), key=lambda i: (stratum[i], i)))
-    return NilpotencyReport(True, chain, tuple(chain_indices), type_sequence,
+    return NilpotencyReport(True, tuple(chain_indices), type_sequence,
                             len(type_sequence) + 1, order)
 
 
@@ -174,10 +172,9 @@ def find_orthogonality_witness(algebra, max_subset_size=None):
 
 
 def _witness_for_pair(algebra, gamma, omega):
-    sub = algebra.M.submatrix(gamma, omega)
-    if sub.rank() >= min(len(gamma), len(omega)):
-        return None
-    alpha = sub.kernel().plain[0]
+    # The scan found this minor zero on a nonzero multiple of M, so
+    # M[gamma, omega] has a null vector.
+    alpha = algebra.M.submatrix(gamma, omega).kernel().plain[0]
     shrunk = tuple(j for j, a in zip(omega, alpha) if a)
     n = algebra.n
     u, v, w = [0] * n, [0] * n, [0] * n

@@ -16,8 +16,8 @@ from evoalg.cli import main as cli_main
 from evoalg.errors import NotPerfect
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
-from evoalg.ideals import (is_basic_ideal, is_basic_simple,
-                           is_basic_simple_relative, is_simple)
+from evoalg.ideals import (is_basic_ideal, is_basic_simple, is_basic_simple_relative,
+                           is_simple, reversed_digraph, structure_digraph)
 from evoalg.linalg import Subspace
 from evoalg.natural import (decompose, decomposition_for_basis, extend_family,
                             has_unique_natural_basis)
@@ -295,6 +295,16 @@ def test_criterion_08_adjoint_invariants():
                 a = random_algebra(field, rng.randint(1, 4), rng=rng)
                 inv = adjoint_invariants(a)
                 assert inv.all_agree and inv.subalgebra_complements_ok
+                # Reference: the invariants and the digraph of the adjoint
+                # algebra itself, whose digraph reverses A's.
+                adj = a.adjoint()
+                assert inv.irreducible == (is_irreducible(a), is_irreducible(adj))
+                assert inv.simple == (is_simple(a), is_simple(adj))
+                assert inv.basic_simple_relative == (is_basic_simple_relative(a),
+                                                     is_basic_simple_relative(adj))
+                assert inv.nilpotent == (nilpotency_report(a).is_nilpotent,
+                                         nilpotency_report(adj).is_nilpotent)
+                assert structure_digraph(adj) == reversed_digraph(structure_digraph(a))
                 # The zero rows of M span the adjoint's annihilator, and A^2
                 # annihilates that span.
                 ann = adjoint_annihilator(a)

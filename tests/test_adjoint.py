@@ -1,6 +1,7 @@
 """Adjoint algebras, descendants, persistence, hierarchy."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -13,8 +14,10 @@ from evoalg.algebra import EvolutionAlgebra
 from evoalg.errors import IndexOutOfRange, InvalidArgument
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
-from evoalg.ideals import descendant_closed_sets, is_basic_simple, structure_digraph
+from evoalg.ideals import (descendant_closed_sets, is_basic_simple, is_basic_simple_relative,
+                           is_simple, reversed_digraph, structure_digraph)
 from evoalg.linalg import Subspace
+from evoalg.nilpotency import nilpotency_report
 
 
 def fixture_59():
@@ -62,21 +65,59 @@ def test_adjoint_annihilator_dims():
     assert adjoint_annihilator(fixture_59_rebased()).dim == 1
 
 
+def sparse_corpus(seed, fields, count, max_n):
+    """Random algebras with none, half or about 70 % of their entries
+    zeroed, so reducible, nilpotent and several-component algebras all
+    occur."""
+    rng = random.Random(seed)
+    for field in fields:
+        for _ in range(count):
+            a = random_algebra(field, rng.randint(1, max_n), rng=rng)
+            keep = rng.choice([0.3, 0.5, 1.0])
+            yield EvolutionAlgebra(field, [[x if rng.random() < keep else 0 for x in row]
+                                           for row in a.M.plain])
+
+
 def test_adjoint_invariants_random():
-    rng = random.Random(51)
-    for field in (QQ, GF(5)):
-        for _ in range(60):
-            a = random_algebra(field, rng.randint(1, 4), rng=rng)
-            inv = adjoint_invariants(a)
-            assert inv.all_agree
-            assert inv.subalgebra_complements_ok
-            # Reference: every complement of a closed set of A is closed in
-            # the adjoint's digraph.
-            adj = structure_digraph(a.adjoint())
-            full = set(range(a.n))
-            for closed in descendant_closed_sets(a):
-                complement = full - closed
-                assert all(adj[j] <= complement for j in complement)
+    # Reference: each invariant computed on the adjoint algebra itself.
+    seen = set()
+    for a in sparse_corpus(51, (QQ, GF(2), GF(3), GF(5)), 150, 5):
+        adj = a.adjoint()
+        inv = adjoint_invariants(a)
+        assert inv.irreducible == (is_irreducible(a), is_irreducible(adj))
+        assert inv.simple == (is_simple(a), is_simple(adj))
+        assert inv.basic_simple_relative == (is_basic_simple_relative(a),
+                                             is_basic_simple_relative(adj))
+        assert inv.nilpotent == (nilpotency_report(a).is_nilpotent,
+                                 nilpotency_report(adj).is_nilpotent)
+        assert inv.all_agree and inv.subalgebra_complements_ok
+        # The adjoint's digraph reverses A's, so every complement of a
+        # closed set of A is closed in it.
+        adj_digraph = structure_digraph(adj)
+        assert adj_digraph == reversed_digraph(structure_digraph(a))
+        full = set(range(a.n))
+        for closed in descendant_closed_sets(a):
+            complement = full - closed
+            assert all(adj_digraph[j] <= complement for j in complement)
+        seen.update((name, pair[0]) for name, pair in zip(
+            ("irreducible", "simple", "basic", "nilpotent"),
+            (inv.irreducible, inv.simple, inv.basic_simple_relative, inv.nilpotent)))
+    assert len(seen) == 8
+
+
+def test_persistent_supports_equal_or_disjoint():
+    # Two persistent closures are basic simple coordinate spans, so their
+    # supports never overlap without coinciding.
+    several = 0
+    for a in sparse_corpus(52, (QQ, GF(2), GF(3), GF(5)), 300, 6):
+        supports = {c.closure_support for c in classify_generators(a)
+                    if c.verdict == PERSISTENT}
+        for s, t in combinations(supports, 2):
+            assert not set(s) & set(t), (a.field, a.M.plain)
+        dec = zeroth_decomposition(a)
+        assert {support for _, support, _ in dec.components} == supports
+        several += len(supports) >= 2
+    assert several >= 40
 
 
 def test_classification_standard_basis():

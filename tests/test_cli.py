@@ -1,9 +1,13 @@
 """Command line behavior: reports, exit codes, determinism."""
 
+import errno
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -17,6 +21,7 @@ from evoalg.algebra import EvolutionAlgebra
 from evoalg.algfile import load_algebra
 from evoalg.cli import COMMANDS, build_parser, main
 from evoalg.fields import Mod
+from evoalg.linalg import Matrix
 
 EX59 = "field gf 5\ndim 3\n1 1 1\n1 1 1\n1 1 0\n"
 PERFECT2 = "field q\ndim 2\n0 1\n1 0\n"
@@ -221,7 +226,8 @@ CUBE_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("text, report, json_report", CUBE_GOLDEN)
+@pytest.mark.parametrize("text, report, json_report", CUBE_GOLDEN,
+                         ids=["q4-roots", "q5-roots", "gf13-roots", "q4-fractional"])
 def test_cube_nilpotent_golden_reports(capsys, tmp_path, text, report, json_report):
     path = write(tmp_path, "c.alg", text)
     assert run(capsys, "cube-nilpotent", path) == (0, report, "")
@@ -374,7 +380,7 @@ MOD_COUNTS = [
     (["analyze"], 1), (["natural", "--unique"], 0),
     (["natural", "--vector", "1 0 0 0 0 0 0 0 0 0"], 0), (["decompose"], 0),
     (["nilpotency"], 0), (["minors"], 1), (["cube-nilpotent"], 1), (["ideals"], 1),
-    (["simple"], 1), (["adjoint"], 2), (["adjoint", "--emit"], 0),
+    (["simple"], 1), (["adjoint"], 1), (["adjoint", "--emit"], 0),
     (["classify"], 1), (["hierarchy"], 1)]
 
 
@@ -407,7 +413,7 @@ FRACTION_COUNTS = [
     (["analyze"], 1), (["natural", "--unique"], 0),
     (["natural", "--vector", "1 0 0 0 0 0 0 0"], 0), (["decompose"], 35),
     (["nilpotency"], 0), (["minors"], 1), (["cube-nilpotent"], 1), (["ideals"], 1),
-    (["simple"], 1), (["adjoint"], 2), (["adjoint", "--emit"], 0),
+    (["simple"], 1), (["adjoint"], 1), (["adjoint", "--emit"], 0),
     (["classify"], 1), (["hierarchy"], 1)]
 
 
@@ -450,6 +456,78 @@ def test_version_matches_pyproject():
 def assert_clean_error(code, err, expected_code, error_code):
     assert code == expected_code
     assert f"error [{error_code}]" in err and "Traceback" not in err
+
+
+class RefusingStdout(io.StringIO):
+    """A stdout whose write or flush fails as a full device or a closed
+    pipe does."""
+
+    def __init__(self, method, error):
+        super().__init__()
+        self.method, self.error = method, error
+
+    def write(self, text):
+        if self.method == "write":
+            raise self.error
+        return super().write(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise self.error
+
+
+@pytest.mark.parametrize("method, error", [
+    ("write", OSError(errno.ENOSPC, "No space left on device")),
+    ("flush", BrokenPipeError(errno.EPIPE, "Broken pipe")),
+], ids=["full-device", "broken-pipe"])
+def test_write_errors_exit_2(monkeypatch, capsys, ex59, method, error):
+    for argv in (["analyze", ex59], ["analyze", "--json", ex59],
+                 ["natural", "--check", ex59, "--vector", "1 0 0"]):
+        monkeypatch.setattr(sys, "stdout", RefusingStdout(method, error))
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert_clean_error(code, err, 2, "unwritable-output")
+        assert err.count("\n") == 1
+
+
+def test_write_errors_in_a_process(tmp_path, ex59):
+    # A real full device and a pipe whose reader is gone: exit 2 with the
+    # error code, and nothing more on stderr (no traceback, no "Exception
+    # ignored" from the flush at interpreter exit).
+    src = str(Path(evoalg.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "evoalg.cli", "analyze", "--json", ex59]
+    env = {**os.environ, "PYTHONPATH": src}
+    read, write_end = os.pipe()
+    os.close(read)
+    targets = [write_end] + ([open("/dev/full", "wb")] if os.path.exists("/dev/full") else [])
+    for target in targets:
+        proc = subprocess.run(argv, stdout=target, stderr=subprocess.PIPE, env=env, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error [unwritable-output]: ")
+        assert proc.stderr.count("\n") == 1
+    os.close(write_end)
+    for target in targets[1:]:
+        target.close()
+
+
+def test_adjoint_report_reads_the_algebra_alone(monkeypatch, capsys, ex59):
+    # The shared invariants are read from A: no adjoint algebra is built,
+    # and the one determinant is A's.
+    dets = []
+    det = Matrix.det
+
+    def counted(m):
+        dets.append(m.plain)
+        return det(m)
+
+    def refused(a):
+        raise AssertionError("adjoint algebra built")
+
+    monkeypatch.setattr(Matrix, "det", counted)
+    monkeypatch.setattr(EvolutionAlgebra, "adjoint", refused)
+    code, out, _ = run(capsys, "adjoint", ex59)
+    assert code == 0 and "all invariants agree: true" in out
+    assert dets == [load_algebra(ex59).M.plain]
 
 
 def test_ideals_answer_too_large(capsys, tmp_path):
@@ -613,11 +691,13 @@ def test_size_option_below_one_exits_2(capsys, argv):
     ("sup-field.alg", "field gf ²\ndim 1\n1\n"),
     ("sup-dim.alg", "field q\ndim ²\n1\n"),
     ("sup-entry.alg", "field q\ndim 1\n²\n"),
-    ("long-entry.alg", "field q\ndim 1\n" + "1" * 5000 + "\n"),
-    ("long-dim.alg", "field q\ndim " + "1" * 5000 + "\n1\n"),
-    ("long-field.alg", "field gf " + "1" * 5000 + "\ndim 1\n1\n"),
-    ("long-int.json", '{"field": "q", "dim": ' + "1" * 5000 + ', "matrix": []}'),
-    ("deep.json", "[" * 100000 + "]" * 100000),
+    # Long texts are named by their file alone.
+    pytest.param("long-entry.alg", "field q\ndim 1\n" + "1" * 5000 + "\n", id="long-entry"),
+    pytest.param("long-dim.alg", "field q\ndim " + "1" * 5000 + "\n1\n", id="long-dim"),
+    pytest.param("long-field.alg", "field gf " + "1" * 5000 + "\ndim 1\n1\n", id="long-field"),
+    pytest.param("long-int.json", '{"field": "q", "dim": ' + "1" * 5000 + ', "matrix": []}',
+                 id="long-int"),
+    pytest.param("deep.json", "[" * 100000 + "]" * 100000, id="deep"),
 ])
 def test_unreadable_numbers_are_parse_errors(capsys, tmp_path, name, text):
     # '²' passes str.isdigit() but not int(); int() refuses more than 4300

@@ -307,16 +307,17 @@ def test_minor_scan_cap_below_one():
 
 def all_pairs_scan(algebra, max_subset_size=None):
     """Every (Gamma, Omega) pair up to the cap, square or not, one rank
-    computation each, in the order of the fast scan."""
+    computation each, in the order of the fast scan; the witness of the
+    first rank-deficient pair."""
     n = algebra.n
     cap = min(n, 12 if max_subset_size is None else max_subset_size)
     for gsize in range(1, cap + 1):
         for gamma in combinations(range(n), gsize):
             for osize in range(1, cap + 1):
                 for omega in combinations(range(n), osize):
-                    witness = _witness_for_pair(algebra, gamma, omega)
-                    if witness is not None:
-                        return OrthogonalityScan(witness, False, cap)
+                    if algebra.M.submatrix(gamma, omega).rank() < min(gsize, osize):
+                        return OrthogonalityScan(_witness_for_pair(algebra, gamma, omega),
+                                                 False, cap)
     return OrthogonalityScan(None, cap < n, cap)
 
 
