@@ -12,8 +12,7 @@ from .fields import GF, QQ, Mod, is_prime, parse_field, render_field
 from .generate import random_algebra
 from .ideals import (IdealLattice, descendant_closed_sets, ideal_lattice_perfect,
                      is_basic_ideal, is_basic_simple, is_basic_simple_relative,
-                     is_ideal, is_simple, is_strongly_connected, reachable,
-                     structure_digraph)
+                     is_ideal, is_simple, is_strongly_connected, reachable)
 from .linalg import Matrix, Subspace
 from .natural import (Decomposition, ExtensionResult, decompose,
                       decomposition_for_basis, extend_family,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .algebra import EvolutionAlgebra
 from .errors import IndexOutOfRange, InvalidArgument
-from .ideals import (is_basic_simple, is_basic_simple_relative, is_simple,
-                     reachable, reversed_digraph, structure_digraph)
+from .ideals import (is_basic_simple, is_basic_simple_relative, is_simple, reachable,
+                     reversed_digraph)
 from .linalg import Subspace
 from .nilpotency import nilpotency_report
 
@@ -22,7 +22,7 @@ from .nilpotency import nilpotency_report
 def is_irreducible(algebra):
     """No splitting into two coordinate-closed parts: the underlying
     undirected graph of the structure digraph is connected."""
-    adjacency = structure_digraph(algebra)
+    adjacency = algebra.digraph
     undirected = [a | b for a, b in zip(adjacency, reversed_digraph(adjacency))]
     return len(reachable(undirected, [0])) == algebra.n
 
@@ -33,7 +33,7 @@ def descendants(algebra, i, k=None):
         raise IndexOutOfRange(f"index {i} out of range for dimension {algebra.n}")
     if k is not None and k < 1:
         raise InvalidArgument(f"power index must be at least 1, got {k}")
-    adjacency = structure_digraph(algebra)
+    adjacency = algebra.digraph
     if k is not None:
         current = frozenset(adjacency[i])
         for _ in range(k - 1):
@@ -43,12 +43,13 @@ def descendants(algebra, i, k=None):
 
 
 def adjoint_annihilator(algebra):
-    """Span of the basis vectors that are nobody's descendant: the zero rows
-    of M, which are the zero columns of the adjoint's matrix M^T, so this is
-    the adjoint's annihilator.  A^2 annihilates it: every x in A^2 has
-    x_j = 0 on a zero row j, and e_j x = x_j e_j^2."""
+    """Span of the basis vectors that are nobody's descendant (no edge of
+    the digraph enters them): the zero rows of M, which are the zero
+    columns of the adjoint's matrix M^T, so this is the adjoint's
+    annihilator.  A^2 annihilates it: every x in A^2 has x_j = 0 on a zero
+    row j, and e_j x = x_j e_j^2."""
     return Subspace.coordinate(algebra.field, algebra.n,
-                               [i for i, row in enumerate(algebra.M.plain) if not any(row)])
+                               set(range(algebra.n)).difference(*algebra.digraph))
 
 
 @dataclass(frozen=True)
@@ -174,8 +175,7 @@ def hierarchy(algebra):
     while True:
         dec = zeroth_decomposition(current)
         transient = sorted(dec.transient_indices)
-        adjacency = structure_digraph(current)
-        projected = any(not adjacency[j] <= set(transient) for j in transient)
+        projected = any(not current.digraph[j] <= set(transient) for j in transient)
         levels.append(HierarchyLevel(current, mapping, dec, projected))
         if not transient or len(transient) == current.n:
             break

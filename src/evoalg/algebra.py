@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import (AlgebraMismatch, FieldMismatch, IndexOutOfRange, NotANaturalBasis,
                      ShapeMismatch)
-from .ideals import reachable, structure_digraph
+from .ideals import reachable
 from .linalg import Matrix, Subspace, matvec_rows, reduce_row, rref_rows
 
 
@@ -31,7 +31,7 @@ class ColumnClasses(NamedTuple):
 
 
 class EvolutionAlgebra:
-    __slots__ = ("field", "n", "M", "labels", "_classes", "_integral", "_perfect")
+    __slots__ = ("field", "n", "M", "labels", "_classes", "_digraph", "_integral", "_perfect")
 
     def __init__(self, field, structure, labels=None):
         self.field = field
@@ -48,7 +48,7 @@ class EvolutionAlgebra:
             if len(labels) != self.n:
                 raise ShapeMismatch("label count does not match dimension")
         self.labels = labels
-        self._classes = self._integral = self._perfect = None
+        self._classes = self._digraph = self._integral = self._perfect = None
 
     def element(self, coords):
         return Element(self, coords)
@@ -103,6 +103,15 @@ class EvolutionAlgebra:
                 tuple(map(tuple, classes.values())), tuple(lambdas))
         return self._classes
 
+    @property
+    def digraph(self):
+        """The structure digraph as out-sets, built once from the plain
+        columns of M: i -> j iff e_j occurs in e_i^2, i.e. M[j][i] != 0."""
+        if self._digraph is None:
+            self._digraph = tuple(frozenset(j for j, x in enumerate(col) if x)
+                                  for col in zip(*self.M.plain))
+        return self._digraph
+
     def annihilator(self):
         """Span of the basis vectors with zero square (zero columns of M)."""
         return Subspace.coordinate(self.field, self.n, self.column_classes.annihilator)
@@ -126,7 +135,7 @@ class EvolutionAlgebra:
         gens = [self._plain_of(x) for x in elements]
         support = {i for v in gens for i, x in enumerate(v) if x}
         squares = list(zip(*self.M.plain))
-        gens += [squares[i] for i in reachable(structure_digraph(self), support)]
+        gens += [squares[i] for i in reachable(self.digraph, support)]
         return Subspace._from_plain(self.field, self.n, gens)
 
     def _product(self, u, w):

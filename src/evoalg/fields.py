@@ -140,12 +140,13 @@ def is_digits(text):
 
 
 def _parse_int(text):
+    # On an ASCII token without "_", int() takes exactly [+-]?[0-9]+ once
+    # stripped.
     t = text.strip()
-    digits = t[1:] if t[:1] in ("+", "-") else t
-    if is_digits(digits):
+    if t.isascii() and "_" not in t:
         try:
             return int(t)
-        except ValueError:   # more digits than int() converts
+        except ValueError:   # not that form, or more digits than int() converts
             pass
     raise ParseError(f"bad integer {text!r}")
 
@@ -179,7 +180,6 @@ def integer_row(row, scale=None):
 class Rationals:
     """Field descriptor for Q (arbitrary-precision rationals)."""
 
-    characteristic = 0
     p = None
 
     def __call__(self, x, y=None):
@@ -297,7 +297,6 @@ class PrimeField:
         if not isinstance(p, int) or not is_prime(p):
             raise NonPrimeModulus(f"{p!r} is not prime")
         self.p = p
-        self.characteristic = p
 
     def __call__(self, x):
         if isinstance(x, Mod):

@@ -1,11 +1,12 @@
 """Basic ideals, ideal lattices of perfect algebras, simplicity tests.
 
-The digraph on indices (i -> j whenever e_j appears in e_i^2) drives
-everything: coordinate spans of descendant-closed index sets are exactly
-the ideals spanned by basis vectors, a reordering to block upper
-triangular form exists iff the digraph has a proper nonempty closed set,
-and strong connectivity therefore decides both simplicity (together with
-a nonsingular structure matrix) and relative basic simplicity.
+The structure digraph EvolutionAlgebra.digraph (i -> j whenever e_j
+appears in e_i^2, built once per algebra) drives everything: coordinate
+spans of descendant-closed index sets are exactly the ideals spanned by
+basis vectors, a reordering to block upper triangular form exists iff
+the digraph has a proper nonempty closed set, and strong connectivity
+therefore decides relative basic simplicity, and simplicity together
+with a nonsingular structure matrix.
 """
 
 from dataclasses import dataclass
@@ -14,12 +15,6 @@ from .errors import AnswerTooLarge, NotPerfect
 from .linalg import Subspace
 
 MAX_CLOSED_SETS = 1 << 16
-
-
-def structure_digraph(algebra):
-    """Adjacency sets: i -> j iff entry (j, i) of M is nonzero, read from
-    the plain columns of M (column i is e_i^2)."""
-    return [frozenset(j for j, x in enumerate(col) if x) for col in zip(*algebra.M.plain)]
 
 
 def reachable(adjacency, sources):
@@ -74,7 +69,7 @@ def descendant_closed_sets(algebra):
     """All index sets closed under taking descendants, sorted; these are
     exactly the sets whose coordinate spans are ideals.  Families of more
     than MAX_CLOSED_SETS sets are refused with AnswerTooLarge."""
-    adjacency = structure_digraph(algebra)
+    adjacency = algebra.digraph
     closures = [reachable(adjacency, [i]) for i in range(algebra.n)]
     # Closed sets are exactly the unions of single-index closures.
     # The new sets of a step are collected apart and counted as they come,
@@ -113,14 +108,12 @@ def ideal_lattice_perfect(algebra):
 
 def is_simple(algebra):
     """Nonsingular structure matrix plus strongly connected digraph."""
-    if not algebra.is_perfect():
-        return False
-    return is_strongly_connected(structure_digraph(algebra))
+    return algebra.is_perfect() and is_basic_simple_relative(algebra)
 
 
 def is_basic_simple_relative(algebra):
     """No proper nonempty descendant-closed index set: strongly connected."""
-    return is_strongly_connected(structure_digraph(algebra))
+    return is_strongly_connected(algebra.digraph)
 
 
 def is_basic_simple(algebra):
@@ -135,7 +128,7 @@ def is_basic_simple(algebra):
         return is_basic_simple_relative(algebra)
     if not is_basic_simple_relative(algebra):
         return False
-    if algebra.field.characteristic == 0 or algebra.n > 3 or algebra.field.p > 7:
+    if algebra.field.p is None or algebra.n > 3 or algebra.field.p > 7:
         return None
     from .oracles import enumerate_natural_bases_algebra
     for basis in enumerate_natural_bases_algebra(algebra):

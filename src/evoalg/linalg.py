@@ -361,12 +361,7 @@ class Subspace:
         return not any(self._remainder(v))
 
     def contains_subspace(self, other):
-        """Another ambient dimension raises ShapeMismatch and another field
-        FieldMismatch, the zero subspace included."""
-        if other.ambient != self.ambient:
-            raise ShapeMismatch("subspace length does not match ambient dimension")
-        if other.field != self.field:
-            raise FieldMismatch(f"subspace over {other.field!r} in a space over {self.field!r}")
+        self._check(other)
         return all(self.contains(row) for row in other.plain)
 
     def __add__(self, other):
@@ -389,8 +384,12 @@ class Subspace:
                                      for c in kernel_rows(m, size, pivots, red)])
 
     def _check(self, other):
-        if self.field != other.field or self.ambient != other.ambient:
-            raise ShapeMismatch("subspaces live in different ambient spaces")
+        """Another ambient dimension raises ShapeMismatch, then another field
+        FieldMismatch, the zero subspace included."""
+        if other.ambient != self.ambient:
+            raise ShapeMismatch("subspace length does not match ambient dimension")
+        if other.field != self.field:
+            raise FieldMismatch(f"subspace over {other.field!r} in a space over {self.field!r}")
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field

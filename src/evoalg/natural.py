@@ -42,7 +42,7 @@ def is_natural_vector(algebra, u):
         raise ZeroVector("the zero vector is not a natural vector")
     if not _support_line_condition(algebra, u):
         return False
-    if algebra.field.characteristic == 2:
+    if algebra.field.p == 2:
         # supp u meets at most one class, and u^2 != 0 when it meets one.
         for cls in algebra.column_classes.members:
             if any(u[i] for i in cls):
@@ -135,7 +135,7 @@ def has_unique_natural_basis(algebra):
     if classes.annihilator:
         # Annihilator vectors mix freely into other basis vectors.
         return False
-    p, lambdas = algebra.field.characteristic, classes.lambdas
+    p, lambdas = algebra.field.p, classes.lambdas
     return all(len(idx) == 1 or (p == 2 and len(idx) <= 3)
                or (p == 3 and len(idx) == 2 and not sum(lambdas[i] for i in idx) % 3)
                for idx in classes.members)
@@ -243,7 +243,7 @@ def extend_family(algebra, family):
         members = [[u[i] for i in idx] for u in family_in_class]
         if not members:
             local_added = [[int(j == k) for j in range(size)] for k in range(size)]
-        elif field.characteristic == 2:
+        elif field.p == 2:
             found = _char2_completable(size, [sum(x << k for k, x in enumerate(m))
                                               for m in members])
             if found is None:

@@ -4,8 +4,9 @@ Three power sequences are tracked: principal powers A^k (sums of all
 products of lower powers), right powers A^<k> = A^<k-1> A, and the
 solvable sequence A^[k] = A^[k-1] A^[k-1].  Nilpotency is decided by
 the chain ann^1 <= ann^2 <= ... where ann^k is spanned by the basis
-vectors whose square falls in ann^(k-1); the chain reaches the whole
-space exactly for nilpotent algebras.
+vectors whose square falls in ann^(k-1), read from the structure digraph
+EvolutionAlgebra.digraph; the chain reaches the whole space exactly for
+nilpotent algebras, that is when the digraph has no cycle.
 """
 
 import dataclasses
@@ -15,7 +16,6 @@ from operator import mul
 
 from .algebra import Element
 from .errors import InvalidArgument, NotPerfect, SelfCheckFailed
-from .ideals import structure_digraph
 from .linalg import Subspace
 
 
@@ -68,16 +68,15 @@ class NilpotencyReport:
 
 
 def _annihilator_chain_indices(algebra):
-    n = algebra.n
-    supports = structure_digraph(algebra)
-    current = frozenset(algebra.column_classes.annihilator)
-    chain = [current]
+    """ann^1 is the indices with an empty out-set in the digraph, and
+    ann^k those whose out-set lies in ann^(k-1)."""
+    digraph = algebra.digraph
+    chain = [frozenset(i for i, out in enumerate(digraph) if not out)]
     while True:
-        bigger = frozenset(i for i in range(n) if supports[i] <= current)
-        if bigger == current:
+        bigger = frozenset(i for i, out in enumerate(digraph) if out <= chain[-1])
+        if bigger == chain[-1]:
             return chain
         chain.append(bigger)
-        current = bigger
 
 
 def nilpotency_report(algebra):
@@ -100,9 +99,10 @@ def nilpotency_report(algebra):
 
 
 def is_cube_zero(algebra):
-    """A^3 = 0 iff every index has a zero row or a zero column."""
-    ann = set(algebra.column_classes.annihilator)
-    return all(i in ann or not any(row) for i, row in enumerate(algebra.M.plain))
+    """A^3 = 0 iff every index has a zero row or a zero column of M: in the
+    digraph, an empty out-set or no in-edge."""
+    entered = frozenset().union(*algebra.digraph)
+    return all(not out or i not in entered for i, out in enumerate(algebra.digraph))
 
 
 @dataclass(frozen=True)
@@ -226,8 +226,8 @@ def _kernel_candidates(field, kern):
     """Plain kernel vectors to try: every small combination of the RREF
     basis over Q or GF(p), p <= 7, else the basis itself."""
     basis = kern.plain
-    if field.characteristic == 0 or field.p <= 7:
-        coefficients = range(-2, 3) if field.characteristic == 0 else range(field.p)
+    if field.p is None or field.p <= 7:
+        coefficients = range(-2, 3) if field.p is None else range(field.p)
         red = field.reduce
         for coeffs in product(coefficients, repeat=len(basis)):
             if not any(coeffs):

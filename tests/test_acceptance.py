@@ -17,7 +17,7 @@ from evoalg.errors import NotPerfect
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
 from evoalg.ideals import (is_basic_ideal, is_basic_simple, is_basic_simple_relative,
-                           is_simple, reversed_digraph, structure_digraph)
+                           is_simple, reversed_digraph)
 from evoalg.linalg import Subspace
 from evoalg.natural import (decompose, decomposition_for_basis, extend_family,
                             has_unique_natural_basis)
@@ -304,7 +304,7 @@ def test_criterion_08_adjoint_invariants():
                                                      is_basic_simple_relative(adj))
                 assert inv.nilpotent == (nilpotency_report(a).is_nilpotent,
                                          nilpotency_report(adj).is_nilpotent)
-                assert structure_digraph(adj) == reversed_digraph(structure_digraph(a))
+                assert list(adj.digraph) == reversed_digraph(a.digraph)
                 # The zero rows of M span the adjoint's annihilator, and A^2
                 # annihilates that span.
                 ann = adjoint_annihilator(a)

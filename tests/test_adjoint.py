@@ -15,7 +15,7 @@ from evoalg.errors import IndexOutOfRange, InvalidArgument
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
 from evoalg.ideals import (descendant_closed_sets, is_basic_simple, is_basic_simple_relative,
-                           is_simple, reversed_digraph, structure_digraph)
+                           is_simple, reversed_digraph)
 from evoalg.linalg import Subspace
 from evoalg.nilpotency import nilpotency_report
 
@@ -93,8 +93,8 @@ def test_adjoint_invariants_random():
         assert inv.all_agree and inv.subalgebra_complements_ok
         # The adjoint's digraph reverses A's, so every complement of a
         # closed set of A is closed in it.
-        adj_digraph = structure_digraph(adj)
-        assert adj_digraph == reversed_digraph(structure_digraph(a))
+        adj_digraph = adj.digraph
+        assert list(adj_digraph) == reversed_digraph(a.digraph)
         full = set(range(a.n))
         for closed in descendant_closed_sets(a):
             complement = full - closed

@@ -373,6 +373,12 @@ def test_minors_self_check_failure_exits_3(capsys, monkeypatch, tmp_path):
     assert code == 3 and "self-check-failed" in err and "verified" not in out
 
 
+def dense_gf101(tmp_path):
+    rng = random.Random(101)
+    rows = [" ".join(str(rng.randrange(1, 101)) for _ in range(10)) for _ in range(10)]
+    return write(tmp_path, "dense.alg", "field gf 101\ndim 10\n" + "\n".join(rows) + "\n")
+
+
 # Mod objects one run makes on a dense GF(101) algebra at n = 10: one per
 # determinant returned (Matrix.det), none per parsed entry, printed scalar
 # or square root tried.  The ids name the subcommand, not the count.
@@ -388,9 +394,7 @@ MOD_COUNTS = [
                          ids=["-".join(a.lstrip("-") for a in argv[:2])
                               for argv, _ in MOD_COUNTS])
 def test_mod_objects_per_subcommand(capsys, monkeypatch, tmp_path, argv, made):
-    rng = random.Random(101)
-    rows = [" ".join(str(rng.randrange(1, 101)) for _ in range(10)) for _ in range(10)]
-    path = write(tmp_path, "dense.alg", "field gf 101\ndim 10\n" + "\n".join(rows) + "\n")
+    path = dense_gf101(tmp_path)
     count = [0]
     init = Mod.__init__
 
@@ -401,6 +405,36 @@ def test_mod_objects_per_subcommand(capsys, monkeypatch, tmp_path, argv, made):
     monkeypatch.setattr(Mod, "__init__", counted)
     code, _, _ = run(capsys, argv[0], path, *argv[1:])
     assert (code, count[0]) == (0, made)
+
+
+# Structure digraphs and column-class indexes one run builds, on ex59 and
+# on the dense GF(101) algebra: every graph question reads the loaded
+# algebra's one digraph.  On ex59 (not perfect, GF(5), n = 3) simple also
+# rebases A over its two other natural bases, two more algebras with a
+# digraph each.
+BUILD_COUNTS = [
+    ("analyze", (1, 1), (1, 1)), ("simple", (3, 0), (1, 0)), ("nilpotency", (1, 0), (1, 0)),
+    ("adjoint", (1, 0), (1, 0)), ("ideals", (1, 0), (1, 0))]
+
+
+@pytest.mark.parametrize("command, on_ex59, on_dense", BUILD_COUNTS,
+                         ids=[c for c, _, _ in BUILD_COUNTS])
+def test_digraph_builds_per_subcommand(capsys, monkeypatch, tmp_path, ex59, command,
+                                       on_ex59, on_dense):
+    built = {}
+    for name, slot in (("digraph", "_digraph"), ("column_classes", "_classes")):
+        build = getattr(EvolutionAlgebra, name).fget
+
+        def counted(self, build=build, name=name, slot=slot):
+            if getattr(self, slot) is None:
+                built[name] = built.get(name, 0) + 1
+            return build(self)
+
+        monkeypatch.setattr(EvolutionAlgebra, name, property(counted))
+    for path, made in ((ex59, on_ex59), (dense_gf101(tmp_path), on_dense)):
+        built.clear()
+        code, _, _ = run(capsys, command, path)
+        assert (code, built.get("digraph", 0), built.get("column_classes", 0)) == (0, *made)
 
 
 # Fractions made per subcommand on a dense integer Q algebra at n = 8:

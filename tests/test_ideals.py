@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from evoalg.adjoint import is_irreducible
+from evoalg.adjoint import adjoint_annihilator, is_irreducible
 from evoalg.algebra import EvolutionAlgebra
 from evoalg.errors import AnswerTooLarge, NotPerfect
 from evoalg.fields import GF, QQ
@@ -13,15 +13,16 @@ from evoalg.generate import random_algebra
 from evoalg.ideals import (descendant_closed_sets, ideal_lattice_perfect,
                            is_basic_ideal, is_basic_simple,
                            is_basic_simple_relative, is_ideal, is_simple,
-                           is_strongly_connected, reachable, structure_digraph)
+                           is_strongly_connected, reachable)
 from evoalg.linalg import Subspace
+from evoalg.nilpotency import is_cube_zero, nilpotency_report
 
 
 def test_structure_digraph():
     # e_1^2 = e_2, e_2^2 = e_1 + e_2, e_3^2 = 0.
     a = EvolutionAlgebra(QQ, [[0, 1, 0], [1, 1, 0], [0, 0, 0]])
-    adjacency = structure_digraph(a)
-    assert adjacency == [frozenset({1}), frozenset({0, 1}), frozenset()]
+    assert list(a.digraph) == [frozenset({1}), frozenset({0, 1}), frozenset()]
+    assert a.digraph is a.digraph
 
 
 def test_reachable():
@@ -155,13 +156,33 @@ def sparse_algebra(field, n, rng):
     return EvolutionAlgebra(field, [[entry() for _ in range(n)] for _ in range(n)])
 
 
+def test_digraph_readings_match_structure_matrix():
+    # References: the readings of M that the digraph replaced.  ann^1 is the
+    # zero columns, the adjoint's annihilator the zero rows, and A^3 = 0 iff
+    # every index has a zero row or a zero column.
+    rng = random.Random(47)
+    seen = set()
+    for field in (QQ, GF(2), GF(3), GF(101)):
+        for _ in range(150):
+            a = sparse_algebra(field, rng.randint(1, 6), rng)
+            zero_rows = {i for i, row in enumerate(a.M.plain) if not any(row)}
+            zero_cols = {i for i, col in enumerate(zip(*a.M.plain)) if not any(col)}
+            cube_zero = zero_rows | zero_cols == set(range(a.n))
+            assert nilpotency_report(a).ann_chain_indices[0] == zero_cols
+            assert adjoint_annihilator(a) == Subspace.coordinate(field, a.n, zero_rows)
+            assert is_cube_zero(a) == cube_zero
+            seen.add((field, bool(zero_rows), bool(zero_cols), cube_zero))
+    # Every field meets each kind; a cube-zero algebra has zero rows and zero columns.
+    assert len(seen) == 4 * 5
+
+
 def test_simplicity_tests_match_tarjan():
     rng = random.Random(31)
     verdicts = set()
     for field in (QQ, GF(2), GF(101)):
         for _ in range(150):
             a = sparse_algebra(field, rng.randint(1, 6), rng)
-            adjacency = structure_digraph(a)
+            adjacency = a.digraph
             one_scc = len(tarjan(adjacency)) == 1
             undirected = [set(t) for t in adjacency]
             for i, targets in enumerate(adjacency):

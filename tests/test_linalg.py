@@ -166,17 +166,21 @@ def test_subspace_canonical_equality():
     assert a.contains([5, 5, -2])
     assert not a.contains([1, 0, 0])
     # A zero subspace lies in every subspace of its ambient space; a zero or
-    # nonzero one over another field or ambient dimension raises.
+    # nonzero one over another field or ambient dimension raises, and so do
+    # sum and intersection: another dimension first, then another field.
     assert a.contains_subspace(Subspace.zero(QQ, 3))
     full5 = Subspace.full(GF(5), 3)
+    operations = (Subspace.contains_subspace, Subspace.__add__, Subspace.intersect)
     for space, other in ((a, Subspace.coordinate(GF(5), 3, [0])), (full5, a),
                          (full5, Subspace.full(GF(7), 3)), (a, Subspace.zero(GF(5), 3))):
-        with pytest.raises(FieldMismatch):
-            space.contains_subspace(other)
+        for op in operations:
+            with pytest.raises(FieldMismatch):
+                op(space, other)
     for space, other in ((a, Subspace.full(QQ, 2)), (full5, Subspace.coordinate(GF(5), 4, [3])),
                          (a, Subspace.zero(QQ, 2)), (full5, Subspace.zero(QQ, 2))):
-        with pytest.raises(ShapeMismatch):
-            space.contains_subspace(other)
+        for op in operations:
+            with pytest.raises(ShapeMismatch):
+                op(space, other)
 
 
 def test_subspace_reduce():
