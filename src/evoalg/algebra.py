@@ -20,14 +20,29 @@ from .linalg import Matrix, Subspace, matvec_rows, reduce_row, rref_rows
 
 
 class ColumnClasses(NamedTuple):
-    """The canonical decomposition A = ann(A) + A_1 + ... + A_m as an index
-    on plain values: e_i^2 = lambdas[i] * l for i in members[c], where l is
-    lines[c] scaled to leading entry 1."""
-    annihilator: tuple   # indices with a zero column
-    class_of: tuple      # class id per index, None on the annihilator
+    """Nonzero squares grouped by line, on plain values: e_i^2 = lambdas[i] * l
+    for i in members[c], l being lines[c] scaled to leading entry 1.  On the
+    columns of M the classes are the A_k of A = ann(A) + A_1 + ... + A_m."""
+    class_of: tuple      # class id per index, None for a zero square
     lines: tuple         # per class: monic over GF(p), primitive with lead > 0 over Q
     members: tuple       # index tuple per class, classes ordered by first index
-    lambdas: tuple       # first nonzero entry of each column (0 on the annihilator)
+    lambdas: tuple       # first nonzero entry of each square (0 for a zero square)
+
+
+def line_classes(field, squares):
+    """ColumnClasses of plain vectors, keyed by the canonical multiple of each
+    nonzero one: monic over GF(p); over Q primitive, with the sign of its lead."""
+    normalize = field.normalize
+    classes, lambdas = {}, []   # line -> member indices; lambda_i
+    for i, sq in enumerate(squares):
+        lead = next((x for x in sq if x), 0)
+        lambdas.append(lead)
+        if lead:
+            line = tuple(normalize(sq))
+            classes.setdefault(line if lead > 0 else tuple(-x for x in line), []).append(i)
+    class_of = {i: c for c, idx in enumerate(classes.values()) for i in idx}
+    return ColumnClasses(tuple(map(class_of.get, range(len(lambdas)))), tuple(classes),
+                         tuple(map(tuple, classes.values())), tuple(lambdas))
 
 
 class EvolutionAlgebra:
@@ -83,24 +98,9 @@ class EvolutionAlgebra:
 
     @property
     def column_classes(self):
-        """The projective classes of the columns of M (ColumnClasses), built
-        once and keyed by the canonical multiple of each column."""
+        """The columns of M grouped by line (line_classes), built once."""
         if self._classes is None:
-            normalize = self.field.normalize
-            classes, lambdas = {}, []   # line -> member indices; lambda_i
-            for i, col in enumerate(zip(*self.M.plain)):
-                lead = next((x for x in col if x), 0)
-                lambdas.append(lead)
-                if lead:
-                    # Monic over GF(p); over Q primitive, with the sign of lead.
-                    line = tuple(normalize(col))
-                    classes.setdefault(line if lead > 0 else tuple(-x for x in line),
-                                       []).append(i)
-            class_of = {i: c for c, idx in enumerate(classes.values()) for i in idx}
-            self._classes = ColumnClasses(
-                tuple(i for i, lead in enumerate(lambdas) if not lead),
-                tuple(map(class_of.get, range(self.n))), tuple(classes),
-                tuple(map(tuple, classes.values())), tuple(lambdas))
+            self._classes = line_classes(self.field, zip(*self.M.plain))
         return self._classes
 
     @property
@@ -113,11 +113,12 @@ class EvolutionAlgebra:
         return self._digraph
 
     def annihilator(self):
-        """Span of the basis vectors with zero square (zero columns of M)."""
-        return Subspace.coordinate(self.field, self.n, self.column_classes.annihilator)
+        """Span of the e_i with zero square: the empty out-sets of the digraph."""
+        empty = [i for i, out in enumerate(self.digraph) if not out]
+        return Subspace.coordinate(self.field, self.n, empty)
 
     def is_nondegenerate(self):
-        return not self.column_classes.annihilator
+        return all(self.digraph)
 
     def square_space(self):
         """A^2 as a subspace (span of the columns of M)."""

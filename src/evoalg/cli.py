@@ -129,7 +129,7 @@ def cmd_decompose(a, args):
         return data, lines, None
     dec = decompose(a)
     data = {
-        "annihilator_indices": _indices(a.column_classes.annihilator),
+        "annihilator_indices": _indices(dec.annihilator.pivots),
         "components": [_indices(ix) for ix in dec.component_indices],
         "component_squares": [_vec(s) for s in dec.component_squares],
         "square_dim": dec.square_dim,

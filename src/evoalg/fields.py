@@ -177,7 +177,29 @@ def integer_row(row, scale=None):
     return [x.numerator * (scale // x.denominator) for x in row], scale
 
 
-class Rationals:
+class _Field:
+    """What both descriptors define alike, through their own box, unbox
+    and plain_sqrt."""
+
+    @property
+    def zero(self):
+        return self.box(0)
+
+    @property
+    def one(self):
+        return self.box(1)
+
+    def sqrt(self, a):
+        """A square root of the scalar a, boxed, or None when a is not a
+        square: over Q the one >= 0, over GF(p) the smaller residue."""
+        r = self.plain_sqrt(self.unbox([a])[0])
+        return None if r is None else self.box(r)
+
+    def render(self, a):
+        return str(self.unbox([a])[0])
+
+
+class Rationals(_Field):
     """Field descriptor for Q (arbitrary-precision rationals)."""
 
     p = None
@@ -193,14 +215,6 @@ class Rationals:
             if not isinstance(a, (int, Fraction)):
                 raise FieldMismatch(f"cannot coerce {type(a).__name__} into Q")
         return Fraction(x) if y is None else Fraction(x, y)
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def reduce(self, x):
         """The canonical form of a plain value: a Fraction of denominator 1
@@ -251,11 +265,6 @@ class Rationals:
         reduce = self.reduce
         return [reduce(x if type(x) is int or type(x) is Fraction else self(x)) for x in v]
 
-    def sqrt(self, a):
-        """Some r >= 0 with r*r == a, or None when a is not a rational square."""
-        r = self.plain_sqrt(self(a))
-        return None if r is None else self.box(r)
-
     def plain_sqrt(self, a):
         """sqrt of the plain rational a, as a plain value: isqrt of its
         numerator and denominator."""
@@ -277,9 +286,6 @@ class Rationals:
             return rational(_parse_int(num), d)
         return _parse_int(t)
 
-    def render(self, a):
-        return str(self(a))
-
     def __eq__(self, other):
         return isinstance(other, Rationals)
 
@@ -290,7 +296,7 @@ class Rationals:
         return "QQ"
 
 
-class PrimeField:
+class PrimeField(_Field):
     """Field descriptor for GF(p), p prime."""
 
     def __init__(self, p):
@@ -308,14 +314,6 @@ class PrimeField:
         if isinstance(x, Fraction):
             raise FieldMismatch(f"rational scalar used where GF({self.p}) was expected")
         raise FieldMismatch(f"cannot coerce {type(x).__name__} into GF({self.p})")
-
-    @property
-    def zero(self):
-        return Mod(0, self.p)
-
-    @property
-    def one(self):
-        return Mod(1, self.p)
 
     def reduce(self, x):
         return x % self.p
@@ -345,11 +343,6 @@ class PrimeField:
         p = self.p
         return [x % p if isinstance(x, int) else self(x).r for x in v]
 
-    def sqrt(self, a):
-        """The square root with smaller residue, or None for non-residues."""
-        r = self.plain_sqrt(self(a).r)
-        return None if r is None else Mod(r, self.p)
-
     def plain_sqrt(self, a):
         """sqrt of the residue a, as a residue."""
         p = self.p
@@ -362,9 +355,6 @@ class PrimeField:
 
     def parse(self, text):
         return _parse_int(text) % self.p
-
-    def render(self, a):
-        return str(self(a).r)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

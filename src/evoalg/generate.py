@@ -3,18 +3,23 @@
 import random
 
 from .algebra import EvolutionAlgebra
-from .errors import InvalidArgument, SamplingExhausted
+from .errors import AnswerTooLarge, InvalidArgument, SamplingExhausted
 from .fields import QQ
 from .linalg import Matrix
+
+MAX_ENTRIES = 10 ** 6   # cap on dim^2, the entries drawn per try
 
 
 def random_algebra(field, dim, rng=None, seed=None, perfect=False,
                    nondegenerate=False, max_tries=100000):
     """A random evolution algebra: small-integer entries over Q, uniform
     residues over GF(p).  Rejection sampling enforces the flags, so the
-    output is a deterministic function of the seed."""
+    output is a deterministic function of the seed.  A dimension whose
+    dim^2 entries exceed MAX_ENTRIES is refused before any is drawn."""
     if dim < 1:
         raise InvalidArgument(f"dimension must be at least 1, got {dim}")
+    if dim * dim > MAX_ENTRIES:
+        raise AnswerTooLarge(f"dimension {dim} has more than {MAX_ENTRIES} matrix entries")
     if rng is None:
         rng = random.Random(seed)
     for _ in range(max_tries):

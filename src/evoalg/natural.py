@@ -8,17 +8,18 @@ decomposition splits the standard basis into the annihilator part plus
 classes of indices whose squares are pairwise linearly dependent
 (projective classes of the nonzero structure-matrix columns).  Every
 question here reads that partition from EvolutionAlgebra.column_classes,
-which each algebra builds once on plain values.
+which each algebra builds once on plain values, or from the squares of a
+given natural basis (decomposition_for_basis).
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import Element
+from .algebra import Element, line_classes
 from .errors import (Degenerate, NotANaturalBasis, NotExtendable,
                      NotNaturalVector, NotOrthogonal, ZeroVector)
 from .fields import rational
-from .linalg import Subspace, kernel_rows, matvec_rows, rref_rows
+from .linalg import Subspace, kernel_rows, rref_rows
 
 
 def is_natural_vector(algebra, u):
@@ -132,7 +133,7 @@ def has_unique_natural_basis(algebra):
     if algebra.n == 1:
         return True
     classes = algebra.column_classes
-    if classes.annihilator:
+    if None in classes.class_of:
         # Annihilator vectors mix freely into other basis vectors.
         return False
     p, lambdas = algebra.field.p, classes.lambdas
@@ -165,26 +166,28 @@ def decompose(algebra):
     for line in classes.lines:
         lead = next(x for x in line if x)
         squares.append(tuple(rational(x, lead) for x in line))
-    return Decomposition(Subspace.coordinate(field, n, classes.annihilator),
+    ann = [i for i, c in enumerate(classes.class_of) if c is None]
+    return Decomposition(Subspace.coordinate(field, n, ann),
                          tuple(Subspace.coordinate(field, n, idx) for idx in classes.members),
                          classes.members, tuple(squares), algebra.M.rank())
 
 
 def decomposition_for_basis(algebra, basis_vectors):
-    """Annihilator/component subspaces, in ambient coordinates, of the
-    decomposition induced by an arbitrary natural basis.  Index i of the
-    rebased algebra is basis vector i, so each part is the span of its basis
-    vectors, and a class line l is P l for P with the basis as columns."""
+    """Annihilator/component subspaces and class lines, in ambient coordinates,
+    of the decomposition induced by a natural basis: its vectors grouped by
+    the lines of their squares.  With P the basis as columns, P^-1 v_i^2 is 0
+    or a multiple of P^-1 v_j^2 exactly when v_i^2 is."""
     vecs = [algebra._plain_of(v) for v in basis_vectors]
-    classes = algebra.change_basis(vecs).column_classes
-    field, n, P = algebra.field, algebra.n, list(zip(*vecs))
+    if not algebra.verify_natural_basis(vecs):
+        raise NotANaturalBasis("candidates are not a natural basis")
+    classes = line_classes(algebra.field, [algebra._product(v, v) for v in vecs])
 
     def span(rows):
-        return Subspace._from_plain(field, n, rows)
+        return Subspace._from_plain(algebra.field, algebra.n, rows)
 
-    return (span([vecs[i] for i in classes.annihilator]),
+    return (span([v for v, c in zip(vecs, classes.class_of) if c is None]),
             tuple(span([vecs[i] for i in idx]) for idx in classes.members),
-            tuple(span([matvec_rows(P, line, field.reduce)]) for line in classes.lines))
+            tuple(span([line]) for line in classes.lines))
 
 
 def verify_block_form(algebra, basis1, basis2):
@@ -223,7 +226,7 @@ def extend_family(algebra, family):
     non-degenerate algebra to a full natural basis."""
     family = [f if isinstance(f, Element) else algebra.element(f) for f in family]
     classes = algebra.column_classes
-    if classes.annihilator:
+    if None in classes.class_of:
         raise Degenerate("extension requires a non-degenerate algebra")
     plain = [algebra._plain_of(u) for u in family]
     for a in range(len(plain)):

@@ -20,7 +20,9 @@ import evoalg
 from evoalg.algebra import EvolutionAlgebra
 from evoalg.algfile import load_algebra
 from evoalg.cli import COMMANDS, build_parser, main
-from evoalg.fields import Mod
+from evoalg import generate
+from evoalg.errors import AnswerTooLarge
+from evoalg.fields import GF, Mod
 from evoalg.linalg import Matrix
 
 EX59 = "field gf 5\ndim 3\n1 1 1\n1 1 1\n1 1 0\n"
@@ -84,6 +86,21 @@ def test_decompose_and_basis(capsys, tmp_path, ex59):
     basis = write(tmp_path, "basis.txt", "1 1 0\n1 4 0\n0 0 1\n")
     code, out, _ = run(capsys, "decompose", ex59, "--basis", basis)
     assert code == 0 and "annihilator dim: 0" in out
+
+
+def test_decompose_basis_groups_squares(capsys, monkeypatch, tmp_path, ex59):
+    # decompose --basis groups the basis's own squares: no change of basis.
+    def refuse(self, candidates):
+        raise AssertionError("change_basis called")
+
+    monkeypatch.setattr(EvolutionAlgebra, "change_basis", refuse)
+    basis = write(tmp_path, "basis.txt", "1 1 0\n1 4 0\n0 0 1\n")
+    assert run(capsys, "decompose", ex59, "--basis", basis) == (0, (
+        "annihilator dim: 0\ncomponent 1: 1 0 0; 0 1 0\ncomponent 2: 0 0 1\n"), "")
+    bad = write(tmp_path, "bad.txt", "1 0 0\n1 0 0\n0 0 1\n")
+    code, out, err = run(capsys, "decompose", ex59, "--basis", bad)
+    assert_clean_error(code, err, 3, "not-a-natural-basis")
+    assert out == ""
 
 
 def test_classify_both_bases(capsys, tmp_path, ex59):
@@ -280,6 +297,28 @@ def test_random_deterministic(capsys):
     assert code == 0 and json.loads(out)["field"] == "q"
 
 
+@pytest.mark.parametrize("dim", ["1001", "1" + "0" * 30])
+def test_random_dimension_above_entry_cap_exits_3(capsys, dim):
+    # dim^2 > 10^6 is refused before any entry is drawn.
+    code, out, err = run(capsys, "random", "--field", "q", "--dim", dim)
+    assert_clean_error(code, err, 3, "answer-too-large")
+    assert out == ""
+
+
+def test_random_entry_cap_boundary(monkeypatch):
+    monkeypatch.setattr(generate, "MAX_ENTRIES", 9)
+    assert generate.random_algebra(GF(2), 3, seed=0).n == 3
+
+    class NoDraws(random.Random):
+        def random(self):
+            raise AssertionError("drew an entry")
+
+        randrange = randint = random
+
+    with pytest.raises(AnswerTooLarge):
+        generate.random_algebra(GF(2), 4, rng=NoDraws())
+
+
 def test_oracle_cli(capsys):
     code, out, _ = run(capsys, "oracle", "natural-vectors", "--field", "gf 2",
                        "--dim", "2", "--samples", "16")
@@ -408,13 +447,14 @@ def test_mod_objects_per_subcommand(capsys, monkeypatch, tmp_path, argv, made):
 
 
 # Structure digraphs and column-class indexes one run builds, on ex59 and
-# on the dense GF(101) algebra: every graph question reads the loaded
-# algebra's one digraph.  On ex59 (not perfect, GF(5), n = 3) simple also
+# on the dense GF(101) algebra: every graph question, ann(A) included,
+# reads the loaded algebra's one digraph, and only decompose groups the
+# columns of M.  On ex59 (not perfect, GF(5), n = 3) simple also
 # rebases A over its two other natural bases, two more algebras with a
 # digraph each.
 BUILD_COUNTS = [
-    ("analyze", (1, 1), (1, 1)), ("simple", (3, 0), (1, 0)), ("nilpotency", (1, 0), (1, 0)),
-    ("adjoint", (1, 0), (1, 0)), ("ideals", (1, 0), (1, 0))]
+    ("analyze", (1, 0), (1, 0)), ("simple", (3, 0), (1, 0)), ("nilpotency", (1, 0), (1, 0)),
+    ("adjoint", (1, 0), (1, 0)), ("ideals", (1, 0), (1, 0)), ("decompose", (0, 1), (0, 1))]
 
 
 @pytest.mark.parametrize("command, on_ex59, on_dense", BUILD_COUNTS,

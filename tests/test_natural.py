@@ -1,6 +1,7 @@
 """Natural vectors, decompositions, orthogonal-family extension."""
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
@@ -11,8 +12,9 @@ from evoalg.errors import (AlgebraMismatch, Degenerate, NotANaturalBasis, NotExt
                            NotOrthogonal, ZeroVector)
 from evoalg.fields import GF, QQ, Mod
 from evoalg.generate import random_algebra
-from evoalg.linalg import Matrix, Subspace
-from evoalg.natural import (Decomposition, _char2_completable, _support_line_condition,
+from evoalg.linalg import Matrix, Subspace, matvec_rows
+from evoalg.natural import (Decomposition, _char2_completable, _complete_orthogonal,
+                            _support_line_condition,
                             decompose, decomposition_for_basis,
                             extend_family, has_property_2li,
                             has_unique_natural_basis, is_natural_vector,
@@ -637,7 +639,9 @@ def test_column_classes_match_reference():
             classes = a.column_classes
             reference = decompose_reference(a)
             assert decompose(a) == reference
-            assert classes.annihilator == reference.annihilator.pivots
+            assert a.annihilator() == reference.annihilator
+            assert tuple(i for i, c in enumerate(classes.class_of) if c is None) == \
+                reference.annihilator.pivots
             assert classes.members == reference.component_indices
             for c, line in enumerate(classes.lines):
                 # A canonical multiple of the leading-1 line: itself over
@@ -650,17 +654,105 @@ def test_column_classes_match_reference():
                 c = classes.class_of[i]
                 unit = [0] * a.n if c is None else reference.component_squares[c]
                 assert a.M.column(i) == tuple(field.box(classes.lambdas[i]) * x for x in unit)
-                assert (c is None) == (i in classes.annihilator)
+                assert (c is None) == (i in reference.annihilator.pivots)
                 if c is not None:
                     assert i in classes.members[c]
             basis = random_natural_basis(a, rng)
             assert decomposition_for_basis(a, basis) == \
                 decomposition_for_basis_reference(a, basis), (a.M.data, basis)
-            seen.add("zero column" if classes.annihilator else "no zero column")
+            seen.add("zero column" if None in classes.class_of else "no zero column")
             seen.add("multi-index class" if any(len(m) > 1 for m in classes.members)
                      else "singleton classes")
         assert seen == {"zero column", "no zero column", "multi-index class",
                         "singleton classes"}, field
+
+
+def decomposition_for_basis_rebased(algebra, basis_vectors):
+    """decomposition_for_basis as it was: rebase the algebra over the basis
+    (change_basis), read the rebased column classes, and map each class
+    line l back to ambient coordinates as P l, P with the basis as columns."""
+    field, n = algebra.field, algebra.n
+    vecs = [algebra._plain_of(v) for v in basis_vectors]
+    classes = algebra.change_basis(vecs).column_classes
+    P = list(zip(*vecs))
+
+    def span(rows):
+        return Subspace._from_plain(field, n, rows)
+
+    return (span([vecs[i] for i, c in enumerate(classes.class_of) if c is None]),
+            tuple(span([vecs[i] for i in idx]) for idx in classes.members),
+            tuple(span([matvec_rows(P, line, field.reduce)]) for line in classes.lines))
+
+
+def mixed_rational_basis(algebra, rng):
+    """A natural basis of a Q algebra in which every class C of two or more
+    indices gets vectors mixing all of C: a random anisotropic u supported
+    on C and an orthogonal completion of it under sum_{i in C} lambda_i x_i y_i.
+    Annihilator vectors are then mixed into the others, every vector is
+    scaled and the order shuffled."""
+    n = algebra.n
+    classes = algebra.column_classes
+    ann = [i for i, c in enumerate(classes.class_of) if c is None]
+    basis = [[int(j == i) for j in range(n)] for i in ann]
+    for idx in classes.members:
+        lambdas = [classes.lambdas[i] for i in idx]
+        local = [[int(j == k) for j in range(len(idx))] for k in range(len(idx))]
+        u = [rng.choice([-2, -1, 1, 2, 3]) for _ in idx]
+        if len(idx) > 1 and sum(l * x * x for l, x in zip(lambdas, u)):
+            local = [u] + _complete_orthogonal(QQ, lambdas, [u])
+        for loc in local:
+            v = [0] * n
+            for i, x in zip(idx, loc):
+                v[i] = x
+            basis.append(v)
+    mixed = []
+    for v in basis:
+        if ann and not any(v[i] for i in ann) and rng.random() < 0.5:
+            v[rng.choice(ann)] += rng.randint(1, 3)
+        c = rng.choice([-3, -1, 1, 2, Fraction(1, 2)])
+        mixed.append([c * x for x in v])
+    rng.shuffle(mixed)
+    return mixed
+
+
+def test_decomposition_for_basis_matches_rebase():
+    # Enumerated natural bases over GF(2), GF(3), GF(5) at n <= 3.
+    rng = random.Random(76)
+    for field in (GF(2), GF(3), GF(5)):
+        seen = set()
+        for _ in range(60):
+            a = pooled_algebra(field, rng.randint(1, 3), rng)
+            bases = enumerate_natural_bases_algebra(a)
+            for basis in rng.sample(bases, min(len(bases), 40)):
+                got = decomposition_for_basis(a, basis)
+                assert got == decomposition_for_basis_rebased(a, basis), (a.M.data, basis)
+                assert got == decomposition_for_basis_reference(a, basis)
+                seen.add("standard" if all(sum(map(bool, v)) == 1 for v in basis)
+                         else "mixed")
+        assert seen == {"standard", "mixed"}, field
+    # Q bases whose vectors mix several indices of one class.
+    seen = set()
+    for _ in range(150):
+        a = pooled_algebra(QQ, rng.randint(1, 6), rng)
+        basis = mixed_rational_basis(a, rng)
+        got = decomposition_for_basis(a, basis)
+        assert got == decomposition_for_basis_rebased(a, basis), (a.M.data, basis)
+        assert got == decomposition_for_basis_reference(a, basis)
+        classes = a.column_classes
+        if any(len({classes.class_of[i] for i, x in enumerate(v) if x} - {None}) == 1
+               and sum(classes.class_of[i] is not None for i, x in enumerate(v) if x) > 1
+               for v in basis):
+            seen.add("mixed class")
+        if None in classes.class_of:
+            seen.add("annihilator")
+    assert seen == {"mixed class", "annihilator"}
+    # Not a natural basis: the same error as a rebase.
+    a = EvolutionAlgebra(QQ, [[1, 1], [0, 0]])
+    for bad in ([[1, 0], [1, 1]], [[1, 0]], [[1, 0], [2, 0]]):
+        with pytest.raises(NotANaturalBasis, match="^candidates are not a natural basis$"):
+            decomposition_for_basis(a, bad)
+        with pytest.raises(NotANaturalBasis, match="^candidates are not a natural basis$"):
+            decomposition_for_basis_rebased(a, bad)
 
 
 def change_basis_reference(algebra, candidates):

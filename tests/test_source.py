@@ -56,3 +56,25 @@ def test_only_cli_main_writes_output():
     main = next(top for top in tree.body
                 if isinstance(top, ast.FunctionDef) and top.name == "main")
     assert any(isinstance(node, ast.Name) and node.id == "print" for node in ast.walk(main))
+
+
+def test_only_cli_imports_oracles():
+    # The brute-force oracles check the fast paths, so no other module may
+    # come to depend on them.  is_basic_simple's lazy import, which walks
+    # every natural basis of a small non-perfect algebra, is the one
+    # exception, listed by name until it goes.
+    root = Path(evoalg.__file__).parent
+
+    def imports_oracles(node):
+        if isinstance(node, ast.ImportFrom):
+            return (node.module in ("oracles", "evoalg.oracles")
+                    or (node.module in (None, "evoalg")
+                        and any(a.name == "oracles" for a in node.names)))
+        return isinstance(node, ast.Import) and any(
+            a.name == "evoalg.oracles" for a in node.names)
+
+    found = [f"{path.name}:{getattr(top, 'name', '<module>')}"
+             for path in sorted(root.glob("*.py")) if path.name != "oracles.py"
+             for top in ast.parse(path.read_text(encoding="utf-8")).body
+             for node in ast.walk(top) if imports_oracles(node)]
+    assert found == ["cli.py:<module>", "ideals.py:is_basic_simple"]
