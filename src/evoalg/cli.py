@@ -324,13 +324,14 @@ def cmd_random(_, args):
                                         nondegenerate=args.nondegenerate))
 
 
-def _mismatch_input(name, mismatch):
+def _mismatch_input(mismatch):
     """The input an oracle failed on: its structure matrix (rows of M),
-    and for natural-vectors also the vector tested."""
-    if name == "natural-vectors":
-        m, u = mismatch
-        return {"rows": [list(r) for r in m], "vector": list(u)}
-    return {"rows": [list(r) for r in mismatch]}
+    and the vector tested when the check was per vector."""
+    m, u = mismatch
+    shown = {"rows": [list(r) for r in m]}
+    if u is not None:
+        shown["vector"] = list(u)
+    return shown
 
 
 def cmd_oracle(_, args):
@@ -345,7 +346,7 @@ def cmd_oracle(_, args):
     }
     lines = [f"oracle {report.name}: checked {report.checked}, "
              f"mismatches {len(report.mismatches)}"]
-    shown = [_mismatch_input(report.name, x) for x in report.mismatches[:3]]
+    shown = [_mismatch_input(x) for x in report.mismatches[:3]]
     if shown:
         data["first_mismatches"] = shown
     for x in shown:

@@ -4,8 +4,10 @@ Everything here works on plain integer matrices modulo p, independent of
 the exact-arithmetic classes, so these routines can serve as oracles for
 the fast paths: natural-vector membership read from an exhaustive
 enumeration of the natural bases, ideal lattices by full subspace
-enumeration, triple products and cube nilpotents by direct scanning.  The ``run_oracle`` entry point diffs an
-oracle against the corresponding fast path over a seeded corpus.
+enumeration, triple products and cube nilpotents by direct scanning.
+``run_oracle`` diffs an oracle against its fast path over a seeded corpus
+in one loop; each oracle is one ``ORACLES`` row, a case factory and its
+run settings.
 """
 
 import random
@@ -247,11 +249,16 @@ def all_elements_nil(m, p):
 
 
 def sample_structure_matrices(p, n, count, seed, predicate=None):
-    """All p^(n*n) matrices when few enough, otherwise a seeded sample."""
+    """All p^(n*n) matrices when few enough, otherwise a seeded sample.
+
+    The enumeration reads each digit tuple as a base-p code, least
+    significant digit first, row by row: matrix number c is the base-p
+    expansion of c."""
     total = p ** (n * n)
     if total <= count:
-        matrices = (tuple(tuple(row) for row in _unrank(code, p, n))
-                    for code in range(total))
+        # zip over n copies of one iterator cuts the digits into rows of n.
+        matrices = (tuple(zip(*[reversed(digits)] * n))
+                    for digits in product(range(p), repeat=n * n))
     else:
         rng = random.Random(seed)
         matrices = (tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
@@ -266,146 +273,118 @@ def sample_structure_matrices(p, n, count, seed, predicate=None):
             return
 
 
-def _unrank(code, p, n):
-    out = []
-    for _ in range(n):
-        row = []
-        for _ in range(n):
-            row.append(code % p)
-            code //= p
-        out.append(row)
-    return out
+# ---------------------------------------------------------------- oracle cases
+#
+# A case factory takes (p, dim), does the work shared by every matrix of a
+# run, and returns a case: a function of one structure matrix m (integer
+# rows mod p) and its algebra that yields (vector or None, agrees) for each
+# check it makes, the vector being the input of a per-vector check.
 
 
-def _algebra_from_int_matrix(p, m):
-    return EvolutionAlgebra(GF(p), [list(row) for row in m])
+MAX_ORACLE_POINTS = 1000   # projective points (natural-vectors: vectors) a brute force may scan
 
 
-# ------------------------------------------------------------- oracle runners
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    name: str
-    checked: int
-    mismatches: tuple   # failing inputs: matrices; (matrix, u) for natural-vectors
-
-
-def oracle_natural_vectors(p, dim, samples=2000, seed=7):
+def _natural_vectors_case(p, dim):
     """Thm-style natural-vector test vs membership in the enumerated
     natural bases (every nonzero u when dim = 1)."""
-    mismatches = []
-    checked = 0
-    for m in sample_structure_matrices(p, dim, samples, seed):
-        algebra = _algebra_from_int_matrix(p, m)
+    # Every nonzero multiple of each point is checked.
+    if p ** dim - 1 > MAX_ORACLE_POINTS:
+        raise DimensionTooLarge(f"oracle natural-vectors over GF({p}) at dimension {dim} checks "
+                                f"{p ** dim - 1} vectors per matrix; the limit is {MAX_ORACLE_POINTS}")
+    points = normalized_vectors(p, dim)
+
+    def case(m, algebra):
         members = {v for basis in enumerate_natural_bases(m, p) for v in basis}
-        for u in normalized_vectors(p, dim):
+        for u in points:
             expected = u in members
             for scale in range(1, p):
                 scaled = tuple(x * scale % p for x in u)
-                checked += 1
-                if natural.is_natural_vector(algebra, scaled) != expected:
-                    mismatches.append((m, scaled))
-    return OracleReport("natural-vectors", checked, tuple(mismatches))
+                yield scaled, natural.is_natural_vector(algebra, scaled) == expected
+    return case
 
 
-def oracle_ideal_lattice(p, dim, samples=500, seed=7):
+def _ideal_lattice_case(p, dim):
     """Perfect-algebra ideal lattice vs full subspace enumeration."""
-    mismatches = []
-    checked = 0
-    field = GF(p)
     subspaces = all_subspaces(p, dim)
-    for m in sample_structure_matrices(p, dim, samples, seed,
-                                       predicate=lambda m: rank_mod(m, p) == len(m)):
-        algebra = _algebra_from_int_matrix(p, m)
-        brute = set()
-        for rows in subspaces:
-            s = Subspace.from_vectors(field, dim, [list(r) for r in rows])
-            if ideals.is_ideal(algebra, s):
-                brute.add(s)
-        fast = set(ideals.ideal_lattice_perfect(algebra).ideals)
-        checked += 1
-        if brute != fast:
-            mismatches.append(m)
-    return OracleReport("ideal-lattice", checked, tuple(mismatches))
+
+    def case(m, algebra):
+        spaces = (Subspace.from_vectors(algebra.field, dim, [list(r) for r in rows])
+                  for rows in subspaces)
+        brute = {s for s in spaces if ideals.is_ideal(algebra, s)}
+        yield None, brute == set(ideals.ideal_lattice_perfect(algebra).ideals)
+    return case
 
 
-def oracle_minor_condition(p, dim, samples=2000, seed=7):
+def _minor_condition_case(p, dim):
     """Triple-product existence vs the vanishing-minor condition, both ways."""
-    mismatches = []
-    checked = 0
-    for m in sample_structure_matrices(p, dim, samples, seed,
-                                       predicate=lambda m: rank_mod(m, p) == len(m)):
-        algebra = _algebra_from_int_matrix(p, m)
+    def case(m, algebra):
         brute = brute_triple_exists(m, p)
         condition = minor_condition_exists(m, p)
         scan = nilpotency.find_orthogonality_witness(algebra)
-        checked += 1
-        if brute != condition or (scan.witness is not None) != condition:
-            mismatches.append(m)
-    return OracleReport("minor-condition", checked, tuple(mismatches))
+        yield None, brute == condition == (scan.witness is not None)
+    return case
 
 
-def oracle_nilpotency(p, dim, samples=2000, seed=7):
+def _nilpotency_case(p, dim):
     """Annihilator-chain verdict vs right powers and exhaustive nil-ness."""
-    mismatches = []
-    checked = 0
-    for m in sample_structure_matrices(p, dim, samples, seed):
-        algebra = _algebra_from_int_matrix(p, m)
+    def case(m, algebra):
         report = nilpotency.nilpotency_report(algebra)
         right = full = Subspace.full(algebra.field, dim)
         for _ in range(dim):
             right = nilpotency.product_space(algebra, right, full)
         nil = all_elements_nil(m, p)
-        checked += 1
-        if not report.is_nilpotent == (right.dim == 0) == nil:
-            mismatches.append(m)
-        elif report.is_nilpotent and report.right_nilpotency_index != len(report.type_sequence) + 1:
-            mismatches.append(m)
-    return OracleReport("nilpotency", checked, tuple(mismatches))
+        yield None, (report.is_nilpotent == (right.dim == 0) == nil
+                     and (not report.is_nilpotent
+                          or report.right_nilpotency_index == len(report.type_sequence) + 1))
+    return case
 
 
-def oracle_cube_nilpotent(p, dim, samples=2000, seed=7):
+def _cube_nilpotent_case(p, dim):
     """u^3 = 0 existence vs vanishing principal minors (perfect algebras).
 
     A vanishing minor is necessary; it is also sufficient only when every
     element of GF(p) is a square (p = 2), since the witness needs square
     roots.  For p <= 7 the scan tries every kernel vector of every
     vanishing minor, so it finds an element exactly when one exists."""
-    mismatches = []
-    checked = 0
-    for m in sample_structure_matrices(p, dim, samples, seed,
-                                       predicate=lambda m: rank_mod(m, p) == len(m)):
-        algebra = _algebra_from_int_matrix(p, m)
+    def case(m, algebra):
         brute = brute_cube_zero_exists(m, p)
         minor = vanishing_principal_minor_exists(m, p)
-        scan = nilpotency.find_cube_nilpotent(algebra)
-        checked += 1
-        if brute and not minor:
-            mismatches.append(m)
-        elif p == 2 and minor != brute:
-            mismatches.append(m)
-        elif p <= 7 and brute != (scan.element is not None):
-            mismatches.append(m)
-        elif scan.element is not None and not scan.element.power(3).is_zero():
-            mismatches.append(m)
-    return OracleReport("cube-nilpotent", checked, tuple(mismatches))
+        element = nilpotency.find_cube_nilpotent(algebra).element
+        yield None, ((minor or not brute)
+                     and (p != 2 or minor == brute)
+                     and (p > 7 or brute == (element is not None))
+                     and (element is None or element.power(3).is_zero()))
+    return case
 
 
+# ------------------------------------------------------------------ oracle runs
+
+
+@dataclass(frozen=True)
+class OracleReport:
+    name: str
+    checked: int
+    mismatches: tuple   # failing inputs: (matrix, vector or None)
+
+
+# name: (case factory, default sample count, nonsingular matrices only)
 ORACLES = {
-    "natural-vectors": oracle_natural_vectors,
-    "ideal-lattice": oracle_ideal_lattice,
-    "minor-condition": oracle_minor_condition,
-    "nilpotency": oracle_nilpotency,
-    "cube-nilpotent": oracle_cube_nilpotent,
+    "natural-vectors": (_natural_vectors_case, 2000, False),
+    "ideal-lattice": (_ideal_lattice_case, 500, True),
+    "minor-condition": (_minor_condition_case, 2000, True),
+    "nilpotency": (_nilpotency_case, 2000, False),
+    "cube-nilpotent": (_cube_nilpotent_case, 2000, True),
 }
 
 
-MAX_ORACLE_POINTS = 1000   # projective points (natural-vectors: vectors) a brute force may scan
-
-
 def run_oracle(name, p, dim, samples=None, seed=7):
-    fn = ORACLES[name]
+    """Diff one oracle against its fast path over a seeded corpus of
+    structure matrices: every check of every matrix is counted, and every
+    disagreement is kept as (matrix, vector or None)."""
+    if name not in ORACLES:
+        raise InvalidArgument(f"unknown oracle {name!r}; the oracles are "
+                              + ", ".join(sorted(ORACLES)))
+    factory, default_samples, nonsingular = ORACLES[name]
     if dim < 1:
         raise InvalidArgument(f"dimension must be at least 1, got {dim}")
     if samples is not None and samples < 1:
@@ -417,12 +396,15 @@ def run_oracle(name, p, dim, samples=None, seed=7):
             count = points if k == dim - 1 else f"more than {points}"
             raise DimensionTooLarge(f"brute force over GF({p}) at dimension {dim} scans "
                                     f"{count} projective points; the limit is {MAX_ORACLE_POINTS}")
-    # natural-vectors also checks every nonzero multiple of each point.
-    vectors = points * (p - 1)
-    if name == "natural-vectors" and vectors > MAX_ORACLE_POINTS:
-        raise DimensionTooLarge(f"oracle natural-vectors over GF({p}) at dimension {dim} checks "
-                                f"{vectors} vectors per matrix; the limit is {MAX_ORACLE_POINTS}")
-    kwargs = {"seed": seed}
-    if samples is not None:
-        kwargs["samples"] = samples
-    return fn(p, dim, **kwargs)
+    case = factory(p, dim)
+    field = GF(p)
+    predicate = (lambda m: rank_mod(m, p) == dim) if nonsingular else None
+    checked = 0
+    mismatches = []
+    for m in sample_structure_matrices(p, dim, default_samples if samples is None else samples,
+                                       seed, predicate):
+        for u, agrees in case(m, EvolutionAlgebra(field, m)):
+            checked += 1
+            if not agrees:
+                mismatches.append((m, u))
+    return OracleReport(name, checked, tuple(mismatches))

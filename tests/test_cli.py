@@ -326,15 +326,13 @@ def test_oracle_cli(capsys):
 
 
 def test_oracle_cli_shows_first_mismatches(capsys, monkeypatch):
-    from evoalg import oracles
+    from evoalg import cli, oracles
     args = ("--field", "gf 3", "--dim", "2")
     m = ((1, 2), (0, 1))
-    reports = {"nilpotency": (), "minor-condition": (m,),
+    reports = {"nilpotency": (), "minor-condition": ((m, None),),
                "natural-vectors": ((m, (1, 2)),) * 4}
-    for name, mismatches in reports.items():
-        monkeypatch.setitem(oracles.ORACLES, name,
-                            lambda p, dim, seed, name=name, mismatches=mismatches:
-                            oracles.OracleReport(name, 5, mismatches))
+    monkeypatch.setattr(cli, "run_oracle", lambda name, p, dim, samples, seed:
+                        oracles.OracleReport(name, 5, reports[name]))
     # No mismatch: the report is exactly the summary line.
     code, out, _ = run(capsys, "oracle", "nilpotency", *args)
     assert (code, out) == (0, "oracle nilpotency: checked 5, mismatches 0\n")

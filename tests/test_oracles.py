@@ -6,16 +6,15 @@ from itertools import product
 
 import pytest
 
-from evoalg import nilpotency, oracles
+from evoalg import ideals, natural, nilpotency, oracles
 from evoalg.algebra import EvolutionAlgebra
-from evoalg.errors import DimensionTooLarge
+from evoalg.errors import DimensionTooLarge, InvalidArgument
 from evoalg.fields import GF
 from evoalg.linalg import Matrix, Subspace
-from evoalg.oracles import (all_subspaces, brute_triple_exists,
+from evoalg.oracles import (ORACLES, all_subspaces, brute_triple_exists,
                             enumerate_natural_bases, evo_mult, kernel_mod,
                             minor_condition_exists, natural_basis_membership,
-                            normalized_vectors, oracle_cube_nilpotent,
-                            oracle_natural_vectors, rank_mod,
+                            normalized_vectors, rank_mod, run_oracle,
                             sample_structure_matrices)
 
 # ------------------------------------------ references: per-vector search
@@ -167,11 +166,11 @@ def test_oracle_natural_vectors_one_product_test_per_product(monkeypatch):
     monkeypatch.setattr(oracles, "evo_mult", counted)
     for p, dim, samples in ((5, 4, 2), (3, 3, 20), (2, 4, 20)):
         del calls[:]
-        report = oracle_natural_vectors(p, dim, samples=samples, seed=3)
+        report = run_oracle("natural-vectors", p, dim, samples=samples, seed=3)
         assert report.mismatches == ()
         assert 0 < len(calls) <= samples * p ** dim, (p, dim, len(calls))
     # In dimension 1 every nonzero vector is a natural basis.
-    report = oracle_natural_vectors(7, 1, samples=3)
+    report = run_oracle("natural-vectors", 7, 1, samples=3)
     assert report.checked == 3 * 6 and report.mismatches == ()
 
 
@@ -226,6 +225,19 @@ def test_all_subspaces_counts():
         all_subspaces(2, 4)
 
 
+def ref_unrank(code, p, n):
+    """Matrix number code of a small cell: its base-p digits, least
+    significant first, row by row."""
+    out = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            row.append(code % p)
+            code //= p
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def test_sampling_enumerates_small_cells():
     all16 = list(sample_structure_matrices(2, 2, 2000, seed=5))
     assert len(all16) == 16 and len(set(all16)) == 16
@@ -233,15 +245,54 @@ def test_sampling_enumerates_small_cells():
     assert len(sampled) == 50
     again = list(sample_structure_matrices(5, 3, 50, seed=5))
     assert sampled == again
+    for p, n in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3)):
+        total = p ** (n * n)
+        assert list(sample_structure_matrices(p, n, total, seed=5)) == [
+            ref_unrank(code, p, n) for code in range(total)], (p, n)
 
 
-def test_cube_oracle_checks_the_element_direction_up_to_7(monkeypatch):
-    # For p <= 7 the scan tries every kernel vector of every vanishing
-    # minor, so a scan that misses an existing u with u^3 = 0 is a mismatch.
-    for p in (3, 5, 7):
-        assert oracle_cube_nilpotent(p, 3, samples=60, seed=1).mismatches == ()
-    scan = nilpotency.find_cube_nilpotent
-    monkeypatch.setattr(nilpotency, "find_cube_nilpotent",
-                        lambda a: dataclasses.replace(scan(a), element=None))
-    for p in (3, 5, 7):
-        assert oracle_cube_nilpotent(p, 3, samples=60, seed=1).mismatches, p
+def _broken(module, name, change):
+    """A fast path that answers change(original answer)."""
+    original = getattr(module, name)
+    return module, name, lambda *args: change(original(*args))
+
+
+# Per oracle: the fast path it checks, broken, and (p, dim, samples, seed)
+# runs on which the intact fast path agrees and the broken one does not.
+# For p <= 7 the cube scan tries every kernel vector of every vanishing
+# minor, so a scan that misses an existing u with u^3 = 0 is a mismatch.
+BREAKS = {
+    "natural-vectors": (_broken(natural, "is_natural_vector", lambda x: not x),
+                        [(3, 2, 20, 1), (2, 3, 20, 1)]),
+    "ideal-lattice": (_broken(ideals, "ideal_lattice_perfect", lambda lat: (
+        dataclasses.replace(lat, ideals=lat.ideals[:-1]))), [(3, 2, 20, 1), (2, 3, 20, 1)]),
+    "minor-condition": (_broken(nilpotency, "find_orthogonality_witness", lambda s: (
+        dataclasses.replace(s, witness=None))), [(3, 3, 60, 1)]),
+    "nilpotency": (_broken(nilpotency, "nilpotency_report", lambda r: (
+        dataclasses.replace(r, is_nilpotent=not r.is_nilpotent))), [(2, 3, 20, 1)]),
+    "cube-nilpotent": (_broken(nilpotency, "find_cube_nilpotent", lambda s: (
+        dataclasses.replace(s, element=None))), [(p, 3, 60, 1) for p in (3, 5, 7)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_oracle_reports_a_broken_fast_path(monkeypatch, name):
+    assert sorted(BREAKS) == sorted(ORACLES)
+    broken, runs = BREAKS[name]
+    for run in runs:
+        assert run_oracle(name, *run).mismatches == (), run
+    monkeypatch.setattr(*broken)
+    for p, dim, samples, seed in runs:
+        report = run_oracle(name, p, dim, samples, seed)
+        assert report.mismatches, (p, dim)
+        for m, u in report.mismatches:
+            assert len(m) == dim and all(len(row) == dim for row in m)
+            if name == "natural-vectors":
+                assert len(u) == dim and any(u)
+            else:
+                assert u is None
+
+
+def test_unknown_oracle_is_an_invalid_argument():
+    with pytest.raises(InvalidArgument, match="cube-nilpotent, ideal-lattice"):
+        run_oracle("natural", 2, 2)

@@ -78,3 +78,20 @@ def test_only_cli_imports_oracles():
              for top in ast.parse(path.read_text(encoding="utf-8")).body
              for node in ast.walk(top) if imports_oracles(node)]
     assert found == ["cli.py:<module>", "ideals.py:is_basic_simple"]
+
+
+def test_brute_force_references_name_no_fast_path():
+    # A reference that called the code it checks would agree with it by
+    # construction.  Only the case factories of the oracle table, the loop
+    # that runs them and the algebra-level enumeration wrapper may name the
+    # checked modules or the library's classes.
+    from evoalg.oracles import ORACLES
+    checked = {"natural", "ideals", "nilpotency", "EvolutionAlgebra", "Subspace", "GF"}
+    allowed = {row[0].__name__ for row in ORACLES.values()}
+    allowed |= {"run_oracle", "enumerate_natural_bases_algebra"}
+    tree = ast.parse((Path(evoalg.__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    found = [f"oracles.py:{node.lineno} {top.name} names {node.id}" for top in tree.body
+             if isinstance(top, ast.FunctionDef) and top.name not in allowed
+             for node in ast.walk(top) if isinstance(node, ast.Name) and node.id in checked]
+    assert found == []
+    assert len(allowed) == 7
