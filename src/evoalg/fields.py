@@ -38,8 +38,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, exact for n < 2**64."""
-    if n < 2:
+    """Deterministic Miller-Rabin, exact for n < 2**64; False above, where
+    the composite 318665857834031151167461 passes all twelve bases."""
+    if not 2 <= n < 1 << 64:
         return False
     for p in _MR_BASES:
         if n % p == 0:
@@ -300,6 +301,8 @@ class PrimeField(_Field):
     """Field descriptor for GF(p), p prime."""
 
     def __init__(self, p):
+        if isinstance(p, int) and p >= 1 << 64:
+            raise NonPrimeModulus(f"{p!r} is not below 2**64, the limit of the primality test")
         if not isinstance(p, int) or not is_prime(p):
             raise NonPrimeModulus(f"{p!r} is not prime")
         self.p = p

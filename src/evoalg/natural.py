@@ -15,7 +15,7 @@ given natural basis (decomposition_for_basis).
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import Element, line_classes
+from .algebra import Element, line_classes, reduce_bits
 from .errors import (Degenerate, NotANaturalBasis, NotExtendable,
                      NotNaturalVector, NotOrthogonal, ZeroVector)
 from .fields import rational
@@ -65,52 +65,58 @@ def _support_line_condition(algebra, u):
                                          for i in classes.members[met.pop()])))
 
 
-def _char2_completable(size, members):
-    """Completion of pairwise-orthogonal anisotropic bitmasks F of GF(2)^size
-    to an orthogonal anisotropic basis under b(x, y) = sum x_j y_j, or None.
+def _char2_completable(field, lambdas, members):
+    """Completion of pairwise-orthogonal anisotropic local vectors F of
+    GF(2)^C to an orthogonal anisotropic basis under b(x, y) = sum x_j y_j
+    (every lambda is 1); raises NotExtendable when there is none.
 
     b(x, x) = b(x, 1) for the all-ones 1, and F has Gram matrix I, so the
     form on F^perp is alternating iff 1 is in span F, i.e. iff 1 = XOR(F)
     (its projection sum b(1, f) f).  A nondegenerate symmetric form in
     characteristic 2 has an orthogonal basis iff it is not alternating
-    (A. A. Albert, Trans. AMS 43, 1938): F extends iff |F| = size or
-    XOR(F) != 1.  Each step appends the least v with b(v, F) = 0 and
-    b(v, 1) = 1 other than 1 ^ XOR(F), unless v is last.  A least-first
-    exhaustive search keeps the same v: a w < v in a completion of F + {v}
-    would have been kept first.
+    (A. A. Albert, Trans. AMS 43, 1938): F extends iff |F| = |C| or
+    XOR(F) != 1.  Each step appends the least v (bit k is coordinate k)
+    with b(v, F) = 0 and b(v, 1) = 1 other than 1 ^ XOR(F), unless v is
+    last.  A least-first exhaustive search keeps the same v: a w < v in a
+    completion of F + {v} would have been kept first.
     """
+    size = len(lambdas)
     ones = (1 << size) - 1
+    family = [sum(x << k for k, x in enumerate(m)) for m in members]
     xor = 0
-    for f in members:
+    for f in family:
         xor ^= f
-    if len(members) < size and xor == ones:
-        return None
-    pivots = {}   # lowest bit (a mask) -> (row, rhs); no other row has it
+    if len(family) < size and xor == ones:
+        raise NotExtendable("no orthogonal completion exists over GF(2)")
+    # The equations b(v, f) = c as one semi-echelon basis (reduce_bits),
+    # with c at bit size; a row's lowest bit is its pivot.
+    rows, pivots = [], []
+
+    def least(v):
+        # A pivot bit is fixed by the bits above it, so filling the pivots
+        # from the highest gives the least solution with the free bits of v.
+        for b, r in sorted(zip(pivots, rows), reverse=True):
+            if ((r >> size) ^ (r & v).bit_count()) & 1:
+                v |= 1 << b
+        return v
 
     def search(family, xor, new):   # bench/layers.py hooks it by name
-        # A pivot bit is fixed by the free bits above it, so the least
-        # solution clears every free bit and the next sets the lowest one.
         while len(family) < size:
-            for row, rhs in new:
-                for low, (r, c) in pivots.items():
-                    if row & low:
-                        row, rhs = row ^ r, rhs ^ c
-                low = row & -row
-                for p, (r, c) in list(pivots.items()):
-                    if r & low:
-                        pivots[p] = (r ^ row, c ^ rhs)
-                pivots[low] = (row, rhs)
-            v = sum(p for p, (_, c) in pivots.items() if c)
-            if v == ones ^ xor:   # on the last step no bit is free: j = 0
-                j = ones & ~sum(pivots)
-                j &= -j
-                v ^= j | sum(p for p, (r, _) in pivots.items() if r & j)
+            for row in new:
+                row = reduce_bits(rows, pivots, row)
+                rows.append(row)
+                pivots.append((row & -row).bit_length() - 1)
+            v = least(0)
+            free = ones & ~sum(1 << b for b in pivots)
+            if v == ones ^ xor and free:   # on the last step no bit is free
+                v = least(free & -free)
             family.append(v)
             xor ^= v
-            new = [(v, 0)]
+            new = [v]
         return family[len(members):]
 
-    return search(list(members), xor, [(f, 0) for f in members] + [(ones, 1)])
+    found = search(family, xor, family + [ones | 1 << size])
+    return [[v >> k & 1 for k in range(size)] for v in found]
 
 
 def has_property_2li(algebra):
@@ -197,22 +203,11 @@ def verify_block_form(algebra, basis1, basis2):
     Raises NotANaturalBasis unless both are natural bases."""
     ann1, comps1, lines1 = decomposition_for_basis(algebra, basis1)
     ann2, comps2, lines2 = decomposition_for_basis(algebra, basis2)
-    if len(comps1) != len(comps2):
-        return False
-    # Align components by their square-lines.
-    sigma = []
-    for line in lines1:
-        match = next((j for j, other in enumerate(lines2) if other == line), None)
-        if match is None or match in sigma:
-            return False
-        sigma.append(match)
-    if not ann2.contains_subspace(ann1):
-        return False
-    for i, comp in enumerate(comps1):
-        target = ann2 + comps2[sigma[i]]
-        if not target.contains_subspace(comp):
-            return False
-    return True
+    # Each decomposition has one component per distinct square line.
+    by_line = dict(zip(lines2, comps2))
+    return (set(lines1) == set(by_line) and ann2.contains_subspace(ann1)
+            and all((ann2 + by_line[line]).contains_subspace(comp)
+                    for line, comp in zip(lines1, comps1)))
 
 
 @dataclass(frozen=True)
@@ -223,7 +218,9 @@ class ExtensionResult:
 
 def extend_family(algebra, family):
     """Extend a pairwise-orthogonal family of natural vectors of a
-    non-degenerate algebra to a full natural basis."""
+    non-degenerate algebra to a full natural basis: one completion call per
+    class, on the class's local coordinates and lambdas (a class with no
+    member gets its unit vectors)."""
     family = [f if isinstance(f, Element) else algebra.element(f) for f in family]
     classes = algebra.column_classes
     if None in classes.class_of:
@@ -240,22 +237,11 @@ def extend_family(algebra, family):
         by_class[classes.class_of[next(i for i, x in enumerate(u) if x)]].append(u)
 
     field = algebra.field
+    complete = _char2_completable if field.p == 2 else _complete_orthogonal
     added = []
     for idx, family_in_class in zip(classes.members, by_class):
-        size = len(idx)
-        members = [[u[i] for i in idx] for u in family_in_class]
-        if not members:
-            local_added = [[int(j == k) for j in range(size)] for k in range(size)]
-        elif field.p == 2:
-            found = _char2_completable(size, [sum(x << k for k, x in enumerate(m))
-                                              for m in members])
-            if found is None:
-                raise NotExtendable("no orthogonal completion exists over GF(2)")
-            local_added = [[v >> k & 1 for k in range(size)] for v in found]
-        else:
-            local_added = _complete_orthogonal(field, [classes.lambdas[i] for i in idx],
-                                               members)
-        for loc in local_added:
+        for loc in complete(field, [classes.lambdas[i] for i in idx],
+                            [[u[i] for i in idx] for u in family_in_class]):
             v = [0] * algebra.n
             for pos, x in zip(idx, loc):
                 v[pos] = x
@@ -269,7 +255,7 @@ def extend_family(algebra, family):
 def _complete_orthogonal(field, lambdas, members):
     """Complete an orthogonal anisotropic family of plain vectors to an
     orthogonal basis of the diagonal form sum lambda_i x_i y_i
-    (characteristic != 2)."""
+    (characteristic != 2); the empty family gets the unit vectors."""
     size = len(lambdas)
     red, inv = field.reduce, field.inv
 

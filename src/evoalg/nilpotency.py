@@ -205,8 +205,10 @@ class CubeNilpotentScan:
 
 def cube_witness_from_minor(algebra, gamma):
     """Try to turn a vanishing principal minor over gamma into an element u
-    with u^3 = 0 by taking square roots of a kernel vector.  Returns None
-    when no scanned kernel vector has all-square entries."""
+    with u^3 = 0 by taking square roots of a kernel vector beta of
+    M[gamma, gamma].  Returns None when no scanned kernel vector has
+    all-square entries.  u lives on gamma and u^2 = M beta, which vanishes
+    on gamma, so u (u u) = 0 always; a failure raises SelfCheckFailed."""
     field = algebra.field
     gamma = tuple(sorted(gamma))
     kern = algebra.M.submatrix(gamma, gamma).kernel()
@@ -217,19 +219,24 @@ def cube_witness_from_minor(algebra, gamma):
         u = [0] * algebra.n
         for j, r in zip(gamma, roots):
             u[j] = r
-        if any(u) and not any(algebra._product(u, algebra._product(u, u))):
-            return Element._from_plain(algebra, u)
+        if not any(u) or any(algebra._product(u, algebra._product(u, u))):
+            raise SelfCheckFailed("kernel-vector root u has u^3 != 0")
+        return Element._from_plain(algebra, u)
     return None
 
 
 def _kernel_candidates(field, kern):
-    """Plain kernel vectors to try: every small combination of the RREF
-    basis over Q or GF(p), p <= 7, else the basis itself."""
+    """Plain kernel vectors to try: the small combinations of the RREF basis
+    over Q or GF(p), p <= 7, else the basis itself.  A combination's entry
+    at a basis vector's pivot is that vector's coefficient, so only square
+    coefficients can give all-square entries: 0 and 1 of -2..2 over Q, the
+    squares of GF(p).  The survivors keep their order."""
     basis = kern.plain
     if field.p is None or field.p <= 7:
-        coefficients = range(-2, 3) if field.p is None else range(field.p)
         red = field.reduce
-        for coeffs in product(coefficients, repeat=len(basis)):
+        squares = [c for c in (range(-2, 3) if field.p is None else range(field.p))
+                   if field.plain_sqrt(red(c)) is not None]
+        for coeffs in product(squares, repeat=len(basis)):
             if not any(coeffs):
                 continue
             v = [0] * len(basis[0])

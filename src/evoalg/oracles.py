@@ -326,16 +326,19 @@ def _minor_condition_case(p, dim):
 
 
 def _nilpotency_case(p, dim):
-    """Annihilator-chain verdict vs right powers and exhaustive nil-ness."""
+    """Annihilator-chain verdict and right-nilpotency index vs the least k
+    with A^<k> = 0 among A^<2> .. A^<dim+1>, and exhaustive nil-ness."""
     def case(m, algebra):
         report = nilpotency.nilpotency_report(algebra)
         right = full = Subspace.full(algebra.field, dim)
-        for _ in range(dim):
+        index = None
+        for k in range(2, dim + 2):
             right = nilpotency.product_space(algebra, right, full)
+            if index is None and right.dim == 0:
+                index = k
         nil = all_elements_nil(m, p)
-        yield None, (report.is_nilpotent == (right.dim == 0) == nil
-                     and (not report.is_nilpotent
-                          or report.right_nilpotency_index == len(report.type_sequence) + 1))
+        yield None, (report.is_nilpotent == (index is not None) == nil
+                     and report.right_nilpotency_index == index)
     return case
 
 

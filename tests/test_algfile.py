@@ -152,3 +152,13 @@ def test_parse_basis_text():
     # Without a count (a family file) any number of vectors, commas allowed.
     assert parse_vectors_text("1, 1\n", QQ, 2) == [[1, 1]]
     assert parse_vectors_text("# none\n", QQ, 2) == []
+
+
+def test_json_modulus_above_two_to_the_64_is_a_parse_error():
+    # 318665857834031151167461 is a strong pseudoprime to the bases 2..37.
+    matrix = [["399165290221", "0"], ["0", "1"]]
+    with pytest.raises(ParseError, match=r"not below 2\*\*64"):
+        parse_algebra_json({"field": {"gf": 318665857834031151167461}, "dim": 2,
+                            "matrix": matrix})
+    a = parse_algebra_json({"field": {"gf": 2**61 - 1}, "dim": 2, "matrix": matrix})
+    assert a.field == GF(2**61 - 1)

@@ -684,6 +684,25 @@ def test_non_prime_field_option_exits_2(capsys, tmp_path, argv):
     assert out == "" and "not prime" in err
 
 
+def test_pseudoprime_modulus_exits_2(capsys, tmp_path):
+    # 318665857834031151167461 = 399165290221 * 798330580441 passes
+    # Miller-Rabin to the bases 2..37; moduli stop below 2**64.
+    p = 318665857834031151167461
+    text = f"field gf {p}\ndim 2\n399165290221 0\n0 1\n"
+    doc = {"field": {"gf": p}, "dim": 2, "matrix": [["399165290221", "0"], ["0", "1"]]}
+    for path in (write(tmp_path, "psp.alg", text),
+                 write(tmp_path, "psp.json", json.dumps(doc))):
+        code, out, err = run(capsys, "analyze", path)
+        assert_clean_error(code, err, 2, "parse-error")
+        assert out == "" and "not below 2**64" in err
+    code, out, err = run(capsys, "random", "--dim", "2", "--field", f"gf {p}")
+    assert_clean_error(code, err, 2, "parse-error")
+    assert out == "" and "not below 2**64" in err
+    path = write(tmp_path, "m61.alg", f"field gf {2**61 - 1}\ndim 2\n3 0\n0 1\n")
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 0 and out and err == ""
+
+
 def test_natural_vector_gf2_beyond_sixteen(capsys, tmp_path):
     # The GF(2) question is decided inside the vector's class, so a dense
     # algebra of dimension 20 (distinct columns, one index per class) is

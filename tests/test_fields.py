@@ -26,6 +26,23 @@ def test_is_prime_large():
     assert not is_prime(561)
 
 
+# The least strong pseudoprime to the bases 2, 3, ..., 37: 399165290221 *
+# 798330580441, above 2**64, where those bases no longer decide.
+PSEUDOPRIME = 318665857834031151167461
+
+
+def test_moduli_above_two_to_the_64_are_refused():
+    assert PSEUDOPRIME == 399165290221 * 798330580441 > 2**64
+    assert not is_prime(PSEUDOPRIME) and not is_prime(2**89 - 1)
+    for p in (PSEUDOPRIME, 2**64 + 13, 2**89 - 1):
+        with pytest.raises(NonPrimeModulus, match=r"not below 2\*\*64"):
+            GF(p)
+        with pytest.raises(ParseError, match=r"not below 2\*\*64"):
+            parse_field(f"gf {p}")
+    assert is_prime(2**61 - 1) and GF(2**61 - 1).p == 2**61 - 1
+    assert parse_field(f"gf({2**61 - 1})") == GF(2**61 - 1)
+
+
 def test_mod_arithmetic():
     F = GF(7)
     a, b = F(3), F(5)

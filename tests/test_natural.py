@@ -9,7 +9,7 @@ import pytest
 
 from evoalg.algebra import Element, EvolutionAlgebra
 from evoalg.errors import (AlgebraMismatch, Degenerate, NotANaturalBasis, NotExtendable,
-                           NotOrthogonal, ZeroVector)
+                           NotNaturalVector, NotOrthogonal, ZeroVector)
 from evoalg.fields import GF, QQ, Mod
 from evoalg.generate import random_algebra
 from evoalg.linalg import Matrix, Subspace, matvec_rows
@@ -381,7 +381,14 @@ def test_char2_completion_matches_exhaustive_search():
                 break
             family.append(rng.choice(admissible))
         expected = exhaustive_completable(size, family)
-        assert _char2_completable(size, family) == expected, (size, family)
+        assert char2_completable_reference(size, family) == expected, (size, family)
+        local = [[f >> k & 1 for k in range(size)] for f in family]
+        if expected is None:
+            with pytest.raises(NotExtendable):
+                _char2_completable(GF(2), [1] * size, local)
+        else:
+            assert _char2_completable(GF(2), [1] * size, local) == [
+                [v >> k & 1 for k in range(size)] for v in expected], (size, family)
         larger += len(family) >= 3
         stuck += expected is None
     assert larger and stuck
@@ -856,3 +863,179 @@ def test_extend_family_matches_boxed_completion():
             result = extend_family(a, family)
             assert [e.coords for e in result.added_vectors] == expected, (cols, family)
             extended += 1
+
+
+def char2_completable_reference(size, members):
+    """_char2_completable as it was: bitmasks in and out, None when the
+    family does not extend, and a Gauss-Jordan elimination on a dict from
+    each pivot (the row's lowest bit) to its fully reduced row."""
+    ones = (1 << size) - 1
+    xor = 0
+    for f in members:
+        xor ^= f
+    if len(members) < size and xor == ones:
+        return None
+    pivots = {}
+    family, new = list(members), [(f, 0) for f in members] + [(ones, 1)]
+    while len(family) < size:
+        for row, rhs in new:
+            for low, (r, c) in pivots.items():
+                if row & low:
+                    row, rhs = row ^ r, rhs ^ c
+            low = row & -row
+            for p, (r, c) in list(pivots.items()):
+                if r & low:
+                    pivots[p] = (r ^ row, c ^ rhs)
+            pivots[low] = (row, rhs)
+        v = sum(p for p, (_, c) in pivots.items() if c)
+        if v == ones ^ xor:
+            j = ones & ~sum(pivots)
+            j &= -j
+            v ^= j | sum(p for p, (r, _) in pivots.items() if r & j)
+        family.append(v)
+        xor ^= v
+        new = [(v, 0)]
+    return family[len(members):]
+
+
+def extend_family_reference(algebra, family):
+    """extend_family as it was: per class, an empty-class branch, GF(2)
+    bitmasks with a None return, or the completion of any other field."""
+    family = [f if isinstance(f, Element) else algebra.element(f) for f in family]
+    classes = algebra.column_classes
+    if None in classes.class_of:
+        raise Degenerate("extension requires a non-degenerate algebra")
+    plain = [algebra._plain_of(u) for u in family]
+    for a in range(len(plain)):
+        for b in range(a + 1, len(plain)):
+            if any(algebra._product(plain[a], plain[b])):
+                raise NotOrthogonal(f"family members {a} and {b} are not orthogonal")
+    by_class = [[] for _ in classes.members]
+    for u in plain:
+        if not any(u) or not _support_line_condition(algebra, u):
+            raise NotNaturalVector("family contains a non-natural vector")
+        by_class[classes.class_of[next(i for i, x in enumerate(u) if x)]].append(u)
+    field = algebra.field
+    added = []
+    for idx, family_in_class in zip(classes.members, by_class):
+        size = len(idx)
+        members = [[u[i] for i in idx] for u in family_in_class]
+        if not members:
+            local_added = [[int(j == k) for j in range(size)] for k in range(size)]
+        elif field.p == 2:
+            found = char2_completable_reference(
+                size, [sum(x << k for k, x in enumerate(m)) for m in members])
+            if found is None:
+                raise NotExtendable("no orthogonal completion exists over GF(2)")
+            local_added = [[v >> k & 1 for k in range(size)] for v in found]
+        else:
+            local_added = _complete_orthogonal(field, [classes.lambdas[i] for i in idx],
+                                               members)
+        for loc in local_added:
+            v = [0] * algebra.n
+            for pos, x in zip(idx, loc):
+                v[pos] = x
+            added.append(Element._from_plain(algebra, v))
+    completed = family + added
+    if not algebra.verify_natural_basis(completed):
+        raise NotANaturalBasis("internal completion failed verification")
+    return completed, added
+
+
+def extension_family(algebra, rng):
+    """Up to three vectors: part of a natural basis, vectors inside one
+    class each (orthogonal or not, extendable or not over GF(2)), or
+    vectors over all indices (mostly not natural, sometimes zero)."""
+    field, n = algebra.field, algebra.n
+    members = algebra.column_classes.members
+
+    def scalar():
+        return rng.choice([-2, -1, 1, 2, 3]) if field == QQ else rng.randrange(1, field.p)
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        basis = random_natural_basis(algebra, rng)
+        return rng.sample(basis, rng.randint(0, min(3, n)))
+    family = []
+    for _ in range(rng.randint(1, 3)):
+        v = [0] * n
+        if kind == 1 and members:
+            for i in rng.choice(members):
+                v[i] = scalar() if rng.random() < 0.7 else 0
+        else:
+            for i in range(n):
+                v[i] = scalar() if rng.random() < 0.4 else 0
+        family.append(v)
+    return family
+
+
+def test_extend_family_matches_parent_reference():
+    # Seeded families over every field kind, n <= 8: each completion and
+    # each refusal (type and message) is the reference's.
+    rng = random.Random(78)
+    refusals = (Degenerate, NotExtendable, NotNaturalVector, NotOrthogonal)
+
+    def outcome(f, a, family):
+        try:
+            completed, added = f(a, family)
+        except refusals as exc:
+            return type(exc), str(exc)
+        return [list(e.plain) for e in completed], [list(e.plain) for e in added]
+
+    def ours(a, family):
+        result = extend_family(a, family)
+        return result.completed_basis, result.added_vectors
+
+    for field in (QQ, GF(2), GF(3), GF(5), GF(101)):
+        seen = set()
+        for _ in range(300):
+            a = pooled_algebra(field, rng.randint(1, 8), rng)
+            family = extension_family(a, rng)
+            expected = outcome(extend_family_reference, a, family)
+            assert outcome(ours, a, family) == expected, (a.M.data, family)
+            seen.add(expected[0] if isinstance(expected[0], type) else "extended")
+        assert seen == {"extended", Degenerate, NotNaturalVector, NotOrthogonal} | (
+            {NotExtendable} if field.p == 2 else set()), field
+
+
+def verify_block_form_reference(algebra, basis1, basis2):
+    """verify_block_form as it was: classes aligned by a scan over the
+    square lines, with a length check and a duplicate check."""
+    ann1, comps1, lines1 = decomposition_for_basis(algebra, basis1)
+    ann2, comps2, lines2 = decomposition_for_basis(algebra, basis2)
+    if len(comps1) != len(comps2):
+        return False
+    sigma = []
+    for line in lines1:
+        match = next((j for j, other in enumerate(lines2) if other == line), None)
+        if match is None or match in sigma:
+            return False
+        sigma.append(match)
+    if not ann2.contains_subspace(ann1):
+        return False
+    for i, comp in enumerate(comps1):
+        if not (ann2 + comps2[sigma[i]]).contains_subspace(comp):
+            return False
+    return True
+
+
+def test_verify_block_form_matches_parent_reference():
+    # Every ordered pair of (up to 12 sampled) enumerated natural bases of
+    # small algebras, plus a candidate that is not a basis.  Two natural
+    # bases always differ by a block change of basis, so both answer True.
+    rng = random.Random(79)
+    for field in (GF(2), GF(3), GF(5)):
+        pairs = 0
+        for _ in range(25):
+            a = pooled_algebra(field, rng.randint(1, 3), rng)
+            bases = enumerate_natural_bases_algebra(a)
+            bases = rng.sample(bases, min(len(bases), 12))
+            for b1, b2 in product(bases, repeat=2):
+                assert verify_block_form(a, b1, b2) is verify_block_form_reference(
+                    a, b1, b2) is True, (a.M.data, b1, b2)
+                pairs += 1
+            bad = [[0] * a.n] + list(bases[0])[1:]
+            for f in (verify_block_form, verify_block_form_reference):
+                with pytest.raises(NotANaturalBasis):
+                    f(a, bases[0], bad)
+        assert pairs > 200, field

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -559,3 +559,38 @@ def test_kernel_candidates_one_per_basis_vector(monkeypatch):
     scan = find_cube_nilpotent(a)
     assert scan.minor_indices == (0, 1) and scan.element is None
     assert tried and all(count == dim for count, dim in tried)
+
+
+def all_combinations_reference(field, kern):
+    """_kernel_candidates as it was for Q and p <= 7: every nonzero
+    combination of the RREF basis with coefficients -2..2 or 0..p-1."""
+    basis = kern.plain
+    coefficients = range(-2, 3) if field.p is None else range(field.p)
+    for coeffs in product(coefficients, repeat=len(basis)):
+        if any(coeffs):
+            yield [field.reduce(sum(c * b[k] for c, b in zip(coeffs, basis)))
+                   for k in range(len(basis[0]))]
+
+
+def test_kernel_candidates_keep_square_pivot_coefficients():
+    # A candidate's entry at a kernel basis vector's pivot is its
+    # coefficient, so only square coefficients can give all-square entries;
+    # the survivors keep their order.  Over Q that is 0 and 1 of -2..2:
+    # 2^4 - 1 candidates of a 4-dimensional kernel instead of 5^4 - 1.
+    rows = [[1, 2, 0, -1, 3, 1], [0, 1, 1, 2, -1, 0]] + [[0] * 6] * 4
+    for field, squares in ((QQ, 2), (GF(2), 2), (GF(3), 2), (GF(5), 3), (GF(7), 4)):
+        kern = Matrix(field, rows).kernel()
+        got = list(nilpotency._kernel_candidates(field, kern))
+        assert kern.dim == 4 and len(got) == squares ** 4 - 1, field
+        assert got == [v for v in all_combinations_reference(field, kern)
+                       if all(field.plain_sqrt(v[k]) is not None for k in kern.pivots)]
+    assert len(list(all_combinations_reference(QQ, Matrix(QQ, rows).kernel()))) == 624
+
+
+def test_cube_witness_self_check(monkeypatch):
+    # u lives on gamma and u^2 = M beta vanishes on gamma, so u (u u) = 0
+    # for every kernel vector beta; a candidate off the kernel must raise.
+    a = EvolutionAlgebra(QQ, [[1, 0], [0, 1]])
+    monkeypatch.setattr(nilpotency, "_kernel_candidates", lambda field, kern: iter([[1, 1]]))
+    with pytest.raises(SelfCheckFailed):
+        cube_witness_from_minor(a, (0, 1))

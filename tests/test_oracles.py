@@ -296,3 +296,21 @@ def test_oracle_reports_a_broken_fast_path(monkeypatch, name):
 def test_unknown_oracle_is_an_invalid_argument():
     with pytest.raises(InvalidArgument, match="cube-nilpotent, ideal-lattice"):
         run_oracle("natural", 2, 2)
+
+
+def test_nilpotency_oracle_finds_a_wrong_index(monkeypatch):
+    # The oracle reads the right-nilpotency index from its own right powers,
+    # not from the report's type sequence, so an index one too large shows,
+    # also when the type sequence is lengthened to match it.
+    runs = [(2, 2, 20, 1), (2, 3, 200, 1), (3, 2, 200, 1)]
+    for run in runs:
+        assert run_oracle("nilpotency", *run).mismatches == (), run
+    for longer in ((), (0,)):
+        with monkeypatch.context() as m:
+            m.setattr(*_broken(nilpotency, "nilpotency_report", lambda r: (
+                dataclasses.replace(r, type_sequence=r.type_sequence + longer,
+                                    right_nilpotency_index=r.right_nilpotency_index + 1)
+                if r.is_nilpotent else r)))
+            for run in runs:
+                report = run_oracle("nilpotency", *run)
+                assert report.mismatches and len(report.mismatches) < report.checked, run
