@@ -10,9 +10,9 @@ from .algfile import (emit_algebra_json, emit_algebra_text, load_algebra,
 from .errors import EvoAlgError, ParseError, SelfCheckFailed
 from .fields import GF, QQ, Mod, is_prime, parse_field, render_field
 from .generate import random_algebra
-from .ideals import (IdealLattice, descendant_closed_sets, ideal_lattice_perfect,
-                     is_basic_ideal, is_basic_simple, is_basic_simple_relative,
-                     is_ideal, is_simple, is_strongly_connected, reachable)
+from .ideals import (descendant_closed_sets, ideal_lattice_perfect, is_basic_ideal,
+                     is_basic_simple, is_basic_simple_relative, is_ideal, is_simple,
+                     is_strongly_connected, reachable)
 from .linalg import Matrix, Subspace
 from .natural import (Decomposition, ExtensionResult, decompose,
                       decomposition_for_basis, extend_family,

@@ -6,13 +6,12 @@ spans of descendant-closed index sets are exactly the ideals spanned by
 basis vectors, a reordering to block upper triangular form exists iff
 the digraph has a proper nonempty closed set, and strong connectivity
 therefore decides relative basic simplicity, and simplicity together
-with a nonsingular structure matrix.
+with a nonsingular structure matrix.  Basic simplicity over every natural
+basis is read from the diagonal forms of the column classes.
 """
 
-from dataclasses import dataclass
-
 from .errors import AnswerTooLarge, NotPerfect
-from .linalg import Subspace
+from .linalg import Subspace, kernel_rows, rref_rows
 
 MAX_CLOSED_SETS = 1 << 16
 
@@ -88,22 +87,14 @@ def descendant_closed_sets(algebra):
     return sorted(family, key=lambda s: (len(s), sorted(s)))
 
 
-@dataclass(frozen=True)
-class IdealLattice:
-    ideals: tuple         # Subspaces
-    basic_flags: tuple    # parallel booleans
-    generators: tuple     # index tuple per basic ideal
-
-
 def ideal_lattice_perfect(algebra):
-    """All ideals of a perfect algebra: every nonzero ideal is basic, so the
-    lattice is the family of descendant-closed coordinate spans."""
+    """All ideals of a perfect algebra, as a tuple of subspaces: every
+    nonzero ideal is basic, so they are the descendant-closed coordinate
+    spans."""
     if not algebra.is_perfect():
         raise NotPerfect("the complete ideal lattice is only available for perfect algebras")
-    closed = descendant_closed_sets(algebra)
-    ideals = tuple(Subspace.coordinate(algebra.field, algebra.n, s) for s in closed)
-    generators = tuple(tuple(sorted(s)) for s in closed)
-    return IdealLattice(ideals, tuple(True for _ in ideals), generators)
+    return tuple(Subspace.coordinate(algebra.field, algebra.n, s)
+                 for s in descendant_closed_sets(algebra))
 
 
 def is_simple(algebra):
@@ -117,22 +108,71 @@ def is_basic_simple_relative(algebra):
 
 
 def is_basic_simple(algebra):
-    """True / False / None.  For perfect algebras basic ideals do not depend
-    on the natural basis, so the relative test decides.  Otherwise every
-    natural basis must be inspected, which is only feasible by exhaustive
-    enumeration over small finite fields (dimension <= 3); beyond that the
-    answer is None (unknown)."""
+    """True / False / None: no natural basis has a proper nonempty closed
+    set.  For perfect algebras basic ideals do not depend on the natural
+    basis, so the relative test decides.  Otherwise take n >= 2 and a
+    strongly connected digraph, so ann(A) = 0 and every lambda_i != 0.  For
+    each class C of column_classes, with line l_C, let b_C(x, y) =
+    sum_{i in C} lambda_i x_i y_i and W_C be the span of the C-parts of all
+    class lines.  A is basic simple iff no class E has a g in W_E^perp
+    (under b_E) that lies in an orthogonal anisotropic basis of b_E
+    (_breaking_class finds such a class):
+
+    - The natural bases B' are the unions over C of orthogonal anisotropic
+      bases B'_C of b_C (is_natural_vector), and f^2 = b_C(f, f) l_C for f
+      in B'_C, so all of B'_C share one out-set: the h in B'_E with
+      b_E((l_C)_E, h) != 0.
+    - An edge C -> E of the class graph is (l_C)_E != 0; b_E is
+      nondegenerate, so some h in the basis B'_E pairs with it, and B'_C
+      has an edge into B'_E.  The class graph is strongly connected.
+    - If: a proper nonempty closed X in B' meets every class along class
+      paths, so it holds every out-set; an h of B'_E outside X has no
+      in-edge, that is h is in W_E^perp.
+    - Only if: such a g, completed to B'_E and joined with any bases of
+      the other classes, has no in-edge, so B' minus g is closed.
+
+    The answer is None past the guard below.
+    """
     if algebra.n == 1:
         return True
     if algebra.is_perfect():
         return is_basic_simple_relative(algebra)
     if not is_basic_simple_relative(algebra):
         return False
+    # The criterion holds over every field, but deciding past this guard
+    # changes seed-1 benchmark reports, whose recorded digests move only
+    # with the benchmark itself (ROADMAP item 1).
     if algebra.field.p is None or algebra.n > 3 or algebra.field.p > 7:
         return None
-    from .oracles import enumerate_natural_bases_algebra
-    for basis in enumerate_natural_bases_algebra(algebra):
-        rebased = algebra.change_basis(basis)
-        if not is_basic_simple_relative(rebased):
-            return False
-    return True
+    return _breaking_class(algebra) is None
+
+
+def _breaking_class(algebra):
+    """The members of the first class E of a non-perfect, strongly connected
+    algebra (n >= 2) whose W_E^perp holds a vector of some orthogonal
+    anisotropic basis of b_E (is_basic_simple), or None.
+
+    Over Q and odd p every anisotropic g extends (g^perp is nondegenerate,
+    so it has an orthogonal basis), and a symmetric form outside
+    characteristic 2 has an anisotropic vector iff it is not zero: E breaks
+    iff the Gram matrix of b_E on W_E^perp is not zero.  Over GF(2) every
+    lambda is 1, and g extends iff it has odd weight and |E| = 1 or g != 1
+    (_char2_completable).  Weight parity is linear, so W_E^perp holds such a
+    g iff a basis vector has odd weight and W_E^perp != span(1); |E| = 1
+    with W_E^perp != 0 would leave E without an in-edge.
+    """
+    field, classes = algebra.field, algebra.column_classes
+    red = field.reduce
+    for idx in classes.members:
+        lambdas = [classes.lambdas[i] for i in idx]
+        size = len(idx)
+        rows = [[red(l * line[i]) for l, i in zip(lambdas, idx)] for line in classes.lines]
+        perp = kernel_rows(rows, size, rref_rows(rows, size, field), red)
+        if field.p == 2:
+            breaks = any(sum(v) % 2 for v in perp) and perp != [[1] * size]
+        else:
+            breaks = any(red(sum(l * a * b for l, a, b in zip(lambdas, x, y)))
+                         for x in perp for y in perp)
+        if breaks:
+            return idx
+    return None

@@ -197,17 +197,20 @@ def decomposition_for_basis(algebra, basis_vectors):
 
 
 def verify_block_form(algebra, basis1, basis2):
-    """Check the block change-of-basis shape between two natural bases:
+    """Whether two natural bases differ by a block change of basis:
     annihilator vectors map into the annihilator span, and each component
     maps into the span of the matching component plus the annihilator.
-    Raises NotANaturalBasis unless both are natural bases."""
-    ann1, comps1, lines1 = decomposition_for_basis(algebra, basis1)
-    ann2, comps2, lines2 = decomposition_for_basis(algebra, basis2)
-    # Each decomposition has one component per distinct square line.
-    by_line = dict(zip(lines2, comps2))
-    return (set(lines1) == set(by_line) and ann2.contains_subspace(ann1)
-            and all((ann2 + by_line[line]).contains_subspace(comp)
-                    for line, comp in zip(lines1, comps1)))
+    Raises NotANaturalBasis unless both are natural bases, and is True
+    otherwise, by this theorem.  For a natural basis B, x f = x_f f^2 for
+    f in B, so ann(A) = span{f in B : f^2 = 0}, and for a line L the space
+    A_L = {x : x A <= L} is ann(A) + span{f in B : f^2 in L, f^2 != 0}.
+    Neither depends on B: two natural bases have the same square lines
+    (the L with A_L != ann(A)), the same annihilator span, and components
+    equal modulo ann(A)."""
+    for basis in (basis1, basis2):
+        if not algebra.verify_natural_basis(basis):
+            raise NotANaturalBasis("candidates are not a natural basis")
+    return True
 
 
 @dataclass(frozen=True)

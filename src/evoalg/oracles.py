@@ -145,13 +145,6 @@ def natural_basis_membership(m, p, u):
         v for basis in enumerate_natural_bases(m, p) for v in basis}
 
 
-def enumerate_natural_bases_algebra(algebra):
-    """Natural bases of a GF(p) algebra as coordinate lists."""
-    p = algebra.field.p
-    m = [list(row) for row in algebra.M.plain]
-    return [[list(v) for v in basis] for basis in enumerate_natural_bases(m, p)]
-
-
 def all_subspaces(p, n):
     """Every subspace of GF(p)^n as a canonical RREF row tuple; n <= 3."""
     if n > 3:
@@ -311,7 +304,7 @@ def _ideal_lattice_case(p, dim):
         spaces = (Subspace.from_vectors(algebra.field, dim, [list(r) for r in rows])
                   for rows in subspaces)
         brute = {s for s in spaces if ideals.is_ideal(algebra, s)}
-        yield None, brute == set(ideals.ideal_lattice_perfect(algebra).ideals)
+        yield None, brute == set(ideals.ideal_lattice_perfect(algebra))
     return case
 
 

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from functools import cache
 
 import pytest
 
@@ -10,12 +11,13 @@ from evoalg.algebra import EvolutionAlgebra
 from evoalg.errors import AnswerTooLarge, NotPerfect
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
-from evoalg.ideals import (descendant_closed_sets, ideal_lattice_perfect,
+from evoalg.ideals import (_breaking_class, descendant_closed_sets, ideal_lattice_perfect,
                            is_basic_ideal, is_basic_simple,
                            is_basic_simple_relative, is_ideal, is_simple,
                            is_strongly_connected, reachable)
-from evoalg.linalg import Subspace
+from evoalg.linalg import Subspace, kernel_rows, rref_rows
 from evoalg.nilpotency import is_cube_zero, nilpotency_report
+from evoalg.oracles import enumerate_natural_bases, sample_structure_matrices
 
 
 def test_structure_digraph():
@@ -270,11 +272,8 @@ def test_ideal_lattice_perfect_requires_perfect():
 def test_ideal_lattice_perfect():
     a = EvolutionAlgebra(QQ, [[1, 0], [0, 1]])
     lattice = ideal_lattice_perfect(a)
-    assert len(lattice.ideals) == 4
-    assert all(lattice.basic_flags)
-    for sub, gen in zip(lattice.ideals, lattice.generators):
-        assert is_ideal(a, sub)
-        assert sub == Subspace.coordinate(a.field, a.n, gen)
+    assert lattice == tuple(Subspace.coordinate(a.field, a.n, s) for s in ([], [0], [1], [0, 1]))
+    assert all(is_ideal(a, sub) and is_basic_ideal(a, sub) for sub in lattice)
 
 
 def test_simple_and_relative():
@@ -316,13 +315,144 @@ def test_basic_simple_undecided():
     assert is_basic_simple(EvolutionAlgebra(QQ, [[0]])) is True
 
 
+def basic_simple_by_enumeration(algebra):
+    """Reference: the algebra rebased on every enumerated natural basis of a
+    GF(p) algebra is relatively basic simple."""
+    return all(is_basic_simple_relative(algebra.change_basis(basis))
+               for basis in enumerate_natural_bases(algebra.M.plain, algebra.field.p))
+
+
+def undecided_by_relative(algebra):
+    """Neither perfect nor split in the given basis: the class forms decide."""
+    return not algebra.is_perfect() and is_basic_simple_relative(algebra)
+
+
+def class_structured(field, n, rng):
+    """Columns that are random nonzero multiples of a few random columns, so
+    classes of several indices are common."""
+    p = field.p
+    pool = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(1, max(1, n // 2)))]
+    columns = [[rng.randrange(1, p) * x % p for x in rng.choice(pool)] for _ in range(n)]
+    return EvolutionAlgebra(field, [list(row) for row in zip(*columns)])
+
+
+@cache
+def undecided_corpus(p, dims, count, seed):
+    """(algebra, reference verdict) for count class-structured algebras that
+    undecided_by_relative keeps."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a = class_structured(GF(p), rng.choice(dims), rng)
+        if undecided_by_relative(a):
+            out.append((a, basic_simple_by_enumeration(a)))
+    return tuple(out)
+
+
+# Past the guard of is_basic_simple: n >= 4, where only _breaking_class decides.
+BEYOND_GUARD = [(2, (5, 6), 300, 11), (3, (4, 5), 200, 12), (5, (4,), 60, 13)]
+
+
+def test_basic_simple_matches_enumeration_exhaustively():
+    # Every non-perfect, strongly connected algebra over GF(2) and GF(3) at
+    # n = 2, 3 and over GF(5) and GF(7) at n = 2.
+    verdicts = {}
+    for p, n in ((2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2)):
+        seen = verdicts[p, n] = []
+        for m in sample_structure_matrices(p, n, p ** (n * n), 0):
+            a = EvolutionAlgebra(GF(p), m)
+            if undecided_by_relative(a):
+                seen.append(basic_simple_by_enumeration(a))
+                assert is_basic_simple(a) is seen[-1], (p, m)
+    assert {key: (len(seen), set(seen)) for key, seen in verdicts.items()} == {
+        (2, 2): (1, {True}), (2, 3): (64, {True}), (3, 2): (8, {True, False}),
+        (3, 3): (3728, {True, False}), (5, 2): (64, {True, False}),
+        (7, 2): (216, {True, False})}
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_basic_simple_matches_enumeration_on_seeded_corpus(p):
+    corpus = undecided_corpus(p, (3,), 150, p)
+    assert {expected for _, expected in corpus} == {True, False}
+    for a, expected in corpus:
+        assert is_basic_simple(a) is expected, a.M.plain
+
+
+@pytest.mark.parametrize("p, dims, count, seed", BEYOND_GUARD, ids=["gf2", "gf3", "gf5"])
+def test_breaking_class_matches_enumeration_beyond_guard(p, dims, count, seed):
+    corpus = undecided_corpus(p, dims, count, seed)
+    assert {expected for _, expected in corpus} == {True, False}
+    for a, expected in corpus:
+        assert is_basic_simple(a) is None
+        assert (_breaking_class(a) is None) is expected, a.M.plain
+
+
+def test_breaking_class_over_q():
+    # [[1, 1], [1, 1]]: the basis (1, 1), (1, -1) has the closed set {(1, 1)}.
+    a = EvolutionAlgebra(QQ, [[1, 1], [1, 1]])
+    assert _breaking_class(a) == (0, 1)
+    assert not is_basic_simple_relative(a.change_basis([[1, 1], [1, -1]]))
+    # [[1, -1], [1, -1]]: W^perp = span(1, 1) is isotropic.
+    assert _breaking_class(EvolutionAlgebra(QQ, [[1, -1], [1, -1]])) is None
+
+
+def criterion_with(algebra, breaks):
+    """_breaking_class is None with the per-class test replaced by
+    breaks(lambdas, perp, red)."""
+    field, classes = algebra.field, algebra.column_classes
+    red = field.reduce
+    for idx in classes.members:
+        lambdas = [classes.lambdas[i] for i in idx]
+        rows = [[red(l * line[i]) for l, i in zip(lambdas, idx)] for line in classes.lines]
+        perp = kernel_rows(rows, len(idx), rref_rows(rows, len(idx), field), red)
+        if breaks(lambdas, perp, red):
+            return False
+    return True
+
+
+def gram_nonzero(lambdas, perp, red):
+    return any(red(sum(l * a * b for l, a, b in zip(lambdas, x, y))) for x in perp for y in perp)
+
+
+def diagonal_nonzero(lambdas, perp, red):
+    return any(red(sum(l * a * a for l, a in zip(lambdas, x))) for x in perp)
+
+
+def odd_weight(lambdas, perp, red):
+    return any(sum(v) % 2 for v in perp)
+
+
+def odd_weight_not_ones(lambdas, perp, red):
+    return odd_weight(lambdas, perp, red) and perp != [[1] * len(lambdas)]
+
+
+def test_breaking_class_mutations_fail():
+    # The criterion rebuilt from its per-class tests agrees with the
+    # reference; each weakened test disagrees somewhere.
+    gf2 = undecided_corpus(*BEYOND_GUARD[0])
+    odd = [pair for run in BEYOND_GUARD[1:] for pair in undecided_corpus(*run)]
+
+    def mismatches(corpus, breaks):
+        return sum(criterion_with(a, breaks) is not expected for a, expected in corpus)
+
+    assert mismatches(gf2, odd_weight_not_ones) == mismatches(odd, gram_nonzero) == 0
+    assert mismatches(gf2, gram_nonzero) > 0
+    assert mismatches(gf2, odd_weight) > 0
+    # Over GF(3), b = x^2 + 2y^2 + 2z^2 on W^perp = (1, 2, 2)^perp: its RREF
+    # basis (1, 1, 0), (1, 0, 1) is isotropic, yet (2, 1, 1) is not.
+    a = EvolutionAlgebra(GF(3), [[1, 2, 2], [1, 2, 2], [1, 2, 2]])
+    assert basic_simple_by_enumeration(a) is False is is_basic_simple(a)
+    assert criterion_with(a, gram_nonzero) is False
+    assert criterion_with(a, diagonal_nonzero) is True
+
+
 def test_perfect_ideals_all_basic_brute():
     # Every ideal of a perfect algebra is basic: cross-check on random
     # 2-dim rational algebras by scanning many random lines.
     rng = random.Random(41)
     for _ in range(50):
         a = random_algebra(QQ, 2, rng=rng, perfect=True)
-        lattice_subs = set(ideal_lattice_perfect(a).ideals)
+        lattice_subs = set(ideal_lattice_perfect(a))
         for _ in range(40):
             vec = [rng.randint(-3, 3), rng.randint(-3, 3)]
             if not any(vec):

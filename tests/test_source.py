@@ -16,6 +16,16 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml promises Python >= 3.10: no later syntax in the package
+    # or its tests.
+    root = Path(evoalg.__file__).parent
+    sources = sorted(root.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert len(sources) >= 29
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 def test_boundary_reads_plain_values():
     # The CLI and the file formats parse to and print plain values: they
     # read no boxing view and render or box no scalar (args.basis is the
@@ -60,9 +70,7 @@ def test_only_cli_main_writes_output():
 
 def test_only_cli_imports_oracles():
     # The brute-force oracles check the fast paths, so no other module may
-    # come to depend on them.  is_basic_simple's lazy import, which walks
-    # every natural basis of a small non-perfect algebra, is the one
-    # exception, listed by name until it goes.
+    # come to depend on them.
     root = Path(evoalg.__file__).parent
 
     def imports_oracles(node):
@@ -77,21 +85,21 @@ def test_only_cli_imports_oracles():
              for path in sorted(root.glob("*.py")) if path.name != "oracles.py"
              for top in ast.parse(path.read_text(encoding="utf-8")).body
              for node in ast.walk(top) if imports_oracles(node)]
-    assert found == ["cli.py:<module>", "ideals.py:is_basic_simple"]
+    assert found == ["cli.py:<module>"]
 
 
 def test_brute_force_references_name_no_fast_path():
     # A reference that called the code it checks would agree with it by
-    # construction.  Only the case factories of the oracle table, the loop
-    # that runs them and the algebra-level enumeration wrapper may name the
-    # checked modules or the library's classes.
+    # construction.  Only the case factories of the oracle table and the
+    # loop that runs them may name the checked modules or the library's
+    # classes.
     from evoalg.oracles import ORACLES
     checked = {"natural", "ideals", "nilpotency", "EvolutionAlgebra", "Subspace", "GF"}
     allowed = {row[0].__name__ for row in ORACLES.values()}
-    allowed |= {"run_oracle", "enumerate_natural_bases_algebra"}
+    allowed.add("run_oracle")
     tree = ast.parse((Path(evoalg.__file__).parent / "oracles.py").read_text(encoding="utf-8"))
     found = [f"oracles.py:{node.lineno} {top.name} names {node.id}" for top in tree.body
              if isinstance(top, ast.FunctionDef) and top.name not in allowed
              for node in ast.walk(top) if isinstance(node, ast.Name) and node.id in checked]
     assert found == []
-    assert len(allowed) == 7
+    assert len(allowed) == 6
