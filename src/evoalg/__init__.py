@@ -1,9 +1,9 @@
 """Exact linear-algebraic analysis of finite-dimensional evolution algebras."""
 
-from .adjoint import (AdjointInvariants, GeneratorClassification, Hierarchy,
-                      HierarchyLevel, ZerothDecomposition, adjoint_annihilator,
-                      adjoint_invariants, classify_generators, descendants,
-                      hierarchy, is_irreducible, zeroth_decomposition)
+from .adjoint import (AdjointInvariants, GeneratorClassification, HierarchyLevel,
+                      ZerothDecomposition, adjoint_annihilator, adjoint_invariants,
+                      classify_generators, descendants, hierarchy, is_irreducible,
+                      zeroth_decomposition)
 from .algebra import Element, EvolutionAlgebra, check_algebra_homomorphism
 from .algfile import (emit_algebra_json, emit_algebra_text, load_algebra,
                       parse_algebra_json, parse_algebra_text, parse_vectors_text)

@@ -9,7 +9,7 @@ A = A_1 + ... + A_s (+) E with E the span of the transient generators,
 and iterating on E produces the hierarchy.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import EvolutionAlgebra
 from .errors import IndexOutOfRange, InvalidArgument
@@ -52,18 +52,15 @@ def adjoint_annihilator(algebra):
                                set(range(algebra.n)).difference(*algebra.digraph))
 
 
-@dataclass(frozen=True)
-class AdjointInvariants:
-    irreducible: tuple            # (A, adjoint)
-    simple: tuple
-    basic_simple_relative: tuple
-    nilpotent: tuple
-    all_agree: bool
-    subalgebra_complements_ok: bool
+class AdjointInvariants(NamedTuple):
+    irreducible: bool
+    simple: bool
+    basic_simple_relative: bool
+    nilpotent: bool
 
 
 def adjoint_invariants(algebra):
-    """Each invariant of A paired with the adjoint's, read from A alone.
+    """The invariants A shares with its adjoint, read from A alone.
     The adjoint's matrix is M^T, so its edge i -> j (entry (j, i) of M^T
     nonzero) is the edge j -> i of A: its digraph is A's reversed.
     Reversal keeps weak connectivity (irreducible), strong connectivity
@@ -73,9 +70,9 @@ def adjoint_invariants(algebra):
     on a cycle, so nilpotency agrees too.  A closed set C of A
     has no edge leaving it, so the reversed digraph has none entering it:
     its complement is closed in the adjoint."""
-    flags = (is_irreducible(algebra), is_simple(algebra),
-             is_basic_simple_relative(algebra), nilpotency_report(algebra).is_nilpotent)
-    return AdjointInvariants(*((x, x) for x in flags), True, True)
+    return AdjointInvariants(is_irreducible(algebra), is_simple(algebra),
+                             is_basic_simple_relative(algebra),
+                             nilpotency_report(algebra).is_nilpotent)
 
 
 PERSISTENT = "persistent"
@@ -83,8 +80,7 @@ TRANSIENT = "transient"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class GeneratorClassification:
+class GeneratorClassification(NamedTuple):
     verdict: str                  # persistent / transient / unknown
     closure: Subspace             # subalgebra generated by the basis vector
     closure_support: tuple        # indices touched by the closure
@@ -117,8 +113,7 @@ def classify_generators(algebra):
     return out
 
 
-@dataclass(frozen=True)
-class ZerothDecomposition:
+class ZerothDecomposition(NamedTuple):
     components: tuple         # (generator indices, support indices, Subspace)
     transient_indices: tuple
     transient_span: Subspace
@@ -150,25 +145,19 @@ def zeroth_decomposition(algebra):
                                tuple(classes), tuple(diagnostics))
 
 
-@dataclass(frozen=True)
-class HierarchyLevel:
+class HierarchyLevel(NamedTuple):
     algebra: EvolutionAlgebra
     ambient_indices: tuple    # indices of this level inside the original algebra
     decomposition: ZerothDecomposition
     projected: bool           # transient squares left the span and were projected
 
 
-@dataclass(frozen=True)
-class Hierarchy:
-    levels: tuple
-
-
 def hierarchy(algebra):
-    """Iterate the 0th decomposition on the transient span until it is empty
-    or stops shrinking.  When the transient index set is not closed under
-    descendants, the induced structure constants are the projections of the
-    transient squares onto the transient coordinates and the level is
-    flagged as projected."""
+    """The tuple of HierarchyLevels: iterate the 0th decomposition on the
+    transient span until it is empty or stops shrinking.  When the
+    transient index set is not closed under descendants, the induced
+    structure constants are the projections of the transient squares onto
+    the transient coordinates and the level is flagged as projected."""
     levels = []
     current = algebra
     mapping = tuple(range(algebra.n))
@@ -182,4 +171,4 @@ def hierarchy(algebra):
         current = EvolutionAlgebra(current.field,
                                    current.M.submatrix(transient, transient))
         mapping = tuple(mapping[j] for j in transient)
-    return Hierarchy(tuple(levels))
+    return tuple(levels)

@@ -8,21 +8,23 @@ from .fields import QQ
 from .linalg import Matrix
 
 MAX_ENTRIES = 10 ** 6   # cap on dim^2, the entries drawn per try
+MAX_TRIES = 100000      # draws before rejection sampling gives up
 
 
 def random_algebra(field, dim, rng=None, seed=None, perfect=False,
-                   nondegenerate=False, max_tries=100000):
+                   nondegenerate=False):
     """A random evolution algebra: small-integer entries over Q, uniform
     residues over GF(p).  Rejection sampling enforces the flags, so the
-    output is a deterministic function of the seed.  A dimension whose
-    dim^2 entries exceed MAX_ENTRIES is refused before any is drawn."""
+    output is a deterministic function of the seed; it gives up after
+    MAX_TRIES draws.  A dimension whose dim^2 entries exceed MAX_ENTRIES is
+    refused before any is drawn."""
     if dim < 1:
         raise InvalidArgument(f"dimension must be at least 1, got {dim}")
     if dim * dim > MAX_ENTRIES:
         raise AnswerTooLarge(f"dimension {dim} has more than {MAX_ENTRIES} matrix entries")
     if rng is None:
         rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         if field == QQ:
             rows = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(dim)]
         else:
@@ -33,4 +35,4 @@ def random_algebra(field, dim, rng=None, seed=None, perfect=False,
         if nondegenerate and not algebra.is_nondegenerate():
             continue
         return algebra
-    raise SamplingExhausted(f"rejection sampling found no algebra in {max_tries} tries")
+    raise SamplingExhausted(f"rejection sampling found no algebra in {MAX_TRIES} tries")

@@ -12,8 +12,8 @@ which each algebra builds once on plain values, or from the squares of a
 given natural basis (decomposition_for_basis).
 """
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .algebra import Element, line_classes, reduce_bits
 from .errors import (Degenerate, NotANaturalBasis, NotExtendable,
@@ -148,8 +148,7 @@ def has_unique_natural_basis(algebra):
                for idx in classes.members)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     annihilator: Subspace
     components: tuple            # Subspace per class, ordered by smallest index
     component_indices: tuple     # tuple of index tuples
@@ -213,8 +212,7 @@ def verify_block_form(algebra, basis1, basis2):
     return True
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(NamedTuple):
     completed_basis: tuple   # Elements; the input family is a prefix
     added_vectors: tuple
 

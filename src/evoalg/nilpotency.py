@@ -9,10 +9,9 @@ EvolutionAlgebra.digraph; the chain reaches the whole space exactly for
 nilpotent algebras, that is when the digraph has no cycle.
 """
 
-import dataclasses
-from dataclasses import dataclass
 from itertools import combinations, product
 from operator import mul
+from typing import NamedTuple
 
 from .algebra import Element
 from .errors import InvalidArgument, NotPerfect, SelfCheckFailed
@@ -32,8 +31,7 @@ def product_space(algebra, s, t):
     return Subspace._from_plain(algebra.field, algebra.n, rows)
 
 
-@dataclass(frozen=True)
-class PowerSpaces:
+class PowerSpaces(NamedTuple):
     principal: Subspace   # A^k
     right: Subspace       # A^<k>
     solvable: Subspace    # A^[k]
@@ -45,8 +43,10 @@ def power_spaces(algebra, k):
     full = Subspace.full(algebra.field, algebra.n)
     principal = [None, full]
     for m in range(2, k + 1):
+        # The product is commutative, so A^i A^(m-i) = A^(m-i) A^i: each
+        # pair is formed once.
         acc = Subspace.zero(algebra.field, algebra.n)
-        for i in range(1, m):
+        for i in range(1, m // 2 + 1):
             acc = acc + product_space(algebra, principal[i], principal[m - i])
         principal.append(acc)
     right = full
@@ -58,8 +58,7 @@ def power_spaces(algebra, k):
     return PowerSpaces(principal[k], right, solv)
 
 
-@dataclass(frozen=True)
-class NilpotencyReport:
+class NilpotencyReport(NamedTuple):
     is_nilpotent: bool
     ann_chain_indices: tuple      # index sets, strictly increasing until stable
     type_sequence: tuple          # dimension increments, empty when not nilpotent
@@ -105,8 +104,7 @@ def is_cube_zero(algebra):
     return all(not out or i not in entered for i, out in enumerate(algebra.digraph))
 
 
-@dataclass(frozen=True)
-class MinorWitness:
+class MinorWitness(NamedTuple):
     gamma: tuple    # support of u
     omega: tuple    # support of v and w
     u: Element
@@ -114,12 +112,11 @@ class MinorWitness:
     w: Element
 
 
-@dataclass(frozen=True)
-class OrthogonalityScan:
+class OrthogonalityScan(NamedTuple):
     witness: MinorWitness | None
     truncated: bool
     max_subset_size: int
-    minors: int = dataclasses.field(default=0, compare=False)   # square minors evaluated
+    minors: int = 0   # square minors evaluated
 
 
 def find_orthogonality_witness(algebra, max_subset_size=None):
@@ -189,12 +186,11 @@ def _witness_for_pair(algebra, gamma, omega):
                         *(Element._from_plain(algebra, x) for x in (u, v, w)))
 
 
-@dataclass(frozen=True)
-class CubeNilpotentScan:
+class CubeNilpotentScan(NamedTuple):
     element: Element | None
     minor_indices: tuple | None   # first vanishing principal minor found
     needs_square_roots: bool
-    minors: int = dataclasses.field(default=0, compare=False)   # principal minors evaluated
+    minors: int = 0   # principal minors evaluated
 
     @property
     def diagnostic(self):

@@ -11,9 +11,9 @@ run settings.
 """
 
 import random
-from dataclasses import dataclass
 from itertools import combinations, product
 from operator import mul
+from typing import NamedTuple
 
 from . import ideals, natural, nilpotency
 from .algebra import EvolutionAlgebra
@@ -356,8 +356,7 @@ def _cube_nilpotent_case(p, dim):
 # ------------------------------------------------------------------ oracle runs
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     name: str
     checked: int
     mismatches: tuple   # failing inputs: (matrix, vector or None)

@@ -84,13 +84,12 @@ def test_adjoint_invariants_random():
     for a in sparse_corpus(51, (QQ, GF(2), GF(3), GF(5)), 150, 5):
         adj = a.adjoint()
         inv = adjoint_invariants(a)
-        assert inv.irreducible == (is_irreducible(a), is_irreducible(adj))
-        assert inv.simple == (is_simple(a), is_simple(adj))
-        assert inv.basic_simple_relative == (is_basic_simple_relative(a),
-                                             is_basic_simple_relative(adj))
-        assert inv.nilpotent == (nilpotency_report(a).is_nilpotent,
-                                 nilpotency_report(adj).is_nilpotent)
-        assert inv.all_agree and inv.subalgebra_complements_ok
+        assert inv.irreducible == is_irreducible(a) == is_irreducible(adj)
+        assert inv.simple == is_simple(a) == is_simple(adj)
+        assert (inv.basic_simple_relative == is_basic_simple_relative(a)
+                == is_basic_simple_relative(adj))
+        assert (inv.nilpotent == nilpotency_report(a).is_nilpotent
+                == nilpotency_report(adj).is_nilpotent)
         # The adjoint's digraph reverses A's, so every complement of a
         # closed set of A is closed in it.
         adj_digraph = adj.digraph
@@ -99,9 +98,7 @@ def test_adjoint_invariants_random():
         for closed in descendant_closed_sets(a):
             complement = full - closed
             assert all(adj_digraph[j] <= complement for j in complement)
-        seen.update((name, pair[0]) for name, pair in zip(
-            ("irreducible", "simple", "basic", "nilpotent"),
-            (inv.irreducible, inv.simple, inv.basic_simple_relative, inv.nilpotent)))
+        seen.update(inv._asdict().items())
     assert len(seen) == 8
 
 
@@ -239,10 +236,10 @@ def test_transient_overlap_matches_subspace_intersection():
 
 def test_hierarchy_terminates():
     h = hierarchy(fixture_59_rebased())
-    assert len(h.levels) >= 2
-    level0 = h.levels[0]
+    assert len(h) >= 2
+    level0 = h[0]
     assert level0.decomposition.transient_indices == (1,)
-    last = h.levels[-1]
+    last = h[-1]
     assert (not last.decomposition.transient_indices
             or len(last.decomposition.transient_indices) == last.algebra.n)
 
@@ -251,12 +248,12 @@ def test_hierarchy_projection_flag():
     # The transient generator's square leaves the transient span, so the
     # next level works with a projected structure matrix.
     h = hierarchy(fixture_59_rebased())
-    assert h.levels[0].projected
+    assert h[0].projected
     # The ambient index mapping tracks original positions.
-    assert h.levels[1].ambient_indices == (1,)
+    assert h[1].ambient_indices == (1,)
 
 
 def test_hierarchy_all_transient_stops():
     h = hierarchy(fixture_59())
-    assert len(h.levels) == 1
-    assert h.levels[0].decomposition.transient_indices == (0, 1, 2)
+    assert len(h) == 1
+    assert h[0].decomposition.transient_indices == (0, 1, 2)

@@ -7,6 +7,7 @@ from math import isqrt
 import pytest
 
 import evoalg.algebra as algebra_module
+import evoalg.generate as generate
 import evoalg.linalg as linalg_module
 from evoalg.algebra import (Element, EvolutionAlgebra,
                             check_algebra_homomorphism)
@@ -28,6 +29,20 @@ def test_shape_checks():
         EvolutionAlgebra(QQ, [[1, 2], [3, 4]], labels=["a"])
     with pytest.raises(IndexOutOfRange):
         algebra_q([[1]]).unit(1)
+
+
+def test_empty_matrix_and_bad_exponent_and_homomorphism_shape():
+    for structure in ([], Matrix(QQ, [])):
+        with pytest.raises(ShapeMismatch, match="^dimension must be at least 1$"):
+            EvolutionAlgebra(QQ, structure)
+    a = algebra_q([[1, 0], [0, 1]])
+    for k in (0, -1):
+        with pytest.raises(IndexOutOfRange, match="^power exponent must be >= 1$"):
+            a.unit(0).power(k)
+    for f in ([[1, 0, 0], [0, 1, 0]], [[1, 0]]):
+        with pytest.raises(ShapeMismatch,
+                           match="^homomorphism matrix shape does not match the algebras$"):
+            check_algebra_homomorphism(a, a, f)
 
 
 def test_basis_products():
@@ -101,9 +116,11 @@ def test_annihilator_two_routes():
             assert a.annihilator() == annihilator_definitional(a)
 
 
-def test_random_algebra_budget():
-    with pytest.raises(SamplingExhausted):
-        random_algebra(GF(2), 3, seed=1, perfect=True, max_tries=0)
+def test_random_algebra_budget(monkeypatch):
+    monkeypatch.setattr(generate, "MAX_TRIES", 0)
+    with pytest.raises(SamplingExhausted,
+                       match="^rejection sampling found no algebra in 0 tries$"):
+        random_algebra(GF(2), 3, seed=1, perfect=True)
 
 
 def test_annihilator_membership_brute():

@@ -581,6 +581,20 @@ def test_write_errors_in_a_process(tmp_path, ex59):
         target.close()
 
 
+def test_one_shot_analyze_loads_no_dataclasses(ex59):
+    # The report records are NamedTuples, so a one-shot run imports neither
+    # dataclasses nor inspect, which dataclasses pulls in.  -S keeps site's
+    # own imports out of the count.
+    src = str(Path(evoalg.__file__).resolve().parents[1])
+    script = ("import sys\nfrom evoalg.cli import main\ncode = main(sys.argv[1:])\n"
+              "print(code, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script, "analyze", ex59],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("field: gf 5\n")
+    assert proc.stdout.endswith("\n0 []\n")
+
+
 def test_adjoint_report_reads_the_algebra_alone(monkeypatch, capsys, ex59):
     # The shared invariants are read from A: no adjoint algebra is built,
     # and the one determinant is A's.
@@ -681,6 +695,15 @@ def test_non_prime_field_option_exits_2(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv, "--field", "gf 4")
     assert_clean_error(code, err, 2, "parse-error")
     assert out == "" and "not prime" in err
+
+
+def test_composite_without_a_small_factor_exits_2(capsys, tmp_path):
+    # 1763 = 41 * 43 has no factor up to 37, so Miller-Rabin refuses it.
+    path = write(tmp_path, "gf1763.alg", "field gf 1763\ndim 1\n1\n")
+    code, out, err = run(capsys, "analyze", path)
+    assert_clean_error(code, err, 2, "parse-error")
+    assert out == ""
+    assert err == "error [parse-error]: bad field spec 'gf 1763': 1763 is not prime (line 1)\n"
 
 
 def test_pseudoprime_modulus_exits_2(capsys, tmp_path):

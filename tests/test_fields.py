@@ -26,6 +26,28 @@ def test_is_prime_large():
     assert not is_prime(561)
 
 
+def test_is_prime_matches_trial_division():
+    sieve = [False, False] + [True] * (2 * 10**4 - 2)
+    for i in range(2, 142):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    assert [n for n in range(2 * 10**4) if is_prime(n)] == [n for n, q in enumerate(sieve) if q]
+
+
+def test_is_prime_rejects_composites_without_a_small_factor():
+    # No factor up to 37, so each reaches the witness loop: 41^2, 41 * 43,
+    # the Carmichael number 41 * 61 * 101, the strong pseudoprime to the
+    # bases 2, 3, 5, 7 that is 151 * 751 * 28351, and the one to the bases
+    # 2, ..., 23 that is 149491 * 747451 * 34233211.
+    composites = (1681, 1763, 252601, 3215031751, 3825123056546413051)
+    assert [41 * 41, 41 * 43, 41 * 61 * 101, 151 * 751 * 28351,
+            149491 * 747451 * 34233211] == list(composites)
+    for n in composites:
+        assert not is_prime(n), n
+    with pytest.raises(NonPrimeModulus, match="^1763 is not prime$"):
+        GF(1763)
+
+
 # The least strong pseudoprime to the bases 2, 3, ..., 37: 399165290221 *
 # 798330580441, above 2**64, where those bases no longer decide.
 PSEUDOPRIME = 318665857834031151167461

@@ -205,6 +205,16 @@ def test_subspace_coordinate_matches_rref(field, indices):
         assert direct == Subspace.full(field, n)
 
 
+def test_subspace_vector_lengths_are_checked():
+    with pytest.raises(ShapeMismatch, match="^vectors of length 2 in ambient dimension 3$"):
+        Subspace.from_vectors(QQ, 3, [[1, 0, 0], [1, 0]])
+    space = Subspace.from_vectors(GF(5), 3, [[1, 2, 0]])
+    for method in (space.contains, space.reduce):
+        with pytest.raises(ShapeMismatch,
+                           match="^vector length does not match ambient dimension$"):
+            method([1, 2])
+
+
 def test_subspace_coordinate_rejects_out_of_range():
     for bad in ([3], [-1], [0, 4]):
         with pytest.raises(IndexOutOfRange):

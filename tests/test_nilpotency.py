@@ -43,6 +43,39 @@ def test_power_spaces_dim4():
     assert power_spaces(a, 3).principal != two.solvable
 
 
+def principal_powers_both_orders(algebra, k):
+    """A^1..A^k with A^m the sum of A^i A^(m-i) over every i in 1..m-1,
+    both orders of each pair formed."""
+    powers = [None, Subspace.full(algebra.field, algebra.n)]
+    for m in range(2, k + 1):
+        acc = Subspace.zero(algebra.field, algebra.n)
+        for i in range(1, m):
+            acc = acc + product_space(algebra, powers[i], powers[m - i])
+        powers.append(acc)
+    return powers[1:]
+
+
+def test_power_spaces_form_each_pair_once():
+    # The product is commutative, so forming A^i A^(m-i) for i <= m/2 only
+    # gives the same principal powers.
+    rng = random.Random(27)
+    shapes = set()
+    for field in (QQ, GF(2), GF(3), GF(101)):
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            draw = ((lambda: rng.randint(-3, 3)) if field == QQ
+                    else (lambda: rng.randrange(field.p)))
+            # Mostly strictly lower triangular: nilpotent or nearly so, so
+            # the powers shrink over several steps.
+            rows = [[draw() if j < i or rng.random() < 0.1 else 0 for j in range(n)]
+                    for i in range(n)]
+            a = EvolutionAlgebra(field, rows)
+            expected = principal_powers_both_orders(a, 5)
+            assert [power_spaces(a, k).principal for k in range(1, 6)] == expected
+            shapes.add(tuple(s.dim for s in expected))
+    assert len(shapes) > 20 and any(len(set(dims)) >= 4 for dims in shapes)
+
+
 def test_power_spaces_index_below_one():
     assert power_spaces(dim4_example(), 1).principal.dim == 4
     for k in (0, -1):
@@ -376,7 +409,7 @@ def test_minor_scan_matches_all_pairs(monkeypatch):
         calls = counting(monkeypatch, nilpotency, "_witness_for_pair")
         scan = find_orthogonality_witness(a, cap)
         monkeypatch.undo()
-        assert scan == expected
+        assert scan._replace(minors=0) == expected
         assert scan.minors <= sum(comb(a.n, k) ** 2 for k in range(1, scan.max_subset_size + 1))
         assert len(calls) == (scan.witness is not None)
         hits += scan.witness is not None
@@ -448,7 +481,7 @@ def test_cube_scan_matches_minor_per_subset(monkeypatch):
                               (nilpotency, "cube_witness_from_minor"))
         scan = find_cube_nilpotent(a)
         monkeypatch.undo()
-        assert scan == expected
+        assert scan._replace(minors=0) == expected
         assert scan.minors <= 2 ** a.n - 1
         # No determinant inside the scan: the one det is the perfectness
         # check on M itself.
@@ -487,8 +520,8 @@ def test_cube_scan_singular_prefixes(monkeypatch):
     assert passed_b[:4] == [(0, 1), (0, 2), (1, 2), (0, 1, 2)]
     minor_calls = counting(monkeypatch, Matrix, "minor")
     det_calls = counting(monkeypatch, Matrix, "det")
-    assert find_cube_nilpotent(a) == expected_a
-    assert find_cube_nilpotent(b) == expected_b
+    assert find_cube_nilpotent(a)._replace(minors=0) == expected_a
+    assert find_cube_nilpotent(b)._replace(minors=0) == expected_b
     # No determinant inside the scan: one det per scan, the perfectness
     # check on M itself.
     assert not minor_calls and [m for m, in det_calls] == [a.M, b.M]

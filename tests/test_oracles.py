@@ -1,6 +1,5 @@
 """Sanity checks of the brute-force reference machinery itself."""
 
-import dataclasses
 import random
 from itertools import product
 
@@ -267,11 +266,11 @@ BREAKS = {
     "ideal-lattice": (_broken(ideals, "ideal_lattice_perfect", lambda lat: lat[:-1]),
                       [(3, 2, 20, 1), (2, 3, 20, 1)]),
     "minor-condition": (_broken(nilpotency, "find_orthogonality_witness", lambda s: (
-        dataclasses.replace(s, witness=None))), [(3, 3, 60, 1)]),
+        s._replace(witness=None))), [(3, 3, 60, 1)]),
     "nilpotency": (_broken(nilpotency, "nilpotency_report", lambda r: (
-        dataclasses.replace(r, is_nilpotent=not r.is_nilpotent))), [(2, 3, 20, 1)]),
+        r._replace(is_nilpotent=not r.is_nilpotent))), [(2, 3, 20, 1)]),
     "cube-nilpotent": (_broken(nilpotency, "find_cube_nilpotent", lambda s: (
-        dataclasses.replace(s, element=None))), [(p, 3, 60, 1) for p in (3, 5, 7)]),
+        s._replace(element=None))), [(p, 3, 60, 1) for p in (3, 5, 7)]),
 }
 
 
@@ -308,8 +307,8 @@ def test_nilpotency_oracle_finds_a_wrong_index(monkeypatch):
     for longer in ((), (0,)):
         with monkeypatch.context() as m:
             m.setattr(*_broken(nilpotency, "nilpotency_report", lambda r: (
-                dataclasses.replace(r, type_sequence=r.type_sequence + longer,
-                                    right_nilpotency_index=r.right_nilpotency_index + 1)
+                r._replace(type_sequence=r.type_sequence + longer,
+                           right_nilpotency_index=r.right_nilpotency_index + 1)
                 if r.is_nilpotent else r)))
             for run in runs:
                 report = run_oracle("nilpotency", *run)

@@ -16,6 +16,20 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_dataclasses():
+    # Report records are typing.NamedTuples: one record mechanism, and no
+    # dataclasses (with inspect behind it) to import at start-up.
+    sources = sorted(Path(evoalg.__file__).parent.glob("*.py"))
+    assert len(sources) >= 13
+    found = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if (isinstance(node, ast.Import)
+                 and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+             or (isinstance(node, ast.ImportFrom) and node.module
+                 and node.module.split(".")[0] == "dataclasses")]
+    assert found == []
+
+
 def test_sources_parse_as_python_3_10():
     # pyproject.toml promises Python >= 3.10: no later syntax in the package
     # or its tests.
