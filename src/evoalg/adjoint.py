@@ -37,7 +37,7 @@ def descendants(algebra, i, k=None):
     if k is not None:
         current = frozenset(adjacency[i])
         for _ in range(k - 1):
-            current = frozenset().union(*(adjacency[j] for j in current)) if current else frozenset()
+            current = frozenset().union(*(adjacency[j] for j in current))
         return current
     return reachable(adjacency, adjacency[i])
 
@@ -82,23 +82,23 @@ UNKNOWN = "unknown"
 
 class GeneratorClassification(NamedTuple):
     verdict: str                  # persistent / transient / unknown
-    closure: Subspace             # subalgebra generated by the basis vector
-    closure_support: tuple        # indices touched by the closure
-    coordinate_spanned: bool
+    closure_support: tuple        # indices touched by the closure of the basis vector
+    coordinate_spanned: bool      # the closure is the coordinate span of its support
 
 
 def classify_generators(algebra):
-    """Per-index classification relative to the standard basis.  A spanned
-    closure is the coordinate span of its support, so generators with equal
-    supports share one verdict, decided once."""
+    """Per-index classification relative to the standard basis, read from
+    the closure's independent rows: it is spanned by basis vectors iff it
+    has as many rows as its support has indices.  A spanned closure is the
+    coordinate span of its support, so generators with equal supports share
+    one verdict, decided once."""
     out = []
     verdicts = {}
     for i in range(algebra.n):
-        closure = algebra.subalgebra_closure([algebra.unit(i)])
-        support = tuple(sorted({j for row in closure.plain for j, x in enumerate(row) if x}))
-        spanned = closure.dim == len(support)
-        if not spanned:
-            out.append(GeneratorClassification(TRANSIENT, closure, support, False))
+        rows = algebra._closure([algebra.unit(i)])
+        support = tuple(sorted({j for row in rows for j, x in enumerate(row) if x}))
+        if len(rows) != len(support):
+            out.append(GeneratorClassification(TRANSIENT, support, False))
             continue
         if support not in verdicts:
             induced = EvolutionAlgebra(algebra.field, algebra.M.submatrix(support, support))
@@ -109,14 +109,13 @@ def classify_generators(algebra):
                 basic = is_basic_simple(induced)
                 verdicts[support] = (PERSISTENT if basic else
                                      UNKNOWN if basic is None else TRANSIENT)
-        out.append(GeneratorClassification(verdicts[support], closure, support, True))
+        out.append(GeneratorClassification(verdicts[support], support, True))
     return out
 
 
 class ZerothDecomposition(NamedTuple):
-    components: tuple         # (generator indices, support indices, Subspace)
-    transient_indices: tuple
-    transient_span: Subspace
+    components: tuple         # (generator indices, support indices) pairs
+    transient_indices: tuple  # ascending; E is their coordinate span
     classifications: tuple
     diagnostics: tuple
 
@@ -139,10 +138,8 @@ def zeroth_decomposition(algebra):
         groups.setdefault(classes[i].closure_support, []).append(i)
     if set(transient) & set().union(*groups):
         diagnostics.append("transient span intersects the persistent components")
-    span = Subspace.coordinate(algebra.field, algebra.n, transient)
-    components = tuple((tuple(g), s, classes[g[0]].closure) for s, g in groups.items())
-    return ZerothDecomposition(components, tuple(transient), span,
-                               tuple(classes), tuple(diagnostics))
+    return ZerothDecomposition(tuple((tuple(g), s) for s, g in groups.items()),
+                               tuple(transient), tuple(classes), tuple(diagnostics))
 
 
 class HierarchyLevel(NamedTuple):
@@ -163,7 +160,7 @@ def hierarchy(algebra):
     mapping = tuple(range(algebra.n))
     while True:
         dec = zeroth_decomposition(current)
-        transient = sorted(dec.transient_indices)
+        transient = dec.transient_indices
         projected = any(not current.digraph[j] <= set(transient) for j in transient)
         levels.append(HierarchyLevel(current, mapping, dec, projected))
         if not transient or len(transient) == current.n:

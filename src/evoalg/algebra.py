@@ -125,7 +125,10 @@ class EvolutionAlgebra:
         return Subspace._from_plain(self.field, self.n, list(zip(*self.M.plain)))
 
     def subalgebra_closure(self, elements):
-        return self._closure(elements)
+        rows = self._closure(elements)
+        if len(rows) == self.n:
+            return Subspace.full(self.field, self.n)
+        return Subspace._from_plain(self.field, self.n, rows)
 
     def ideal_closure(self, elements):
         """The span of the elements and of e_i^2 for every index i reachable
@@ -144,21 +147,17 @@ class EvolutionAlgebra:
         return matvec_rows(self.M.plain, list(map(mul, u, w)), self.field.reduce)
 
     def _closure(self, elements):
-        # One worklist over a semi-echelon basis (_rounds): every row is
+        # The plain rows of a semi-echelon basis of the subalgebra the
+        # elements generate, grown from one worklist (_rounds): every row is
         # nonzero at its pivot and 0 at the pivots of the rows before it.
         # Over Q the rows are primitive integer rows; over GF(p) they are
         # monic residue rows, each also packed into one int, so a product and
         # a reduction step are O(n) big-int operations (_gfp_rounds,
         # _gf2_rounds).
-        field, n = self.field, self.n
-        gens = [field.normalize(self._plain_of(x)) for x in elements]
-        p = field.p
+        normalize, p = self.field.normalize, self.field.p
         rounds = (self._rational_rounds if p is None
                   else self._gf2_rounds if p == 2 else self._gfp_rounds)
-        rows = rounds(gens)
-        if len(rows) == n:
-            return Subspace.full(field, n)
-        return Subspace._from_plain(field, n, rows)
+        return rounds([normalize(self._plain_of(x)) for x in elements])
 
     def _rational_rounds(self, gens):
         # Products come from one integer multiple of M, which keeps their

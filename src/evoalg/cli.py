@@ -129,11 +129,11 @@ def cmd_decompose(a, args):
         return data, lines, None
     dec = decompose(a)
     data = {
-        "annihilator_indices": _indices(dec.annihilator.pivots),
+        "annihilator_indices": _indices(dec.annihilator_indices),
         "components": [_indices(ix) for ix in dec.component_indices],
         "component_squares": [_vec(s) for s in dec.component_squares],
         "square_dim": dec.square_dim,
-        "component_count": len(dec.components),
+        "component_count": len(dec.component_indices),
         "count_matches_square_dim": dec.component_count_matches_square_dim,
     }
     lines = [f"annihilator indices: {data['annihilator_indices']}"]
@@ -141,7 +141,7 @@ def cmd_decompose(a, args):
                                      data["component_squares"]), start=1):
         lines.append(f"component {k}: indices {ix}, square line {sq}")
     lines.append(f"square dim: {dec.square_dim}")
-    lines.append(f"component count: {len(dec.components)}"
+    lines.append(f"component count: {data['component_count']}"
                  + ("" if dec.component_count_matches_square_dim
                     else "  (differs from dim of the square space)"))
     return data, lines, None
@@ -270,7 +270,7 @@ def cmd_classify(a, args):
     data = {
         "verdicts": [c.verdict for c in dec.classifications],
         "components": [{"generators": _indices(g), "support": _indices(s)}
-                       for g, s, _ in dec.components],
+                       for g, s in dec.components],
         "transient_indices": _indices(dec.transient_indices),
         "diagnostics": list(dec.diagnostics),
     }
@@ -294,7 +294,7 @@ def cmd_hierarchy(a, args):
         entry = {
             "indices": [i + 1 for i in level.ambient_indices],
             "components": [{"generators": _indices(g), "support": _indices(s)}
-                           for g, s, _ in level.decomposition.components],
+                           for g, s in level.decomposition.components],
             "transient": _indices(level.decomposition.transient_indices),
             "projected": level.projected,
             "diagnostics": list(level.decomposition.diagnostics),

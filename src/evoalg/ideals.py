@@ -51,9 +51,7 @@ def _support(subspace):
 def is_ideal(algebra, subspace):
     """A I <= I.  By bilinearity it suffices that e_i s = s_i e_i^2 lies in
     I for every RREF row s and every i, that is that e_i^2 does for every
-    i in the support of I."""
-    if not subspace.dim:
-        return True
+    i in the support of I (none for the zero subspace)."""
     algebra._check_space(subspace)
     squares = list(zip(*algebra.M.plain))
     return all(subspace.contains(squares[i]) for i in _support(subspace))

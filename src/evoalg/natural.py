@@ -149,15 +149,16 @@ def has_unique_natural_basis(algebra):
 
 
 class Decomposition(NamedTuple):
-    annihilator: Subspace
-    components: tuple            # Subspace per class, ordered by smallest index
-    component_indices: tuple     # tuple of index tuples
+    """ann(A) + A_1 + ... + A_m as index sets of the natural basis: each
+    summand is the coordinate span of its indices."""
+    annihilator_indices: tuple   # ascending
+    component_indices: tuple     # index tuple per class, ordered by smallest index
     component_squares: tuple     # normalized line generator per class (plain tuples)
     square_dim: int              # dim A^2, reported separately from the class count
 
     @property
     def component_count_matches_square_dim(self):
-        return len(self.components) == self.square_dim
+        return len(self.component_indices) == self.square_dim
 
 
 def decompose(algebra):
@@ -165,16 +166,13 @@ def decompose(algebra):
     each class line scaled to leading entry 1: the lines are monic over
     GF(p) and primitive integer rows with a positive lead over Q, so
     rational(x, lead) is that scaling over both fields."""
-    field, n = algebra.field, algebra.n
     classes = algebra.column_classes
     squares = []
     for line in classes.lines:
         lead = next(x for x in line if x)
         squares.append(tuple(rational(x, lead) for x in line))
-    ann = [i for i, c in enumerate(classes.class_of) if c is None]
-    return Decomposition(Subspace.coordinate(field, n, ann),
-                         tuple(Subspace.coordinate(field, n, idx) for idx in classes.members),
-                         classes.members, tuple(squares), algebra.M.rank())
+    ann = tuple(i for i, c in enumerate(classes.class_of) if c is None)
+    return Decomposition(ann, classes.members, tuple(squares), algebra.M.rank())
 
 
 def decomposition_for_basis(algebra, basis_vectors):

@@ -112,7 +112,7 @@ def test_persistent_supports_equal_or_disjoint():
         for s, t in combinations(supports, 2):
             assert not set(s) & set(t), (a.field, a.M.plain)
         dec = zeroth_decomposition(a)
-        assert {support for _, support, _ in dec.components} == supports
+        assert {support for _, support in dec.components} == supports
         several += len(supports) >= 2
     assert several >= 40
 
@@ -150,7 +150,7 @@ def ref_classify_generators(algebra):
         closure = algebra.subalgebra_closure([algebra.unit(i)])
         support = tuple(sorted({j for row in closure.basis for j, x in enumerate(row) if x}))
         if closure.dim != len(support):
-            out.append(GeneratorClassification(TRANSIENT, closure, support, False))
+            out.append(GeneratorClassification(TRANSIENT, support, False))
             continue
         induced = EvolutionAlgebra(algebra.field, algebra.M.submatrix(support, support))
         if induced.square_space().dim == 0:
@@ -158,7 +158,7 @@ def ref_classify_generators(algebra):
         else:
             basic = is_basic_simple(induced)
             verdict = PERSISTENT if basic else (UNKNOWN if basic is None else TRANSIENT)
-        out.append(GeneratorClassification(verdict, closure, support, True))
+        out.append(GeneratorClassification(verdict, support, True))
     return out
 
 
@@ -192,10 +192,13 @@ def test_classification_decides_each_support_once(monkeypatch):
 
 
 def test_zeroth_decomposition_components():
-    dec = zeroth_decomposition(fixture_59_rebased())
-    assert dec.components == (((0, 2), (0, 2), dec.components[0][2]),)
+    a = fixture_59_rebased()
+    dec = zeroth_decomposition(a)
+    assert dec.components == (((0, 2), (0, 2)),)
     assert dec.transient_indices == (1,)
-    assert dec.transient_span.dim == 1
+    # The component is the closure of its generators: the span of e_1, e_3.
+    for g in (0, 2):
+        assert a.subalgebra_closure([a.unit(g)]) == Subspace.coordinate(a.field, 3, [0, 2])
 
 
 def test_transient_overlap_diagnostic():
@@ -204,8 +207,10 @@ def test_transient_overlap_diagnostic():
     a = EvolutionAlgebra(QQ, [[0, 0, 1], [1, 1, -1], [1, -1, 1]])
     dec = zeroth_decomposition(a)
     assert dec.transient_indices == (0,)
-    assert dec.components == (((1, 2), (0, 1, 2), Subspace.full(QQ, 3)),)
-    assert dec.transient_span.intersect(dec.components[0][2]).dim == 1
+    assert dec.components == (((1, 2), (0, 1, 2)),)
+    closure = a.subalgebra_closure([a.unit(1)])
+    assert closure == Subspace.full(QQ, 3)
+    assert Subspace.coordinate(QQ, 3, [0]).intersect(closure).dim == 1
     assert dec.diagnostics == ("transient span intersects the persistent components",)
 
 
@@ -222,11 +227,13 @@ def test_transient_overlap_matches_subspace_intersection():
             zeros = rng.choice([0.2, 0.4, 0.6])
             rows = [[0 if rng.random() < zeros else rng.choice([-1, 1]) for _ in range(n)]
                     for _ in range(n)]
-            dec = zeroth_decomposition(EvolutionAlgebra(field, rows))
+            a = EvolutionAlgebra(field, rows)
+            dec = zeroth_decomposition(a)
             total = Subspace.zero(field, n)
-            for _, _, span in dec.components:
-                total = total + span
-            meets = dec.transient_span.intersect(total).dim > 0
+            for g, _ in dec.components:
+                total = total + a.subalgebra_closure([a.unit(g[0])])
+            transient = Subspace.coordinate(field, n, dec.transient_indices)
+            meets = transient.intersect(total).dim > 0
             flagged = "transient span intersects the persistent components" in dec.diagnostics
             assert flagged == meets, (field, rows)
             seen.add((field, meets, bool(dec.components)))

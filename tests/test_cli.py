@@ -23,7 +23,7 @@ from evoalg.cli import COMMANDS, build_parser, main
 from evoalg import generate
 from evoalg.errors import AnswerTooLarge
 from evoalg.fields import GF, Mod
-from evoalg.linalg import Matrix
+from evoalg.linalg import Matrix, Subspace
 
 EX59 = "field gf 5\ndim 3\n1 1 1\n1 1 1\n1 1 0\n"
 PERFECT2 = "field q\ndim 2\n0 1\n1 0\n"
@@ -472,6 +472,33 @@ def test_digraph_builds_per_subcommand(capsys, monkeypatch, tmp_path, ex59, comm
         built.clear()
         code, _, _ = run(capsys, command, path)
         assert (code, built.get("digraph", 0), built.get("column_classes", 0)) == (0, *made)
+
+
+# Subspaces one run builds, on ex59 and on the dense GF(101) algebra.  The
+# structure reports read index sets and closure rows, so only a report
+# that prints a subspace's dimension builds one: analyze's ann(A) and
+# adjoint's adjoint annihilator.
+SUBSPACE_COUNTS = [
+    ("classify", 0, 0), ("hierarchy", 0, 0), ("decompose", 0, 0), ("analyze", 1, 1),
+    ("adjoint", 1, 1)]
+
+
+@pytest.mark.parametrize("command, on_ex59, on_dense", SUBSPACE_COUNTS,
+                         ids=[c for c, _, _ in SUBSPACE_COUNTS])
+def test_subspace_builds_per_subcommand(capsys, monkeypatch, tmp_path, ex59, command,
+                                        on_ex59, on_dense):
+    count = [0]
+    init = Subspace.__init__
+
+    def counted(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Subspace, "__init__", counted)
+    for path, made in ((ex59, on_ex59), (dense_gf101(tmp_path), on_dense)):
+        count[0] = 0
+        code, _, _ = run(capsys, command, path)
+        assert (code, count[0]) == (0, made)
 
 
 # Fractions made per subcommand on a dense integer Q algebra at n = 8:

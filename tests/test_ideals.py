@@ -8,7 +8,7 @@ import pytest
 
 from evoalg.adjoint import adjoint_annihilator, is_irreducible
 from evoalg.algebra import EvolutionAlgebra
-from evoalg.errors import AnswerTooLarge, NotPerfect
+from evoalg.errors import AnswerTooLarge, FieldMismatch, NotPerfect, ShapeMismatch
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
 from evoalg.ideals import (_breaking_class, descendant_closed_sets, ideal_lattice_perfect,
@@ -210,6 +210,18 @@ def test_is_ideal_and_basic():
     assert not is_ideal(a, not_ideal)
     assert is_ideal(a, Subspace.full(QQ, 2))
     assert is_basic_ideal(a, Subspace.full(QQ, 2))
+
+
+def test_is_ideal_checks_zero_subspace():
+    # The zero subspace is checked like any other: over another field or of
+    # another length it is refused, not an ideal by default.
+    a = EvolutionAlgebra(GF(5), [[1, 1, 1], [1, 1, 1], [1, 1, 0]])
+    for check in (is_ideal, is_basic_ideal):
+        assert check(a, Subspace.zero(GF(5), 3))
+        with pytest.raises(FieldMismatch):
+            check(a, Subspace.zero(GF(3), 7))
+        with pytest.raises(ShapeMismatch):
+            check(a, Subspace.zero(GF(5), 7))
 
 
 def test_descendant_closed_sets():

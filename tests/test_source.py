@@ -1,9 +1,12 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import evoalg
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 def test_no_assert_statements():
@@ -34,8 +37,9 @@ def test_sources_parse_as_python_3_10():
     # pyproject.toml promises Python >= 3.10: no later syntax in the package
     # or its tests.
     root = Path(evoalg.__file__).parent
-    sources = sorted(root.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
-    assert len(sources) >= 29
+    sources = (sorted(root.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+               + sorted(TOOLS.glob("*.py")))
+    assert len(sources) >= 30
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
@@ -117,3 +121,32 @@ def test_brute_force_references_name_no_fast_path():
              for node in ast.walk(top) if isinstance(node, ast.Name) and node.id in checked]
     assert found == []
     assert len(allowed) == 6
+
+
+CODE_LINES_SAMPLE = '''"""Module docstring
+over two lines."""
+
+# A comment line.
+import os  # code with a trailing comment
+
+
+class Record:
+    """Class docstring."""
+
+    def read(self):
+        """Function docstring
+        over two lines."""
+        text = """a multi-line string
+that is no docstring"""
+
+        return os.sep + text  # another trailing comment
+'''
+
+
+def test_code_line_counter_rules():
+    # Blank, comment and docstring lines do not count; every line of any
+    # other string does, and so does code with a trailing comment.
+    spec = importlib.util.spec_from_file_location("code_lines", TOOLS / "code_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.code_lines(CODE_LINES_SAMPLE) == [5, 8, 11, 14, 15, 17]
