@@ -69,6 +69,8 @@ def test_element_ops():
     assert u.power(3) == u * (u * u)
     with pytest.raises(AlgebraMismatch):
         u * algebra_q([[1, 0], [0, 1]]).element([1, 0])
+    with pytest.raises(AlgebraMismatch, match="^expected an Element, got int$"):
+        u * 3
 
 
 def test_ideal_closure_reaches_whole_algebra():

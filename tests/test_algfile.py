@@ -95,19 +95,28 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_structure_errors_name_the_line_or_none():
-    # A repeated labels line is a line error; the checks after the last
-    # line (a missing dim line, a label count other than dim) carry no line.
+    # A repeated header line is a line error; the checks after the last
+    # line (a missing field or dim line, a label count other than dim) and
+    # every JSON check carry no line.
     for text, message, line in (
             ("field q\ndim 2\nlabels a b\nlabels c d\n1 0\n0 1\n",
              "duplicate labels line (line 4)", 4),
+            ("field q\ndim 2\ndim 2\n1 0\n0 1\n", "duplicate dim line (line 3)", 3),
             ("field q\n", "missing dim line", None),
+            ("dim 2\n", "missing field line", None),
             ("field q\ndim 2\nlabels a\n1 0\n0 1\n", "label count does not match dim", None)):
         with pytest.raises(ParseError) as err:
             parse_algebra_text(text)
         assert str(err.value) == message and err.value.line == line
-    with pytest.raises(ParseError) as err:
-        parse_algebra_json({"field": "q", "dim": 2, "matrix": [["1", "0"], ["0"]]})
-    assert str(err.value) == "matrix rows must have 2 entries" and err.value.line is None
+    doc = {"field": "q", "dim": 2, "matrix": [["1", "0"], ["0", "1"]]}
+    for bad, message in ((dict(doc, matrix=[["1", "0"], ["0"]]),
+                          "matrix rows must have 2 entries"),
+                         ({"field": "q", "dim": 2}, "missing key 'matrix'"),
+                         (dict(doc, labels=["a"]),
+                          "labels must list one name per basis vector")):
+        with pytest.raises(ParseError) as err:
+            parse_algebra_json(bad)
+        assert str(err.value) == message and err.value.line is None
 
 
 def test_json_roundtrip():

@@ -129,6 +129,14 @@ def test_minors_not_perfect_exits_3(capsys, tmp_path):
     assert code == 3 and "not-perfect" in err
 
 
+def test_cube_nilpotent_not_perfect_exits_3(capsys, tmp_path):
+    path = write(tmp_path, "s.alg", SINGULAR2)
+    code, out, err = run(capsys, "cube-nilpotent", path)
+    assert (code, out) == (3, "")
+    assert err == ("error [not-perfect]: nilpotent-of-order-3 detection requires "
+                   "a perfect algebra\n")
+
+
 def test_parse_error_exits_2(capsys, tmp_path):
     path = write(tmp_path, "bad.alg", "field q\ndim 2\n1 2 3\n4 5\n")
     code, _, err = run(capsys, "analyze", path)

@@ -108,6 +108,15 @@ def test_mod_errors():
         QQ(Mod(1, 5))
     with pytest.raises(FieldMismatch):
         GF(5)(Fraction(1, 2))
+    with pytest.raises(FieldMismatch, match=r"^cannot coerce str into GF\(5\)$"):
+        GF(5)("3")
+    with pytest.raises(TypeError, match=r"^not an exact rational: 1\.5$"):
+        QQ.box(1.5)
+
+
+def test_mod_reflected_division_and_foreign_equality():
+    assert 3 / Mod(2, 5) == Mod(4, 5)
+    assert (Mod(1, 5) == "1") is False
 
 
 def test_rational_canonical():

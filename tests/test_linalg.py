@@ -140,6 +140,18 @@ def test_matmul_and_transpose():
     assert Matrix.identity(QQ, 2) * a == a
 
 
+def test_products_and_solve_check_shapes():
+    a = Matrix(QQ, [[1, 2], [3, 4]])
+    with pytest.raises(ShapeMismatch, match=r"^matvec: 2 columns vs vector of length 3$"):
+        a.matvec([1, 2, 3])
+    with pytest.raises(ShapeMismatch, match=r"^matmul: 2 vs 1$"):
+        a * Matrix(QQ, [[1, 2]])
+    with pytest.raises(TypeError):
+        a * 3
+    with pytest.raises(ShapeMismatch, match=r"^solve: 2 rows vs rhs of length 3$"):
+        a.solve([1, 2, 3])
+
+
 def test_subspace_sum_and_intersection_dims():
     rng = random.Random(15)
     F = GF(5)

@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+import evoalg.natural as natural_module
 from evoalg.algebra import Element, EvolutionAlgebra
 from evoalg.errors import (AlgebraMismatch, Degenerate, NotANaturalBasis, NotExtendable,
                            NotNaturalVector, NotOrthogonal, ZeroVector)
@@ -177,6 +178,15 @@ def test_extend_family_errors():
     a = EvolutionAlgebra(QQ, [[1, 2, 0], [1, 2, 0], [0, 0, 1]])
     with pytest.raises(NotOrthogonal):
         extend_family(a, [a.element([1, 0, 0]), a.element([1, 1, 0])])
+
+
+def test_extend_family_verifies_its_completion(monkeypatch):
+    # A completion that returns a wrong vector is caught by the final check.
+    monkeypatch.setattr(natural_module, "_complete_orthogonal",
+                        lambda field, lambdas, members: [[0] * len(lambdas)])
+    a = EvolutionAlgebra(QQ, [[1, 0], [0, 1]])
+    with pytest.raises(NotANaturalBasis, match="^internal completion failed verification$"):
+        extend_family(a, [])
 
 
 def test_extend_family_char2():
