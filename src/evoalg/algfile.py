@@ -9,6 +9,10 @@ Text format, line oriented, ``#`` starts a comment anywhere:
     1 0 1               of e_j in each square, so column i is e_i^2)
     1 1 2
 
+The field and dim lines come before the rows and the labels line anywhere,
+in any order and at most once each; an error in a line carries its line
+number.
+
 JSON mirror: ``{"field": "q" | {"gf": p}, "dim": n, "matrix": [[str, ...],
 ...], "labels": [...]}`` with every scalar rendered as a string so that
 round trips are exact.  A JSON label must be a string the text format
@@ -21,7 +25,7 @@ import json
 
 from .algebra import EvolutionAlgebra
 from .errors import NonPrimeModulus, ParseError, UnreadableFile
-from .fields import GF, QQ, is_digits, parse_field, render_field
+from .fields import GF, QQ, parse_count, parse_field, render_field
 from .linalg import Matrix
 
 
@@ -35,53 +39,47 @@ def vector_tokens(line):
     return _strip(line).replace(",", " ").split()
 
 
+def _row(field, tokens, n):
+    """The plain values of a matrix row or vector line of n tokens."""
+    if len(tokens) != n:
+        raise ParseError(f"expected {n} entries, got {len(tokens)}")
+    return [field.parse(tok) for tok in tokens]
+
+
+def _dim(words):
+    if len(words) == 1 and (dim := parse_count(words[0])):
+        return dim
+    raise ParseError("dim expects a single positive integer")
+
+
+# Header keyword -> reader of the words after it.
+_HEADERS = {"field": lambda words: parse_field(" ".join(words)), "dim": _dim,
+            "labels": tuple}
+
+
 def parse_algebra_text(text):
-    lines = text.splitlines()
-    field = None
-    dim = None
-    labels = None
+    header = {}
     rows = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = _strip(raw)
-        if not line:
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = _strip(raw).split()
+        if not parts:
             continue
-        parts = line.split()
-        head = parts[0].lower()
-        if head == "field":
-            if field is not None:
-                raise ParseError("duplicate field line", line=lineno)
-            try:
-                field = parse_field(" ".join(parts[1:]))
-            except ParseError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-        elif head == "dim":
-            if dim is not None:
-                raise ParseError("duplicate dim line", line=lineno)
-            try:
-                dim = int(parts[1]) if len(parts) == 2 and is_digits(parts[1]) else 0
-            except ValueError:   # more digits than int() converts
-                dim = 0
-            if dim < 1:
-                raise ParseError("dim expects a single positive integer", line=lineno)
-        elif head == "labels":
-            if labels is not None:
-                raise ParseError("duplicate labels line", line=lineno)
-            labels = tuple(parts[1:])
-        else:
-            if field is None or dim is None:
-                raise ParseError("matrix rows must come after field and dim",
-                                 line=lineno)
-            if len(parts) != dim:
-                raise ParseError(f"expected {dim} entries, got {len(parts)}",
-                                 line=lineno)
-            try:
-                rows.append([field.parse(tok) for tok in parts])
-            except ParseError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-    if field is None:
-        raise ParseError("missing field line")
-    if dim is None:
-        raise ParseError("missing dim line")
+        key = parts[0].lower()
+        try:
+            if key in _HEADERS:
+                if key in header:
+                    raise ParseError(f"duplicate {key} line")
+                header[key] = _HEADERS[key](parts[1:])
+            elif "field" in header and "dim" in header:
+                rows.append(_row(header["field"], parts, header["dim"]))
+            else:
+                raise ParseError("matrix rows must come after field and dim")
+        except ParseError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+    for key in ("field", "dim"):
+        if key not in header:
+            raise ParseError(f"missing {key} line")
+    field, dim, labels = header["field"], header["dim"], header.get("labels")
     if len(rows) != dim:
         raise ParseError(f"expected {dim} matrix rows, got {len(rows)}")
     if labels is not None and len(labels) != dim:
@@ -190,14 +188,11 @@ def parse_vectors_text(text, field, dim, count=None):
     vectors = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = vector_tokens(raw)
-        if not parts:
-            continue
-        if len(parts) != dim:
-            raise ParseError(f"expected {dim} entries, got {len(parts)}", line=lineno)
-        try:
-            vectors.append([field.parse(tok) for tok in parts])
-        except ParseError as exc:
-            raise ParseError(str(exc), line=lineno) from None
+        if parts:
+            try:
+                vectors.append(_row(field, parts, dim))
+            except ParseError as exc:
+                raise ParseError(str(exc), line=lineno) from None
     if count is not None and len(vectors) != count:
         raise ParseError(f"expected {count} basis vectors, got {len(vectors)}")
     return vectors

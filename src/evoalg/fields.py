@@ -134,10 +134,14 @@ class Mod:
         return f"Mod({self.r}, {self.p})"
 
 
-def is_digits(text):
-    """Nonempty and ASCII decimal digits only: str.isdecimal alone also
+def parse_count(text):
+    """The int of a nonempty string of ASCII decimal digits; None for any
+    other string and past int()'s digit limit.  str.isdecimal alone also
     takes other scripts' digits, which int() would read."""
-    return text.isascii() and text.isdecimal()
+    try:
+        return int(text) if text.isascii() and text.isdecimal() else None
+    except ValueError:   # more digits than int() converts
+        return None
 
 
 def _parse_int(text):
@@ -399,9 +403,11 @@ _GF_CACHE = {}
 
 
 def GF(p):
-    if p not in _GF_CACHE:
-        _GF_CACHE[p] = PrimeField(p)
-    return _GF_CACHE[p]
+    # Any p but an int is built before the cache is read: 5.0 and
+    # Fraction(5) compare and hash like 5, and PrimeField refuses them.
+    if type(p) is int and p in _GF_CACHE:
+        return _GF_CACHE[p]
+    return _GF_CACHE.setdefault(p, PrimeField(p))
 
 
 def parse_field(text):
@@ -410,14 +416,12 @@ def parse_field(text):
     if t in ("q", "qq", "rationals"):
         return QQ
     if t.startswith("gf"):
-        rest = t[2:].strip().lstrip("(").rstrip(")").strip()
-        if is_digits(rest):
+        p = parse_count(t[2:].strip().lstrip("(").rstrip(")").strip())
+        if p is not None:
             try:
-                return GF(int(rest))
+                return GF(p)
             except NonPrimeModulus as exc:
                 raise ParseError(f"bad field spec {text!r}: {exc}") from None
-            except ValueError:   # more digits than int() converts
-                pass
     raise ParseError(f"bad field spec {text!r}")
 
 

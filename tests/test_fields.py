@@ -114,6 +114,15 @@ def test_mod_errors():
         QQ.box(1.5)
 
 
+def test_gf_refuses_equal_non_int_moduli_after_caching():
+    # 5.0 and Fraction(5) compare and hash like 5, so a cache lookup would
+    # answer for them once GF(5) exists; the descriptor refuses them.
+    assert GF(5).p == 5
+    for p in (5.0, Fraction(5)):
+        with pytest.raises(NonPrimeModulus, match="is not prime"):
+            GF(p)
+
+
 def test_mod_reflected_division_and_foreign_equality():
     assert 3 / Mod(2, 5) == Mod(4, 5)
     assert (Mod(1, 5) == "1") is False

@@ -2,11 +2,16 @@
 
 import ast
 import importlib.util
+import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import evoalg
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+SRC = Path(evoalg.__file__).resolve().parents[1]
 
 
 def test_no_assert_statements():
@@ -150,3 +155,43 @@ def test_code_line_counter_rules():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     assert tool.code_lines(CODE_LINES_SAMPLE) == [5, 8, 11, 14, 15, 17]
+
+
+def test_text_readers_number_lines_in_one_handler():
+    # Each line-oriented reader gives a line's ParseError its line number
+    # in one except clause; no other raise in it passes line=.
+    tree = ast.parse((Path(evoalg.__file__).parent / "algfile.py").read_text(encoding="utf-8"))
+    functions = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    for name in ("parse_algebra_text", "parse_vectors_text"):
+        (handler,) = [n for n in ast.walk(functions[name]) if isinstance(n, ast.ExceptHandler)]
+        numbered = [n for n in ast.walk(functions[name])
+                    if isinstance(n, ast.keyword) and n.arg == "line"]
+        assert len(numbered) == 1 and numbered[0] in set(ast.walk(handler)), name
+
+
+def same_outputs(old_src, new_src):
+    proc = subprocess.run([sys.executable, str(TOOLS / "same_outputs.py"), str(old_src),
+                           str(new_src)], capture_output=True, text=True, timeout=300)
+    counts = re.match(r"(\d+) invocations, (\d+) differ\n", proc.stdout)
+    assert counts, proc.stderr
+    return proc.returncode, int(counts[1]), int(counts[2]), proc.stdout
+
+
+def test_same_outputs_of_one_tree():
+    code, runs, differ, _ = same_outputs(SRC, SRC)
+    assert (code, differ) == (0, 0) and runs >= 7000
+
+
+def test_same_outputs_reports_a_changed_message(tmp_path):
+    # The three duplicate-header files of the corpus print the changed
+    # message; every other invocation stays the same.
+    shutil.copytree(SRC / "evoalg", tmp_path / "evoalg")
+    reader = tmp_path / "evoalg" / "algfile.py"
+    source = reader.read_text(encoding="utf-8")
+    assert source.count("duplicate {key} line") == 1
+    reader.write_text(source.replace("duplicate {key} line", "repeated {key} line"),
+                      encoding="utf-8")
+    code, _, differ, out = same_outputs(SRC, tmp_path)
+    assert (code, differ) == (1, 3)
+    assert "'error [parse-error]: duplicate dim line (line 3)\\n' -> " \
+           "'error [parse-error]: repeated dim line (line 3)\\n'" in out

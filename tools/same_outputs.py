@@ -1,0 +1,229 @@
+"""Compare the CLI of two evoalg source trees on one fixed, seeded corpus.
+
+    python tools/same_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are ``src`` directories (this tree's ``src``, or that
+of a checkout of another commit).  The corpus is built once, in a
+temporary directory, from a fixed seed: algebras over Q, GF(2), GF(3) and
+GF(101) at n = 1-6, dense, sparse, with a zero column and with two
+proportional columns, each as a text and a JSON file; basis, family and
+vector inputs for them; and one malformed input per parse message.  Every
+subcommand runs on it, with and without ``--json``, plus ``random`` and
+small ``oracle`` runs.  Each tree runs the whole corpus through
+``evoalg.cli.main`` in its own subprocess.
+
+Prints the number of invocations and how many differ in exit code, stdout
+or stderr, shows the first few differences, and exits 1 on any (2 on a
+usage error or a failed subprocess).
+"""
+
+import contextlib
+import io
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+SEED = 2026
+FIELDS = (("q", None), ("gf 2", 2), ("gf 3", 3), ("gf 101", 101))
+KINDS = ("dense", "sparse", "zero-column", "proportional")
+ORACLES = ("cube-nilpotent", "ideal-lattice", "minor-condition", "natural-vectors",
+           "nilpotency")
+SHOWN = 5
+
+
+def _scalar(rng, p, nonzero=False):
+    if p is None:
+        x = rng.choice((1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)))
+        return x if nonzero or rng.random() < 0.8 else 0
+    return rng.randrange(1 if nonzero else 0, p)
+
+
+def _matrix(rng, p, n, kind):
+    """Rows of the structure matrix: column i is e_i^2."""
+    rows = [[_scalar(rng, p, kind == "dense") for _ in range(n)] for _ in range(n)]
+    if kind == "sparse":
+        rows = [[x if rng.random() < 0.3 else 0 for x in row] for row in rows]
+    if kind == "zero-column":
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = 0
+    if kind == "proportional" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((2, Fraction(-1, 3))) if p is None else rng.randrange(1, p)
+        for row in rows:
+            row[j] = row[i] * c if p is None else row[i] * c % p
+    return rows
+
+
+def _write(root, name, text):
+    path = root / name
+    path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+    return str(path)
+
+
+# One malformed algebra file per message of the text and JSON readers.
+BAD_TEXT = (
+    "field q\nfield q\ndim 1\n1\n",                  # duplicate field line
+    "field q\ndim 1\ndim 1\n1\n",                    # duplicate dim line
+    "field q\ndim 1\nlabels a\nlabels b\n1\n",       # duplicate labels line
+    "field r\ndim 1\n1\n",                           # bad field spec
+    "field gf 4\ndim 1\n1\n",                        # not prime
+    "field gf 18446744073709551629\ndim 1\n1\n",     # not below 2**64
+    "field q\ndim 0\n1\n",                           # dim not positive
+    "field q\ndim \u0663\n1\n",                 # non-ASCII digit
+    "field q\n1 0\ndim 2\n",                         # rows before dim
+    "field q\ndim 2\n1 0 1\n0 1\n",                  # entry count
+    "field q\ndim 2\n1 0\n0 1.5\n",                  # bad integer
+    "field q\ndim 1\n1/0\n",                         # zero denominator
+    "dim 2\n",                                       # missing field line
+    "field q\n",                                     # missing dim line
+    "field q\ndim 2\n1 0\n",                         # matrix row count
+    "field q\ndim 2\nlabels a\n1 0\n0 1\n",          # label count
+)
+BAD_JSON = (
+    "{not json",
+    "[1, 2]",
+    '{"field": "q", "dim": 1}',
+    '{"field": "r", "dim": 1, "matrix": [["1"]]}',
+    '{"field": {"gf": 4}, "dim": 1, "matrix": [["1"]]}',
+    '{"field": "q", "dim": true, "matrix": [["1"]]}',
+    '{"field": "q", "dim": 2, "matrix": [["1", "0"]]}',
+    '{"field": "q", "dim": 2, "matrix": [["1", "0"], ["0"]]}',
+    '{"field": "q", "dim": 1, "matrix": [["x"]]}',
+    '{"field": "q", "dim": 1, "matrix": [["1"]], "labels": ["a", "b"]}',
+    '{"field": "q", "dim": 1, "matrix": [["1"]], "labels": ["a b"]}',
+)
+
+
+def build_corpus(root):
+    """The argument lists of every invocation, with their input files
+    written under root."""
+    rng = random.Random(SEED)
+    root = Path(root)
+    runs = []
+    for spec, p in FIELDS:
+        for n in range(1, 7):
+            for kind in KINDS:
+                rows = _matrix(rng, p, n, kind)
+                stem = f"{spec.replace(' ', '')}-{n}-{kind}"
+                labels = [f"x{i + 1}" for i in range(n)] if kind == "dense" else None
+                text = f"field {spec}\ndim {n}\n" + (
+                    f"labels {' '.join(labels)}\n" if labels else "") + "".join(
+                    " ".join(map(str, row)) + "\n" for row in rows)
+                doc = {"field": "q" if p is None else {"gf": p}, "dim": n,
+                       "matrix": [[str(x) for x in row] for row in rows]}
+                if labels:
+                    doc["labels"] = labels
+                # A permuted and scaled unit basis is natural for every
+                # algebra; a family of one scaled unit vector is orthogonal.
+                perm = rng.sample(range(n), n)
+                basis = "".join(" ".join(str(_scalar(rng, p, True)) if j == perm[k] else "0"
+                                         for j in range(n)) + "\n" for k in range(n))
+                unit = ", ".join("2" if j == perm[0] else "0" for j in range(n))
+                other = " ".join(str(_scalar(rng, p)) for _ in range(n))
+                basis_file = _write(root, stem + ".basis", "# basis\n" + basis)
+                family_file = _write(root, stem + ".family", unit + "  # one vector\n")
+                for path in (_write(root, stem + ".alg", text),
+                             _write(root, stem + ".json", json.dumps(doc))):
+                    for argv in (["analyze"], ["natural", "--unique"],
+                                 ["natural", "--vector", unit], ["natural", "--vector", other],
+                                 ["extend", "--family", family_file], ["decompose"],
+                                 ["decompose", "--basis", basis_file], ["nilpotency"],
+                                 ["minors"], ["cube-nilpotent"], ["ideals"], ["simple"],
+                                 ["adjoint"], ["adjoint", "--emit"], ["classify"],
+                                 ["classify", "--basis", basis_file], ["hierarchy"]):
+                        runs.append(argv + [path])
+                        runs.append(argv + [path, "--json"])
+                    for command in ("natural --unique", "nilpotency", "minors",
+                                    "cube-nilpotent", "simple"):
+                        runs.append(command.split() + [path, "--check"])
+    for spec, _ in FIELDS:
+        for n in range(1, 7):
+            for flags in ([], ["--perfect"], ["--nondegenerate"]):
+                runs.append(["random", "--field", spec, "--dim", str(n),
+                             "--seed", str(n)] + flags)
+        runs.append(["random", "--field", spec, "--dim", "3", "--json"])
+    for name in ORACLES:
+        for spec in ("gf 2", "gf 3"):
+            runs.append(["oracle", name, "--field", spec, "--dim", "2", "--samples", "4"])
+        runs.append(["oracle", name, "--field", "gf 2", "--dim", "3", "--samples", "3",
+                     "--json"])
+
+    # Malformed inputs: algebra files, vector files and options.
+    for k, text in enumerate(BAD_TEXT):
+        runs.append(["analyze", _write(root, f"bad{k}.alg", text)])
+    for k, text in enumerate(BAD_JSON):
+        runs.append(["analyze", _write(root, f"bad{k}.json", text)])
+    good = _write(root, "good.alg", "field gf 5\ndim 2\n1 2\n3 4\n")
+    for k, text in enumerate(("1 0\n0 1 1\n", "1 0\n# x\n0 1.5\n", "1 0\n")):
+        vectors = _write(root, f"bad{k}.vectors", text)
+        runs += [["decompose", good, "--basis", vectors], ["extend", good, "--family", vectors]]
+    runs += [
+        ["analyze", _write(root, "latin1.alg", b"field q\ndim 1\n\xe9\n")],
+        ["analyze", str(root / "missing.alg")],
+        ["analyze", str(root)],
+        ["natural", good, "--vector", "1 2 3"],
+        ["natural", good],
+        ["natural", good, "--vector", "1 0", "--unique"],
+        ["minors", good, "--max-size", "0"],
+        ["random", "--field", "gf 4", "--dim", "2"],
+        ["random", "--field", "q", "--dim", "0"],
+        ["oracle", "nilpotency", "--field", "q", "--dim", "2"],
+        ["no-such-command"],
+    ]
+    return runs
+
+
+def replay(src, corpus):
+    """Run every invocation of the corpus file through evoalg.cli.main
+    from src, and print the results as JSON."""
+    sys.path.insert(0, src)
+    from evoalg.cli import main
+    results = []
+    for argv in json.loads(Path(corpus).read_text(encoding="utf-8")):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:   # argparse usage errors
+                code = exc.code
+        results.append([code, out.getvalue(), err.getvalue()])
+    json.dump(results, sys.stdout)
+
+
+def compare(old_src, new_src):
+    with tempfile.TemporaryDirectory() as root:
+        runs = build_corpus(root)
+        corpus = _write(Path(root), "corpus.json", json.dumps(runs))
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        procs = [subprocess.Popen([sys.executable, __file__, "--replay", str(Path(src).resolve()),
+                                   corpus], stdout=subprocess.PIPE, env=env, cwd=root)
+                 for src in (old_src, new_src)]
+        outputs = [proc.communicate()[0] for proc in procs]
+        if any(proc.returncode for proc in procs):
+            print("a replay subprocess failed", file=sys.stderr)
+            return 2
+    old, new = (json.loads(out) for out in outputs)
+    differ = [(argv, a, b) for argv, a, b in zip(runs, old, new) if a != b]
+    print(f"{len(runs)} invocations, {len(differ)} differ")
+    for argv, a, b in differ[:SHOWN]:
+        print("evoalg " + " ".join(argv))
+        for part, x, y in zip(("exit code", "stdout", "stderr"), a, b):
+            if x != y:
+                print(f"  {part}: {x!r:.200} -> {y!r:.200}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--replay"]:
+        replay(*sys.argv[2:4])
+        sys.exit(0)
+    if len(sys.argv) != 3:
+        print("usage: python tools/same_outputs.py OLD_SRC NEW_SRC", file=sys.stderr)
+        sys.exit(2)
+    sys.exit(compare(*sys.argv[1:]))
