@@ -11,10 +11,9 @@ and iterating on E produces the hierarchy.
 
 from typing import NamedTuple
 
-from .algebra import EvolutionAlgebra
+from .algebra import EvolutionAlgebra, reachable, reversed_digraph
 from .errors import IndexOutOfRange, InvalidArgument
-from .ideals import (is_basic_simple, is_basic_simple_relative, is_simple, reachable,
-                     reversed_digraph)
+from .ideals import is_basic_simple, is_basic_simple_relative, is_simple
 from .linalg import Subspace
 from .nilpotency import nilpotency_report
 

@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 from .errors import (AlgebraMismatch, FieldMismatch, IndexOutOfRange, NotANaturalBasis,
                      ShapeMismatch)
-from .ideals import reachable
-from .linalg import Matrix, Subspace, matvec_rows, reduce_row, rref_rows
+from .linalg import (Matrix, Subspace, integral_rows, matvec_rows, normalize_row, reduce_bits,
+                     reduce_packed, reduce_row, rref_rows)
 
 
 class ColumnClasses(NamedTuple):
@@ -32,13 +32,12 @@ class ColumnClasses(NamedTuple):
 def line_classes(field, squares):
     """ColumnClasses of plain vectors, keyed by the canonical multiple of each
     nonzero one: monic over GF(p); over Q primitive, with the sign of its lead."""
-    normalize = field.normalize
     classes, lambdas = {}, []   # line -> member indices; lambda_i
     for i, sq in enumerate(squares):
         lead = next((x for x in sq if x), 0)
         lambdas.append(lead)
         if lead:
-            line = tuple(normalize(sq))
+            line = tuple(normalize_row(sq, field.p))
             classes.setdefault(line if lead > 0 else tuple(-x for x in line), []).append(i)
     class_of = {i: c for c, idx in enumerate(classes.values()) for i in idx}
     return ColumnClasses(tuple(map(class_of.get, range(len(lambdas)))), tuple(classes),
@@ -89,11 +88,11 @@ class EvolutionAlgebra:
     @property
     def integral(self):
         """M times one common nonzero constant, as plain integer rows
-        (field.integral), built once.  The scale keeps the span of every
+        (integral_rows), built once.  The scale keeps the span of every
         product M (u o w) and the vanishing of every minor, which is all
         that closures over Q and the minor scans read."""
         if self._integral is None:
-            self._integral = tuple(map(tuple, self.field.integral(self.M.plain)))
+            self._integral = tuple(map(tuple, integral_rows(self.M.plain, self.field.p)))
         return self._integral
 
     @property
@@ -154,21 +153,19 @@ class EvolutionAlgebra:
         # monic residue rows, each also packed into one int, so a product and
         # a reduction step are O(n) big-int operations (_gfp_rounds,
         # _gf2_rounds).
-        normalize, p = self.field.normalize, self.field.p
+        p = self.field.p
         rounds = (self._rational_rounds if p is None
                   else self._gf2_rounds if p == 2 else self._gfp_rounds)
-        return rounds([normalize(self._plain_of(x)) for x in elements])
+        return rounds([normalize_row(self._plain_of(x), p) for x in elements])
 
     def _rational_rounds(self, gens):
         # Products come from one integer multiple of M, which keeps their
         # span, so every row stays a primitive integer row.
-        field, n = self.field, self.n
-        red, normalize = field.reduce, field.normalize
-        M = self.integral
+        red, M = self.field.reduce, self.integral
         rows, pivots = [], []
 
         def adjoin(v):
-            v = normalize(reduce_row(rows, pivots, v, field))
+            v = normalize_row(reduce_row(rows, pivots, v, None), None)
             pc = next((j for j, x in enumerate(v) if x), None)
             if pc is not None:
                 rows.append(v)
@@ -179,7 +176,7 @@ class EvolutionAlgebra:
             for w in rows[:k + 1]:
                 yield matvec_rows(M, list(map(mul, u, w)), red)
 
-        _rounds(n, rows, gens, adjoin, products)
+        _rounds(self.n, rows, gens, adjoin, products)
         return rows
 
     def _gfp_rounds(self, gens):
@@ -190,8 +187,8 @@ class EvolutionAlgebra:
         # f = pivot slot mod p and adds (p - f) r: no subtraction, so no
         # borrow, and less than p^2 per slot, once per kept row, at most n
         # times.  So every slot stays below 2 n p^2 < 2^s and no carry
-        # crosses a slot.  The remainder is unpacked once, then made monic
-        # and repacked.
+        # crosses a slot.  The remainder is unpacked once and, when nonzero,
+        # made monic (its pivot is then its first 1) and repacked.
         n, p = self.n, self.field.p
         s = (2 * n * p * p).bit_length() + 1
         mask, slots = (1 << s) - 1, range(0, n * s, s)
@@ -201,13 +198,11 @@ class EvolutionAlgebra:
         def adjoin(v):
             v = reduce_packed(packed, shifts, v, p, mask)
             row = [(v >> b & mask) % p for b in slots]
-            pc = next((j for j, x in enumerate(row) if x), None)
-            if pc is not None:
-                c = pow(row[pc], -1, p)
-                row = [x * c % p for x in row]
+            if any(row):
+                row = normalize_row(row, p)
                 rows.append(row)
                 packed.append(sum(map(lshift, row, slots)))
-                shifts.append(pc * s)
+                shifts.append(row.index(1) * s)
 
         def products(k):
             u = rows[k]
@@ -396,6 +391,28 @@ class Element:
         return f"Element({list(self.coords)!r})"
 
 
+def reachable(adjacency, sources):
+    """The sources together with every vertex reachable from them in the
+    digraph of out-sets adjacency (EvolutionAlgebra.digraph)."""
+    seen = set(sources)
+    frontier = list(seen)
+    while frontier:
+        for w in adjacency[frontier.pop()]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return frozenset(seen)
+
+
+def reversed_digraph(adjacency):
+    """The digraph with every edge turned around."""
+    out = [set() for _ in adjacency]
+    for i, targets in enumerate(adjacency):
+        for j in targets:
+            out[j].add(i)
+    return out
+
+
 def _rounds(n, rows, gens, adjoin, products):
     """Grow a closure's semi-echelon basis ``rows`` from one worklist.  Each
     generator is adjoined (kept only if a remainder survives reduction
@@ -412,28 +429,6 @@ def _rounds(n, rows, gens, adjoin, products):
             if len(rows) == n:
                 return
         k += 1
-
-
-def reduce_packed(rows, shifts, v, p, mask):
-    """The packed v reduced along packed rows that are 1 at their pivot slot
-    (the s-bit slot at bit ``shifts[k]``, s = mask.bit_length()) and 0 at
-    the pivot slots of the rows before it: each step adds (p - f) r, f the
-    pivot slot mod p, which leaves that slot 0 mod p (see _gfp_rounds)."""
-    for r, b in zip(rows, shifts):
-        f = (v >> b & mask) % p
-        if f:
-            v += (p - f) * r
-    return v
-
-
-def reduce_bits(rows, pivots, v):
-    """The GF(2) row v (one bit per coordinate) reduced along rows whose
-    lowest set bit is their pivot and which are 0 at the pivots of the rows
-    before them."""
-    for r, b in zip(rows, pivots):
-        if v >> b & 1:
-            v ^= r
-    return v
 
 
 def check_algebra_homomorphism(source, target, f):

@@ -19,18 +19,15 @@ public scalars (with the same FieldMismatch checks as coercion); and
 and ``Element.coords``) apply to a plain value when a caller reads it.
 Reports print a plain value as its ``str``, which is what ``render``
 gives for the boxed scalar.
-RREF, rank and determinants (``linalg.bareiss_rows``, one elimination
-for both fields) need only its modulus ``p``, None over Q.
-Closures and reductions also use ``integral`` (a matrix times one common
-nonzero constant, in plain integers), ``normalize`` (the canonical
-multiple of a row: monic over GF(p), primitive integer over Q) and
-``eliminate`` (one reduction step).
+This module handles scalars only.  Every row kernel (elimination,
+reduction, canonical row multiples, integer scaling) lives in ``linalg``
+and reads a field only through its modulus ``p``, None over Q.
 
 There is no floating-point path anywhere in this package.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt
 
 from .errors import DivisionByZero, FieldMismatch, NonPrimeModulus, ParseError
 
@@ -165,23 +162,6 @@ def rational(num, den):
     return Fraction(num, den) if r else q
 
 
-def integer_row(row, scale=None):
-    """The rationals (Fractions or ints) of row times scale, as ints, and
-    scale, by default the lcm of their denominators.
-
-    Scaling one row by a nonzero constant keeps its span, the row space of
-    a matrix and the vanishing of every minor, and multiplies the
-    determinant by that constant.  It is not enough for the products
-    M (u o w) of a structure matrix: scaling row j of M by its own d_j
-    multiplies coordinate j of every product by d_j and changes their span,
-    so M needs one scale common to all its rows."""
-    if scale is None:
-        scale = lcm(*(x.denominator for x in row))
-    if scale == 1:   # only ints: a canonical Fraction has a denominator > 1
-        return list(row), 1
-    return [x.numerator * (scale // x.denominator) for x in row], scale
-
-
 class _Field:
     """What both descriptors define alike, through their own box, unbox
     and plain_sqrt."""
@@ -219,6 +199,8 @@ class Rationals(_Field):
                 raise FieldMismatch("GF(p) scalar used where a rational was expected")
             if not isinstance(a, (int, Fraction)):
                 raise FieldMismatch(f"cannot coerce {type(a).__name__} into Q")
+        if y == 0:
+            raise DivisionByZero("division by zero in Q")
         return Fraction(x) if y is None else Fraction(x, y)
 
     def reduce(self, x):
@@ -228,32 +210,6 @@ class Rationals(_Field):
 
     def inv(self, x):
         return rational(x.denominator, x.numerator)
-
-    def integral(self, rows):
-        """The rows times the lcm of all their denominators, as ints."""
-        scale = lcm(*(x.denominator for row in rows for x in row))
-        return [integer_row(row, scale)[0] for row in rows]
-
-    def normalize(self, v):
-        """The primitive integer multiple of v (0 stays 0).  Integer rows,
-        the common case, skip the lcm of the denominators."""
-        try:
-            g = gcd(*v)
-        except TypeError:   # a Fraction is present
-            v = integer_row(v)[0]
-            g = gcd(*v)
-        return [x // g for x in v] if g > 1 else v
-
-    def eliminate(self, v, row, pc):
-        """v minus row times v[pc] / row[pc], times a nonzero integer that
-        keeps integer rows integral: with p = row[pc], f = v[pc] and g their
-        gcd, (p/g) v - (f/g) row.  Exactly v - v[pc] row when row[pc] = 1."""
-        f, p = v[pc], row[pc]
-        if p == 1:
-            return [a - f * b for a, b in zip(v, row)]
-        g = gcd(p, f)
-        p, f = p // g, f // g
-        return [p * a - f * b for a, b in zip(v, row)]
 
     def box(self, x):
         # Plain values are ints and Fractions; a float would come from a
@@ -328,21 +284,6 @@ class PrimeField(_Field):
     def inv(self, x):
         return pow(x, -1, self.p)
 
-    def integral(self, rows):
-        """Residues are already integers."""
-        return rows
-
-    def normalize(self, v):
-        """v scaled to 1 at its first nonzero entry (0 stays 0)."""
-        p = self.p
-        c = pow(next((x for x in v if x), 1), -1, p)
-        return [x * c % p for x in v]
-
-    def eliminate(self, v, row, pc):
-        """v - v[pc] row, for a row that is 1 at pc."""
-        f, p = v[pc], self.p
-        return [(a - f * b) % p for a, b in zip(v, row)]
-
     def box(self, x):
         return Mod(x, self.p)
 
@@ -411,12 +352,14 @@ def GF(p):
 
 
 def parse_field(text):
-    """Field spec grammar: 'q' or 'gf <p>' (also 'gf<p>' / 'gf(<p>)')."""
+    """Field spec grammar: 'q' or 'gf <p>' (also 'gf<p>' / 'gf(<p>)'), with
+    optional spaces inside one balanced pair of parentheses."""
     t = text.strip().lower()
     if t in ("q", "qq", "rationals"):
         return QQ
     if t.startswith("gf"):
-        p = parse_count(t[2:].strip().lstrip("(").rstrip(")").strip())
+        p = t[2:].strip()
+        p = parse_count(p[1:-1].strip() if p[:1] == "(" and p[-1:] == ")" else p)
         if p is not None:
             try:
                 return GF(p)

@@ -10,31 +10,11 @@ with a nonsingular structure matrix.  Basic simplicity over every natural
 basis is read from the diagonal forms of the column classes.
 """
 
+from .algebra import reachable, reversed_digraph
 from .errors import AnswerTooLarge, NotPerfect
 from .linalg import Subspace, kernel_rows, rref_rows
 
 MAX_CLOSED_SETS = 1 << 16
-
-
-def reachable(adjacency, sources):
-    """The sources together with every vertex reachable from them."""
-    seen = set(sources)
-    frontier = list(seen)
-    while frontier:
-        for w in adjacency[frontier.pop()]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return frozenset(seen)
-
-
-def reversed_digraph(adjacency):
-    """The digraph with every edge turned around."""
-    out = [set() for _ in adjacency]
-    for i, targets in enumerate(adjacency):
-        for j in targets:
-            out[j].add(i)
-    return out
 
 
 def is_strongly_connected(adjacency):

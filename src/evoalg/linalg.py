@@ -11,7 +11,13 @@ structural.
 
 A matrix or subspace stores only the descriptor's plain values
 (``fields``), and elimination, products and reduction run on them in the
-module-level kernels below.  Over Q a plain value is an int whenever it
+module-level kernels below.  These are the package's only row
+arithmetic, the closures of ``algebra`` included: integer scaling
+(``integer_row``, ``integral_rows``), canonical row multiples
+(``normalize_row``) and reduction along semi-echelon rows, as lists
+(``reduce_row``), packed residue slots (``reduce_packed``) or GF(2) bits
+(``reduce_bits``).  Each takes plain rows and the modulus p, None over Q,
+never a field descriptor.  Over Q a plain value is an int whenever it
 is an integer: the one division that ends an RREF and the quotient of a
 determinant go through ``fields.rational``, so an entry of an RREF,
 kernel or solution is a Fraction only where it is not an integer.  The
@@ -21,12 +27,39 @@ values into public scalars (``Mod`` or ``Fraction``) when a caller reads
 them.
 """
 
-from math import prod
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import (FieldMismatch, IndexOutOfRange, InvalidArgument, NonSquareMatrix,
                      ShapeMismatch)
-from .fields import integer_row, rational
+from .fields import rational
+
+
+def integer_row(row, scale=None):
+    """The rationals (Fractions or ints) of row times scale, as ints, and
+    scale, by default the lcm of their denominators.
+
+    Scaling one row by a nonzero constant keeps its span, the row space of
+    a matrix and the vanishing of every minor, and multiplies the
+    determinant by that constant.  It is not enough for the products
+    M (u o w) of a structure matrix: scaling row j of M by its own d_j
+    multiplies coordinate j of every product by d_j and changes their span,
+    so M needs one scale common to all its rows (integral_rows)."""
+    if scale is None:
+        scale = lcm(*(x.denominator for x in row))
+    if scale == 1:   # only ints: a canonical Fraction has a denominator > 1
+        return list(row), 1
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+def integral_rows(rows, p):
+    """The plain rows times one common nonzero constant, as ints: over Q
+    (p None) the lcm of all their denominators; residues are already
+    integers and come back as they are."""
+    if p is not None:
+        return rows
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [integer_row(row, scale)[0] for row in rows]
 
 
 def integer_rows(rows, p):
@@ -99,15 +132,65 @@ def bareiss_rows(m, cols, above, p):
     return pivots, prev, sign
 
 
-def reduce_row(rows, pivots, v, field):
+def normalize_row(v, p):
+    """The canonical multiple of the plain row v (0 stays 0): over GF(p)
+    scaled to 1 at its first nonzero entry; over Q (p None) the primitive
+    integer multiple.  Integer rows, the common case over Q, skip the lcm
+    of the denominators."""
+    if p is not None:
+        c = pow(next((x for x in v if x), 1), -1, p)
+        return [x * c % p for x in v]
+    try:
+        g = gcd(*v)
+    except TypeError:   # a Fraction is present
+        v = integer_row(v)[0]
+        g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def reduce_row(rows, pivots, v, p):
     """v reduced along rows that are nonzero at their pivot and 0 at the
     pivots of the rows before it: 0 at every pivot, and a nonzero multiple
     of the remainder (the remainder itself when every row is 1 at its
-    pivot)."""
-    eliminate = field.eliminate
+    pivot).  Over GF(p) every row is 1 at its pivot and a step is
+    (a - f b) mod p, f = v[pc].  Over Q a step is a - f b at a pivot d = 1
+    (the rows may hold Fractions there), else (d/g) a - (f/g) b, g the gcd
+    of d and f, which keeps integer rows integral."""
     for row, pc in zip(rows, pivots):
-        if v[pc]:
-            v = eliminate(v, row, pc)
+        f, d = v[pc], row[pc]
+        if not f:
+            continue
+        if p is not None:
+            v = [(a - f * b) % p for a, b in zip(v, row)]
+        elif d == 1:
+            v = [a - f * b for a, b in zip(v, row)]
+        else:
+            g = gcd(d, f)
+            d, f = d // g, f // g
+            v = [d * a - f * b for a, b in zip(v, row)]
+    return v
+
+
+def reduce_packed(rows, shifts, v, p, mask):
+    """The packed v reduced along packed rows that are 1 at their pivot slot
+    (the s-bit slot at bit ``shifts[k]``, s = mask.bit_length()) and 0 at
+    the pivot slots of the rows before it: each step adds (p - f) r, f the
+    pivot slot mod p, which leaves that slot 0 mod p (see
+    ``algebra.EvolutionAlgebra._gfp_rounds``)."""
+    for r, b in zip(rows, shifts):
+        f = (v >> b & mask) % p
+        if f:
+            v += (p - f) * r
+    return v
+
+
+def reduce_bits(rows, pivots, v):
+    """The GF(2) row v (one bit per coordinate) reduced along rows whose
+    lowest set bit is their pivot and which are 0 at the pivots of the rows
+    before them."""
+    for r, b in zip(rows, pivots):
+        if v >> b & 1:
+            v ^= r
     return v
 
 
@@ -351,7 +434,7 @@ class Subspace:
     def _remainder(self, v):
         if len(v) != self.ambient:
             raise ShapeMismatch("vector length does not match ambient dimension")
-        return reduce_row(self.plain, self.pivots, self.field.unbox(v), self.field)
+        return reduce_row(self.plain, self.pivots, self.field.unbox(v), self.field.p)
 
     def reduce(self, v):
         """Remainder of v after eliminating along the basis."""

@@ -15,11 +15,11 @@ given natural basis (decomposition_for_basis).
 from itertools import combinations
 from typing import NamedTuple
 
-from .algebra import Element, line_classes, reduce_bits
+from .algebra import Element, line_classes
 from .errors import (Degenerate, NotANaturalBasis, NotExtendable,
                      NotNaturalVector, NotOrthogonal, ZeroVector)
 from .fields import rational
-from .linalg import Subspace, kernel_rows, rref_rows
+from .linalg import Subspace, kernel_rows, reduce_bits, rref_rows
 
 
 def is_natural_vector(algebra, u):

@@ -1,14 +1,16 @@
 """Exact scalar arithmetic over Q and GF(p)."""
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from evoalg.errors import (DivisionByZero, FieldMismatch, NonPrimeModulus,
+from evoalg.errors import (DivisionByZero, EvoAlgError, FieldMismatch, NonPrimeModulus,
                            ParseError)
 from evoalg.algebra import EvolutionAlgebra
+from evoalg.cli import main
 from evoalg.fields import (GF, QQ, Mod, is_prime, parse_field, render_field)
 from evoalg.linalg import Matrix
 
@@ -229,6 +231,36 @@ def test_parse_render_field():
     for spec in ("gf \u0667", "gf(\uff17)", "gf 1\u0661"):
         with pytest.raises(ParseError, match="bad field spec"):
             parse_field(spec)
+
+
+def test_field_spec_takes_one_balanced_pair_of_parentheses(tmp_path, capsys):
+    # 'gf <p>', 'gf<p>' and 'gf(<p>)', with spaces inside the pair; an
+    # unbalanced or repeated parenthesis is no spec.
+    for spec in ("gf(13", "gf 13)", "gf(13))", "gf((3))", "gf()", "gf(", "gf )"):
+        with pytest.raises(ParseError, match=re.escape(f"bad field spec {spec!r}")):
+            parse_field(spec)
+    for spec in ("gf(13)", "gf 13", "gf13", "GF( 13 )", "gf ( 13 )"):
+        assert parse_field(spec) == GF(13)
+    path = tmp_path / "open.alg"
+    path.write_text("field gf(13\ndim 1\n1\n")
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error [parse-error]: bad field spec 'gf(13' (line 1)\n"
+
+
+def test_rational_zero_denominator_is_division_by_zero():
+    # Like Mod(0, p).inverse(): an EvoAlgError that is still a
+    # ZeroDivisionError; the type checks come first.
+    for x in (1, Fraction(1, 2), 0):
+        with pytest.raises(DivisionByZero):
+            QQ(x, 0)
+    assert issubclass(DivisionByZero, ZeroDivisionError)
+    assert issubclass(DivisionByZero, EvoAlgError)
+    with pytest.raises(FieldMismatch):
+        QQ(1.5, 0)
+    with pytest.raises(FieldMismatch):
+        QQ(GF(5)(1), 0)
 
 
 @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40))

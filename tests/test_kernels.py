@@ -12,6 +12,7 @@ caller does not read, and still refuse scalars of another field.
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from evoalg import linalg
 from evoalg.algebra import Element, EvolutionAlgebra, check_algebra_homomorphism
 from evoalg.errors import FieldMismatch
-from evoalg.fields import GF, QQ, Mod
+from evoalg.fields import GF, QQ, Mod, rational
 from evoalg.generate import random_algebra
 from evoalg.linalg import Matrix, Subspace
 
@@ -479,3 +480,131 @@ def test_rational_plain_values_are_canonical(rows):
     for el in (u * w, u.square(), u + w, u - w, -u, u.scale(Fraction(1, 2)), u.scale(2)):
         assert all(canonical(c) for c in el.plain)
         assert el.coords == tuple(map(Fraction, el.plain))
+
+
+# References: the row methods the field descriptors had before every row
+# kernel moved to linalg (Rationals and PrimeField's integral, normalize and
+# eliminate, and fields.integer_row), on plain rows.
+
+def ref_integer_row(row, scale=None):
+    if scale is None:
+        scale = lcm(*(x.denominator for x in row))
+    if scale == 1:
+        return list(row), 1
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+def ref_integral(p, rows):
+    if p is not None:
+        return rows
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    return [ref_integer_row(row, scale)[0] for row in rows]
+
+
+def ref_normalize(p, v):
+    if p is not None:
+        c = pow(next((x for x in v if x), 1), -1, p)
+        return [x * c % p for x in v]
+    try:
+        g = gcd(*v)
+    except TypeError:
+        v = ref_integer_row(v)[0]
+        g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def ref_eliminate(p, v, row, pc):
+    if p is not None:
+        f = v[pc]
+        return [(a - f * b) % p for a, b in zip(v, row)]
+    f, d = v[pc], row[pc]
+    if d == 1:
+        return [a - f * b for a, b in zip(v, row)]
+    g = gcd(d, f)
+    d, f = d // g, f // g
+    return [d * a - f * b for a, b in zip(v, row)]
+
+
+def ref_reduce_row(p, rows, pivots, v):
+    for row, pc in zip(rows, pivots):
+        if v[pc]:
+            v = ref_eliminate(p, v, row, pc)
+    return v
+
+
+KERNEL_FIELDS = (None, 2, 3, 101, 2**61 - 1)   # the moduli p; None is Q
+
+
+def plain_entry(rng, p, fractions):
+    """A plain value: a residue over GF(p); over Q an int, or with
+    fractions also a canonical Fraction, small or with up to 25 digits."""
+    if p is not None:
+        return rng.choice((0, 1, p - 1, rng.randrange(p)))
+    kind = rng.randrange(4 if fractions else 2)
+    if kind == 0:
+        return rng.randint(-6, 6)
+    if kind == 1:
+        return rng.choice((-1, 1)) * rng.randint(0, 10**25)
+    if kind == 2:
+        return rational(rng.randint(-9, 9), rng.randint(2, 7))
+    return rational(rng.randint(-10**25, 10**25), rng.randint(2, 10**25))
+
+
+def plain_row(rng, p, n, fractions):
+    """Dense, sparse or zero, with a negative lead now and then over Q."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return [0] * n
+    row = [plain_entry(rng, p, fractions) if kind != 1 or rng.random() < 0.3 else 0
+           for _ in range(n)]
+    if p is None and kind == 2 and any(row):
+        lead = next(j for j, x in enumerate(row) if x)
+        row[lead] = -abs(row[lead])
+    return row
+
+
+def semi_echelon(rng, p, n, fractions):
+    """Rows nonzero at their pivot and 0 at the pivots of the rows before
+    them, the pivots in random order.  Over GF(p) every pivot is 1; over Q
+    a pivot is 1 (the rows may hold Fractions) or, for integer rows, any
+    nonzero int."""
+    pivots = rng.sample(range(n), rng.randint(0, n))
+    unit = p is not None or fractions
+    rows = []
+    for k, pc in enumerate(pivots):
+        row = plain_row(rng, p, n, fractions)
+        for b in pivots[:k]:
+            row[b] = 0
+        row[pc] = 1 if unit or rng.random() < 0.3 else rng.choice((-1, 1)) * rng.randint(2, 40)
+        rows.append(row)
+    return rows, pivots
+
+
+def typed(rows):
+    """Rows with each entry's type, so 2 and Fraction(2) differ."""
+    return [[(type(x), x) for x in row] for row in rows]
+
+
+def test_row_kernels_match_the_descriptor_methods():
+    rng = random.Random(3041)
+    counts = dict.fromkeys(("integer_row", "integral_rows", "normalize_row", "reduce_row"), 0)
+    for case in range(6000):
+        p = KERNEL_FIELDS[case % len(KERNEL_FIELDS)]
+        n = rng.randint(1, 8)
+        fractions = p is None and rng.random() < 0.6
+        rows = [plain_row(rng, p, n, fractions) for _ in range(rng.randint(0, 4))]
+        v = plain_row(rng, p, n, fractions)
+        # Residues are ints, whose denominator is 1.
+        scale = rng.choice((None, lcm(*(x.denominator for x in v)) * rng.randint(1, 5)))
+        got, want = linalg.integer_row(v, scale), ref_integer_row(v, scale)
+        assert typed([got[0]]) == typed([want[0]]) and got[1] == want[1], (v, scale)
+        counts["integer_row"] += 1
+        assert typed(linalg.integral_rows(rows, p)) == typed(ref_integral(p, rows)), rows
+        counts["integral_rows"] += len(rows)
+        assert typed([linalg.normalize_row(v, p)]) == typed([ref_normalize(p, v)]), (p, v)
+        counts["normalize_row"] += 1
+        basis, pivots = semi_echelon(rng, p, n, fractions)
+        got = linalg.reduce_row(basis, pivots, v, p)
+        assert typed([got]) == typed([ref_reduce_row(p, basis, pivots, v)]), (p, basis, v)
+        counts["reduce_row"] += 1
+    assert min(counts.values()) >= 5000, counts

@@ -91,6 +91,46 @@ def test_only_cli_main_writes_output():
     assert any(isinstance(node, ast.Name) and node.id == "print" for node in ast.walk(main))
 
 
+LAYERS = ("errors", "fields", "linalg", "algebra", "ideals", "natural", "nilpotency",
+          "adjoint", "generate", "algfile", "oracles", "cli")
+
+
+def test_imports_point_down_the_layers():
+    # Scalars, then rows, then the algebra, then the analyses, then the
+    # formats and the CLI: a module imports only from modules before it.
+    root = Path(evoalg.__file__).parent
+    assert sorted(p.stem for p in root.glob("*.py") if p.name != "__init__.py") \
+        == sorted(LAYERS)
+    found = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        below = LAYERS[:LAYERS.index(path.stem)]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                found += [f"{path.stem} imports {name}" for name in names if name not in below]
+    assert found == []
+
+
+def test_row_arithmetic_lives_in_linalg():
+    # The field descriptors handle scalars only; every row kernel is
+    # written once, in linalg.
+    root = Path(evoalg.__file__).parent
+    kernels = {"reduce_row", "reduce_packed", "reduce_bits", "normalize_row",
+               "integral_rows", "integer_row"}
+    defined = {}
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in kernels:
+                defined.setdefault(node.name, []).append(path.stem)
+            if isinstance(node, ast.ClassDef) and node.name in ("Rationals", "PrimeField"):
+                methods = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+                assert methods.isdisjoint({"integral", "normalize", "eliminate"}), node.name
+    assert defined == {name: ["linalg"] for name in kernels}
+
+
 def test_only_cli_imports_oracles():
     # The brute-force oracles check the fast paths, so no other module may
     # come to depend on them.

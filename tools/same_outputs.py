@@ -7,7 +7,8 @@ of a checkout of another commit).  The corpus is built once, in a
 temporary directory, from a fixed seed: algebras over Q, GF(2), GF(3) and
 GF(101) at n = 1-6, dense, sparse, with a zero column and with two
 proportional columns, each as a text and a JSON file; basis, family and
-vector inputs for them; and one malformed input per parse message.  Every
+vector inputs for them; one malformed input per parse message; and
+field specs with and without balanced parentheses.  Every
 subcommand runs on it, with and without ``--json``, plus ``random`` and
 small ``oracle`` runs.  Each tree runs the whole corpus through
 ``evoalg.cli.main`` in its own subprocess.
@@ -98,6 +99,9 @@ BAD_JSON = (
     '{"field": "q", "dim": 1, "matrix": [["1"]], "labels": ["a", "b"]}',
     '{"field": "q", "dim": 1, "matrix": [["1"]], "labels": ["a b"]}',
 )
+# Field specs outside the plain 'gf <p>' form: unbalanced or repeated
+# parentheses (malformed), and one pair with spaces inside (accepted).
+SPECS = ("gf(13", "gf 13)", "gf((3))", "gf(13)", "gf( 13 )")
 
 
 def build_corpus(root):
@@ -159,6 +163,10 @@ def build_corpus(root):
         runs.append(["analyze", _write(root, f"bad{k}.alg", text)])
     for k, text in enumerate(BAD_JSON):
         runs.append(["analyze", _write(root, f"bad{k}.json", text)])
+    for k, spec in enumerate(SPECS):
+        runs += [["analyze", _write(root, f"spec{k}.alg", f"field {spec}\ndim 2\n1 2\n3 4\n")],
+                 ["random", "--field", spec, "--dim", "2", "--seed", "1"],
+                 ["oracle", "nilpotency", "--field", spec, "--dim", "2", "--samples", "2"]]
     good = _write(root, "good.alg", "field gf 5\ndim 2\n1 2\n3 4\n")
     for k, text in enumerate(("1 0\n0 1 1\n", "1 0\n# x\n0 1.5\n", "1 0\n")):
         vectors = _write(root, f"bad{k}.vectors", text)
