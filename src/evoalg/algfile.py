@@ -40,9 +40,22 @@ def vector_tokens(line):
 
 
 def _row(field, tokens, n):
-    """The plain values of a matrix row or vector line of n tokens."""
+    """The plain values of a matrix row or vector line of n tokens.  On
+    ASCII text without "_", int() takes exactly the integer tokens that
+    field.parse takes, so a row of integers needs one check for the whole
+    row; any other row goes token by token through field.parse, which
+    raises its message."""
     if len(tokens) != n:
         raise ParseError(f"expected {n} entries, got {len(tokens)}")
+    text = "".join(tokens)
+    if text.isascii() and "_" not in text:
+        try:
+            row = list(map(int, tokens))
+        except ValueError:   # a fraction, not an integer, or past int()'s digit limit
+            pass
+        else:
+            p = field.p
+            return row if p is None else [x % p for x in row]
     return [field.parse(tok) for tok in tokens]
 
 

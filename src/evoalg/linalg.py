@@ -5,7 +5,9 @@ echelon form (first nonzero entry scanning left-to-right, top-to-bottom
 picks the pivot).  RREF, rank, kernels, solutions and determinants all
 come from one elimination, ``bareiss_rows``, over both fields:
 fraction-free (Bareiss) on rows scaled to integers over Q, monic
-Gauss-Jordan on residues over GF(p).
+Gauss-Jordan on residues over GF(p), and over GF(2) on bit rows (one int
+per row, cleared by XOR).  A matrix runs its forward sweep once and keeps
+it, so rank and det share one elimination.
 Subspaces are stored as canonical RREF bases, so equality of subspaces is
 structural.
 
@@ -90,7 +92,8 @@ def bareiss_rows(m, cols, above, p):
     """Elimination of the rows m, in place: rows below each pivot are
     cleared, and with above the rows above it too (Gauss-Jordan).  Returns
     the pivot columns, d and the sign of the row swaps, where sign * d is
-    the determinant of the pivot block.
+    the determinant of the pivot block.  With above false m is consumed:
+    only the returned values are meaningful afterwards.
 
     Over Q (p None), on integer rows, it is fraction-free (Bareiss): every
     update piv*a - f*b is divided exactly by the previous pivot, so each
@@ -98,7 +101,10 @@ def bareiss_rows(m, cols, above, p):
     is the determinant up to sign; Gauss-Jordan leaves d at every pivot.
     Over GF(p), on residues, each pivot row is scaled by the inverse of its
     pivot and a - f*b clears the other rows, so d is the product of the
-    pivots and Gauss-Jordan leaves the RREF."""
+    pivots and Gauss-Jordan leaves the RREF.  Over GF(2) every pivot is 1,
+    so the sweep runs on bit rows (_bit_sweep)."""
+    if p == 2:
+        return _bit_sweep(m, cols, above)
     pivots, prev, sign = [], 1, 1
     for pc in range(cols):
         pr = len(pivots)
@@ -130,6 +136,47 @@ def bareiss_rows(m, cols, above, p):
         if pr + 1 == len(m):
             break
     return pivots, prev, sign
+
+
+# 0/1 bytes to binary digits and back: a GF(2) row read right to left is
+# the binary numeral of its bit row.
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _bit_sweep(m, cols, above):
+    """bareiss_rows over GF(2), on the 0/1 rows m: each row is packed into
+    one int, bit j holding column j as in reduce_bits, and the pivot row
+    clears a row by XOR.  d is 1.  With above a row that changed goes back
+    into m as a 0/1 list, and the rows that did not stay as they are; with
+    above false nothing is unpacked."""
+    width, rows = (len(m[0]) if m else 0), len(m)
+    bits = [int(bytes(row[::-1]).translate(_TO_DIGITS) or b"0", 2) for row in m]
+    pivots, sign = [], 1
+    for pc in range(cols):
+        pr, bit = len(pivots), 1 << pc
+        for i in range(pr, rows):
+            if bits[i] & bit:
+                break
+        else:
+            continue
+        if i != pr:
+            bits[pr], bits[i] = bits[i], bits[pr]
+            m[pr], m[i] = m[i], m[pr]
+            sign = -sign
+        row = bits[pr]
+        for i in range(0 if above else pr + 1, rows):
+            if bits[i] & bit and i != pr:
+                bits[i] ^= row
+                m[i] = None   # changed: unpacked at the end
+        pivots.append(pc)
+        if pr + 1 == rows:
+            break
+    if above:
+        for i, row in enumerate(m):
+            if row is None:
+                m[i] = list(f"{bits[i]:0{width}b}"[::-1].encode().translate(_FROM_DIGITS))
+    return pivots, 1, sign
 
 
 def normalize_row(v, p):
@@ -213,11 +260,12 @@ def kernel_rows(m, cols, pivots, red):
 
 
 class Matrix:
-    __slots__ = ("field", "plain")
+    __slots__ = ("field", "plain", "_sweep")
 
     def __init__(self, field, data):
         self.field = field
         self.plain = tuple(tuple(field.unbox(row)) for row in data)
+        self._sweep = None
         if any(len(row) != self.cols for row in self.plain):
             raise ShapeMismatch("ragged rows")
 
@@ -225,7 +273,7 @@ class Matrix:
     def _from_plain(cls, field, plain):
         """A matrix of canonical plain rows, taken as they are."""
         m = cls.__new__(cls)
-        m.field, m.plain = field, tuple(map(tuple, plain))
+        m.field, m.plain, m._sweep = field, tuple(map(tuple, plain)), None
         return m
 
     @classmethod
@@ -318,12 +366,20 @@ class Matrix:
         pivots = rref_rows(m, self.cols, self.field)
         return Matrix._from_plain(self.field, m), len(pivots), tuple(pivots)
 
+    def _forward(self):
+        """The forward sweep of M (no row above a pivot is touched and
+        nothing is divided at the end): its pivots, d, sign and the product
+        of the row scales, run once, since M is immutable, and shared by
+        rank and det."""
+        if self._sweep is None:
+            p = self.field.p
+            m, scale = integer_rows(self.plain, p)
+            self._sweep = (*bareiss_rows(m, self.cols, above=False, p=p), scale)
+        return self._sweep
+
     def rank(self):
-        """The pivot count of the forward sweep: no row above a pivot is
-        touched and nothing is divided at the end."""
-        p = self.field.p
-        return len(bareiss_rows(integer_rows(self.plain, p)[0], self.cols,
-                                above=False, p=p)[0])
+        """The pivot count of the forward sweep."""
+        return len(self._forward()[0])
 
     def kernel(self):
         """Canonical RREF basis of the right null space, from one sweep of M
@@ -342,12 +398,11 @@ class Matrix:
         pivot of the forward sweep; 0 below full rank."""
         if not self.is_square:
             raise NonSquareMatrix("determinant of a non-square matrix")
-        field, p = self.field, self.field.p
-        m, scale = integer_rows(self.plain, p)
-        pivots, d, sign = bareiss_rows(m, self.cols, above=False, p=p)
+        field = self.field
+        pivots, d, sign, scale = self._forward()
         if len(pivots) < self.rows:
             return field.box(0)
-        return field.box(rational(sign * d, scale) if p is None else sign * d)
+        return field.box(rational(sign * d, scale) if field.p is None else sign * d)
 
     def minor(self, row_indices, col_indices):
         row_indices, col_indices = sorted(row_indices), sorted(col_indices)

@@ -20,7 +20,7 @@ import evoalg
 from evoalg.algebra import EvolutionAlgebra
 from evoalg.algfile import load_algebra
 from evoalg.cli import COMMANDS, build_parser, main
-from evoalg import generate
+from evoalg import generate, linalg
 from evoalg.errors import AnswerTooLarge
 from evoalg.fields import GF, Mod
 from evoalg.linalg import Matrix, Subspace
@@ -480,6 +480,35 @@ def test_digraph_builds_per_subcommand(capsys, monkeypatch, tmp_path, ex59, comm
         built.clear()
         code, _, _ = run(capsys, command, path)
         assert (code, built.get("digraph", 0), built.get("column_classes", 0)) == (0, *made)
+
+
+# Eliminations (linalg.bareiss_rows calls) one run makes, on ex59 and on
+# the dense GF(101) algebra.  M keeps its forward sweep, so analyze's
+# perfectness (det M) and dim A^2 (rank M) share one; nilpotency reads
+# the digraph and eliminates nothing.  ex59 is not perfect, so simple,
+# classify and hierarchy also decide basic simplicity from its one class
+# form, which takes one RREF (ideals._breaking_class).
+SWEEP_COUNTS = [
+    ("analyze", 1, 1), ("decompose", 1, 1), ("simple", 2, 1), ("classify", 2, 1),
+    ("hierarchy", 2, 1), ("nilpotency", 0, 0)]
+
+
+@pytest.mark.parametrize("command, on_ex59, on_dense", SWEEP_COUNTS,
+                         ids=[c for c, _, _ in SWEEP_COUNTS])
+def test_eliminations_per_subcommand(capsys, monkeypatch, tmp_path, ex59, command,
+                                     on_ex59, on_dense):
+    count = [0]
+    sweep = linalg.bareiss_rows
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "bareiss_rows", counted)
+    for path, made in ((ex59, on_ex59), (dense_gf101(tmp_path), on_dense)):
+        count[0] = 0
+        code, _, _ = run(capsys, command, path)
+        assert (code, count[0]) == (0, made)
 
 
 # Subspaces one run builds, on ex59 and on the dense GF(101) algebra.  The

@@ -382,11 +382,17 @@ def test_one_elimination_per_call(monkeypatch):
     monkeypatch.setattr(linalg, "bareiss_rows", counted)
     rng = random.Random(75)
     for field in (GF(2), GF(101), QQ):
-        m = Matrix(field, random_rows(rng, field, 5, 5))
-        for call in (m.det, m.rank, m.rref, m.kernel, lambda: m.solve(m.column(0))):
+        data = random_rows(rng, field, 5, 5)
+        for call in (Matrix.det, Matrix.rank, Matrix.rref, Matrix.kernel,
+                     lambda m: m.solve(m.column(0))):
             calls[0] = 0
-            call()
+            call(Matrix(field, data))
             assert calls[0] == 1
+        # A matrix keeps its forward sweep: det and rank share one.
+        m = Matrix(field, data)
+        calls[0] = 0
+        m.det(), m.rank(), m.det()
+        assert calls[0] == 1
 
 
 @pytest.fixture
@@ -608,3 +614,94 @@ def test_row_kernels_match_the_descriptor_methods():
         assert typed([got]) == typed([ref_reduce_row(p, basis, pivots, v)]), (p, basis, v)
         counts["reduce_row"] += 1
     assert min(counts.values()) >= 5000, counts
+
+
+# Reference: the list branch of bareiss_rows as it ran over GF(2) before
+# the bit rows, with p = 2.
+
+def ref_gf2_sweep(m, cols, above):
+    p = 2
+    pivots, prev, sign = [], 1, 1
+    for pc in range(cols):
+        pr = len(pivots)
+        pivot_row = next((i for i in range(pr, len(m)) if m[i][pc]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != pr:
+            m[pr], m[pivot_row] = m[pivot_row], m[pr]
+            sign = -sign
+        row = m[pr]
+        piv = row[pc]
+        if piv != 1:
+            c = pow(piv, -1, p)
+            row = m[pr] = [x * c % p for x in row]
+        piv = piv * prev % p
+        for i in range(0 if above else pr + 1, len(m)):
+            other = m[i]
+            f = other[pc]
+            if i == pr:
+                continue
+            if f:
+                m[i] = [(a - f * b) % p for a, b in zip(other, row)]
+        prev = piv
+        pivots.append(pc)
+        if pr + 1 == len(m):
+            break
+    return pivots, prev, sign
+
+
+def gf2_shapes(rng):
+    """(rows, cols, width): empty, 1 x k, wide (an augmented solve has
+    width cols + 1), one size around CPython's 30-bit digit or 64 bits,
+    and random small shapes."""
+    yield from ((0, 0, 0), (1, 0, 0), (1, 1, 1), (1, rng.randint(2, 9), None),
+                (rng.randint(2, 9), 1, 1))
+    n = rng.randint(1, 9)
+    yield n, n, n + 1
+    yield n, n, 2 * n
+    n = rng.choice((31, 32, 33, 63, 64, 65, 70))
+    yield n, n, n
+    for _ in range(6):
+        n = rng.randint(1, 12)
+        yield n, n, n
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        yield rows, cols, cols + rng.choice((0, 0, 1))
+
+
+def gf2_rows(rng, rows, cols):
+    """Dense, sparse, rank-deficient (the last row the sum of some others)
+    or zero 0/1 rows, as random_rows draws them over GF(2)."""
+    kind = rng.randrange(4)
+    if kind == 3:
+        return [[0] * cols for _ in range(rows)]
+    out = [[rng.randrange(2) if kind != 1 or rng.random() < 0.3 else 0 for _ in range(cols)]
+           for _ in range(rows)]
+    if kind == 2 and rows > 1:
+        picked = [row for row in out[:-1] if rng.randrange(2)]
+        out[-1] = [sum(col) % 2 for col in zip(*picked)] if picked else [0] * cols
+    return out
+
+
+def test_gf2_bit_rows_match_the_list_sweep():
+    # Pivots, d, sign and, under above, the rows themselves, against the
+    # list loop on dense, sparse, rank-deficient and zero 0/1 rows; rows
+    # come as the tuples of Matrix.plain or the lists of an augmented solve.
+    rng = random.Random(3131)
+    matrices, wide, sizes = 0, 0, {}
+    while matrices < 5000:
+        for rows, cols, width in gf2_shapes(rng):
+            width = cols if width is None else width
+            data = gf2_rows(rng, rows, width)
+            if rng.random() < 0.5:
+                data = [tuple(row) for row in data]
+            for above in (False, True):
+                got, want = list(data), [list(row) for row in data]
+                assert linalg.bareiss_rows(got, cols, above, 2) == \
+                    ref_gf2_sweep(want, cols, above), (data, cols, above)
+            assert [list(row) for row in got] == want, (data, cols)
+            assert all(type(x) is int for row in got for x in row)
+            matrices += 1
+            wide += width > cols
+            sizes[rows] = sizes.get(rows, 0) + 1
+    assert wide >= 500
+    assert min(sizes[n] for n in (31, 32, 33, 63, 64, 65, 70)) >= 10

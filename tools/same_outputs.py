@@ -7,10 +7,11 @@ of a checkout of another commit).  The corpus is built once, in a
 temporary directory, from a fixed seed: algebras over Q, GF(2), GF(3) and
 GF(101) at n = 1-6, dense, sparse, with a zero column and with two
 proportional columns, each as a text and a JSON file; basis, family and
-vector inputs for them; one malformed input per parse message; and
-field specs with and without balanced parentheses.  Every
-subcommand runs on it, with and without ``--json``, plus ``random`` and
-small ``oracle`` runs.  Each tree runs the whole corpus through
+vector inputs for them; GF(2) algebras at n = 12-65, past one machine
+word of GF(2) bit rows, with their own basis and family inputs; one
+malformed input per parse message; and field specs with and without
+balanced parentheses.  Every subcommand runs on the small algebras, with
+and without ``--json``, plus ``random`` and small ``oracle`` runs.  Each tree runs the whole corpus through
 ``evoalg.cli.main`` in its own subprocess.
 
 Prints the number of invocations and how many differ in exit code, stdout
@@ -102,6 +103,8 @@ BAD_JSON = (
 # Field specs outside the plain 'gf <p>' form: unbalanced or repeated
 # parentheses (malformed), and one pair with spaces inside (accepted).
 SPECS = ("gf(13", "gf 13)", "gf((3))", "gf(13)", "gf( 13 )")
+# GF(2) dimensions around CPython's 30-bit digit and 64 bits.
+LARGE_GF2 = (12, 20, 33, 40, 65)
 
 
 def build_corpus(root):
@@ -146,6 +149,33 @@ def build_corpus(root):
                     for command in ("natural --unique", "nilpotency", "minors",
                                     "cube-nilpotent", "simple"):
                         runs.append(command.split() + [path, "--check"])
+    # Uniform 0/1 and sparse GF(2) algebras.  The bases: a permutation of
+    # the unit vectors (natural) and random 0/1 rows (almost surely not);
+    # the families: one unit vector, and two vectors that are not
+    # orthogonal in most algebras.
+    for n in LARGE_GF2:
+        for kind in ("dense", "sparse"):
+            rows = (_matrix(rng, 2, n, kind) if kind == "sparse" else
+                    [[rng.randrange(2) for _ in range(n)] for _ in range(n)])
+            stem = f"large-gf2-{n}-{kind}"
+            path = _write(root, stem + ".alg", f"field gf 2\ndim {n}\n" + "".join(
+                " ".join(map(str, row)) + "\n" for row in rows))
+            perm = rng.sample(range(n), n)
+            bases = ("".join(" ".join("1" if j == perm[k] else "0" for j in range(n)) + "\n"
+                             for k in range(n)),
+                     "".join(" ".join(str(rng.randrange(2)) for _ in range(n)) + "\n"
+                             for _ in range(n)))
+            families = (" ".join("1" if j == perm[0] else "0" for j in range(n)) + "\n",
+                        "".join(" ".join(str(rng.randrange(2)) for _ in range(n)) + "\n"
+                                for _ in range(2)))
+            runs += [["analyze", path], ["natural", "--unique", path], ["decompose", path]]
+            for k, (basis, family) in enumerate(zip(bases, families)):
+                basis_file = _write(root, f"{stem}-{k}.basis", basis)
+                family_file = _write(root, f"{stem}-{k}.family", family)
+                runs += [["decompose", "--basis", basis_file, path],
+                         ["classify", "--basis", basis_file, path],
+                         ["extend", "--family", family_file, path],
+                         ["extend", "--family", family_file, path, "--json"]]
     for spec, _ in FIELDS:
         for n in range(1, 7):
             for flags in ([], ["--perfect"], ["--nondegenerate"]):
