@@ -43,15 +43,23 @@ def is_basic_ideal(algebra, subspace):
 
 
 def descendant_closed_sets(algebra):
-    """All index sets closed under taking descendants, sorted; these are
-    exactly the sets whose coordinate spans are ideals.  Families of more
-    than MAX_CLOSED_SETS sets are refused with AnswerTooLarge."""
-    adjacency = algebra.digraph
-    closures = [reachable(adjacency, [i]) for i in range(algebra.n)]
+    """All index sets closed under taking descendants, by size and then
+    lexicographically; these are exactly the sets whose coordinate spans
+    are ideals.  Families of more than MAX_CLOSED_SETS sets are refused
+    with AnswerTooLarge.
+
+    The sets are built as int bit masks, index i being bit n - 1 - i, so a
+    union is one |.  Among sets of one size the lexicographically smaller
+    has the larger mask (the lowest index where two sets differ is their
+    highest differing bit), so the order is by popcount, then by mask
+    descending; each mask is decoded once, one step per index it holds."""
+    n = algebra.n
+    closures = [sum(1 << (n - 1 - i) for i in reachable(algebra.digraph, [v]))
+                for v in range(n)]
     # Closed sets are exactly the unions of single-index closures.
     # The new sets of a step are collected apart and counted as they come,
     # so a family past the cap is refused before it is built.
-    family = {frozenset()}
+    family = {0}
     for c in closures:
         new = set()
         for s in family:
@@ -62,7 +70,15 @@ def descendant_closed_sets(algebra):
                     raise AnswerTooLarge(f"more than {MAX_CLOSED_SETS} (2^16) descendant-closed "
                                          "index sets; the enumeration is capped there")
         family |= new
-    return sorted(family, key=lambda s: (len(s), sorted(s)))
+    out = []
+    for s in sorted(family, key=lambda s: (s.bit_count(), -s)):
+        indices = []
+        while s:
+            b = s.bit_length()
+            indices.append(n - b)
+            s ^= 1 << (b - 1)
+        out.append(frozenset(indices))
+    return out
 
 
 def ideal_lattice_perfect(algebra):

@@ -108,8 +108,10 @@ def bareiss_rows(m, cols, above, p):
     pivots, prev, sign = [], 1, 1
     for pc in range(cols):
         pr = len(pivots)
-        pivot_row = next((i for i in range(pr, len(m)) if m[i][pc]), None)
-        if pivot_row is None:
+        for pivot_row in range(pr, len(m)):
+            if m[pivot_row][pc]:
+                break
+        else:
             continue
         if pivot_row != pr:
             m[pr], m[pivot_row] = m[pivot_row], m[pr]

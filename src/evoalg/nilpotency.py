@@ -247,6 +247,19 @@ def _kernel_candidates(field, kern):
         yield from basis
 
 
+def _schur(rows, top, lo, d, p):
+    """One fraction-free elimination step on column lo with the pivot row
+    top: each of rows keeps its columns past lo as (piv a - f b) / d, piv
+    = top[lo] and f the row's own entry in column lo, exact on integers
+    over Q; over GF(p) the division is skipped and entries are reduced."""
+    piv, top = top[lo], top[lo + 1:]
+    if p:
+        return [[(piv * a - f * b) % p for a, b in zip(row[lo + 1:], top)]
+                for row in rows for f in (row[lo],)]
+    return [[(piv * a - f * b) // d for a, b in zip(row[lo + 1:], top)]
+            for row in rows for f in (row[lo],)]
+
+
 def _grow(state, j, p):
     """(nonsingular, state of gamma + (j)) from the state of gamma.
 
@@ -258,12 +271,18 @@ def _grow(state, j, p):
     d = det M[gamma, gamma], up to sign and one nonzero factor (Sylvester's
     identity).  The child adds the row and column of j to the waiting ones
     and eliminates their r + 1 columns, pivots from waiting rows, each step
-    (piv a - f b) / d exact on integers; a column finds no pivot exactly
-    when M[gamma + (j), gamma + (j)] is singular.  Over GF(p) only zero or
-    not matters, and a step without the division scales the rows left by
-    one nonzero constant, so entries are just reduced mod p."""
+    (piv a - f b) / d exact on integers (_schur); a column finds no pivot
+    exactly when M[gamma + (j), gamma + (j)] is singular.  Over GF(p) only
+    zero or not matters, and a step without the division scales the rows
+    left by one nonzero constant, so entries are just reduced mod p.
+
+    Most nodes have a nonsingular parent (r = 0) and a nonzero pivot
+    rows[lo][lo]: that step reads the pivot row and the rows below it in
+    place, with no copy of the parent's rows."""
     rows, d, first, r = state
     lo = r + j - first
+    if not r and rows[lo][lo]:
+        return True, (_schur(rows[lo + 1:], rows[lo], lo, d, p), rows[lo][lo], j + 1, 0)
     rows = [row[:r] + row[lo:] for row in rows[:r] + rows[lo:]]
     for left in range(r + 1, 0, -1):
         for k in range(left):
@@ -271,12 +290,8 @@ def _grow(state, j, p):
                 break
         else:
             return False, (rows, d, j + 1, left)
-        piv, *top = rows.pop(k)
-        if p:
-            rows = [[(piv * a - f * b) % p for a, b in zip(rest, top)] for f, *rest in rows]
-        else:
-            rows = [[(piv * a - f * b) // d for a, b in zip(rest, top)] for f, *rest in rows]
-        d = piv
+        top = rows.pop(k)
+        rows, d = _schur(rows, top, 0, d, p), top[0]
     return True, (rows, d, j + 1, 0)
 
 

@@ -32,8 +32,10 @@ def rref_mod(rows, p):
     pivots = []
     pr = 0
     for pc in range(cols):
-        pivot = next((i for i in range(pr, len(m)) if m[i][pc] % p), None)
-        if pivot is None:
+        for pivot in range(pr, len(m)):
+            if m[pivot][pc] % p:
+                break
+        else:
             continue
         m[pr], m[pivot] = m[pivot], m[pr]
         inv = pow(m[pr][pc], p - 2, p)
@@ -165,34 +167,46 @@ def all_subspaces(p, n):
 # ----------------------------------------------------------- brute-force facts
 
 
-def brute_triple_exists(m, p):
-    """Exists u, v, w with supp(v) = supp(w), |supp(u)| >= |supp(v)| and
-    u (v w) = 0 (projective scan).  Without the size restriction the triple
-    condition is vacuous for n >= 2: any u supported away from supp(v w)
-    qualifies."""
-    n = len(m)
+def _triple_groups(p, n):
+    """The scan lists of brute_triple_exists at dimension n: for each
+    support S of a projective point, in order of first appearance, the
+    points on S and the points u with |supp(u)| >= |S|."""
     cands = normalized_vectors(p, n)
     by_support = {}
     for v in cands:
         by_support.setdefault(support(v), []).append(v)
-    for supp_v, vs in by_support.items():
+    at_least = [[u for u in cands if len(support(u)) >= k] for k in range(n + 1)]
+    return [(vs, at_least[len(supp)]) for supp, vs in by_support.items()]
+
+
+def brute_triple_exists(m, p, groups=None):
+    """Exists u, v, w with supp(v) = supp(w), |supp(u)| >= |supp(v)| and
+    u (v w) = 0 (projective scan).  Without the size restriction the triple
+    condition is vacuous for n >= 2: any u supported away from supp(v w)
+    qualifies.  groups is _triple_groups(p, len(m)), built here unless a
+    caller scanning many matrices passes it."""
+    if groups is None:
+        groups = _triple_groups(p, len(m))
+    for vs, us in groups:
         for v in vs:
             for w in vs:
                 vw = evo_mult(m, p, v, w)
-                for u in cands:
-                    if len(support(u)) < len(supp_v):
-                        continue
-                    uvw = evo_mult(m, p, u, vw)
-                    if not any(uvw):
+                for u in us:
+                    if not any(evo_mult(m, p, u, vw)):
                         return True
     return False
 
 
-def minor_condition_exists(m, p):
-    """Exists nonempty Gamma, Omega with rank M[Gamma, Omega] < min size."""
-    n = len(m)
-    subsets = [s for k in range(1, n + 1)
-               for s in combinations(range(n), k)]
+def _nonempty_subsets(n):
+    return [s for k in range(1, n + 1) for s in combinations(range(n), k)]
+
+
+def minor_condition_exists(m, p, subsets=None):
+    """Exists nonempty Gamma, Omega with rank M[Gamma, Omega] < min size.
+    subsets is _nonempty_subsets(len(m)), built here unless a caller
+    scanning many matrices passes it."""
+    if subsets is None:
+        subsets = _nonempty_subsets(len(m))
     for gamma in subsets:
         for omega in subsets:
             rows = [[m[i][j] for j in omega] for i in gamma]
@@ -298,11 +312,10 @@ def _natural_vectors_case(p, dim):
 
 def _ideal_lattice_case(p, dim):
     """Perfect-algebra ideal lattice vs full subspace enumeration."""
-    subspaces = all_subspaces(p, dim)
+    spaces = [Subspace.from_vectors(GF(p), dim, [list(r) for r in rows])
+              for rows in all_subspaces(p, dim)]
 
     def case(m, algebra):
-        spaces = (Subspace.from_vectors(algebra.field, dim, [list(r) for r in rows])
-                  for rows in subspaces)
         brute = {s for s in spaces if ideals.is_ideal(algebra, s)}
         yield None, brute == set(ideals.ideal_lattice_perfect(algebra))
     return case
@@ -310,9 +323,11 @@ def _ideal_lattice_case(p, dim):
 
 def _minor_condition_case(p, dim):
     """Triple-product existence vs the vanishing-minor condition, both ways."""
+    groups, subsets = _triple_groups(p, dim), _nonempty_subsets(dim)
+
     def case(m, algebra):
-        brute = brute_triple_exists(m, p)
-        condition = minor_condition_exists(m, p)
+        brute = brute_triple_exists(m, p, groups)
+        condition = minor_condition_exists(m, p, subsets)
         scan = nilpotency.find_orthogonality_witness(algebra)
         yield None, brute == condition == (scan.witness is not None)
     return case

@@ -3,6 +3,7 @@
 import random
 import tracemalloc
 from functools import cache
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +12,8 @@ from evoalg.algebra import EvolutionAlgebra
 from evoalg.errors import AnswerTooLarge, FieldMismatch, NotPerfect, ShapeMismatch
 from evoalg.fields import GF, QQ
 from evoalg.generate import random_algebra
-from evoalg.ideals import (_breaking_class, descendant_closed_sets, ideal_lattice_perfect,
+from evoalg.ideals import (MAX_CLOSED_SETS, _breaking_class, descendant_closed_sets,
+                           ideal_lattice_perfect,
                            is_basic_ideal, is_basic_simple,
                            is_basic_simple_relative, is_ideal, is_simple,
                            is_strongly_connected, reachable)
@@ -274,6 +276,81 @@ def test_descendant_closed_sets_refused_before_built():
     accepted, refused = diagonal(16), diagonal(17)
     assert traced_peak(descendant_closed_sets, refused) <= \
         1.2 * traced_peak(descendant_closed_sets, accepted)
+
+
+def ref_descendant_closed_sets(algebra):
+    """Reference: the enumeration on frozensets, sorted by size and then by
+    the sorted index lists."""
+    adjacency = algebra.digraph
+    closures = [reachable(adjacency, [i]) for i in range(algebra.n)]
+    family = {frozenset()}
+    for c in closures:
+        new = set()
+        for s in family:
+            t = s | c
+            if t not in family:
+                new.add(t)
+                if len(family) + len(new) > MAX_CLOSED_SETS:
+                    raise AnswerTooLarge(f"more than {MAX_CLOSED_SETS} (2^16) descendant-closed "
+                                         "index sets; the enumeration is capped there")
+        family |= new
+    return sorted(family, key=lambda s: (len(s), sorted(s)))
+
+
+def closed_set_corpus(rng):
+    """Structure matrices (column i is e_i^2, so i -> j iff rows[j][i])
+    at n = 1..20: complete and chain (i -> i + 1) digraphs at every n;
+    empty and diagonal ones, every index set closed, up to n = 13 and at
+    n = 17, past the cap; then random digraphs and near-triangular ones
+    like the search benchmark's (nonzero diagonal, sparse edges to lower
+    indices, one 2-cycle)."""
+    for n in range(1, 21):
+        yield [[1] * n for _ in range(n)]
+        yield [[int(j == i + 1) for i in range(n)] for j in range(n)]
+        if n < 14 or n == 17:
+            yield [[0] * n for _ in range(n)]
+            yield [[int(j == i) for i in range(n)] for j in range(n)]
+    for case in range(2000):
+        n = rng.randint(1, 20)
+        rows = [[0] * n for _ in range(n)]
+        if case % 2 or n == 1:
+            density = rng.uniform(1 / n, 0.6)
+            for i in range(n):
+                for j in range(n):
+                    if rng.random() < density:
+                        rows[j][i] = rng.randrange(1, 101)
+        else:
+            density = rng.uniform(0.15, 0.6)
+            for i in range(n):
+                rows[i][i] = rng.randrange(1, 101)
+                for j in range(i):
+                    if rng.random() < density:
+                        rows[j][i] = rng.randrange(1, 101)
+            i = rng.randrange(n - 1)
+            rows[i + 1][i] = rows[i][i + 1] = rng.randrange(1, 101)
+        yield rows
+
+
+def closed_sets_or_refusal(fn, algebra):
+    try:
+        return fn(algebra)
+    except AnswerTooLarge as exc:
+        return str(exc)
+
+
+def test_descendant_closed_sets_match_frozenset_enumeration():
+    # The bit-mask enumeration gives the reference's list, order included,
+    # and refuses the same families with the same message.  Dimension 0 has
+    # no algebra; the function reads only n and the digraph.
+    algebras = [SimpleNamespace(n=0, digraph=())] + [
+        EvolutionAlgebra(GF(101), rows) for rows in closed_set_corpus(random.Random(43))]
+    refused = tied = 0
+    for a in algebras:
+        expected = closed_sets_or_refusal(ref_descendant_closed_sets, a)
+        assert closed_sets_or_refusal(descendant_closed_sets, a) == expected
+        refused += isinstance(expected, str)
+        tied += not isinstance(expected, str) and len({len(s) for s in expected}) < len(expected)
+    assert len(algebras) > 2000 and refused >= 2 and tied > 1000
 
 
 def test_ideal_lattice_perfect_requires_perfect():

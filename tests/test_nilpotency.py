@@ -370,9 +370,11 @@ def minor_per_subset_scan(algebra):
     return CubeNilpotentScan(None, passed[0] if passed else None, bool(passed)), passed
 
 
-def random_perfect(rng):
-    field = rng.choice([QQ, GF(2), GF(3), GF(5), GF(101)])
-    n = rng.randint(1, 6)
+def random_perfect(rng, field=None, n=None):
+    if field is None:
+        field = rng.choice([QQ, GF(2), GF(3), GF(5), GF(101)])
+    if n is None:
+        n = rng.randint(1, 6)
     while True:
         density = rng.choice([rng.random(), 1.0])
         if field == QQ:
@@ -418,12 +420,15 @@ def test_minor_scan_matches_all_pairs(monkeypatch):
     assert hits and late and none
 
 
-def rank_deficient_perfect(rng):
-    """A perfect algebra over Q, GF(11) or GF(13), n = 3..7, with one
-    principal block M[g, g], |g| < n, made singular: on the columns of g,
-    the first row of g is a combination of the others."""
-    field = rng.choice([QQ, GF(11), GF(13)])
-    n = rng.randint(3, 7)
+def rank_deficient_perfect(rng, field=None, n=None):
+    """A perfect algebra over the field at dimension n >= 3 (by default
+    over Q, GF(11) or GF(13), n = 3..7), with one principal block M[g, g],
+    |g| < n, made singular: on the columns of g, the first row of g is a
+    combination of the others."""
+    if field is None:
+        field = rng.choice([QQ, GF(11), GF(13)])
+    if n is None:
+        n = rng.randint(3, 7)
     draw = ((lambda: rng.randint(-3, 3)) if field == QQ
             else (lambda: rng.randrange(field.p)))
     while True:
@@ -495,6 +500,55 @@ def test_cube_scan_matches_minor_per_subset(monkeypatch):
         passed_over += bool(passed)
         later_witness += bool(passed) and scan.element is not None
     assert passed_over and later_witness and resumed > 200
+
+
+def ref_grow(state, j, p):
+    """Reference: the step that copies the rows and columns it keeps for
+    every child, unpacks each row, then eliminates."""
+    rows, d, first, r = state
+    lo = r + j - first
+    rows = [row[:r] + row[lo:] for row in rows[:r] + rows[lo:]]
+    for left in range(r + 1, 0, -1):
+        for k in range(left):
+            if rows[k][0]:
+                break
+        else:
+            return False, (rows, d, j + 1, left)
+        piv, *top = rows.pop(k)
+        if p:
+            rows = [[(piv * a - f * b) % p for a, b in zip(rest, top)] for f, *rest in rows]
+        else:
+            rows = [[(piv * a - f * b) // d for a, b in zip(rest, top)] for f, *rest in rows]
+        d = piv
+    return True, (rows, d, j + 1, 0)
+
+
+def test_cube_step_matches_copying_step(monkeypatch):
+    # Every step gives the reference's state, and the scan run on the
+    # reference step gives the same result, minors included.
+    rng = random.Random(44)
+    fields = (QQ, GF(3), GF(13), GF(10007))
+    corpus = [rank_deficient_perfect(rng, field, rng.randint(3, 10)) if case % 8 < 4
+              else random_perfect(rng, field, rng.randint(1, 10))
+              for case, field in enumerate(fields * 100)]
+    grow = nilpotency._grow
+    found = resumed = 0
+
+    def checked(state, j, p):
+        nonlocal resumed
+        out = grow(state, j, p)
+        assert out == ref_grow(state, j, p)
+        resumed += state[3] > 0
+        return out
+
+    for a in corpus:
+        monkeypatch.setattr(nilpotency, "_grow", checked)
+        scan = find_cube_nilpotent(a)
+        monkeypatch.setattr(nilpotency, "_grow", ref_grow)
+        assert find_cube_nilpotent(a) == scan
+        monkeypatch.undo()
+        found += scan.element is not None
+    assert 0 < found < len(corpus) and resumed >= 100
 
 
 def test_cube_scan_singular_prefixes(monkeypatch):

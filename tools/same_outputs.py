@@ -8,7 +8,10 @@ temporary directory, from a fixed seed: algebras over Q, GF(2), GF(3) and
 GF(101) at n = 1-6, dense, sparse, with a zero column and with two
 proportional columns, each as a text and a JSON file; basis, family and
 vector inputs for them; GF(2) algebras at n = 12-65, past one machine
-word of GF(2) bit rows, with their own basis and family inputs; one
+word of GF(2) bit rows, with their own basis and family inputs; sparse
+near-triangular and diagonal GF(101) algebras at n = 12-20 for
+``ideals``, and perfect algebras over Q, GF(3) and GF(10007) at n = 8-12,
+with and without a singular principal block, for ``cube-nilpotent``; one
 malformed input per parse message; and field specs with and without
 balanced parentheses.  Every subcommand runs on the small algebras, with
 and without ``--json``, plus ``random`` and small ``oracle`` runs.  Each tree runs the whole corpus through
@@ -62,6 +65,53 @@ def _matrix(rng, p, n, kind):
     return rows
 
 
+def _near_triangular(rng, n, density, p=101):
+    """A nonzero diagonal, sparse entries above it and one just below it:
+    every edge of the digraph but that one is a loop or goes to a lower
+    index."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.randrange(1, p)
+        for j in range(i):
+            if rng.random() < density:
+                rows[j][i] = rng.randrange(1, p)
+    i = rng.randrange(n - 1)
+    rows[i + 1][i] = rng.randrange(1, p)
+    return rows
+
+
+def _singular_block(rng, p, rows):
+    """Make the principal block on a random half of the indices singular:
+    on its columns, its first row becomes a combination of its others."""
+    t, *others = rng.sample(range(len(rows)), len(rows) // 2)
+    coeffs = [rng.randint(-2, 2) if p is None else rng.randrange(p) for _ in others]
+    for c in (t, *others):
+        x = sum(k * rows[u][c] for k, u in zip(coeffs, others))
+        rows[t][c] = x if p is None else x % p
+
+
+def _nonsingular(rows, p):
+    """Gaussian elimination over Q, or over GF(p) on residues."""
+    m = [list(row) for row in rows]
+    for c in range(len(m)):
+        for r in range(c, len(m)):
+            if m[r][c] % p if p else m[r][c]:
+                break
+        else:
+            return False
+        m[c], m[r] = m[r], m[c]
+        inv = pow(m[c][c], -1, p) if p else 1 / Fraction(m[c][c])
+        for row in m[c + 1:]:
+            f = row[c] * inv
+            row[c:] = [(a - f * b) % p if p else a - f * b for a, b in zip(row[c:], m[c][c:])]
+    return True
+
+
+def _alg_text(spec, rows):
+    return f"field {spec}\ndim {len(rows)}\n" + "".join(
+        " ".join(map(str, row)) + "\n" for row in rows)
+
+
 def _write(root, name, text):
     path = root / name
     path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
@@ -105,6 +155,14 @@ BAD_JSON = (
 SPECS = ("gf(13", "gf 13)", "gf((3))", "gf(13)", "gf( 13 )")
 # GF(2) dimensions around CPython's 30-bit digit and 64 bits.
 LARGE_GF2 = (12, 20, 33, 40, 65)
+# Closed-set enumeration at the sizes of the search benchmark: (n, density
+# above the diagonal) of sparse near-triangular GF(101) algebras, with 500
+# to 900 closed sets; and the diagonal algebras, every index set closed
+# (2^12 sets, and 2^17, past the cap).
+CLOSED_SETS = ((12, 0.1), (16, 0.15), (20, 0.2))
+DIAGONAL = (12, 17)
+# The principal-minor tree of cube-nilpotent at n = 8-12.
+CUBE_FIELDS = (("q", None), ("gf 3", 3), ("gf 10007", 10007))
 
 
 def build_corpus(root):
@@ -158,8 +216,7 @@ def build_corpus(root):
             rows = (_matrix(rng, 2, n, kind) if kind == "sparse" else
                     [[rng.randrange(2) for _ in range(n)] for _ in range(n)])
             stem = f"large-gf2-{n}-{kind}"
-            path = _write(root, stem + ".alg", f"field gf 2\ndim {n}\n" + "".join(
-                " ".join(map(str, row)) + "\n" for row in rows))
+            path = _write(root, stem + ".alg", _alg_text("gf 2", rows))
             perm = rng.sample(range(n), n)
             bases = ("".join(" ".join("1" if j == perm[k] else "0" for j in range(n)) + "\n"
                              for k in range(n)),
@@ -176,6 +233,29 @@ def build_corpus(root):
                          ["classify", "--basis", basis_file, path],
                          ["extend", "--family", family_file, path],
                          ["extend", "--family", family_file, path, "--json"]]
+    closed = [(f"closed-{n}", _near_triangular(rng, n, density)) for n, density in CLOSED_SETS]
+    closed += [(f"diagonal-{n}", [[int(i == j) for j in range(n)] for i in range(n)])
+               for n in DIAGONAL]
+    for stem, rows in closed:
+        path = _write(root, stem + ".alg", _alg_text("gf 101", rows))
+        runs += [["ideals", path], ["ideals", path, "--json"]]
+    # Dense perfect algebras, entries of -99..99 over Q; in the second of
+    # each pair a principal block of size n // 2 is singular, so over Q and
+    # GF(10007) the scan meets it midway and, mostly without square roots
+    # for a witness, goes on eliminating around it.
+    for spec, p in CUBE_FIELDS:
+        for n in range(8, 13):
+            for singular in (False, True):
+                while True:
+                    rows = [[rng.randrange(1, 100) * rng.choice((1, -1)) if p is None
+                             else rng.randrange(1, p) for _ in range(n)] for _ in range(n)]
+                    if singular:
+                        _singular_block(rng, p, rows)
+                    if _nonsingular(rows, p):
+                        break
+                path = _write(root, f"cube-{spec.replace(' ', '')}-{n}-{int(singular)}.alg",
+                              _alg_text(spec, rows))
+                runs += [["cube-nilpotent", path], ["cube-nilpotent", path, "--json"]]
     for spec, _ in FIELDS:
         for n in range(1, 7):
             for flags in ([], ["--perfect"], ["--nondegenerate"]):
