@@ -267,7 +267,7 @@ class EvolutionAlgebra:
         vecs = [self._plain_of(c) for c in candidates]
         if len(vecs) != self.n:
             return False
-        if len(rref_rows(list(vecs), self.n, self.field)) != self.n:
+        if Matrix._from_plain(self.field, vecs).rank() != self.n:
             return False
         # u w = M (u o w) is zero when u o w is.
         products = (list(map(mul, u, w)) for a, u in enumerate(vecs) for w in vecs[a + 1:])

@@ -53,7 +53,7 @@ def _subspace(s):
 
 
 def _indices(ixs):
-    return [i + 1 for i in sorted(ixs)]
+    return [i + 1 for i in ixs]
 
 
 def _tri(value):

@@ -43,16 +43,17 @@ def is_basic_ideal(algebra, subspace):
 
 
 def descendant_closed_sets(algebra):
-    """All index sets closed under taking descendants, by size and then
-    lexicographically; these are exactly the sets whose coordinate spans
-    are ideals.  Families of more than MAX_CLOSED_SETS sets are refused
-    with AnswerTooLarge.
+    """All index sets closed under taking descendants, as ascending index
+    tuples, by size and then lexicographically; these are exactly the sets
+    whose coordinate spans are ideals.  Families of more than
+    MAX_CLOSED_SETS sets are refused with AnswerTooLarge.
 
     The sets are built as int bit masks, index i being bit n - 1 - i, so a
     union is one |.  Among sets of one size the lexicographically smaller
     has the larger mask (the lowest index where two sets differ is their
     highest differing bit), so the order is by popcount, then by mask
-    descending; each mask is decoded once, one step per index it holds."""
+    descending; each mask is decoded once, lowest index first, one step per
+    index it holds."""
     n = algebra.n
     closures = [sum(1 << (n - 1 - i) for i in reachable(algebra.digraph, [v]))
                 for v in range(n)]
@@ -77,7 +78,7 @@ def descendant_closed_sets(algebra):
             b = s.bit_length()
             indices.append(n - b)
             s ^= 1 << (b - 1)
-        out.append(frozenset(indices))
+        out.append(tuple(indices))
     return out
 
 

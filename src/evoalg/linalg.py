@@ -149,9 +149,8 @@ _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 def _bit_sweep(m, cols, above):
     """bareiss_rows over GF(2), on the 0/1 rows m: each row is packed into
     one int, bit j holding column j as in reduce_bits, and the pivot row
-    clears a row by XOR.  d is 1.  With above a row that changed goes back
-    into m as a 0/1 list, and the rows that did not stay as they are; with
-    above false nothing is unpacked."""
+    clears a row by XOR.  d is 1.  With above every row goes back into m as
+    a 0/1 list; with above false m is not touched."""
     width, rows = (len(m[0]) if m else 0), len(m)
     bits = [int(bytes(row[::-1]).translate(_TO_DIGITS) or b"0", 2) for row in m]
     pivots, sign = [], 1
@@ -164,20 +163,19 @@ def _bit_sweep(m, cols, above):
             continue
         if i != pr:
             bits[pr], bits[i] = bits[i], bits[pr]
-            m[pr], m[i] = m[i], m[pr]
             sign = -sign
         row = bits[pr]
         for i in range(0 if above else pr + 1, rows):
             if bits[i] & bit and i != pr:
                 bits[i] ^= row
-                m[i] = None   # changed: unpacked at the end
         pivots.append(pc)
         if pr + 1 == rows:
             break
     if above:
-        for i, row in enumerate(m):
-            if row is None:
-                m[i] = list(f"{bits[i]:0{width}b}"[::-1].encode().translate(_FROM_DIGITS))
+        # The bit at width gives every numeral width + 1 digits, width 0
+        # included; it is the first digit and the reversed slice drops it.
+        top = 1 << width
+        m[:] = [list(f"{b | top:b}"[:0:-1].encode().translate(_FROM_DIGITS)) for b in bits]
     return pivots, 1, sign
 
 
@@ -388,12 +386,11 @@ class Matrix:
         with its columns reversed: turned back, the null vector of that RREF
         for a free column f is 1 at f and 0 before f and at the other free
         columns, so in order of f these vectors are the canonical basis."""
-        n = self.cols
+        n, field = self.cols, self.field
         m = [row[::-1] for row in self.plain]
-        pivots = rref_rows(m, n, self.field)
-        basis = [v[::-1] for v in reversed(kernel_rows(m, n, pivots, self.field.reduce))]
-        return Subspace._from_plain(self.field, n, basis,
-                                   [next(j for j, x in enumerate(v) if x) for v in basis])
+        pivots = rref_rows(m, n, field)
+        basis = tuple(tuple(v[::-1]) for v in reversed(kernel_rows(m, n, pivots, field.reduce)))
+        return Subspace(field, n, basis, tuple(v.index(1) for v in basis))
 
     def det(self):
         """sign * d over the product of the row scales, where d is the last
@@ -448,14 +445,11 @@ class Subspace:
         return cls._from_plain(field, ambient, rows)
 
     @classmethod
-    def _from_plain(cls, field, ambient, rows, pivots=None):
+    def _from_plain(cls, field, ambient, rows):
         """Span of canonical plain vectors of length ambient, given as a list
-        that rref_rows may reorder and overwrite, or as RREF rows with their
-        pivots."""
-        if pivots is None:
-            pivots = rref_rows(rows, ambient, field)
-            rows = rows[:len(pivots)]
-        return cls(field, ambient, tuple(map(tuple, rows)), tuple(pivots))
+        that rref_rows may reorder and overwrite."""
+        pivots = rref_rows(rows, ambient, field)
+        return cls(field, ambient, tuple(map(tuple, rows[:len(pivots)])), tuple(pivots))
 
     @classmethod
     def coordinate(cls, field, ambient, indices):

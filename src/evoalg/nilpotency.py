@@ -60,22 +60,23 @@ def power_spaces(algebra, k):
 
 class NilpotencyReport(NamedTuple):
     is_nilpotent: bool
-    ann_chain_indices: tuple      # index sets, strictly increasing until stable
+    ann_chain_indices: tuple      # ascending index tuples, strictly increasing until stable
     type_sequence: tuple          # dimension increments, empty when not nilpotent
     right_nilpotency_index: int | None
     triangular_order: tuple | None  # basis order making M strictly upper triangular
 
 
 def _annihilator_chain_indices(algebra):
-    """ann^1 is the indices with an empty out-set in the digraph, and
-    ann^k those whose out-set lies in ann^(k-1)."""
-    digraph = algebra.digraph
-    chain = [frozenset(i for i, out in enumerate(digraph) if not out)]
+    """The levels ann^k as ascending index tuples: ann^1 is the indices
+    with an empty out-set in the digraph, and ann^k those whose out-set
+    lies in ann^(k-1)."""
+    chain, below = [], frozenset()
     while True:
-        bigger = frozenset(i for i, out in enumerate(digraph) if out <= chain[-1])
-        if bigger == chain[-1]:
+        level = tuple(i for i, out in enumerate(algebra.digraph) if out <= below)
+        if chain and level == chain[-1]:
             return chain
-        chain.append(bigger)
+        chain.append(level)
+        below = frozenset(level)
 
 
 def nilpotency_report(algebra):

@@ -96,7 +96,7 @@ def test_adjoint_invariants_random():
         assert list(adj_digraph) == reversed_digraph(a.digraph)
         full = set(range(a.n))
         for closed in descendant_closed_sets(a):
-            complement = full - closed
+            complement = full - frozenset(closed)
             assert all(adj_digraph[j] <= complement for j in complement)
         seen.update(inv._asdict().items())
     assert len(seen) == 8

@@ -172,7 +172,7 @@ def test_digraph_readings_match_structure_matrix():
             zero_rows = {i for i, row in enumerate(a.M.plain) if not any(row)}
             zero_cols = {i for i, col in enumerate(zip(*a.M.plain)) if not any(col)}
             cube_zero = zero_rows | zero_cols == set(range(a.n))
-            assert nilpotency_report(a).ann_chain_indices[0] == zero_cols
+            assert nilpotency_report(a).ann_chain_indices[0] == tuple(sorted(zero_cols))
             assert adjoint_annihilator(a) == Subspace.coordinate(field, a.n, zero_rows)
             assert is_cube_zero(a) == cube_zero
             seen.add((field, bool(zero_rows), bool(zero_cols), cube_zero))
@@ -230,8 +230,7 @@ def test_descendant_closed_sets():
     a = EvolutionAlgebra(QQ, [[0, 0, 0], [1, 1, 0], [0, 0, 1]])
     closed = descendant_closed_sets(a)
     # 1 -> 2, 2 -> 2, 3 -> 3.
-    assert closed == [frozenset(), frozenset({1}), frozenset({2}),
-                      frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1, 2})]
+    assert closed == [(), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)]
     for s in closed:
         assert is_ideal(a, Subspace.coordinate(a.field, a.n, s))
 
@@ -340,16 +339,20 @@ def closed_sets_or_refusal(fn, algebra):
 
 def test_descendant_closed_sets_match_frozenset_enumeration():
     # The bit-mask enumeration gives the reference's list, order included,
-    # and refuses the same families with the same message.  Dimension 0 has
-    # no algebra; the function reads only n and the digraph.
+    # each set as its ascending index tuple, and refuses the same families
+    # with the same message.  Dimension 0 has no algebra; the function
+    # reads only n and the digraph.
     algebras = [SimpleNamespace(n=0, digraph=())] + [
         EvolutionAlgebra(GF(101), rows) for rows in closed_set_corpus(random.Random(43))]
     refused = tied = 0
     for a in algebras:
         expected = closed_sets_or_refusal(ref_descendant_closed_sets, a)
+        if isinstance(expected, str):
+            refused += 1
+        else:
+            expected = [tuple(sorted(s)) for s in expected]
+            tied += len({len(s) for s in expected}) < len(expected)
         assert closed_sets_or_refusal(descendant_closed_sets, a) == expected
-        refused += isinstance(expected, str)
-        tied += not isinstance(expected, str) and len({len(s) for s in expected}) < len(expected)
     assert len(algebras) > 2000 and refused >= 2 and tied > 1000
 
 

@@ -699,6 +699,9 @@ def test_gf2_bit_rows_match_the_list_sweep():
                 assert linalg.bareiss_rows(got, cols, above, 2) == \
                     ref_gf2_sweep(want, cols, above), (data, cols, above)
             assert [list(row) for row in got] == want, (data, cols)
+            # Every row comes back as a list of width ints, [] at width 0
+            # (the shapes (1, 0, 0) and (1, 1, 1) are drawn every round).
+            assert all(type(row) is list and len(row) == width for row in got), (data, cols)
             assert all(type(x) is int for row in got for x in row)
             matrices += 1
             wide += width > cols

@@ -1,14 +1,17 @@
 """Power spaces, nilpotency reports, vanishing-minor witnesses."""
 
+import importlib.util
 import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from evoalg import linalg, nilpotency
 from evoalg.algebra import Element, EvolutionAlgebra
+from evoalg.algfile import parse_algebra_text
 from evoalg.errors import (FieldMismatch, InvalidArgument, NotPerfect,
                            SelfCheckFailed, ShapeMismatch)
 from evoalg.fields import GF, QQ
@@ -86,8 +89,7 @@ def test_power_spaces_index_below_one():
 def test_nilpotency_report_dim4():
     rep = nilpotency_report(dim4_example())
     assert rep.is_nilpotent
-    assert rep.ann_chain_indices == (frozenset({3}), frozenset({0, 1, 3}),
-                                     frozenset({0, 1, 2, 3}))
+    assert rep.ann_chain_indices == ((3,), (0, 1, 3), (0, 1, 2, 3))
     assert rep.type_sequence == (1, 2, 1)
     assert rep.right_nilpotency_index == 4
     assert rep.triangular_order == (3, 0, 1, 2)
@@ -112,6 +114,54 @@ def test_not_nilpotent():
     assert rep.type_sequence == ()
     assert rep.right_nilpotency_index is None
     assert rep.triangular_order is None
+
+
+def ref_annihilator_chain(algebra):
+    """Reference: the chain as frozensets, ann^1 the indices with an empty
+    out-set and each next level those whose out-set lies in the last."""
+    digraph = algebra.digraph
+    chain = [frozenset(i for i, out in enumerate(digraph) if not out)]
+    while True:
+        bigger = frozenset(i for i, out in enumerate(digraph) if out <= chain[-1])
+        if bigger == chain[-1]:
+            return chain
+        chain.append(bigger)
+
+
+def shuffled_nilpotent_corpus(root):
+    """The nilpotent GF(101) algebras with shuffled indices that
+    tools/same_outputs.py runs through ``nilpotency``, n = 9-20."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
+    spec = importlib.util.spec_from_file_location("same_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.build_corpus(root)
+    return [parse_algebra_text(f.read_text(encoding="utf-8"))
+            for f in sorted(root.glob("nilpotent-*.alg"))]
+
+
+def test_annihilator_chain_levels_are_ascending_tuples(tmp_path):
+    # Each level is its frozenset reference in ascending order, on sparse
+    # random algebras and on the shuffled nilpotent corpus algebras.  In
+    # about half of the latter some level iterates out of order as a
+    # frozenset, so a chain kept in frozenset order prints differently there.
+    rng = random.Random(53)
+    randoms = []
+    for field in (QQ, GF(2), GF(3), GF(101)):
+        for _ in range(100):
+            a = random_algebra(field, rng.randint(1, 14), rng=rng)
+            keep = rng.choice((0.2, 0.4, 1.0))
+            randoms.append(EvolutionAlgebra(field, [[x if rng.random() < keep else 0 for x in row]
+                                                    for row in a.M.plain]))
+    shuffled = shuffled_nilpotent_corpus(tmp_path)
+    for a in randoms + shuffled:
+        assert nilpotency_report(a).ann_chain_indices == tuple(
+            tuple(sorted(s)) for s in ref_annihilator_chain(a))
+    assert sum(nilpotency_report(a).is_nilpotent for a in randoms) >= 20
+    assert len(shuffled) == 40 and all(nilpotency_report(a).is_nilpotent for a in shuffled)
+    unordered = sum(any(tuple(frozenset(s)) != s for s in nilpotency_report(a).ann_chain_indices)
+                    for a in shuffled)
+    assert unordered >= 15
 
 
 def test_nilpotency_matches_exhaustive_nil():
@@ -168,6 +218,32 @@ def test_witness_none_for_generic_perfect():
     a = EvolutionAlgebra(QQ, [[1, 1], [1, 2]])
     scan = find_orthogonality_witness(a)
     assert scan.witness is None and not scan.truncated
+
+
+def test_minor_scan_meets_balls_mds_bound():
+    # Ball (J. Eur. Math. Soc. 14 (2012), 733-748): over GF(p) every n x n
+    # matrix with n > (p + 1)/2 has a singular square submatrix, so the
+    # full scan finds a witness even with no zero entry.  A Cauchy matrix
+    # 1/(x_i - y_j), the 2n points distinct (so 2n <= p), has none.
+    rng = random.Random(2012)
+    for p in (3, 5, 7, 11, 13):
+        F = GF(p)
+        for n in ((p + 1) // 2 + 1, (p + 1) // 2 + 2):
+            for _ in range(30):
+                while True:
+                    a = EvolutionAlgebra(F, [[rng.randrange(1, p) for _ in range(n)]
+                                             for _ in range(n)])
+                    if a.is_perfect():
+                        break
+                scan = find_orthogonality_witness(a, n)
+                assert scan.witness is not None and not scan.truncated, (p, a.M.plain)
+    for p, n in ((7, 3), (11, 5), (13, 6)):
+        points = rng.sample(range(p), 2 * n)
+        xs, ys = points[:n], points[n:]
+        a = EvolutionAlgebra(GF(p), [[pow(x - y, -1, p) for y in ys] for x in xs])
+        scan = find_orthogonality_witness(a, n)
+        assert scan.witness is None and not scan.truncated, p
+        assert scan.minors == sum(comb(n, k) ** 2 for k in range(1, n + 1))
 
 
 def test_cube_nilpotent_needs_square_roots():

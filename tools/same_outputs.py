@@ -11,10 +11,12 @@ vector inputs for them; GF(2) algebras at n = 12-65, past one machine
 word of GF(2) bit rows, with their own basis and family inputs; sparse
 near-triangular and diagonal GF(101) algebras at n = 12-20 for
 ``ideals``, and perfect algebras over Q, GF(3) and GF(10007) at n = 8-12,
-with and without a singular principal block, for ``cube-nilpotent``; one
-malformed input per parse message; and field specs with and without
-balanced parentheses.  Every subcommand runs on the small algebras, with
-and without ``--json``, plus ``random`` and small ``oracle`` runs.  Each tree runs the whole corpus through
+with and without a singular principal block, for ``cube-nilpotent``;
+nilpotent GF(101) algebras at n = 9-20 with shuffled indices, for
+``nilpotency``; one malformed input per parse message; and field specs
+with and without balanced parentheses.  Every subcommand runs on the
+small algebras, with and without ``--json``, plus ``random`` and small
+``oracle`` runs.  Each tree runs the whole corpus through
 ``evoalg.cli.main`` in its own subprocess.
 
 Prints the number of invocations and how many differ in exit code, stdout
@@ -78,6 +80,18 @@ def _near_triangular(rng, n, density, p=101):
     i = rng.randrange(n - 1)
     rows[i + 1][i] = rng.randrange(1, p)
     return rows
+
+
+def _permuted_nilpotent(rng, n, p=101):
+    """Strictly upper triangular, so every edge of the digraph goes to a
+    lower index and the algebra is nilpotent, and then relabelled by a
+    random permutation of the indices, so the levels of the annihilator
+    chain are not runs of consecutive indices."""
+    density = rng.uniform(0.2, 0.5)
+    rows = [[rng.randrange(1, p) if j < i and rng.random() < density else 0
+             for i in range(n)] for j in range(n)]
+    perm = rng.sample(range(n), n)
+    return [[rows[perm[j]][perm[i]] for i in range(n)] for j in range(n)]
 
 
 def _singular_block(rng, p, rows):
@@ -161,6 +175,9 @@ LARGE_GF2 = (12, 20, 33, 40, 65)
 # (2^12 sets, and 2^17, past the cap).
 CLOSED_SETS = ((12, 0.1), (16, 0.15), (20, 0.2))
 DIAGONAL = (12, 17)
+# Annihilator chains at sizes where a frozenset of small ints no longer
+# iterates in ascending order: ten algebras per n.
+NILPOTENT = (9, 12, 16, 20)
 # The principal-minor tree of cube-nilpotent at n = 8-12.
 CUBE_FIELDS = (("q", None), ("gf 3", 3), ("gf 10007", 10007))
 
@@ -239,6 +256,11 @@ def build_corpus(root):
     for stem, rows in closed:
         path = _write(root, stem + ".alg", _alg_text("gf 101", rows))
         runs += [["ideals", path], ["ideals", path, "--json"]]
+    for n in NILPOTENT:
+        for k in range(10):
+            path = _write(root, f"nilpotent-{n}-{k}.alg",
+                          _alg_text("gf 101", _permuted_nilpotent(rng, n)))
+            runs += [["nilpotency", path], ["nilpotency", path, "--json"]]
     # Dense perfect algebras, entries of -99..99 over Q; in the second of
     # each pair a principal block of size n // 2 is singular, so over Q and
     # GF(10007) the scan meets it midway and, mostly without square roots
