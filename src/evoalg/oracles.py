@@ -2,9 +2,11 @@
 
 Everything here works on plain integer matrices modulo p, independent of
 the exact-arithmetic classes, so these routines can serve as oracles for
-the fast paths: natural-vector membership read from an exhaustive
-enumeration of the natural bases, ideal lattices by full subspace
-enumeration, triple products and cube nilpotents by direct scanning.
+the fast paths: natural-vector membership read from a walk over the
+orthogonality graph that stops at the first natural basis through each
+point, ideal lattices by full subspace enumeration, triple products and
+cube nilpotents by direct scanning.  Orthogonality and u (v w) = 0 are
+decided against ker M, listed once per matrix (u v = M (u o v)).
 ``run_oracle`` diffs an oracle against its fast path over a seeded corpus
 in one loop; each oracle is one ``ORACLES`` row, a case factory and its
 run settings.
@@ -19,7 +21,7 @@ from . import ideals, natural, nilpotency
 from .algebra import EvolutionAlgebra
 from .errors import DimensionTooLarge, InvalidArgument
 from .fields import GF
-from .linalg import Subspace
+from .linalg import Matrix, Subspace
 
 # ---------------------------------------------------------------- int linalgebra
 
@@ -82,8 +84,21 @@ def normalized_vectors(p, n):
             for tail in product(range(p), repeat=n - k - 1)]
 
 
-def support(v):
-    return frozenset(i for i, x in enumerate(v) if x)
+def support_mask(v):
+    """supp(v) as an int: bit i is set iff v_i != 0."""
+    return sum(1 << i for i, x in enumerate(v) if x)
+
+
+def _kernel_index(m, p):
+    """ker M as the set of its p^z vectors, and the set of their support
+    masks.  Since u v = M (u o v) and supp(u o v) = supp u & supp v, a
+    product vanishes iff the common support is empty, or is the support of
+    a kernel vector and the Hadamard product u o v lies in ker M."""
+    vectors = {(0,) * len(m)}
+    for b in kernel_mod(m, p, len(m)):
+        vectors = {tuple((x + c * y) % p for x, y in zip(v, b))
+                   for v in vectors for c in range(p)}
+    return vectors, {support_mask(v) for v in vectors}
 
 
 # ------------------------------------------------------- natural-basis search
@@ -91,50 +106,68 @@ def support(v):
 
 def _orthogonal_later(m, p, points):
     """Orthogonality graph on the points: bit j of the i-th mask is set iff
-    j > i and points i and j are orthogonal, M (a o b) = 0.  The test
-    depends only on the Hadamard product a o b, so it runs once per
-    distinct product: at most p^n ``evo_mult`` calls."""
-    ones = (1,) * len(m)
-    vanishes = {}
-    masks = []
-    for i, a in enumerate(points):
+    j > i and points i and j are orthogonal, M (a o b) = 0, decided against
+    ker M (see _kernel_index): only overlapping points form a product."""
+    kernel, kernel_masks = _kernel_index(m, p)
+    masks = [support_mask(v) for v in points]
+    later = []
+    for i, (a, sa) in enumerate(zip(points, masks)):
         mask = 0
-        for j in range(i + 1, len(points)):
-            h = tuple(x * y % p for x, y in zip(a, points[j]))
-            zero = vanishes.get(h)
-            if zero is None:
-                zero = vanishes[h] = not any(evo_mult(m, p, h, ones))
-            if zero:
+        for j, sb in enumerate(masks[i + 1:], i + 1):
+            common = sa & sb
+            if not common or (common in kernel_masks and tuple(
+                    x * y % p for x, y in zip(a, points[j])) in kernel):
                 mask |= 1 << j
-        masks.append(mask)
-    return masks
+        later.append(mask)
+    return later
+
+
+def _bases(points, later, p, n, chosen, cands):
+    """The full-rank n-cliques that extend the clique chosen by points of
+    cands, in lexicographic order of the point indices they add (bitmask
+    clique walk with a popcount cut, no pivoting)."""
+    if len(chosen) == n:
+        basis = tuple(points[k] for k in chosen)
+        if rank_mod(basis, p) == n:
+            yield basis
+        return
+    while cands.bit_count() >= n - len(chosen):
+        k = (cands & -cands).bit_length() - 1
+        cands &= cands - 1
+        yield from _bases(points, later, p, n, chosen + [k], cands & later[k])
 
 
 def enumerate_natural_bases(m, p):
     """All natural bases as sorted tuples of projective representatives:
     the full-rank n-cliques of the orthogonality graph, in lexicographic
-    order of their point indices (bitmask clique walk, no pivoting)."""
-    n = len(m)
-    points = normalized_vectors(p, n)
+    order of their point indices."""
+    points = normalized_vectors(p, len(m))
+    return list(_bases(points, _orthogonal_later(m, p, points), p, len(m), [],
+                       (1 << len(points)) - 1))
+
+
+def natural_basis_members(m, p):
+    """The projective points that lie in some natural basis.  From each
+    point not yet covered, walk the cliques through it in the symmetric
+    orthogonality graph: the first full-rank one covers all its points,
+    and a walk that finds none proves that no natural basis holds it, so
+    later walks skip it."""
+    points = normalized_vectors(p, len(m))
     later = _orthogonal_later(m, p, points)
-    bases = []
-    chosen = []
-
-    def search(cands):
-        if len(chosen) == n:
-            basis = tuple(points[k] for k in chosen)
-            if rank_mod(basis, p) == n:
-                bases.append(basis)
-            return
-        while cands.bit_count() >= n - len(chosen):
-            k = (cands & -cands).bit_length() - 1
-            cands &= cands - 1
-            chosen.append(k)
-            search(cands & later[k])
-            chosen.pop()
-
-    search((1 << len(points)) - 1)
-    return bases
+    adjacent = list(later)
+    for i, mask in enumerate(later):
+        while mask:
+            adjacent[(mask & -mask).bit_length() - 1] |= 1 << i
+            mask &= mask - 1
+    members, outside = set(), 0
+    for i, u in enumerate(points):
+        if u not in members:
+            basis = next(_bases(points, later, p, len(m), [i], adjacent[i] & ~outside), None)
+            if basis is None:
+                outside |= 1 << i
+            else:
+                members.update(basis)
+    return members
 
 
 def natural_basis_membership(m, p, u):
@@ -143,8 +176,7 @@ def natural_basis_membership(m, p, u):
     if lead is None:
         return False
     inv = pow(lead, p - 2, p)
-    return tuple(x * inv % p for x in u) in {
-        v for basis in enumerate_natural_bases(m, p) for v in basis}
+    return tuple(x * inv % p for x in u) in natural_basis_members(m, p)
 
 
 def all_subspaces(p, n):
@@ -170,29 +202,35 @@ def all_subspaces(p, n):
 def _triple_groups(p, n):
     """The scan lists of brute_triple_exists at dimension n: for each
     support S of a projective point, in order of first appearance, the
-    points on S and the points u with |supp(u)| >= |S|."""
+    points on S and the pairs (u, support mask of u) with |supp(u)| >= |S|."""
     cands = normalized_vectors(p, n)
     by_support = {}
     for v in cands:
-        by_support.setdefault(support(v), []).append(v)
-    at_least = [[u for u in cands if len(support(u)) >= k] for k in range(n + 1)]
-    return [(vs, at_least[len(supp)]) for supp, vs in by_support.items()]
+        by_support.setdefault(support_mask(v), []).append(v)
+    at_least = [[(u, s) for u in cands if (s := support_mask(u)).bit_count() >= k]
+                for k in range(n + 1)]
+    return [(vs, at_least[supp.bit_count()]) for supp, vs in by_support.items()]
 
 
 def brute_triple_exists(m, p, groups=None):
     """Exists u, v, w with supp(v) = supp(w), |supp(u)| >= |supp(v)| and
-    u (v w) = 0 (projective scan).  Without the size restriction the triple
-    condition is vacuous for n >= 2: any u supported away from supp(v w)
-    qualifies.  groups is _triple_groups(p, len(m)), built here unless a
-    caller scanning many matrices passes it."""
+    u (v w) = 0 (projective scan; u (v w) = 0 is decided against ker M, see
+    _kernel_index).  Without the size restriction the triple condition is
+    vacuous for n >= 2: any u supported away from supp(v w) qualifies.
+    groups is _triple_groups(p, len(m)), built here unless a caller
+    scanning many matrices passes it."""
     if groups is None:
         groups = _triple_groups(p, len(m))
+    kernel, kernel_masks = _kernel_index(m, p)
     for vs, us in groups:
         for v in vs:
             for w in vs:
                 vw = evo_mult(m, p, v, w)
-                for u in us:
-                    if not any(evo_mult(m, p, u, vw)):
+                svw = support_mask(vw)
+                for u, su in us:
+                    common = su & svw
+                    if not common or (common in kernel_masks and tuple(
+                            x * y % p for x, y in zip(u, vw)) in kernel):
                         return True
     return False
 
@@ -292,8 +330,8 @@ MAX_ORACLE_POINTS = 1000   # projective points (natural-vectors: vectors) a brut
 
 
 def _natural_vectors_case(p, dim):
-    """Thm-style natural-vector test vs membership in the enumerated
-    natural bases (every nonzero u when dim = 1)."""
+    """Thm-style natural-vector test vs membership in some natural basis
+    (every nonzero u when dim = 1)."""
     # Every nonzero multiple of each point is checked.
     if p ** dim - 1 > MAX_ORACLE_POINTS:
         raise DimensionTooLarge(f"oracle natural-vectors over GF({p}) at dimension {dim} checks "
@@ -301,7 +339,7 @@ def _natural_vectors_case(p, dim):
     points = normalized_vectors(p, dim)
 
     def case(m, algebra):
-        members = {v for basis in enumerate_natural_bases(m, p) for v in basis}
+        members = natural_basis_members(m, p)
         for u in points:
             expected = u in members
             for scale in range(1, p):
@@ -413,7 +451,7 @@ def run_oracle(name, p, dim, samples=None, seed=7):
     mismatches = []
     for m in sample_structure_matrices(p, dim, default_samples if samples is None else samples,
                                        seed, predicate):
-        for u, agrees in case(m, EvolutionAlgebra(field, m)):
+        for u, agrees in case(m, EvolutionAlgebra(field, Matrix._from_plain(field, m))):
             checked += 1
             if not agrees:
                 mismatches.append((m, u))

@@ -1,6 +1,7 @@
 """Sanity checks of the brute-force reference machinery itself."""
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -10,9 +11,10 @@ from evoalg.algebra import EvolutionAlgebra
 from evoalg.errors import DimensionTooLarge, InvalidArgument
 from evoalg.fields import GF
 from evoalg.linalg import Matrix, Subspace
-from evoalg.oracles import (ORACLES, all_subspaces, brute_triple_exists,
-                            enumerate_natural_bases, evo_mult, kernel_mod,
-                            minor_condition_exists, natural_basis_membership,
+from evoalg.oracles import (ORACLES, _orthogonal_later, all_subspaces,
+                            brute_triple_exists, enumerate_natural_bases,
+                            evo_mult, kernel_mod, minor_condition_exists,
+                            natural_basis_members, natural_basis_membership,
                             normalized_vectors, rank_mod, run_oracle,
                             sample_structure_matrices)
 
@@ -83,6 +85,47 @@ def ref_enumerate_natural_bases(m, p):
     return bases
 
 
+def ref_orthogonal_later(m, p, points):
+    """Orthogonality graph with one evo_mult per distinct Hadamard product:
+    bit j of the i-th mask is set iff j > i and M (a o b) = 0."""
+    ones = (1,) * len(m)
+    vanishes = {}
+    masks = []
+    for i, a in enumerate(points):
+        mask = 0
+        for j in range(i + 1, len(points)):
+            h = tuple(x * y % p for x, y in zip(a, points[j]))
+            zero = vanishes.get(h)
+            if zero is None:
+                zero = vanishes[h] = not any(evo_mult(m, p, h, ones))
+            if zero:
+                mask |= 1 << j
+        masks.append(mask)
+    return masks
+
+
+def ref_triple_witness(m, p):
+    """The first (u, v, w) of the triple scan, with one evo_mult per
+    candidate u: supports in order of first appearance, v and w on the
+    support, u at least as large; None when there is none."""
+    def support(v):
+        return frozenset(i for i, x in enumerate(v) if x)
+
+    cands = normalized_vectors(p, len(m))
+    by_support = {}
+    for v in cands:
+        by_support.setdefault(support(v), []).append(v)
+    for supp, vs in by_support.items():
+        us = [u for u in cands if len(support(u)) >= len(supp)]
+        for v in vs:
+            for w in vs:
+                vw = evo_mult(m, p, v, w)
+                for u in us:
+                    if not any(evo_mult(m, p, u, vw)):
+                        return u, v, w
+    return None
+
+
 def test_normalized_vectors_cover_projective_points():
     vecs = normalized_vectors(3, 2)
     assert len(vecs) == 4   # (3^2 - 1) / (3 - 1)
@@ -130,6 +173,7 @@ def test_natural_bases_match_per_vector_search():
         if len(points) <= 31:
             assert bases == ref_enumerate_natural_bases(m, p), (p, m)
         members = {v for basis in bases for v in basis}
+        assert natural_basis_members(m, p) == members, (p, m)
         inside = [v for v in points if v in members]
         outside = [v for v in points if v not in members]
         # The reference agrees on a point found in a basis and on one
@@ -152,22 +196,68 @@ def test_natural_bases_match_per_vector_search():
     assert matrices >= 1000
 
 
-def test_oracle_natural_vectors_one_product_test_per_product(monkeypatch):
-    # Orthogonality is decided once per distinct Hadamard product, so a
-    # matrix costs at most p^n evo_mult calls.
-    calls = []
+def test_kernel_tests_match_product_references(monkeypatch):
+    # u v = 0 is decided as u o v in ker M.  Only the singular matrices of
+    # the corpus have ker M != 0, so only there do overlapping points pass.
+    # On a singular M some v w vanishes, so the triple scan answers True
+    # either way; it must also stop at the reference's (v, w), its last
+    # product.
+    formed = []
     original = oracles.evo_mult
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def recorded(m, p, v, w):
+        formed.append((v, w))
+        return original(m, p, v, w)
 
-    monkeypatch.setattr(oracles, "evo_mult", counted)
-    for p, dim, samples in ((5, 4, 2), (3, 3, 20), (2, 4, 20)):
-        del calls[:]
-        report = run_oracle("natural-vectors", p, dim, samples=samples, seed=3)
+    monkeypatch.setattr(oracles, "evo_mult", recorded)
+    rng = random.Random(34)
+    singular = 0
+    for p, m in _corpus(rng):
+        points = normalized_vectors(p, len(m))
+        assert _orthogonal_later(m, p, points) == ref_orthogonal_later(m, p, points), (p, m)
+        del formed[:]
+        witness = ref_triple_witness(m, p)
+        assert brute_triple_exists(m, p) == (witness is not None), (p, m)
+        if witness is not None:
+            assert formed[-1] == witness[1:], (p, m)
+        singular += rank_mod(m, p) < len(m)
+    assert singular >= 500
+
+
+def test_natural_basis_members_of_the_zero_matrix():
+    # Every point of GF(3)^4 lies in one of 63 180 natural bases; the walk
+    # stops at the first basis through each point.
+    zero = ((0,) * 4,) * 4
+    start = time.perf_counter()
+    members = natural_basis_members(zero, 3)
+    assert time.perf_counter() - start < 0.1
+    assert members == set(normalized_vectors(3, 4))
+
+
+def test_oracle_brute_forces_list_the_kernel_once(monkeypatch):
+    # The orthogonality graph forms no product, and each brute force lists
+    # ker M once per sampled matrix.
+    calls = {"evo_mult": 0, "kernel_mod": 0}
+
+    def counted(name):
+        original = getattr(oracles, name)
+
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(oracles, name, counted(name))
+    for name, p, dim, samples in (("natural-vectors", 5, 4, 2), ("natural-vectors", 3, 3, 20),
+                                  ("natural-vectors", 2, 4, 20), ("minor-condition", 3, 3, 20),
+                                  ("minor-condition", 5, 4, 5)):
+        calls.update(evo_mult=0, kernel_mod=0)
+        report = run_oracle(name, p, dim, samples=samples, seed=3)
         assert report.mismatches == ()
-        assert 0 < len(calls) <= samples * p ** dim, (p, dim, len(calls))
+        assert calls["kernel_mod"] == samples, (name, p, dim, calls)
+        if name == "natural-vectors":
+            assert calls["evo_mult"] == 0, (p, dim, calls)
     # In dimension 1 every nonzero vector is a natural basis.
     report = run_oracle("natural-vectors", 7, 1, samples=3)
     assert report.checked == 3 * 6 and report.mismatches == ()

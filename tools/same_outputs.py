@@ -15,8 +15,11 @@ with and without a singular principal block, for ``cube-nilpotent``;
 nilpotent GF(101) algebras at n = 9-20 with shuffled indices, for
 ``nilpotency``; one malformed input per parse message; and field specs
 with and without balanced parentheses.  Every subcommand runs on the
-small algebras, with and without ``--json``, plus ``random`` and small
-``oracle`` runs.  Each tree runs the whole corpus through
+small algebras, with and without ``--json``, plus ``random`` runs.  Every
+oracle runs on small cells, at the cells of the benchmark's
+``oracle-sweep`` (GF(2), GF(3) and GF(5) at n = 2-4, ``ideal-lattice``
+up to n = 3; two seeds, with and without ``--json``) and on all 16 GF(2)
+algebras of dimension 2.  Each tree runs the whole corpus through
 ``evoalg.cli.main`` in its own subprocess.
 
 Prints the number of invocations and how many differ in exit code, stdout
@@ -289,6 +292,13 @@ def build_corpus(root):
             runs.append(["oracle", name, "--field", spec, "--dim", "2", "--samples", "4"])
         runs.append(["oracle", name, "--field", "gf 2", "--dim", "3", "--samples", "3",
                      "--json"])
+        for spec in ("gf 2", "gf 3", "gf 5"):
+            for dim in range(2, 4 if name == "ideal-lattice" else 5):
+                for seed in ("1", "2"):
+                    argv = ["oracle", name, "--field", spec, "--dim", str(dim),
+                            "--samples", "12", "--seed", seed]
+                    runs += [argv, argv + ["--json"]]
+        runs.append(["oracle", name, "--field", "gf 2", "--dim", "2", "--samples", "16"])
 
     # Malformed inputs: algebra files, vector files and options.
     for k, text in enumerate(BAD_TEXT):
