@@ -155,7 +155,7 @@ def cmd_nilpotency(a, args):
         "type_sequence": list(rep.type_sequence),
         "right_nilpotency_index": rep.right_nilpotency_index,
         "triangular_order": (None if rep.triangular_order is None
-                             else [i + 1 for i in rep.triangular_order]),
+                             else _indices(rep.triangular_order)),
         "cube_zero": is_cube_zero(a),
     }
     lines = [f"nilpotent: {str(rep.is_nilpotent).lower()}",
@@ -292,7 +292,7 @@ def cmd_hierarchy(a, args):
     lines = []
     for depth, level in enumerate(hierarchy(a)):
         entry = {
-            "indices": [i + 1 for i in level.ambient_indices],
+            "indices": _indices(level.ambient_indices),
             "components": [{"generators": _indices(g), "support": _indices(s)}
                            for g, s in level.decomposition.components],
             "transient": _indices(level.decomposition.transient_indices),

@@ -3,10 +3,13 @@
 Everything here works on plain integer matrices modulo p, independent of
 the exact-arithmetic classes, so these routines can serve as oracles for
 the fast paths: natural-vector membership read from a walk over the
-orthogonality graph that stops at the first natural basis through each
-point, ideal lattices by full subspace enumeration, triple products and
-cube nilpotents by direct scanning.  Orthogonality and u (v w) = 0 are
-decided against ker M, listed once per matrix (u v = M (u o v)).
+orthogonality graph (one symmetric neighbour mask per point) that stops at
+the first natural basis through each point, ideal lattices by full
+subspace enumeration, triple products and cube nilpotents by direct
+scanning, and both minor conditions by one scan over blocks.  One clique
+walk serves every natural-basis question and can start from any clique.
+Orthogonality and u (v w) = 0 are decided against ker M, listed once per
+matrix (u v = M (u o v)).
 ``run_oracle`` diffs an oracle against its fast path over a seeded corpus
 in one loop; each oracle is one ``ORACLES`` row, a case factory and its
 run settings.
@@ -27,13 +30,12 @@ from .linalg import Matrix, Subspace
 
 
 def rref_mod(rows, p):
+    """The RREF of a nonempty list of rows mod p, its rank and its pivot
+    columns."""
     m = [list(r) for r in rows]
-    if not m:
-        return [], 0, []
-    cols = len(m[0])
     pivots = []
-    pr = 0
-    for pc in range(cols):
+    for pc in range(len(m[0])):
+        pr = len(pivots)
         for pivot in range(pr, len(m)):
             if m[pivot][pc] % p:
                 break
@@ -47,10 +49,9 @@ def rref_mod(rows, p):
                 f = m[i][pc]
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[pr])]
         pivots.append(pc)
-        pr += 1
-        if pr == len(m):
+        if len(pivots) == len(m):
             break
-    return m, pr, pivots
+    return m, len(pivots), pivots
 
 
 def rank_mod(rows, p):
@@ -104,28 +105,31 @@ def _kernel_index(m, p):
 # ------------------------------------------------------- natural-basis search
 
 
-def _orthogonal_later(m, p, points):
-    """Orthogonality graph on the points: bit j of the i-th mask is set iff
-    j > i and points i and j are orthogonal, M (a o b) = 0, decided against
-    ker M (see _kernel_index): only overlapping points form a product."""
+def _orthogonality_graph(m, p, points):
+    """Orthogonality graph on the points, one neighbour mask per point: bit
+    j of the i-th mask and bit i of the j-th are set iff j != i and points i
+    and j are orthogonal, M (a o b) = 0, decided against ker M (see
+    _kernel_index): only overlapping points form a product."""
     kernel, kernel_masks = _kernel_index(m, p)
     masks = [support_mask(v) for v in points]
-    later = []
+    adjacent = [0] * len(points)
     for i, (a, sa) in enumerate(zip(points, masks)):
-        mask = 0
         for j, sb in enumerate(masks[i + 1:], i + 1):
             common = sa & sb
             if not common or (common in kernel_masks and tuple(
                     x * y % p for x, y in zip(a, points[j])) in kernel):
-                mask |= 1 << j
-        later.append(mask)
-    return later
+                adjacent[i] |= 1 << j
+                adjacent[j] |= 1 << i
+    return adjacent
 
 
-def _bases(points, later, p, n, chosen, cands):
+def _bases(points, adjacent, p, n, chosen, cands):
     """The full-rank n-cliques that extend the clique chosen by points of
     cands, in lexicographic order of the point indices they add (bitmask
-    clique walk with a popcount cut, no pivoting)."""
+    clique walk with a popcount cut, no pivoting).  The walk takes the
+    lowest candidate k first, so every candidate left lies above k and
+    cands & adjacent[k] keeps only later neighbours of k.  Any clique can
+    start a walk: its indices as chosen, the AND of their masks as cands."""
     if len(chosen) == n:
         basis = tuple(points[k] for k in chosen)
         if rank_mod(basis, p) == n:
@@ -134,7 +138,7 @@ def _bases(points, later, p, n, chosen, cands):
     while cands.bit_count() >= n - len(chosen):
         k = (cands & -cands).bit_length() - 1
         cands &= cands - 1
-        yield from _bases(points, later, p, n, chosen + [k], cands & later[k])
+        yield from _bases(points, adjacent, p, n, chosen + [k], cands & adjacent[k])
 
 
 def enumerate_natural_bases(m, p):
@@ -142,27 +146,21 @@ def enumerate_natural_bases(m, p):
     the full-rank n-cliques of the orthogonality graph, in lexicographic
     order of their point indices."""
     points = normalized_vectors(p, len(m))
-    return list(_bases(points, _orthogonal_later(m, p, points), p, len(m), [],
+    return list(_bases(points, _orthogonality_graph(m, p, points), p, len(m), [],
                        (1 << len(points)) - 1))
 
 
 def natural_basis_members(m, p):
     """The projective points that lie in some natural basis.  From each
-    point not yet covered, walk the cliques through it in the symmetric
-    orthogonality graph: the first full-rank one covers all its points,
-    and a walk that finds none proves that no natural basis holds it, so
-    later walks skip it."""
+    point not yet covered, walk the cliques through it: the first
+    full-rank one covers all its points, and a walk that finds none proves
+    that no natural basis holds it, so later walks skip it."""
     points = normalized_vectors(p, len(m))
-    later = _orthogonal_later(m, p, points)
-    adjacent = list(later)
-    for i, mask in enumerate(later):
-        while mask:
-            adjacent[(mask & -mask).bit_length() - 1] |= 1 << i
-            mask &= mask - 1
+    adjacent = _orthogonality_graph(m, p, points)
     members, outside = set(), 0
     for i, u in enumerate(points):
         if u not in members:
-            basis = next(_bases(points, later, p, len(m), [i], adjacent[i] & ~outside), None)
+            basis = next(_bases(points, adjacent, p, len(m), [i], adjacent[i] & ~outside), None)
             if basis is None:
                 outside |= 1 << i
             else:
@@ -239,18 +237,22 @@ def _nonempty_subsets(n):
     return [s for k in range(1, n + 1) for s in combinations(range(n), k)]
 
 
+def _rank_deficient(m, p, pairs):
+    """Exists (Gamma, Omega) among pairs, scanned in order up to the first,
+    with rank M[Gamma, Omega] < min(|Gamma|, |Omega|)."""
+    for gamma, omega in pairs:
+        if rank_mod([[m[i][j] for j in omega] for i in gamma], p) < min(len(gamma), len(omega)):
+            return True
+    return False
+
+
 def minor_condition_exists(m, p, subsets=None):
     """Exists nonempty Gamma, Omega with rank M[Gamma, Omega] < min size.
     subsets is _nonempty_subsets(len(m)), built here unless a caller
     scanning many matrices passes it."""
     if subsets is None:
         subsets = _nonempty_subsets(len(m))
-    for gamma in subsets:
-        for omega in subsets:
-            rows = [[m[i][j] for j in omega] for i in gamma]
-            if rank_mod(rows, p) < min(len(gamma), len(omega)):
-                return True
-    return False
+    return _rank_deficient(m, p, product(subsets, repeat=2))
 
 
 def brute_cube_zero_exists(m, p):
@@ -264,13 +266,8 @@ def brute_cube_zero_exists(m, p):
 
 
 def vanishing_principal_minor_exists(m, p):
-    n = len(m)
-    for k in range(1, n + 1):
-        for gamma in combinations(range(n), k):
-            rows = [[m[i][j] for j in gamma] for i in gamma]
-            if rank_mod(rows, p) < k:
-                return True
-    return False
+    subsets = _nonempty_subsets(len(m))
+    return _rank_deficient(m, p, zip(subsets, subsets))
 
 
 def is_nil_element(m, p, u):

@@ -2,7 +2,7 @@
 
 import random
 import time
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -11,12 +11,12 @@ from evoalg.algebra import EvolutionAlgebra
 from evoalg.errors import DimensionTooLarge, InvalidArgument
 from evoalg.fields import GF
 from evoalg.linalg import Matrix, Subspace
-from evoalg.oracles import (ORACLES, _orthogonal_later, all_subspaces,
-                            brute_triple_exists, enumerate_natural_bases,
+from evoalg.oracles import (ORACLES, _bases, _nonempty_subsets, _orthogonality_graph,
+                            all_subspaces, brute_triple_exists, enumerate_natural_bases,
                             evo_mult, kernel_mod, minor_condition_exists,
                             natural_basis_members, natural_basis_membership,
                             normalized_vectors, rank_mod, run_oracle,
-                            sample_structure_matrices)
+                            sample_structure_matrices, vanishing_principal_minor_exists)
 
 # ------------------------------------------ references: per-vector search
 
@@ -126,6 +126,30 @@ def ref_triple_witness(m, p):
     return None
 
 
+def ref_minor_condition_exists(m, p):
+    """Every pair of nonempty index sets, rows then columns, each block
+    ranked on its own by oracles.rank_mod (which a test may record)."""
+    subsets = [s for k in range(1, len(m) + 1) for s in combinations(range(len(m)), k)]
+    for gamma in subsets:
+        for omega in subsets:
+            rows = [[m[i][j] for j in omega] for i in gamma]
+            if oracles.rank_mod(rows, p) < min(len(gamma), len(omega)):
+                return True
+    return False
+
+
+def ref_vanishing_principal_minor_exists(m, p):
+    """Every principal block, smallest first, each ranked on its own by
+    oracles.rank_mod."""
+    n = len(m)
+    for k in range(1, n + 1):
+        for gamma in combinations(range(n), k):
+            rows = [[m[i][j] for j in gamma] for i in gamma]
+            if oracles.rank_mod(rows, p) < k:
+                return True
+    return False
+
+
 def test_normalized_vectors_cover_projective_points():
     vecs = normalized_vectors(3, 2)
     assert len(vecs) == 4   # (3^2 - 1) / (3 - 1)
@@ -214,7 +238,13 @@ def test_kernel_tests_match_product_references(monkeypatch):
     singular = 0
     for p, m in _corpus(rng):
         points = normalized_vectors(p, len(m))
-        assert _orthogonal_later(m, p, points) == ref_orthogonal_later(m, p, points), (p, m)
+        graph = _orthogonality_graph(m, p, points)
+        later = [mask & -(2 << i) for i, mask in enumerate(graph)]
+        assert later == ref_orthogonal_later(m, p, points), (p, m)
+        # Symmetric, with no self-loops.
+        assert all(not mask >> i & 1 for i, mask in enumerate(graph)), (p, m)
+        assert all(graph[j] >> i & 1 == mask >> j & 1 for i, mask in enumerate(graph)
+                   for j in range(len(points))), (p, m)
         del formed[:]
         witness = ref_triple_witness(m, p)
         assert brute_triple_exists(m, p) == (witness is not None), (p, m)
@@ -222,6 +252,53 @@ def test_kernel_tests_match_product_references(monkeypatch):
             assert formed[-1] == witness[1:], (p, m)
         singular += rank_mod(m, p) < len(m)
     assert singular >= 500
+
+
+def test_walk_from_a_point_yields_the_bases_through_it():
+    # A walk from the one-point clique {i} lists point i first and the rest
+    # in ascending order; as point sets, its bases are the enumerated bases
+    # that hold point i, in the same order.
+    rng = random.Random(35)
+    for p, m in _corpus(rng):
+        n = len(m)
+        points = normalized_vectors(p, n)
+        graph = _orthogonality_graph(m, p, points)
+        bases = [frozenset(b) for b in enumerate_natural_bases(m, p)]
+        for i, u in enumerate(points):
+            walked = [frozenset(b) for b in _bases(points, graph, p, n, [i], graph[i])]
+            assert walked == [b for b in bases if u in b], (p, m, u)
+
+
+def test_minor_scans_match_block_by_block_references(monkeypatch):
+    # Both minor brute forces give the references' answers after ranking
+    # the same blocks in the same order, so they stop at the same block.
+    ranked = []
+    original = oracles.rank_mod
+
+    def recorded(rows, p):
+        ranked.append(rows)
+        return original(rows, p)
+
+    monkeypatch.setattr(oracles, "rank_mod", recorded)
+    rng = random.Random(36)
+    vanishing = {ref_minor_condition_exists: 0, ref_vanishing_principal_minor_exists: 0}
+    matrices = 0
+    for p, m in _corpus(rng):
+        scans = ((ref_minor_condition_exists, minor_condition_exists, ()),
+                 (ref_minor_condition_exists, minor_condition_exists,
+                  (_nonempty_subsets(len(m)),)),
+                 (ref_vanishing_principal_minor_exists, vanishing_principal_minor_exists, ()))
+        for ref, scan, extra in scans:
+            del ranked[:]
+            expected = ref(m, p), ranked[:]
+            del ranked[:]
+            assert (scan(m, p, *extra), ranked) == expected, (scan.__name__, p, m)
+            vanishing[ref] += expected[0]
+        matrices += 1
+    # Some matrices have a vanishing minor and some have none; the minor
+    # condition is scanned twice per matrix.
+    assert 0 < vanishing[ref_minor_condition_exists] < 2 * matrices
+    assert 0 < vanishing[ref_vanishing_principal_minor_exists] < matrices
 
 
 def test_natural_basis_members_of_the_zero_matrix():

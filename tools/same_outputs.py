@@ -18,8 +18,11 @@ with and without balanced parentheses.  Every subcommand runs on the
 small algebras, with and without ``--json``, plus ``random`` runs.  Every
 oracle runs on small cells, at the cells of the benchmark's
 ``oracle-sweep`` (GF(2), GF(3) and GF(5) at n = 2-4, ``ideal-lattice``
-up to n = 3; two seeds, with and without ``--json``) and on all 16 GF(2)
-algebras of dimension 2.  Each tree runs the whole corpus through
+up to n = 3; two seeds, with and without ``--json``), on all 16 GF(2)
+algebras of dimension 2, and on every GF(2) algebra of dimension 3 and
+every GF(3) algebra of dimension 2 (512 and 81 matrices, the zero and
+rank-one ones with their dense orthogonality graphs included; with and
+without ``--json``).  Each tree runs the whole corpus through
 ``evoalg.cli.main`` in its own subprocess.
 
 Prints the number of invocations and how many differ in exit code, stdout
@@ -299,6 +302,9 @@ def build_corpus(root):
                             "--samples", "12", "--seed", seed]
                     runs += [argv, argv + ["--json"]]
         runs.append(["oracle", name, "--field", "gf 2", "--dim", "2", "--samples", "16"])
+        for spec, dim, samples in (("gf 2", "3", "512"), ("gf 3", "2", "81")):
+            argv = ["oracle", name, "--field", spec, "--dim", dim, "--samples", samples]
+            runs += [argv, argv + ["--json"]]
 
     # Malformed inputs: algebra files, vector files and options.
     for k, text in enumerate(BAD_TEXT):
