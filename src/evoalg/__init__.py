@@ -17,7 +17,7 @@ from .linalg import Matrix, Subspace
 from .natural import (Decomposition, ExtensionResult, decompose,
                       decomposition_for_basis, extend_family,
                       has_property_2li, has_unique_natural_basis,
-                      is_natural_vector, verify_block_form)
+                      is_natural_vector)
 from .nilpotency import (CubeNilpotentScan, MinorWitness, NilpotencyReport,
                          OrthogonalityScan, PowerSpaces, cube_witness_from_minor,
                          find_cube_nilpotent, find_orthogonality_witness,
@@ -25,3 +25,8 @@ from .nilpotency import (CubeNilpotentScan, MinorWitness, NilpotencyReport,
                          product_space)
 
 __version__ = "0.1.0"
+
+# The API is every name the imports above bind, except the submodules they
+# bind too (a module has no __module__), so the list is written once.
+__all__ = sorted(name for name, value in globals().items()
+                 if getattr(value, "__module__", "").startswith(__name__ + "."))

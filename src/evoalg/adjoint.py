@@ -14,7 +14,7 @@ from typing import NamedTuple
 from .algebra import EvolutionAlgebra, reachable, reversed_digraph
 from .errors import IndexOutOfRange, InvalidArgument
 from .ideals import is_basic_simple, is_basic_simple_relative, is_simple
-from .linalg import Subspace
+from .linalg import Subspace, row_support
 from .nilpotency import nilpotency_report
 
 
@@ -95,7 +95,7 @@ def classify_generators(algebra):
     verdicts = {}
     for i in range(algebra.n):
         rows = algebra._closure([algebra.unit(i)])
-        support = tuple(sorted({j for row in rows for j, x in enumerate(row) if x}))
+        support = row_support(rows)
         if len(rows) != len(support):
             out.append(GeneratorClassification(TRANSIENT, support, False))
             continue

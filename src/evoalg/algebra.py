@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .errors import (AlgebraMismatch, FieldMismatch, IndexOutOfRange, NotANaturalBasis,
                      ShapeMismatch)
 from .linalg import (Matrix, Subspace, integral_rows, matvec_rows, normalize_row, reduce_bits,
-                     reduce_packed, reduce_row, rref_rows)
+                     reduce_packed, reduce_row, row_support, rref_rows)
 
 
 class ColumnClasses(NamedTuple):
@@ -72,12 +72,6 @@ class EvolutionAlgebra:
         if not 0 <= i < self.n:
             raise IndexOutOfRange(f"basis index {i} out of range for dimension {self.n}")
         return Element._from_plain(self, [int(j == i) for j in range(self.n)])
-
-    def zero(self):
-        return Element._from_plain(self, [0] * self.n)
-
-    def basis(self):
-        return [self.unit(i) for i in range(self.n)]
 
     def is_perfect(self):
         """det M != 0, decided once (M is immutable)."""
@@ -136,9 +130,8 @@ class EvolutionAlgebra:
         least one: an ideal holding v holds v_i e_i^2, so e_i^2, for each i in
         the support of v, and the support of e_i^2 is the successors of i."""
         gens = [self._plain_of(x) for x in elements]
-        support = {i for v in gens for i, x in enumerate(v) if x}
         squares = list(zip(*self.M.plain))
-        gens += [squares[i] for i in reachable(self.digraph, support)]
+        gens += [squares[i] for i in reachable(self.digraph, row_support(gens))]
         return Subspace._from_plain(self.field, self.n, gens)
 
     def _product(self, u, w):
@@ -357,9 +350,6 @@ class Element:
     def __mul__(self, other):
         self._check(other)
         return Element._from_plain(self.algebra, self.algebra._product(self.plain, other.plain))
-
-    def square(self):
-        return self * self
 
     def power(self, k):
         """Left-normed principal power: u^1 = u, u^k = u * u^(k-1)."""

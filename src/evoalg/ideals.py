@@ -12,7 +12,7 @@ basis is read from the diagonal forms of the column classes.
 
 from .algebra import reachable, reversed_digraph
 from .errors import AnswerTooLarge, NotPerfect
-from .linalg import Subspace, kernel_rows, rref_rows
+from .linalg import Subspace, kernel_rows, row_support, rref_rows
 
 MAX_CLOSED_SETS = 1 << 16
 
@@ -23,23 +23,18 @@ def is_strongly_connected(adjacency):
                for adj in (adjacency, reversed_digraph(adjacency)))
 
 
-def _support(subspace):
-    """The indices where some basis row of the subspace is nonzero."""
-    return {i for row in subspace.plain for i, x in enumerate(row) if x}
-
-
 def is_ideal(algebra, subspace):
     """A I <= I.  By bilinearity it suffices that e_i s = s_i e_i^2 lies in
     I for every RREF row s and every i, that is that e_i^2 does for every
     i in the support of I (none for the zero subspace)."""
     algebra._check_space(subspace)
     squares = list(zip(*algebra.M.plain))
-    return all(subspace.contains(squares[i]) for i in _support(subspace))
+    return all(subspace.contains(squares[i]) for i in row_support(subspace.plain))
 
 
 def is_basic_ideal(algebra, subspace):
     """An ideal equal to the span of the standard basis vectors it touches."""
-    return is_ideal(algebra, subspace) and len(_support(subspace)) == subspace.dim
+    return is_ideal(algebra, subspace) and len(row_support(subspace.plain)) == subspace.dim
 
 
 def descendant_closed_sets(algebra):

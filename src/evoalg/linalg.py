@@ -246,6 +246,11 @@ def matvec_rows(rows, v, red):
     return [red(sum(map(mul, row, v))) for row in rows]
 
 
+def row_support(rows):
+    """The ascending indices where some of the plain rows is nonzero."""
+    return tuple(j for j, column in enumerate(zip(*rows)) if any(column))
+
+
 def kernel_rows(m, cols, pivots, red):
     """Null-space vectors of the reduced rows m: one per free column f, 1 at
     f and minus the pivot rows' entries of column f at their pivots."""
@@ -275,17 +280,6 @@ class Matrix:
         m = cls.__new__(cls)
         m.field, m.plain, m._sweep = field, tuple(map(tuple, plain)), None
         return m
-
-    @classmethod
-    def identity(cls, field, n):
-        return cls._from_plain(field, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_columns(cls, field, columns):
-        try:
-            return cls(field, list(zip(*columns, strict=True)))
-        except ValueError:
-            raise ShapeMismatch("ragged columns") from None
 
     @property
     def rows(self):
@@ -479,9 +473,6 @@ class Subspace:
     def dim(self):
         return len(self.plain)
 
-    def vectors(self):
-        return list(self.basis)
-
     def _remainder(self, v):
         if len(v) != self.ambient:
             raise ShapeMismatch("vector length does not match ambient dimension")
@@ -501,21 +492,6 @@ class Subspace:
     def __add__(self, other):
         self._check(other)
         return Subspace._from_plain(self.field, self.ambient, list(self.plain + other.plain))
-
-    def intersect(self, other):
-        """Kernel method: solutions of a.U - b.V = 0 give the intersection."""
-        self._check(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.field, self.ambient)
-        red = self.field.reduce
-        columns = list(self.plain) + [[red(-x) for x in row] for row in other.plain]
-        m = list(zip(*columns))
-        size = len(columns)
-        pivots = rref_rows(m, size, self.field)
-        mine = list(zip(*self.plain))
-        return Subspace._from_plain(self.field, self.ambient,
-                                    [matvec_rows(mine, c[:self.dim], red)
-                                     for c in kernel_rows(m, size, pivots, red)])
 
     def _check(self, other):
         """Another ambient dimension raises ShapeMismatch, then another field

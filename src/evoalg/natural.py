@@ -179,7 +179,15 @@ def decomposition_for_basis(algebra, basis_vectors):
     """Annihilator/component subspaces and class lines, in ambient coordinates,
     of the decomposition induced by a natural basis: its vectors grouped by
     the lines of their squares.  With P the basis as columns, P^-1 v_i^2 is 0
-    or a multiple of P^-1 v_j^2 exactly when v_i^2 is."""
+    or a multiple of P^-1 v_j^2 exactly when v_i^2 is.
+
+    The grouping does not depend on the basis modulo ann(A), by this theorem.
+    For a natural basis B, x f = x_f f^2 for f in B, so ann(A) =
+    span{f in B : f^2 = 0}, and for a line L the space A_L = {x : x A <= L}
+    is ann(A) + span{f in B : f^2 in L, f^2 != 0}.  So any two natural
+    bases have the same square lines (the L with A_L != ann(A)), the same
+    annihilator span, and, line by line, components equal modulo ann(A):
+    they differ by a block change of basis."""
     vecs = [algebra._plain_of(v) for v in basis_vectors]
     if not algebra.verify_natural_basis(vecs):
         raise NotANaturalBasis("candidates are not a natural basis")
@@ -191,23 +199,6 @@ def decomposition_for_basis(algebra, basis_vectors):
     return (span([v for v, c in zip(vecs, classes.class_of) if c is None]),
             tuple(span([vecs[i] for i in idx]) for idx in classes.members),
             tuple(span([line]) for line in classes.lines))
-
-
-def verify_block_form(algebra, basis1, basis2):
-    """Whether two natural bases differ by a block change of basis:
-    annihilator vectors map into the annihilator span, and each component
-    maps into the span of the matching component plus the annihilator.
-    Raises NotANaturalBasis unless both are natural bases, and is True
-    otherwise, by this theorem.  For a natural basis B, x f = x_f f^2 for
-    f in B, so ann(A) = span{f in B : f^2 = 0}, and for a line L the space
-    A_L = {x : x A <= L} is ann(A) + span{f in B : f^2 in L, f^2 != 0}.
-    Neither depends on B: two natural bases have the same square lines
-    (the L with A_L != ann(A)), the same annihilator span, and components
-    equal modulo ann(A)."""
-    for basis in (basis1, basis2):
-        if not algebra.verify_natural_basis(basis):
-            raise NotANaturalBasis("candidates are not a natural basis")
-    return True
 
 
 class ExtensionResult(NamedTuple):

@@ -18,6 +18,7 @@ from evoalg.ideals import (descendant_closed_sets, is_basic_simple, is_basic_sim
                            is_simple, reversed_digraph)
 from evoalg.linalg import Subspace
 from evoalg.nilpotency import nilpotency_report
+from test_linalg import intersect
 
 
 def fixture_59():
@@ -210,7 +211,7 @@ def test_transient_overlap_diagnostic():
     assert dec.components == (((1, 2), (0, 1, 2)),)
     closure = a.subalgebra_closure([a.unit(1)])
     assert closure == Subspace.full(QQ, 3)
-    assert Subspace.coordinate(QQ, 3, [0]).intersect(closure).dim == 1
+    assert intersect(Subspace.coordinate(QQ, 3, [0]), closure).dim == 1
     assert dec.diagnostics == ("transient span intersects the persistent components",)
 
 
@@ -233,7 +234,7 @@ def test_transient_overlap_matches_subspace_intersection():
             for g, _ in dec.components:
                 total = total + a.subalgebra_closure([a.unit(g[0])])
             transient = Subspace.coordinate(field, n, dec.transient_indices)
-            meets = transient.intersect(total).dim > 0
+            meets = intersect(transient, total).dim > 0
             flagged = "transient span intersects the persistent components" in dec.diagnostics
             assert flagged == meets, (field, rows)
             seen.add((field, meets, bool(dec.components)))

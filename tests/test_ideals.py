@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from fractions import Fraction
 from functools import cache
 from types import SimpleNamespace
 
@@ -488,6 +489,92 @@ def test_breaking_class_over_q():
     assert _breaking_class(EvolutionAlgebra(QQ, [[1, -1], [1, -1]])) is None
 
 
+def q_class_block(kind, size, m, rng):
+    """The E-parts of m class lines for a class E of the given size, as an
+    m x size block, and its lambdas: "spans" puts a unit lower triangular
+    block on size of the lines (size <= m), so the E-parts span Q^E;
+    "breaks" combines size - 1 vectors, so they span less; "isotropic" has
+    lambdas (c, -c) and multiples of (1, e), e = +-1, an isotropic line."""
+    def entry():
+        return rng.randint(-3, 3)
+
+    if kind == "isotropic":
+        c, e = Fraction(rng.randint(1, 5), rng.randint(1, 3)), rng.choice((1, -1))
+        col = [entry() for _ in range(m)]
+        col[rng.randrange(m)] = rng.choice((1, -1, 2))
+        return [[x, e * x] for x in col], rng.choice(([c, -c], [-c, c]))
+    sign = rng.choice((1, -1))
+    lambdas = [sign * Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(size)]
+    if kind == "spans":
+        block = [[entry() for _ in range(size)] for _ in range(m)]
+        for k, row in enumerate(rng.sample(range(m), size)):
+            block[row][k + 1:] = [0] * (size - k - 1)
+            block[row][k] = 1
+        return block, lambdas
+    basis = [[entry() for _ in range(size)] for _ in range(size - 1)]
+    coefficients = [[rng.randint(-2, 2) for _ in basis] for _ in range(m)]
+    return [[sum(c * b[j] for c, b in zip(cs, basis)) for j in range(size)]
+            for cs in coefficients], lambdas
+
+
+@cache
+def breaking_q_corpus(count, seed):
+    """(algebra, members of its first breaking class or None) for count
+    non-perfect, strongly connected algebras over Q whose classes are each
+    one-signed ("spans" or "breaks") or an isotropic pair.  The answer is
+    known by construction: a one-signed class has a definite b_E, so it
+    breaks iff the E-parts of the lines span fewer than |E| dimensions,
+    and W_E^perp of an isotropic pair is its isotropic line."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = rng.randint(1, 4)
+        kinds = [rng.choice(("spans", "breaks", "isotropic")) for _ in range(m)]
+        sizes = [rng.randint(1, m) if k == "spans" else 2 if k == "isotropic"
+                 else rng.randint(2, 3) for k in kinds]
+        n = sum(sizes)
+        if n == m or n > 9:
+            continue
+        order = rng.sample(range(n), n)
+        members = [sorted(order[sum(sizes[:c]):sum(sizes[:c + 1])]) for c in range(m)]
+        lines, lambdas = [[0] * n for _ in range(m)], [0] * n
+        for idx, kind in zip(members, kinds):
+            block, ls = q_class_block(kind, len(idx), m, rng)
+            for line, part in zip(lines, block):
+                for i, x in zip(idx, part):
+                    line[i] = x
+            for i, l in zip(idx, ls):
+                lambdas[i] = l
+        class_of = {i: c for c, idx in enumerate(members) for i in idx}
+        a = EvolutionAlgebra(QQ, [[lambdas[i] * lines[class_of[i]][j] for i in range(n)]
+                                  for j in range(n)])
+        if (sorted(map(sorted, a.column_classes.members)) != sorted(members)
+                or not is_strongly_connected(a.digraph)):
+            continue
+        breaking = sorted(idx for idx, kind in zip(members, kinds) if kind == "breaks")
+        out.append((a, tuple(breaking[0]) if breaking else None))
+    return tuple(out)
+
+
+def test_breaking_class_on_q_corpus():
+    # Called directly: is_basic_simple still answers None over Q.
+    corpus = breaking_q_corpus(300, 14)
+    seen = set()
+    for a, expected in corpus:
+        assert not a.is_perfect() and is_basic_simple(a) is None
+        assert _breaking_class(a) == expected, a.M.plain
+        classes = a.column_classes
+        isotropic = any(len(idx) == 2 and sum(classes.lambdas[i] for i in idx) == 0
+                        for idx in classes.members)
+        seen.add((expected is None, isotropic))
+        seen.add(expected not in (None, classes.members[0]))
+    assert seen == {(True, True), (True, False), (False, True), (False, False), True, False}
+    # The Gram test is needed: W_E^perp of an isotropic pair is not 0.
+    assert all(criterion_with(a, gram_nonzero) is (expected is None) for a, expected in corpus)
+    assert any(criterion_with(a, perp_nonzero) is not (expected is None)
+               for a, expected in corpus)
+
+
 def criterion_with(algebra, breaks):
     """_breaking_class is None with the per-class test replaced by
     breaks(lambdas, perp, red)."""
@@ -504,6 +591,10 @@ def criterion_with(algebra, breaks):
 
 def gram_nonzero(lambdas, perp, red):
     return any(red(sum(l * a * b for l, a, b in zip(lambdas, x, y))) for x in perp for y in perp)
+
+
+def perp_nonzero(lambdas, perp, red):
+    return bool(perp)
 
 
 def diagonal_nonzero(lambdas, perp, red):

@@ -2,15 +2,18 @@
 
 import ast
 import importlib.util
+import inspect
 import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import evoalg
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ROOT = Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
 SRC = Path(evoalg.__file__).resolve().parents[1]
 
 
@@ -118,7 +121,7 @@ def test_row_arithmetic_lives_in_linalg():
     # written once, in linalg.
     root = Path(evoalg.__file__).parent
     kernels = {"reduce_row", "reduce_packed", "reduce_bits", "normalize_row",
-               "integral_rows", "integer_row"}
+               "integral_rows", "integer_row", "row_support"}
     defined = {}
     for path in sorted(root.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -207,6 +210,152 @@ def test_text_readers_number_lines_in_one_handler():
         numbered = [n for n in ast.walk(functions[name])
                     if isinstance(n, ast.keyword) and n.arg == "line"]
         assert len(numbered) == 1 and numbered[0] in set(ast.walk(handler)), name
+
+
+def names(node):
+    """How often each name is read under node, as a Name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreached(sources, exported, hooks):
+    """The functions, classes and methods of sources ({module: text}) that
+    nothing reaches, as "module.qualname" strings.  A definition is reached
+    when its name is read somewhere outside its own body, when it is
+    exported or a hook, or when it is a public method or a dunder of an
+    exported class.  A dunder of any reached class is reached: Python calls
+    it."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = sum(map(names, trees.values()), Counter())
+    reached, out = {}, []
+
+    def visit(node, module, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, prefix, owner)
+                continue
+            qual = f"{module}.{prefix}{child.name}"
+            dunder = child.name.startswith("__") and child.name.endswith("__")
+            reached[qual] = (qual in exported or qual in hooks
+                             or read[child.name] > names(child)[child.name]
+                             or owner in exported and (dunder or child.name[0] != "_")
+                             or dunder and reached.get(owner, False))
+            if not reached[qual]:
+                out.append(qual)
+            visit(child, module, f"{prefix}{child.name}.",
+                  qual if isinstance(child, ast.ClassDef) else None)
+
+    for module, tree in trees.items():
+        visit(tree, module, "", None)
+    return out
+
+
+def exported_definitions():
+    """The "module.qualname" of each function and class that evoalg.__all__
+    names, and of each evoalg class in the MRO of a listed class or of the
+    class of a listed instance (QQ)."""
+    out = set()
+    for name in evoalg.__all__:
+        obj = getattr(evoalg, name)
+        found = ([obj] if inspect.isfunction(obj) else
+                 obj.__mro__ if isinstance(obj, type) else type(obj).__mro__)
+        out.update(f"{d.__module__.rpartition('.')[2]}.{d.__qualname__}" for d in found
+                   if d.__module__.startswith("evoalg."))
+    return out
+
+
+# Definitions that only bench/layers.py reaches (by name, through getattr).
+BENCH_HOOKS = ("oracles.enumerate_natural_bases", "oracles.natural_basis_membership")
+
+
+def package_sources():
+    # __init__.py binds the API, which exported_definitions reads.
+    root = Path(evoalg.__file__).parent
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(root.glob("*.py"))
+            if path.name != "__init__.py"}
+
+
+def test_every_definition_is_reached():
+    assert unreached(package_sources(), exported_definitions(), BENCH_HOOKS) == []
+
+
+def test_bench_hooks_are_needed_and_named_by_the_harness():
+    # Each hook is reached by nothing else, and bench/layers.py names it.
+    assert unreached(package_sources(), exported_definitions(), ()) == list(BENCH_HOOKS)
+    harness = (ROOT / "bench" / "layers.py").read_text(encoding="utf-8")
+    assert all(f'"{hook.rpartition(".")[2]}"' in harness for hook in BENCH_HOOKS)
+
+
+REACH_SAMPLE = {"shapes": '''
+class Shape:
+    def area(self):
+        return _scale(self)
+
+    def _cached(self):
+        return None
+
+    def __len__(self):
+        return 0
+
+
+class _Draft:
+    def __repr__(self):
+        return ""
+
+    def outline(self):
+        return None
+
+
+class _Unit:
+    def __eq__(self, other):
+        return True
+
+
+def _scale(shape):
+    def factor():
+        return 2
+    return factor() * _Unit()
+
+
+def _orphan(n):
+    return _orphan(n - 1)
+
+
+def timed():
+    return None
+''', "cli": '''
+def main():
+    return Shape().area()
+'''}
+
+
+def test_reachability_checker_rules():
+    # Read names, exports, public methods and dunders of exported classes,
+    # dunders of read classes, nested functions read by their parent and
+    # hooks are reached; private helpers read only by themselves, and
+    # everything of an unread class, are not.
+    found = unreached(REACH_SAMPLE, {"shapes.Shape", "cli.main"}, ("shapes.timed",))
+    assert found == ["shapes.Shape._cached", "shapes._Draft", "shapes._Draft.__repr__",
+                     "shapes._Draft.outline", "shapes._orphan"]
+
+
+def test_all_is_what_the_package_imports():
+    # __all__ is computed from the from-imports of __init__.py, not kept by
+    # hand: it is exactly the names they bind, the submodules excepted.
+    tree = ast.parse(Path(evoalg.__file__).read_text(encoding="utf-8"))
+    bound = {alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+    assert evoalg.__all__ == sorted(bound)
+    namespace = {}
+    exec("from evoalg import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == evoalg.__all__
+
+
+def test_readme_lists_the_python_api():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    # The list is the last paragraph of its section.
+    section = re.split(r"\n#+ ", readme.split("\n### Python API\n", 1)[1], maxsplit=1)[0]
+    assert re.findall(r"`(\w+)`", section.strip().split("\n\n")[-1]) == evoalg.__all__
 
 
 def same_outputs(old_src, new_src):
