@@ -27,17 +27,28 @@ def is_irreducible(algebra):
 
 
 def descendants(algebra, i, k=None):
-    """D^k(i) for a given k, or the full reachability closure D(i)."""
+    """D^k(i) for a given k, or the full reachability closure D(i).
+
+    D^(s+1)(i) is the union of the out-sets of D^s(i), so it depends on
+    D^s(i) alone: from the first set that repeats, the sequence is periodic.
+    The walk stops at D^k(i) or at that repeat, whichever comes first, and
+    reads D^k(i) off the period, so a huge k costs no more steps than there
+    are distinct sets."""
     if not 0 <= i < algebra.n:
         raise IndexOutOfRange(f"index {i} out of range for dimension {algebra.n}")
     if k is not None and k < 1:
         raise InvalidArgument(f"power index must be at least 1, got {k}")
     adjacency = algebra.digraph
     if k is not None:
+        sets, first = [], {}   # sets[s] is D^(s+1)(i), first its inverse
         current = frozenset(adjacency[i])
-        for _ in range(k - 1):
+        while len(sets) < k and current not in first:
+            first[current] = len(sets)
+            sets.append(current)
             current = frozenset().union(*(adjacency[j] for j in current))
-        return current
+        # current is D^(len(sets)+1)(i); with no repeat, start 0 reads sets[k - 1].
+        start = first.get(current, 0)
+        return sets[start + (k - 1 - start) % (len(sets) - start)]
     return reachable(adjacency, adjacency[i])
 
 

@@ -9,13 +9,17 @@ subspace enumeration, triple products and cube nilpotents by direct
 scanning, and both minor conditions by one scan over blocks.  One clique
 walk serves every natural-basis question and can start from any clique.
 Orthogonality and u (v w) = 0 are decided against ker M, listed once per
-matrix (u v = M (u o v)).
+matrix (u v = M (u o v)).  The tables the scans walk (projective points,
+the triple scan's groups, the nonempty index sets) depend on (p, n) alone:
+each is built once per process and cached as a tuple, so a brute force is a
+function of (m, p) alone.
 ``run_oracle`` diffs an oracle against its fast path over a seeded corpus
 in one loop; each oracle is one ``ORACLES`` row, a case factory and its
 run settings.
 """
 
 import random
+from functools import cache
 from itertools import combinations, product
 from operator import mul
 from typing import NamedTuple
@@ -78,11 +82,12 @@ def evo_mult(m, p, u, v):
     return tuple(sum(map(mul, row, w)) % p for row in m)
 
 
+@cache
 def normalized_vectors(p, n):
     """Nonzero vectors with leading coordinate 1 (one per projective point),
     in lexicographic order: those led by more zeros come first."""
-    return [(0,) * k + (1,) + tail for k in reversed(range(n))
-            for tail in product(range(p), repeat=n - k - 1)]
+    return tuple((0,) * k + (1,) + tail for k in reversed(range(n))
+                 for tail in product(range(p), repeat=n - k - 1))
 
 
 def support_mask(v):
@@ -105,11 +110,13 @@ def _kernel_index(m, p):
 # ------------------------------------------------------- natural-basis search
 
 
-def _orthogonality_graph(m, p, points):
-    """Orthogonality graph on the points, one neighbour mask per point: bit
-    j of the i-th mask and bit i of the j-th are set iff j != i and points i
-    and j are orthogonal, M (a o b) = 0, decided against ker M (see
-    _kernel_index): only overlapping points form a product."""
+def _orthogonality_graph(m, p):
+    """Orthogonality graph on the projective points, one neighbour mask per
+    point of normalized_vectors: bit j of the i-th mask and bit i of the
+    j-th are set iff j != i and points i and j are orthogonal, M (a o b) =
+    0, decided against ker M (see _kernel_index): only overlapping points
+    form a product."""
+    points = normalized_vectors(p, len(m))
     kernel, kernel_masks = _kernel_index(m, p)
     masks = [support_mask(v) for v in points]
     adjacent = [0] * len(points)
@@ -123,7 +130,7 @@ def _orthogonality_graph(m, p, points):
     return adjacent
 
 
-def _bases(points, adjacent, p, n, chosen, cands):
+def _bases(adjacent, p, n, chosen, cands):
     """The full-rank n-cliques that extend the clique chosen by points of
     cands, in lexicographic order of the point indices they add (bitmask
     clique walk with a popcount cut, no pivoting).  The walk takes the
@@ -131,23 +138,22 @@ def _bases(points, adjacent, p, n, chosen, cands):
     cands & adjacent[k] keeps only later neighbours of k.  Any clique can
     start a walk: its indices as chosen, the AND of their masks as cands."""
     if len(chosen) == n:
-        basis = tuple(points[k] for k in chosen)
+        basis = tuple(normalized_vectors(p, n)[k] for k in chosen)
         if rank_mod(basis, p) == n:
             yield basis
         return
     while cands.bit_count() >= n - len(chosen):
         k = (cands & -cands).bit_length() - 1
         cands &= cands - 1
-        yield from _bases(points, adjacent, p, n, chosen + [k], cands & adjacent[k])
+        yield from _bases(adjacent, p, n, chosen + [k], cands & adjacent[k])
 
 
 def enumerate_natural_bases(m, p):
     """All natural bases as sorted tuples of projective representatives:
     the full-rank n-cliques of the orthogonality graph, in lexicographic
     order of their point indices."""
-    points = normalized_vectors(p, len(m))
-    return list(_bases(points, _orthogonality_graph(m, p, points), p, len(m), [],
-                       (1 << len(points)) - 1))
+    adjacent = _orthogonality_graph(m, p)
+    return list(_bases(adjacent, p, len(m), [], (1 << len(adjacent)) - 1))
 
 
 def natural_basis_members(m, p):
@@ -156,11 +162,11 @@ def natural_basis_members(m, p):
     full-rank one covers all its points, and a walk that finds none proves
     that no natural basis holds it, so later walks skip it."""
     points = normalized_vectors(p, len(m))
-    adjacent = _orthogonality_graph(m, p, points)
+    adjacent = _orthogonality_graph(m, p)
     members, outside = set(), 0
     for i, u in enumerate(points):
         if u not in members:
-            basis = next(_bases(points, adjacent, p, len(m), [i], adjacent[i] & ~outside), None)
+            basis = next(_bases(adjacent, p, len(m), [i], adjacent[i] & ~outside), None)
             if basis is None:
                 outside |= 1 << i
             else:
@@ -197,6 +203,7 @@ def all_subspaces(p, n):
 # ----------------------------------------------------------- brute-force facts
 
 
+@cache
 def _triple_groups(p, n):
     """The scan lists of brute_triple_exists at dimension n: for each
     support S of a projective point, in order of first appearance, the
@@ -205,22 +212,18 @@ def _triple_groups(p, n):
     by_support = {}
     for v in cands:
         by_support.setdefault(support_mask(v), []).append(v)
-    at_least = [[(u, s) for u in cands if (s := support_mask(u)).bit_count() >= k]
+    at_least = [tuple((u, s) for u in cands if (s := support_mask(u)).bit_count() >= k)
                 for k in range(n + 1)]
-    return [(vs, at_least[supp.bit_count()]) for supp, vs in by_support.items()]
+    return tuple((tuple(vs), at_least[supp.bit_count()]) for supp, vs in by_support.items())
 
 
-def brute_triple_exists(m, p, groups=None):
+def brute_triple_exists(m, p):
     """Exists u, v, w with supp(v) = supp(w), |supp(u)| >= |supp(v)| and
     u (v w) = 0 (projective scan; u (v w) = 0 is decided against ker M, see
     _kernel_index).  Without the size restriction the triple condition is
-    vacuous for n >= 2: any u supported away from supp(v w) qualifies.
-    groups is _triple_groups(p, len(m)), built here unless a caller
-    scanning many matrices passes it."""
-    if groups is None:
-        groups = _triple_groups(p, len(m))
+    vacuous for n >= 2: any u supported away from supp(v w) qualifies."""
     kernel, kernel_masks = _kernel_index(m, p)
-    for vs, us in groups:
+    for vs, us in _triple_groups(p, len(m)):
         for v in vs:
             for w in vs:
                 vw = evo_mult(m, p, v, w)
@@ -233,8 +236,9 @@ def brute_triple_exists(m, p, groups=None):
     return False
 
 
+@cache
 def _nonempty_subsets(n):
-    return [s for k in range(1, n + 1) for s in combinations(range(n), k)]
+    return tuple(s for k in range(1, n + 1) for s in combinations(range(n), k))
 
 
 def _rank_deficient(m, p, pairs):
@@ -246,13 +250,9 @@ def _rank_deficient(m, p, pairs):
     return False
 
 
-def minor_condition_exists(m, p, subsets=None):
-    """Exists nonempty Gamma, Omega with rank M[Gamma, Omega] < min size.
-    subsets is _nonempty_subsets(len(m)), built here unless a caller
-    scanning many matrices passes it."""
-    if subsets is None:
-        subsets = _nonempty_subsets(len(m))
-    return _rank_deficient(m, p, product(subsets, repeat=2))
+def minor_condition_exists(m, p):
+    """Exists nonempty Gamma, Omega with rank M[Gamma, Omega] < min size."""
+    return _rank_deficient(m, p, product(_nonempty_subsets(len(m)), repeat=2))
 
 
 def brute_cube_zero_exists(m, p):
@@ -358,11 +358,9 @@ def _ideal_lattice_case(p, dim):
 
 def _minor_condition_case(p, dim):
     """Triple-product existence vs the vanishing-minor condition, both ways."""
-    groups, subsets = _triple_groups(p, dim), _nonempty_subsets(dim)
-
     def case(m, algebra):
-        brute = brute_triple_exists(m, p, groups)
-        condition = minor_condition_exists(m, p, subsets)
+        brute = brute_triple_exists(m, p)
+        condition = minor_condition_exists(m, p)
         scan = nilpotency.find_orthogonality_witness(algebra)
         yield None, brute == condition == (scan.witness is not None)
     return case

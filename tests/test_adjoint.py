@@ -1,6 +1,7 @@
 """Adjoint algebras, descendants, persistence, hierarchy."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -57,6 +58,45 @@ def test_descendants_power_index_below_one():
     for k in (0, -1):
         with pytest.raises(InvalidArgument):
             descendants(cycle, 0, k)
+
+
+def ref_descendants(algebra, i, k):
+    """D^k(i) by k - 1 union steps."""
+    current = frozenset(algebra.digraph[i])
+    for _ in range(k - 1):
+        current = frozenset().union(*(algebra.digraph[j] for j in current))
+    return current
+
+
+def test_descendants_match_the_step_by_step_walk():
+    # Sparse digraphs reach the empty set or a cycle of sets late; dense
+    # ones repeat after a step or two.
+    rng = random.Random(37)
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        density = rng.choice((0.1, 0.2, 0.35, 0.6))
+        a = EvolutionAlgebra(GF(2), [[int(rng.random() < density) for _ in range(n)]
+                                     for _ in range(n)])
+        for i in range(n):
+            for k in range(1, 3 * n + 1):
+                assert descendants(a, i, k) == ref_descendants(a, i, k), (a.M.plain, i, k)
+
+
+def test_descendants_of_a_huge_power_index():
+    # 0 -> 1 enters a 4-cycle 1 -> 2 -> 3 -> 4 -> 1 and 0 -> 5 a 5-cycle
+    # 5 -> ... -> 9 -> 5, so D^k(0) = {1 + (k-1) % 4, 5 + (k-1) % 5}.
+    edges = [(0, 1), (0, 5), (1, 2), (2, 3), (3, 4), (4, 1),
+             (5, 6), (6, 7), (7, 8), (8, 9), (9, 5)]
+    m = [[0] * 10 for _ in range(10)]
+    for i, j in edges:
+        m[j][i] = 1
+    a = EvolutionAlgebra(QQ, m)
+    cycle = EvolutionAlgebra(QQ, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    for k in (1, 2, 19, 20, 21, 10 ** 9, 10 ** 18, 10 ** 18 + 7):
+        start = time.perf_counter()
+        assert descendants(a, 0, k) == {1 + (k - 1) % 4, 5 + (k - 1) % 5}, k
+        assert descendants(cycle, 0, k) == {k % 3}, k
+        assert time.perf_counter() - start < 0.1, k
 
 
 def test_adjoint_annihilator_dims():

@@ -12,8 +12,8 @@ from evoalg.errors import DimensionTooLarge, InvalidArgument
 from evoalg.fields import GF
 from evoalg.linalg import Matrix, Subspace
 from evoalg.oracles import (ORACLES, _bases, _nonempty_subsets, _orthogonality_graph,
-                            all_subspaces, brute_triple_exists, enumerate_natural_bases,
-                            evo_mult, kernel_mod, minor_condition_exists,
+                            _triple_groups, all_subspaces, brute_triple_exists,
+                            enumerate_natural_bases, evo_mult, kernel_mod, minor_condition_exists,
                             natural_basis_members, natural_basis_membership,
                             normalized_vectors, rank_mod, run_oracle,
                             sample_structure_matrices, vanishing_principal_minor_exists)
@@ -156,7 +156,40 @@ def test_normalized_vectors_cover_projective_points():
     assert len(normalized_vectors(5, 3)) == 31
     for p in (2, 3, 5):
         for n in range(5):
-            assert normalized_vectors(p, n) == ref_normalized_vectors(p, n), (p, n)
+            assert normalized_vectors(p, n) == tuple(ref_normalized_vectors(p, n)), (p, n)
+
+
+def test_oracle_tables_are_built_once_per_process():
+    # The point list, the triple scan's groups and the index sets depend on
+    # (p, n) alone: every oracle of a second run, and every oracle on the
+    # same cell, reads the tables the first run built.
+    tables = (normalized_vectors, _triple_groups, _nonempty_subsets)
+    for table in tables:
+        table.cache_clear()
+    for name in ("minor-condition", "minor-condition", *sorted(ORACLES)):
+        assert run_oracle(name, 3, 3, samples=4, seed=5).mismatches == ()
+    for table in tables:
+        info = table.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits > 0, (table, info)
+    assert isinstance(_nonempty_subsets(3), tuple)
+    assert isinstance(normalized_vectors(3, 3), tuple)
+    groups = _triple_groups(3, 3)
+    assert isinstance(groups, tuple)
+    assert all(isinstance(vs, tuple) and isinstance(us, tuple) for vs, us in groups)
+
+
+def test_oracle_refusals_sample_no_matrix(monkeypatch):
+    # Each limit is checked before the first matrix is drawn.
+    def sample(*args):
+        raise AssertionError("a matrix was sampled")
+
+    monkeypatch.setattr(oracles, "sample_structure_matrices", sample)
+    for name, p, dim, message in (
+            ("natural-vectors", 11, 3, "checks 1330 vectors per matrix"),
+            ("ideal-lattice", 2, 4, "limited to dimension 3"),
+            ("nilpotency", 2, 10, "scans 1023 projective points")):
+        with pytest.raises(DimensionTooLarge, match=message):
+            run_oracle(name, p, dim)
 
 
 # Matrices per (p, n).  Dense orthogonality graphs have thousands of
@@ -238,7 +271,7 @@ def test_kernel_tests_match_product_references(monkeypatch):
     singular = 0
     for p, m in _corpus(rng):
         points = normalized_vectors(p, len(m))
-        graph = _orthogonality_graph(m, p, points)
+        graph = _orthogonality_graph(m, p)
         later = [mask & -(2 << i) for i, mask in enumerate(graph)]
         assert later == ref_orthogonal_later(m, p, points), (p, m)
         # Symmetric, with no self-loops.
@@ -262,10 +295,10 @@ def test_walk_from_a_point_yields_the_bases_through_it():
     for p, m in _corpus(rng):
         n = len(m)
         points = normalized_vectors(p, n)
-        graph = _orthogonality_graph(m, p, points)
+        graph = _orthogonality_graph(m, p)
         bases = [frozenset(b) for b in enumerate_natural_bases(m, p)]
         for i, u in enumerate(points):
-            walked = [frozenset(b) for b in _bases(points, graph, p, n, [i], graph[i])]
+            walked = [frozenset(b) for b in _bases(graph, p, n, [i], graph[i])]
             assert walked == [b for b in bases if u in b], (p, m, u)
 
 
@@ -284,20 +317,17 @@ def test_minor_scans_match_block_by_block_references(monkeypatch):
     vanishing = {ref_minor_condition_exists: 0, ref_vanishing_principal_minor_exists: 0}
     matrices = 0
     for p, m in _corpus(rng):
-        scans = ((ref_minor_condition_exists, minor_condition_exists, ()),
-                 (ref_minor_condition_exists, minor_condition_exists,
-                  (_nonempty_subsets(len(m)),)),
-                 (ref_vanishing_principal_minor_exists, vanishing_principal_minor_exists, ()))
-        for ref, scan, extra in scans:
+        for ref, scan in ((ref_minor_condition_exists, minor_condition_exists),
+                          (ref_vanishing_principal_minor_exists,
+                           vanishing_principal_minor_exists)):
             del ranked[:]
             expected = ref(m, p), ranked[:]
             del ranked[:]
-            assert (scan(m, p, *extra), ranked) == expected, (scan.__name__, p, m)
+            assert (scan(m, p), ranked) == expected, (scan.__name__, p, m)
             vanishing[ref] += expected[0]
         matrices += 1
-    # Some matrices have a vanishing minor and some have none; the minor
-    # condition is scanned twice per matrix.
-    assert 0 < vanishing[ref_minor_condition_exists] < 2 * matrices
+    # Some matrices have a vanishing minor and some have none.
+    assert 0 < vanishing[ref_minor_condition_exists] < matrices
     assert 0 < vanishing[ref_vanishing_principal_minor_exists] < matrices
 
 

@@ -16,14 +16,16 @@ nilpotent GF(101) algebras at n = 9-20 with shuffled indices, for
 ``nilpotency``; one malformed input per parse message; and field specs
 with and without balanced parentheses.  Every subcommand runs on the
 small algebras, with and without ``--json``, plus ``random`` runs.  Every
-oracle runs on small cells, at the cells of the benchmark's
+oracle runs on small cells; at the cells of the benchmark's
 ``oracle-sweep`` (GF(2), GF(3) and GF(5) at n = 2-4, ``ideal-lattice``
-up to n = 3; two seeds, with and without ``--json``), on all 16 GF(2)
-algebras of dimension 2, and on every GF(2) algebra of dimension 3 and
-every GF(3) algebra of dimension 2 (512 and 81 matrices, the zero and
-rank-one ones with their dense orthogonality graphs included; with and
-without ``--json``).  Each tree runs the whole corpus through
-``evoalg.cli.main`` in its own subprocess.
+up to n = 3) and at GF(7), the largest prime of the exact branch of
+``cube-nilpotent``, at n = 2-3 (two seeds, with and without ``--json``);
+on all 16 GF(2) algebras of dimension 2; and on every GF(2) algebra of
+dimension 3 and every GF(3) algebra of dimension 2 (512 and 81 matrices,
+the zero and rank-one ones with their dense orthogonality graphs
+included; with and without ``--json``).  Each tree runs the whole
+corpus, 8131 invocations, through ``evoalg.cli.main`` in its own
+subprocess.
 
 Prints the number of invocations and how many differ in exit code, stdout
 or stderr, shows the first few differences, and exits 1 on any (2 on a
@@ -184,6 +186,9 @@ DIAGONAL = (12, 17)
 # Annihilator chains at sizes where a frozenset of small ints no longer
 # iterates in ascending order: ten algebras per n.
 NILPOTENT = (9, 12, 16, 20)
+# Oracle cells as (field, top dimension; ideal-lattice stops at 3): those of
+# the oracle-sweep benchmark, and GF(7) at n = 2-3.
+ORACLE_CELLS = (("gf 2", 4), ("gf 3", 4), ("gf 5", 4), ("gf 7", 3))
 # The principal-minor tree of cube-nilpotent at n = 8-12.
 CUBE_FIELDS = (("q", None), ("gf 3", 3), ("gf 10007", 10007))
 
@@ -295,8 +300,8 @@ def build_corpus(root):
             runs.append(["oracle", name, "--field", spec, "--dim", "2", "--samples", "4"])
         runs.append(["oracle", name, "--field", "gf 2", "--dim", "3", "--samples", "3",
                      "--json"])
-        for spec in ("gf 2", "gf 3", "gf 5"):
-            for dim in range(2, 4 if name == "ideal-lattice" else 5):
+        for spec, top in ORACLE_CELLS:
+            for dim in range(2, 1 + min(top, 3 if name == "ideal-lattice" else 4)):
                 for seed in ("1", "2"):
                     argv = ["oracle", name, "--field", spec, "--dim", str(dim),
                             "--samples", "12", "--seed", seed]
