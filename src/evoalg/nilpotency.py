@@ -151,14 +151,17 @@ def find_orthogonality_witness(algebra, max_subset_size=None):
     for k in range(1, cap + 1):
         omegas = list(combinations(range(n), k))
         drops = [[below_index[o[:t] + o[t + 1:]] for t in range(k)] for o in omegas]
-        signed = {g: [[-row[j] if t % 2 else row[j] for t, j in enumerate(o)]
-                      for o in omegas]
-                  for g, row in enumerate(rows[:n - k + 1])}
-        level = {}
+        level, head = {}, None
         for gamma in combinations(range(n), k):
+            # The heads gamma[0] come in ascending order: the signed
+            # coefficient rows of a head are built when it is first met.
+            if gamma[0] != head:
+                head, row = gamma[0], rows[gamma[0]]
+                signed = [[-row[j] if t % 2 else row[j] for t, j in enumerate(o)]
+                          for o in omegas]
             tail = below[gamma[1:]].__getitem__
             dets = [red(sum(map(mul, coeffs, map(tail, drop))))
-                    for coeffs, drop in zip(signed[gamma[0]], drops)]
+                    for coeffs, drop in zip(signed, drops)]
             minors += len(dets)
             if 0 in dets:
                 witness = _witness_for_pair(algebra, gamma, omegas[dets.index(0)])
@@ -262,7 +265,8 @@ def _schur(rows, top, lo, d, p):
 
 
 def _grow(state, j, p):
-    """(nonsingular, state of gamma + (j)) from the state of gamma.
+    """(nonsingular, state of gamma + (j)) from the state of gamma, when
+    gamma is singular or the new diagonal entry of its complement is 0.
 
     A state (rows, d, first, r) is fraction-free (Bareiss) elimination on
     the indices of gamma, stopped with r rows and r columns left without a
@@ -277,13 +281,12 @@ def _grow(state, j, p):
     zero or not matters, and a step without the division scales the rows
     left by one nonzero constant, so entries are just reduced mod p.
 
-    Most nodes have a nonsingular parent (r = 0) and a nonzero pivot
-    rows[lo][lo]: that step reads the pivot row and the rows below it in
-    place, with no copy of the parent's rows."""
+    A child of a nonsingular gamma whose diagonal entry rows[lo][lo] is
+    nonzero never comes here: find_cube_nilpotent decides it by that entry
+    and runs its one step (_schur on the pivot row rows[lo] and the rows
+    below it, in place) only when it expands that child."""
     rows, d, first, r = state
     lo = r + j - first
-    if not r and rows[lo][lo]:
-        return True, (_schur(rows[lo + 1:], rows[lo], lo, d, p), rows[lo][lo], j + 1, 0)
     rows = [row[:r] + row[lo:] for row in rows[:r] + rows[lo:]]
     for left in range(r + 1, 0, -1):
         for k in range(left):
@@ -302,28 +305,46 @@ def find_cube_nilpotent(algebra):
     verified u with u^3 = 0.
 
     The subsets form a tree, gamma + (j) for j > gamma[-1] being a child of
-    gamma, and each size is the children of the size below, in order.  A
-    child costs one Schur-complement step on the bordered minors its parent
-    keeps (_grow), about (n - j)^2 operations, so a scan that finds nothing
-    costs about 3 * 2^n: the all-principal-minors method of Griffin and
-    Tsatsomeros, fraction-free as in Bareiss.  Only nodes that do not end
-    at the last index have children and are kept."""
+    gamma, and each size is the children of the size below, in order.  The
+    state of a nonsingular gamma holds its Schur complement (_grow), whose
+    diagonal entry at j vanishes exactly when the child gamma + (j) is
+    singular, so such a child is decided by reading one entry.  A
+    nonsingular child with children of its own is kept as its parent's
+    rows and its column lo, and its one elimination step, about
+    (n - j)^2 operations, runs only when the next size expands it: the
+    leaves, and whatever a witness leaves unexpanded, are never
+    eliminated.  A scan that finds nothing thus takes 2^(n-1) - 1 steps,
+    about 3 * 2^n operations in all: the all-principal-minors method of
+    Griffin and Tsatsomeros, fraction-free as in Bareiss.  A singular
+    gamma keeps its elimination where it stopped, and its children go on
+    from there (_grow)."""
     if not algebra.is_perfect():
         raise NotPerfect("nilpotent-of-order-3 detection requires a perfect algebra")
     n = algebra.n
     p = algebra.field.p
-    level = [((), (algebra.integral, 1, 0, 0))]
+    # (gamma, state, lo): lo is None when state is gamma's own, else state
+    # is its nonsingular parent's and gamma's is one step from it at lo.
+    level = [((), (algebra.integral, 1, 0, 0), None)]
     first_vanishing = None
     minors = 0
     while level:
         grown = []
-        for gamma, state in level:
-            for j in range(gamma[-1] + 1 if gamma else 0, n):
+        for gamma, state, lo in level:
+            if lo is not None:
+                rows, d = state[:2]
+                state = (_schur(rows[lo + 1:], rows[lo], lo, d, p), rows[lo][lo],
+                         gamma[-1] + 1, 0)
+            rows, _, first, r = state
+            for j in range(first, n):
                 child = gamma + (j,)
                 minors += 1
+                if not r and rows[j - first][j - first]:
+                    if j < n - 1:
+                        grown.append((child, state, j - first))
+                    continue
                 nonsingular, child_state = _grow(state, j, p)
                 if j < n - 1:
-                    grown.append((child, child_state))
+                    grown.append((child, child_state, None))
                 if nonsingular:
                     continue
                 if first_vanishing is None:

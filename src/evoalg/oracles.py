@@ -59,7 +59,25 @@ def rref_mod(rows, p):
 
 
 def rank_mod(rows, p):
-    return rref_mod(rows, p)[1]
+    """The rank of a nonempty list of rows mod p by one forward sweep: each
+    pivot row leaves the list, and the rows still in it with a nonzero
+    entry in its column become piv a - f b; the sweep stops when the list
+    is empty."""
+    m, rank = list(rows), 0
+    for pc in range(len(m[0])):
+        for k, row in enumerate(m):
+            if row[pc] % p:
+                break
+        else:
+            continue
+        top = m.pop(k)
+        rank += 1
+        if not m:
+            break
+        piv = top[pc]
+        m = [[(piv * a - f * b) % p for a, b in zip(row, top)] if (f := row[pc] % p) else row
+             for row in m]
+    return rank
 
 
 def kernel_mod(rows, p, cols):

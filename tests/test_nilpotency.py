@@ -563,6 +563,7 @@ def test_cube_scan_matches_minor_per_subset(monkeypatch):
         scan = find_cube_nilpotent(a)
         monkeypatch.undo()
         assert scan._replace(minors=0) == expected
+        assert scan == ref_find_cube_nilpotent(a)
         assert scan.minors <= 2 ** a.n - 1
         # No determinant inside the scan: the one det is the perfectness
         # check on M itself.
@@ -599,6 +600,33 @@ def ref_grow(state, j, p):
     return True, (rows, d, j + 1, 0)
 
 
+def ref_find_cube_nilpotent(algebra):
+    """Reference: the eager scan, which gives every child, leaves included,
+    its own elimination step (ref_grow) as soon as it is met."""
+    n = algebra.n
+    level = [((), (algebra.integral, 1, 0, 0))]
+    first_vanishing = None
+    minors = 0
+    while level:
+        grown = []
+        for gamma, state in level:
+            for j in range(gamma[-1] + 1 if gamma else 0, n):
+                child = gamma + (j,)
+                minors += 1
+                nonsingular, child_state = ref_grow(state, j, algebra.field.p)
+                if j < n - 1:
+                    grown.append((child, child_state))
+                if nonsingular:
+                    continue
+                if first_vanishing is None:
+                    first_vanishing = child
+                u = cube_witness_from_minor(algebra, child)
+                if u is not None:
+                    return CubeNilpotentScan(u, child, False, minors)
+        level = grown
+    return CubeNilpotentScan(None, first_vanishing, first_vanishing is not None, minors)
+
+
 def test_cube_step_matches_copying_step(monkeypatch):
     # Every step gives the reference's state, and the scan run on the
     # reference step gives the same result, minors included.
@@ -623,8 +651,48 @@ def test_cube_step_matches_copying_step(monkeypatch):
         monkeypatch.setattr(nilpotency, "_grow", ref_grow)
         assert find_cube_nilpotent(a) == scan
         monkeypatch.undo()
+        assert ref_find_cube_nilpotent(a) == scan
         found += scan.element is not None
     assert 0 < found < len(corpus) and resumed >= 100
+
+
+def test_cube_scan_eliminates_only_expanded_children(monkeypatch):
+    # With no vanishing minor, one elimination step per subset that has
+    # children (those without the last index): 2^(n-1) - 1 of the 2^n - 1.
+    rng = random.Random(45)
+    n, scanned = 10, 0
+    while scanned < 3:
+        a = random_perfect(rng, GF(10007), n)
+        if ref_find_cube_nilpotent(a).minor_indices is not None:
+            continue
+        steps = counting(monkeypatch, nilpotency, "_schur")
+        scan = find_cube_nilpotent(a)
+        monkeypatch.undo()
+        assert scan == CubeNilpotentScan(None, None, False, 2 ** n - 1)
+        assert len(steps) == 2 ** (n - 1) - 1 == 511
+        scanned += 1
+    # A zero diagonal entry M[i][i] ends the scan at {i}, with the witness
+    # e_i, before any step: every earlier subset of size one is decided by
+    # its own diagonal entry.
+    exits = 0
+    for field in (QQ, GF(3)):
+        for n in range(2, 13):
+            a = random_perfect(rng, field, n)
+            i = rng.randrange(n)
+            rows = [list(row) for row in a.M.plain]
+            for k in range(n):
+                rows[k][k] = 0 if k == i else rows[k][k] or 1
+            a = EvolutionAlgebra(field, rows)
+            if not a.is_perfect():
+                continue
+            exits += 1
+            steps = counting(monkeypatch, nilpotency, "_schur")
+            scan = find_cube_nilpotent(a)
+            monkeypatch.undo()
+            assert scan.minor_indices == (i,) and scan.minors == i + 1
+            assert scan.element == a.unit(i) and not steps
+            assert scan == ref_find_cube_nilpotent(a)
+    assert exits >= 16
 
 
 def test_cube_scan_singular_prefixes(monkeypatch):

@@ -15,7 +15,7 @@ from evoalg.oracles import (ORACLES, _bases, _nonempty_subsets, _orthogonality_g
                             _triple_groups, all_subspaces, brute_triple_exists,
                             enumerate_natural_bases, evo_mult, kernel_mod, minor_condition_exists,
                             natural_basis_members, natural_basis_membership,
-                            normalized_vectors, rank_mod, run_oracle,
+                            normalized_vectors, rank_mod, rref_mod, run_oracle,
                             sample_structure_matrices, vanishing_principal_minor_exists)
 
 # ------------------------------------------ references: per-vector search
@@ -378,6 +378,22 @@ def test_int_linalg_against_matrix():
         assert len(kernel) == 2 - exact.rank()
         for v in kernel:
             assert not any(exact.matvec([GF(3)(x) for x in v]))
+
+
+def test_rank_mod_matches_rref_rank():
+    # The forward sweep against the Gauss-Jordan rank, on blocks of every
+    # shape up to 5 x 5 (1 x k and k x 1 included), zero blocks and blocks
+    # with a repeated row; entries past p, as a caller may pass them.
+    rng = random.Random(38)
+    for p in (2, 3, 5, 7, 101):
+        for rows, cols in product(range(1, 6), repeat=2):
+            for kind in ("random", "zero", "repeated"):
+                for _ in range(6):
+                    m = [tuple(rng.randrange(2 * p) if kind != "zero" else 0
+                               for _ in range(cols)) for _ in range(rows)]
+                    if kind == "repeated" and rows > 1:
+                        m[rng.randrange(1, rows)] = m[0]
+                    assert rank_mod(m, p) == rref_mod(m, p)[1], (p, m)
 
 
 def test_evo_mult_matches_element_product():

@@ -11,7 +11,9 @@ vector inputs for them; GF(2) algebras at n = 12-65, past one machine
 word of GF(2) bit rows, with their own basis and family inputs; sparse
 near-triangular and diagonal GF(101) algebras at n = 12-20 for
 ``ideals``, and perfect algebras over Q, GF(3) and GF(10007) at n = 8-12,
-with and without a singular principal block, for ``cube-nilpotent``;
+with and without a singular principal block, with a zero diagonal entry
+and with a singular principal block that ends at the last index, for
+``cube-nilpotent``;
 nilpotent GF(101) algebras at n = 9-20 with shuffled indices, for
 ``nilpotency``; one malformed input per parse message; and field specs
 with and without balanced parentheses.  Every subcommand runs on the
@@ -24,7 +26,7 @@ on all 16 GF(2) algebras of dimension 2; and on every GF(2) algebra of
 dimension 3 and every GF(3) algebra of dimension 2 (512 and 81 matrices,
 the zero and rank-one ones with their dense orthogonality graphs
 included; with and without ``--json``).  Each tree runs the whole
-corpus, 8131 invocations, through ``evoalg.cli.main`` in its own
+corpus, 8191 invocations, through ``evoalg.cli.main`` in its own
 subprocess.
 
 Prints the number of invocations and how many differ in exit code, stdout
@@ -102,10 +104,11 @@ def _permuted_nilpotent(rng, n, p=101):
     return [[rows[perm[j]][perm[i]] for i in range(n)] for j in range(n)]
 
 
-def _singular_block(rng, p, rows):
-    """Make the principal block on a random half of the indices singular:
-    on its columns, its first row becomes a combination of its others."""
-    t, *others = rng.sample(range(len(rows)), len(rows) // 2)
+def _singular_block(rng, p, rows, block=None):
+    """Make the principal block on the indices of block (by default a
+    random half of them) singular: on its columns, its first row becomes a
+    combination of its others."""
+    t, *others = block or rng.sample(range(len(rows)), len(rows) // 2)
     coeffs = [rng.randint(-2, 2) if p is None else rng.randrange(p) for _ in others]
     for c in (t, *others):
         x = sum(k * rows[u][c] for k, u in zip(coeffs, others))
@@ -287,6 +290,27 @@ def build_corpus(root):
                     if _nonsingular(rows, p):
                         break
                 path = _write(root, f"cube-{spec.replace(' ', '')}-{n}-{int(singular)}.alg",
+                              _alg_text(spec, rows))
+                runs += [["cube-nilpotent", path], ["cube-nilpotent", path, "--json"]]
+    # Perfect algebras on which the scan ends without expanding a level: a
+    # zero diagonal entry (a vanishing minor of size one), and a singular
+    # principal block of 2 to n // 2 indices that ends at the last index (a
+    # vanishing subset with no children).
+    for spec, p in CUBE_FIELDS:
+        for n in range(8, 13):
+            for kind in ("zero-diagonal", "leaf"):
+                while True:
+                    rows = [[rng.randrange(1, 100) * rng.choice((1, -1)) if p is None
+                             else rng.randrange(1, p) for _ in range(n)] for _ in range(n)]
+                    if kind == "zero-diagonal":
+                        i = rng.randrange(n)
+                        rows[i][i] = 0
+                    else:
+                        block = rng.sample(range(n - 1), rng.randint(1, n // 2 - 1)) + [n - 1]
+                        _singular_block(rng, p, rows, rng.sample(block, len(block)))
+                    if _nonsingular(rows, p):
+                        break
+                path = _write(root, f"cube-{spec.replace(' ', '')}-{n}-{kind}.alg",
                               _alg_text(spec, rows))
                 runs += [["cube-nilpotent", path], ["cube-nilpotent", path, "--json"]]
     for spec, _ in FIELDS:
